@@ -8,7 +8,11 @@ unitaries vectorize across branches.
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
 generator, loss as the full Kraus set, subtraction as repeated lowering) so
-that it shares no algebra with the closed-form calculator it verifies.  A
+that it shares no algebra with the closed-form calculator it verifies.  The
+squeezer's generator splits into tridiagonal blocks along the grid
+diagonals; a diagonal phase gauge makes each block the gain times a real
+symmetric matrix that depends on the cutoff alone, so one real
+eigendecomposition per diagonal and cutoff serves every gain and phase.  A
 sub-stepped Taylor exponential of the same generator is kept as an
 independent cross-check of the blockwise propagator.
 
@@ -155,7 +159,8 @@ def prepare_input(beta: float, n_cut: int) -> FockState:
         c = c * beta / math.sqrt(n + 1)
     tail = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
     if tail > 1e-14:
-        raise ValueError(
+        # a leak like the squeezer's: the cutoff ladder climbs past it
+        raise LeakageError(
             f"n_cut={n_cut} leaves coherent tail mass {tail:.2e} > 1e-14 for beta={beta}"
         )
     return FockState(n_cut, amps)
@@ -189,48 +194,91 @@ def _apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
 
 
 _TMS_BLOCK_CACHE: dict = {}
-# total cached complex entries (a (g, theta, d) entry costs ~d^3/3); the
-# ladder revisits the same cutoffs for every sweep point, so keeping the
-# expensive large-d eigendecompositions resident matters
-_TMS_CACHE_BUDGET = 1.5e7
+_TMS_BASIS_CACHE: dict = {}
+# one budget, in complex entries, bounds both caches (a real entry counts
+# half).  Blocks are only two real matrix products per diagonal away from
+# their basis, so they are evicted first (least recent first); a basis holds
+# the eigendecompositions and serves every gain and phase at its cutoff, so
+# bases go only once no blocks are left
+_TMS_CACHE_BUDGET = 1.2e7
+
+
+def _block_entries(d: int) -> float:
+    """Complex entries of the blocks at cutoff d: the sum of (d - k)^2."""
+    return d * (d + 1) * (2 * d + 1) / 6.0
+
+
+def _basis_entries(d: int) -> float:
+    """Complex-entry equivalents of a basis: real vectors and eigenvalues."""
+    return (_block_entries(d) + d * (d + 1) / 2.0) / 2.0
+
+
+def _cached(cache: dict, key):
+    """cache[key], marked most recent, or None."""
+    value = cache.get(key)
+    if value is not None:
+        cache[key] = cache.pop(key)
+    return value
+
+
+def _make_room(entries: float) -> None:
+    """Evict until a new cache entry of this size fits the shared budget."""
+
+    def used() -> float:
+        blocks = sum(_block_entries(key[2]) for key in _TMS_BLOCK_CACHE)
+        return blocks + sum(_basis_entries(d) for d in _TMS_BASIS_CACHE)
+
+    while used() + entries > _TMS_CACHE_BUDGET:
+        cache = _TMS_BLOCK_CACHE or _TMS_BASIS_CACHE
+        if not cache:
+            return
+        cache.pop(next(iter(cache)))  # evict least recent
+
+
+def _tms_basis(d: int) -> list:
+    """Eigenpairs (lambda_k, V_k) of the real tridiagonal J_k, k = 0..d-1.
+
+    J_k couples |n-1+k, n-1> and |n+k, n> with sqrt((n + k) n); it depends
+    on the cutoff alone, so one basis serves every gain and phase.
+    """
+    basis = _cached(_TMS_BASIS_CACHE, d)
+    if basis is None:
+        basis = []
+        for k in range(d):
+            n = np.arange(1, d - k)
+            j = np.diag(np.sqrt((n + k) * n), 1)
+            basis.append(np.linalg.eigh(j + j.T))
+        _make_room(_basis_entries(d))
+        _TMS_BASIS_CACHE[d] = basis
+    return basis
 
 
 def _tms_blocks(g: float, theta: float, d: int) -> List[np.ndarray]:
     """Propagator blocks of exp(xi ab - xi* a†b†) on the truncated grid.
 
     The generator conserves n_a - n_b, so it block-diagonalizes over the
-    grid diagonals.  On the subspace spanned by |n+k, n> (n = 0..d-1-k) it
-    is an anti-Hermitian tridiagonal matrix, exponentiated exactly through
-    an eigendecomposition; by the a <-> b symmetry the same block serves the
-    mirrored diagonal.  The result is the exact (unitary) exponential of the
-    truncated generator, matching the sub-stepped series to roundoff.
+    grid diagonals; by the a <-> b symmetry one block serves a diagonal and
+    its mirror.  On |n+k, n> (n = 0..d-1-k) it is the tridiagonal
+    -i g D J_k D^-1, with D = diag(e^{i n psi}), psi = -pi/2 - theta, and
+    J_k the real symmetric matrix of sqrt((n + k) n).  With (lambda_k, V_k)
+    the eigenbasis of J_k, the block is D V_k diag(e^{-i g lambda_k}) V_k^T
+    D^-1: the exact (unitary) exponential of the truncated generator,
+    matching the sub-stepped series to roundoff.
     """
     key = (float(g), float(theta), int(d))
-    cached = _TMS_BLOCK_CACHE.get(key)
-    if cached is not None:
-        _TMS_BLOCK_CACHE[key] = _TMS_BLOCK_CACHE.pop(key)  # mark most recent
-        return cached
-
-    def cost(n: int) -> float:
-        return n**3 / 3.0
-
-    while _TMS_BLOCK_CACHE and (
-        sum(cost(k[2]) for k in _TMS_BLOCK_CACHE) + cost(d) > _TMS_CACHE_BUDGET
-    ):
-        _TMS_BLOCK_CACHE.pop(next(iter(_TMS_BLOCK_CACHE)))  # evict least recent
-    xi = g * complex(math.cos(theta), math.sin(theta))
+    blocks = _cached(_TMS_BLOCK_CACHE, key)
+    if blocks is not None:
+        return blocks
+    gauge = np.exp(1j * (-0.5 * math.pi - theta) * np.arange(d))
     blocks = []
-    for k in range(d):
-        size = d - k
-        n = np.arange(size)
-        low = xi * np.sqrt((n[1:] + k) * n[1:])  # entry [n-1, n]
-        up = -np.conj(xi) * np.sqrt((n[:-1] + k + 1.0) * (n[:-1] + 1.0))  # [n+1, n]
-        h = np.zeros((size, size), complex)
-        h[np.arange(size - 1), np.arange(1, size)] = 1j * low
-        h[np.arange(1, size), np.arange(size - 1)] = 1j * up
-        evals, evecs = np.linalg.eigh(h)
-        phase = np.exp(-1j * evals)
-        blocks.append((evecs * phase) @ evecs.conj().T)
+    for lam, v in _tms_basis(d):
+        size = lam.size
+        u = np.empty((size, size), complex)
+        u.real = (v * np.cos(g * lam)) @ v.T
+        u.imag = (v * -np.sin(g * lam)) @ v.T
+        u *= gauge[:size, None] * gauge[:size].conj()
+        blocks.append(u)
+    _make_room(_block_entries(d))
     _TMS_BLOCK_CACHE[key] = blocks
     return blocks
 
@@ -241,15 +289,18 @@ def _apply_tms_raw(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
         return amps.copy()
     d = amps.shape[-1]
     blocks = _tms_blocks(g, theta, d)
-    out = np.empty_like(amps)
-    for k in range(d):
-        p_t = blocks[k].T
-        ia = np.arange(k, d)
-        ib = np.arange(d - k)
-        out[..., ia, ib] = amps[..., ia, ib] @ p_t
+    # on the grid flattened to (..., d*d), diagonal |n+k, n> is the stride
+    # d+1 run from k*d, and its mirror |n, n+k> the run from k
+    flat = amps.reshape(amps.shape[:-2] + (d * d,))
+    out = np.empty_like(flat)
+    for k, block in enumerate(blocks):
+        p_t = block.T
+        diag = slice(k * d, d * d, d + 1)
+        out[..., diag] = flat[..., diag] @ p_t
         if k > 0:
-            out[..., ib, ia] = amps[..., ib, ia] @ p_t
-    return out
+            mirror = slice(k, (d - k) * d, d + 1)
+            out[..., mirror] = flat[..., mirror] @ p_t
+    return out.reshape(amps.shape)
 
 
 def apply_tms(x, g: float, theta: float):

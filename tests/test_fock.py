@@ -46,8 +46,23 @@ class TestPrepareInput:
             assert second == pytest.approx(beta**2 + beta**4, rel=1e-12)
 
     def test_rejects_small_cutoff(self):
-        with pytest.raises(ValueError):
+        # a truncated coherent tail is a leak, so the cutoff ladder climbs past it
+        with pytest.raises(LeakageError):
             prepare_input(3.0, 8)
+
+    def test_rejects_negative_beta(self):
+        with pytest.raises(ValueError):
+            prepare_input(-0.5, 30)
+
+    def test_large_beta_oracle_cell_converges(self):
+        # n_cut = 30 truncates the beta = 3 coherent tail; the ladder must climb
+        from su11.sweeps import _eval_task
+
+        p = Params(g=0.5, beta=3.0, phi=0.4, m=1)
+        value, code = _eval_task(("oracle_n_t", p))
+        assert code == ""
+        want, _ = _eval_task(("n_t", p))
+        assert float(value) == pytest.approx(float(want), rel=1e-6)
 
 
 class TestTwoModeSqueezer:
@@ -234,3 +249,60 @@ class TestNumericEstimators:
         a = _apply_tms_raw(st.amps, 0.7, math.pi)
         b = _apply_tms_series(st.amps, 0.7, math.pi)
         assert np.allclose(a, b, atol=1e-12)
+        a = _apply_tms_raw(st.amps, 0.8, 1.1)
+        b = _apply_tms_series(st.amps, 0.8, 1.1)
+        assert np.allclose(a, b, atol=1e-12)
+
+    def test_block_propagator_matches_series_on_branch_stack(self):
+        from su11.fock import _apply_tms_series, _apply_tms_raw
+
+        st = apply_tms(prepare_input(0.8, 40), 0.6, 0.0)
+        stack = apply_loss(st, 0.7).amps
+        assert stack.ndim == 3 and stack.shape[0] > 1
+        a = _apply_tms_raw(stack, 0.6, math.pi)
+        b = _apply_tms_series(stack, 0.6, math.pi)
+        assert np.allclose(a, b, atol=1e-12)
+
+    def test_one_eigendecomposition_per_diagonal_and_cutoff(self, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        calls = []
+        eigh = fock.np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(fock.np.linalg, "eigh", counting_eigh)
+        st = prepare_input(0.5, 24)
+        for g in (0.4, 0.9):
+            for theta in (0.0, math.pi):
+                fock._apply_tms_raw(st.amps, g, theta)
+        assert len(calls) == 25
+        assert len(fock._TMS_BLOCK_CACHE) == 4
+
+    def test_caches_share_one_budget_over_a_gain_sweep(self, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_CACHE_BUDGET", 1.5e5)
+
+        def entries():
+            blocks = sum(b.size for v in fock._TMS_BLOCK_CACHE.values() for b in v)
+            bases = sum(
+                (lam.size + vec.size) / 2.0
+                for v in fock._TMS_BASIS_CACHE.values()
+                for lam, vec in v
+            )
+            return blocks + bases
+
+        seen = set()
+        for g in np.linspace(0.3, 0.9, 7):
+            fock.numeric_internal_photon_number(Params(g=g, beta=0.5, phi=0.4, m=1))
+            seen.update(fock._TMS_BASIS_CACHE)
+            assert entries() <= fock._TMS_CACHE_BUDGET
+        # the sweep outgrew the budget, so eviction reached the bases too
+        assert seen - set(fock._TMS_BASIS_CACHE)
