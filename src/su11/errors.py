@@ -31,3 +31,7 @@ class ZeroProbabilityError(Su11Error):
 
 class ConvergenceError(Su11Error):
     """The Fock oracle did not converge within the allowed cutoff range."""
+
+
+class NumericalError(Su11Error, ArithmeticError):
+    """Roundoff or float overflow left a result non-finite or inconsistent."""

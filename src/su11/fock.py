@@ -104,44 +104,29 @@ class FockState:
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
-    def copy(self) -> "FockState":
-        return FockState(self.n_cut, self.amps.copy())
-
 
 class BranchEnsemble:
     """Weight-carrying pure branches of a lossy evolution.
 
     ``amps`` has shape (branches, n_cut+1, n_cut+1); branch weights are the
-    squared norms of the unnormalized branch amplitudes.  ``origin[k]`` names
-    the loss events that produced branch k as (channel_label, photons_lost)
-    pairs.  ``subtract_prob`` records the success probability of the photon
-    subtraction that produced this ensemble (1.0 if none).
+    squared norms of the unnormalized branch amplitudes.  ``subtract_prob``
+    records the success probability of the photon subtraction that produced
+    this ensemble (1.0 if none).
     """
 
-    __slots__ = ("n_cut", "amps", "origin", "subtract_prob")
+    __slots__ = ("n_cut", "amps", "subtract_prob")
 
-    def __init__(
-        self,
-        n_cut: int,
-        amps: np.ndarray,
-        origin: List[tuple],
-        subtract_prob: float = 1.0,
-    ):
+    def __init__(self, n_cut: int, amps: np.ndarray, subtract_prob: float = 1.0):
         self.n_cut = int(n_cut)
         self.amps = amps
-        self.origin = origin
         self.subtract_prob = float(subtract_prob)
-
-    @property
-    def branches(self) -> List[FockState]:
-        return [FockState(self.n_cut, self.amps[k]) for k in range(self.amps.shape[0])]
 
     def total_trace(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
 def as_ensemble(state: FockState) -> BranchEnsemble:
-    return BranchEnsemble(state.n_cut, state.amps[None, :, :].copy(), [()])
+    return BranchEnsemble(state.n_cut, state.amps[None, :, :].copy())
 
 
 # -- preparation and pipeline elements ----------------------------------------
@@ -312,7 +297,7 @@ def apply_tms(x, g: float, theta: float):
             f"top-layer mass {_edge_mass(amps) / total:.2e} after squeezer at n_cut={x.n_cut}"
         )
     if isinstance(x, BranchEnsemble):
-        return BranchEnsemble(x.n_cut, amps, list(x.origin), x.subtract_prob)
+        return BranchEnsemble(x.n_cut, amps, x.subtract_prob)
     return FockState(x.n_cut, amps)
 
 
@@ -322,11 +307,11 @@ def apply_phase(x, phi: float):
     ph = np.exp(1j * phi * np.arange(d))
     amps = x.amps * ph[:, None]
     if isinstance(x, BranchEnsemble):
-        return BranchEnsemble(x.n_cut, amps, list(x.origin), x.subtract_prob)
+        return BranchEnsemble(x.n_cut, amps, x.subtract_prob)
     return FockState(x.n_cut, amps)
 
 
-def apply_loss(x, T: float, label: str = "loss") -> BranchEnsemble:
+def apply_loss(x, T: float) -> BranchEnsemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
     Trace is preserved (the channel is CPTP); branches of negligible weight
@@ -336,17 +321,10 @@ def apply_loss(x, T: float, label: str = "loss") -> BranchEnsemble:
         raise ValueError(f"transmittance must lie in (0, 1], got {T}")
     ens = x if isinstance(x, BranchEnsemble) else as_ensemble(x)
     if T == 1.0:
-        out = BranchEnsemble(
-            ens.n_cut,
-            ens.amps.copy(),
-            [o + ((label, 0),) for o in ens.origin],
-            ens.subtract_prob,
-        )
-        return out
+        return BranchEnsemble(ens.n_cut, ens.amps.copy(), ens.subtract_prob)
     d = ens.n_cut + 1
     t_pow = T ** (0.5 * np.arange(d))
     out_blocks = []
-    out_origin = []
     cur = ens.amps
     w = 1.0
     total_in = ens.total_trace()
@@ -361,12 +339,7 @@ def apply_loss(x, T: float, label: str = "loss") -> BranchEnsemble:
         keep = norms > BRANCH_PRUNE_TOL * max(total_in, 1e-300)
         if np.any(keep):
             out_blocks.append(block[keep])
-            out_origin.extend(
-                ens.origin[k] + ((label, l),) for k in np.nonzero(keep)[0]
-            )
-    return BranchEnsemble(
-        ens.n_cut, np.concatenate(out_blocks, axis=0), out_origin, ens.subtract_prob
-    )
+    return BranchEnsemble(ens.n_cut, np.concatenate(out_blocks, axis=0), ens.subtract_prob)
 
 
 def subtract_photons(ens: BranchEnsemble, m: int) -> BranchEnsemble:
@@ -382,9 +355,7 @@ def subtract_photons(ens: BranchEnsemble, m: int) -> BranchEnsemble:
     # probability" is judged relative to the incoming trace
     if prob < 1e-24 * max(trace_in, 1e-300):
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
-    return BranchEnsemble(
-        ens.n_cut, amps / math.sqrt(prob), list(ens.origin), prob
-    )
+    return BranchEnsemble(ens.n_cut, amps / math.sqrt(prob), prob)
 
 
 def moments(ens: BranchEnsemble, mode: str = "a") -> Tuple[float, float]:
@@ -405,10 +376,10 @@ def output_ensemble(p: Params, n_cut: int, phi: float | None = None) -> BranchEn
     ph = p.phi if phi is None else phi
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
-    ens = apply_loss(st, p.T1, "internal")
+    ens = apply_loss(st, p.T1)
     ens = apply_phase(ens, ph)
     ens = apply_tms(ens, p.g, math.pi)
-    ens = apply_loss(ens, p.T2, "external")
+    ens = apply_loss(ens, p.T2)
     return ens
 
 
@@ -449,7 +420,7 @@ def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
     """Normalized internal state: N4 (S2† a^m S2) U_phi loss(T1) S1 |0, beta>."""
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
-    ens = apply_loss(st, p.T1, "internal")
+    ens = apply_loss(st, p.T1)
     ens = apply_phase(ens, p.phi)
     ens = apply_tms(ens, p.g, math.pi)
     amps = ens.amps
@@ -457,9 +428,9 @@ def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
         amps = lower_a(amps)
     if float(np.sum(np.abs(amps) ** 2)) < 1e-24:
         raise ZeroProbabilityError("internal state has zero norm")
-    ens = apply_tms(BranchEnsemble(n_cut, amps, list(ens.origin)), p.g, 0.0)
+    ens = apply_tms(BranchEnsemble(n_cut, amps), p.g, 0.0)
     prob = ens.total_trace()
-    return BranchEnsemble(n_cut, ens.amps / math.sqrt(prob), list(ens.origin), prob)
+    return BranchEnsemble(n_cut, ens.amps / math.sqrt(prob), prob)
 
 
 # -- convergence protocol ------------------------------------------------------

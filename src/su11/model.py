@@ -17,8 +17,14 @@ Dummy-variable conventions used throughout:
 * 4-variable series: (t, s, c, d)
 * 6-variable series: (t, s, c, d, p, h)
 
-with extraction orders (m, m), (m, m, 1, 1), (m, m, 1, 1, 1, 1) for the
-subtraction-order, number-insertion and double-insertion extractions.
+t and s carry the subtraction order, so every extraction is taken at
+(m, m) in them.  Each insertion tag pair, (c, d) or (p, h), enters the
+exponent with degree at most one per variable; extracting it at order
+(1, 1) reads the insertion, at order (0, 0) drops every term it tags.  So
+the extractions with fewer insertions are slices of one generating
+function, not separate exponents: exp(F1) at (m, m, 0, 0, 0, 0) is the
+equivalent model's norm, and the mode-a number insertion at (m, m, 0, 0) is
+the internal state's normalizer.
 """
 
 from __future__ import annotations
@@ -89,13 +95,20 @@ class KernelSet:
     Scalar kernels (all :class:`CDual`):
 
     * w1 -- (1/2) sinh 2g (1 - e^{-i phi}); lossless output kernel
-    * w2 -- cosh^2 g e^{-i phi} - sinh^2 g; multiplies a creation operator
-      acting on vacuum, so it cancels from all expectation values (kept for
-      completeness and documentation tests)
     * w3 -- (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}); lossy kernel
     * f1..f4 -- Bogoliubov coefficients of the equivalent-model expansion
     * v1, v2 -- internal-photon-number kernels (loss T = T1)
     * X1 -- extended-system kernel at transmissivity eta
+
+    Exponent series, one generating function per calculator:
+
+    * :meth:`exponent_a` -- output port, for the error-propagation moments
+    * :meth:`exponent_f1` -- equivalent model with two number insertions;
+      its slices give every inner product of the ideal QFI
+    * :meth:`exponents_nt` -- mode-a and mode-b number insertions of the
+      internal state; their shared (c, d) = 0 slice is its normalizer
+    * :meth:`exponent_x5` and :meth:`x_polys` -- the loss-equivalent probe
+      of the extended system
     """
 
     def __init__(self, p: Params):
@@ -109,7 +122,6 @@ class KernelSet:
         sqeta = math.sqrt(p.eta)
 
         self.w1 = 0.5 * sh2g * (1.0 - self.e_m)
-        self.w2 = self.e_m * (ch * ch) - sh * sh
         self.w3 = (0.5 * sh2g * sqT2) * (1.0 - self.e_m * sqT1)
         self.f1 = self.e_m * ch
         self.f2 = self.e_m * (-sh)
@@ -143,60 +155,15 @@ class KernelSet:
         w = self.w3 if lossy else self.w1
         return self._bilinear(w, self.p.beta, caps)
 
-    # -- equivalent-model exponents for the ideal QFI -----------------------
-
-    def exponent_f2(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
-        """Norm exponent of the equivalent model (identical structure to the
-        lossless output exponent since f4 = w1)."""
-        if caps is None:
-            k = max(self.p.m, 1)
-            caps = (k, k)
-        return self._bilinear(self.f4, self.p.beta, caps)
-
-    def exponent_f3(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
-        """Number insertion left of the subtraction pair, over (t, s, c, d)."""
-        m, b = self.p.m, self.p.beta
-        f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
-        if caps is None:
-            k = max(m, 1)
-            caps = (k, k, 1, 1)
-        return MultiSeries.from_terms(
-            caps,
-            [
-                ((1, 0, 0, 1), f1.conj() * f3),
-                ((0, 0, 1, 1), f2.abs2()),
-                ((1, 1, 0, 0), f4.abs2()),
-                ((0, 1, 1, 0), f2 * f4.conj()),
-                ((0, 0, 0, 1), f2.conj() * b),
-                ((0, 1, 0, 0), f4.conj() * b),
-                ((0, 0, 1, 0), f2 * b),
-                ((1, 0, 0, 0), f4 * b),
-            ],
-        )
-
-    def exponent_f4(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
-        """Number insertion right of the subtraction pair, over (t, s, c, d)."""
-        m, b = self.p.m, self.p.beta
-        f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
-        if caps is None:
-            k = max(m, 1)
-            caps = (k, k, 1, 1)
-        return MultiSeries.from_terms(
-            caps,
-            [
-                ((0, 1, 1, 0), f1 * f3.conj()),
-                ((1, 1, 0, 0), f4.abs2()),
-                ((0, 0, 1, 1), f2.abs2()),
-                ((1, 0, 0, 1), f2.conj() * f4),
-                ((0, 1, 0, 0), f4.conj() * b),
-                ((0, 0, 0, 1), f2.conj() * b),
-                ((1, 0, 0, 0), f4 * b),
-                ((0, 0, 1, 0), f2 * b),
-            ],
-        )
+    # -- equivalent-model exponent for the ideal QFI -------------------------
 
     def exponent_f1(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
-        """Double number insertion, over (t, s, c, d, p, h)."""
+        """Double number insertion, over (t, s, c, d, p, h).
+
+        (c, d) tags the insertion left of the subtraction pair, (p, h) the one
+        right of it; the (c, d, p, h) = 0 slice is the norm exponent, which
+        equals the lossless output exponent since f4 = w1.
+        """
         m, b = self.p.m, self.p.beta
         f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
         if caps is None:
@@ -223,30 +190,14 @@ class KernelSet:
             ],
         )
 
-    def exponents_b(self) -> Dict[str, MultiSeries]:
-        """All four equivalent-model exponents at their default caps."""
-        return {
-            "F1": self.exponent_f1(),
-            "F2": self.exponent_f2(),
-            "F3": self.exponent_f3(),
-            "F4": self.exponent_f4(),
-        }
-
     # -- internal-photon-number exponents (loss parameter T = T1) -----------
-
-    def exponent_n1(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
-        """Normalizer exponent of the internal state, over (t, s)."""
-        if caps is None:
-            k = max(self.p.m, 1)
-            caps = (k, k)
-        return self._bilinear(self.v1, self.p.beta, caps)
 
     def exponents_nt(self) -> Dict[str, MultiSeries]:
         """Mode-a and mode-b number-insertion exponents over (t, s, c, d).
 
-        The two share the normalizer exponent as their (c = d = 0) slice and
-        are extracted separately; their extractions add up to the internal
-        photon number numerator.
+        The two share the normalizer exponent of the internal state as their
+        (c, d) = 0 slice; their (m, m, 1, 1) extractions add up to the
+        internal photon number numerator.
         """
         m, b = self.p.m, self.p.beta
         v1, v2 = self.v1, self.v2
@@ -325,13 +276,3 @@ class KernelSet:
 def kernels(p: Params) -> KernelSet:
     """Evaluate every kernel coefficient of the configuration ``p``."""
     return KernelSet(p)
-
-
-def exponent_a(p: Params, lossy: bool, caps=None) -> MultiSeries:
-    """Function form of :meth:`KernelSet.exponent_a`."""
-    return KernelSet(p).exponent_a(lossy, caps)
-
-
-def exponents_b(p: Params) -> Dict[str, MultiSeries]:
-    """Function form of :meth:`KernelSet.exponents_b`."""
-    return KernelSet(p).exponents_b()

@@ -3,9 +3,9 @@
 Ideal case: the output-port subtraction is rewritten as a non-local
 operation acting before the phase-independent part of the interferometer,
 so the probe state stays independent of the unknown phase; the QFI is then
-F = 4 [<psi'|psi'> - |<psi'|psi>|^2], with every inner product a
-generating-function extraction and the normalization derivative taken from
-the dual channel.
+F = 4 [<psi'|psi'> - |<psi'|psi>|^2], with every inner product an
+extraction of one generating function, exp(F1), and the normalization
+derivative taken from the dual channel.
 
 Lossy case: photon loss inside mode a makes the evolution non-unitary; the
 problem is purified into system + environment, where the loss channel's
@@ -27,12 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from su11.errors import DarkFringeError, NormalizationError, StationaryPointError
+from su11.errors import DarkFringeError, NormalizationError, NumericalError, StationaryPointError
 from su11.model import Params, kernels
-from su11.series import order_double_insertion, order_pair, order_single_insertion
+from su11.series import DARK_FRINGE_FLOOR, finite, quiet_overflow, real_part
 
-DARK_FRINGE_FLOOR = 1e-300
-IMAG_TOL = 1e-10
 # closed form and numeric alpha minimum must agree this tightly
 MIN_CONSISTENCY_RTOL = 1e-8
 
@@ -56,34 +54,34 @@ def qcrb(f: float, nu: int = 1) -> float:
     return 1.0 / math.sqrt(nu * f)
 
 
-def _real(z: complex, what: str, scale: float = 1.0) -> float:
-    if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real), scale):
-        raise ArithmeticError(f"{what} should be real, got {z!r}")
-    return z.real
-
-
 # -- ideal QFI ----------------------------------------------------------------
 
 
+@quiet_overflow
 def qfi_ideal(p: Params) -> QfiReport:
-    """QFI of the lossless interferometer with m-photon output subtraction."""
-    ks = kernels(p)
+    """QFI of the lossless interferometer with m-photon output subtraction.
+
+    The four extractions are slices of exp(F1) over (t, s, c, d, p, h): the
+    norm at (c, d, p, h) = 0, the insertion left of the subtraction pair at
+    (p, h) = 0, the one right of it at (c, d) = 0, and both insertions.
+    """
     m = p.m
-    g2 = ks.exponent_f2().exp().extract(order_pair(m))
+    e1 = kernels(p).exponent_f1().exp()
+    g2 = e1.extract((m, m, 0, 0, 0, 0))
     if abs(g2.val) < DARK_FRINGE_FLOOR:
         raise DarkFringeError(f"equivalent-model normalizer vanished at m={m}")
-    _real(g2.val, "norm extraction")
+    real_part(g2.val, "norm extraction")
     n1_dual = g2 ** (-0.5)
-    n1 = _real(n1_dual.val, "N1")
-    n1p = _real(n1_dual.dph, "dN1/dphi")
-    h3 = ks.exponent_f3().exp().extract(order_single_insertion(m)).val
-    h4 = ks.exponent_f4().exp().extract(order_single_insertion(m)).val
-    y1 = ks.exponent_f1().exp().extract(order_double_insertion(m)).val
+    n1 = real_part(n1_dual.val, "N1")
+    n1p = real_part(n1_dual.dph, "dN1/dphi")
+    h3 = e1.extract((m, m, 1, 1, 0, 0)).val
+    h4 = e1.extract((m, m, 0, 0, 1, 1)).val
+    y1 = e1.extract((m, m, 1, 1, 1, 1)).val
     psps = n1**2 * y1 + n1p**2 * g2.val + 1j * n1 * n1p * (h4 - h3)
     psp = -1j * n1**2 * h3 + n1p * n1 * g2.val
-    f = 4.0 * (_real(psps, "<psi'|psi'>", abs(psps)) - abs(psp) ** 2)
+    f = finite(4.0 * (real_part(psps, "<psi'|psi'>", abs(psps)) - abs(psp) ** 2), "QFI")
     if f < -1e-9 * max(1.0, abs(psps)):
-        raise ArithmeticError(f"negative QFI {f}")
+        raise NumericalError(f"negative QFI {f}")
     if f <= 0.0:
         # zero gain leaves mode a in vacuum: no phase information at all
         raise StationaryPointError("state carries no phase information")
@@ -102,6 +100,7 @@ def qfi_ideal(p: Params) -> QfiReport:
 # -- lossy QFI ----------------------------------------------------------------
 
 
+@quiet_overflow
 def _loss_inner_products(p: Params) -> Dict[str, complex]:
     """Inner products of the loss-equivalent probe and its phase derivative.
 
@@ -117,12 +116,12 @@ def _loss_inner_products(p: Params) -> Dict[str, complex]:
     xs = ks.x_polys(caps)
 
     def ext(series) -> complex:
-        return series.extract(order_pair(m)).val
+        return series.extract((m, m)).val
 
     norm_raw = ext(e5)
     if abs(norm_raw) < DARK_FRINGE_FLOOR:
         raise NormalizationError(f"probe normalizer vanished at m={m}")
-    n3sq = 1.0 / _real(norm_raw, "probe norm extraction")
+    n3sq = 1.0 / real_part(norm_raw, "probe norm extraction")
     sh2 = math.sinh(p.g) ** 2
     x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
     x6p1 = x6 + 1.0
@@ -150,9 +149,9 @@ def _loss_inner_products(p: Params) -> Dict[str, complex]:
 def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
     """C_Q at a given Kraus placement, from precomputed inner products."""
     u = 1.0 - (1.0 + alpha) * (1.0 - eta)
-    tt = _real(d["tt"], "<Psit|Psit>", abs(d["tt"]))
-    n_mean = _real(d["n_mean"], "<n>", abs(d["n_mean"]))
-    var = _real(d["var"], "Var(n)", abs(d["n_mean"]))
+    tt = real_part(d["tt"], "<Psit|Psit>", abs(d["tt"]))
+    n_mean = real_part(d["n_mean"], "<n>", abs(d["n_mean"]))
+    var = real_part(d["var"], "Var(n)", abs(d["n_mean"]))
     n2 = var + n_mean**2
     cross = 1j * u * (d["n_bra"] - d["n_ket"])
     z = 1j * d["t_bra"] + u * n_mean
@@ -160,7 +159,7 @@ def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
         tt
         + u * u * n2
         + (1.0 + alpha) ** 2 * eta * (1.0 - eta) * n_mean
-        + _real(cross, "H2 cross term", abs(cross) + 1.0)
+        + real_part(cross, "H2 cross term", abs(cross) + 1.0)
         - abs(z) ** 2
     )
     return cq
@@ -194,7 +193,7 @@ def _minimize_cq(
             continue
         break
     else:
-        raise ArithmeticError("alpha minimization bracket did not stabilize")
+        raise NumericalError("alpha minimization bracket did not stabilize")
     step = (hi - lo) / (n_grid - 1)
     a = lo + (i_min - 1) * step
     b = lo + (i_min + 1) * step
@@ -228,9 +227,9 @@ def qfi_lossy(p: Params) -> QfiReport:
     """
     d = _loss_inner_products(p)
     eta = p.eta
-    tt = _real(d["tt"], "<Psit|Psit>", abs(d["tt"]))
-    n_mean = _real(d["n_mean"], "<n>", abs(d["n_mean"]))
-    var = _real(d["var"], "Var(n)", abs(d["n_mean"]))
+    tt = real_part(d["tt"], "<Psit|Psit>", abs(d["tt"]))
+    n_mean = real_part(d["n_mean"], "<n>", abs(d["n_mean"]))
+    var = real_part(d["var"], "Var(n)", abs(d["n_mean"]))
     w_im = d["n_bra"].imag
     y_im = d["t_bra"].imag
     s = w_im - n_mean * y_im
@@ -256,4 +255,6 @@ def qfi_lossy(p: Params) -> QfiReport:
         }
     )
     alpha_star = alpha_num if eta < 1.0 else alpha_closed
+    if not 0.0 < f < math.inf:
+        raise NumericalError(f"QFI must be positive and finite, got {f}")
     return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=terms)

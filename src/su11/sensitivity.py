@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from su11.errors import DarkFringeError, StationaryPointError, Su11Error
+from su11.errors import DarkFringeError, NumericalError, StationaryPointError, Su11Error
 from su11.model import Params, kernels
-from su11.series import MultiSeries, order_pair
+from su11.series import DARK_FRINGE_FLOOR, IMAG_TOL, MultiSeries, finite, quiet_overflow, real_part
 
-DARK_FRINGE_FLOOR = 1e-300
 STATIONARY_REL_TOL = 1e-12
-IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,15 +34,10 @@ class SensitivityReport:
     d_mean_dphi: float
 
 
-def _real(z: complex, scale: float, what: str) -> float:
-    if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real), scale):
-        raise ArithmeticError(f"{what} should be real, got {z!r}")
-    return z.real
-
-
+@quiet_overflow
 def _error_propagation(exp_a: MultiSeries, m: int) -> SensitivityReport:
     e = exp_a.exp()
-    gm = e.extract(order_pair(m))
+    gm = e.extract((m, m))
     if abs(gm.val) < DARK_FRINGE_FLOOR:
         raise DarkFringeError(
             f"subtraction normalizer vanished (m={m} at a dark fringe)"
@@ -54,12 +47,12 @@ def _error_propagation(exp_a: MultiSeries, m: int) -> SensitivityReport:
     n1sq = 1.0 / gm  # normalization squared, with its phi derivative
     mean = n1sq * gm1
     mean2 = n1sq * (gm1 + gm2)
-    mean_v = _real(mean.val, abs(mean.val), "<N>")
-    mean2_v = _real(mean2.val, abs(mean2.val), "<N^2>")
-    dmean_v = _real(mean.dph, abs(mean.dph), "d<N>/dphi")
+    mean_v = finite(real_part(mean.val, "<N>", abs(mean.val)), "<N>")
+    mean2_v = finite(real_part(mean2.val, "<N^2>", abs(mean2.val)), "<N^2>")
+    dmean_v = finite(real_part(mean.dph, "d<N>/dphi", abs(mean.dph)), "d<N>/dphi")
     var = mean2_v - mean_v * mean_v
     if var < -IMAG_TOL * max(mean2_v, 1.0):
-        raise ArithmeticError(f"negative variance {var} at m={m}")
+        raise NumericalError(f"negative variance {var} at m={m}")
     var = max(var, 0.0)
     if dmean_v == 0.0 or abs(dmean_v) < STATIONARY_REL_TOL * abs(mean_v):
         raise StationaryPointError(

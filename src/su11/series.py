@@ -19,53 +19,32 @@ mechanized with two ingredients:
 
 Coefficient boxes are tiny (at most ``(m+3)^2 * 2^4`` entries for the
 largest kernels), so dense storage wins over sparse maps.
+
+The calculators read physical quantities off the extracted values with the
+checks at the end of this module, which turn every numerical inconsistency
+(a spurious imaginary part, float overflow) into a typed NumericalError.
 """
 
 from __future__ import annotations
 
 import math
-from enum import IntEnum
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
+
+from su11.errors import NumericalError
 
 # Factorials are evaluated in double precision; beyond 34! the representation
 # error of the factorial itself would dominate the extracted coefficients.
 # Together with caps of (m+2, m+2) this bounds the subtraction order at m <= 15.
 MAX_FACTORIAL_ORDER = 34
 
+# a normalizer extraction below this magnitude is treated as exactly zero
+DARK_FRINGE_FLOOR = 1e-300
+# relative imaginary residue tolerated on a quantity that must be real
+IMAG_TOL = 1e-10
+
 Scalar = Union["CDual", complex, float, int]
-
-
-class DummyVar(IntEnum):
-    """Positional identity of each dummy differentiation variable.
-
-    Series are stored positionally; this enum fixes the convention used by
-    every exponent builder: 2-variable series use (T, S), 4-variable series
-    (T, S, C, D), 6-variable series (T, S, C, D, P, H).
-    """
-
-    T = 0
-    S = 1
-    C = 2
-    D = 3
-    P = 4
-    H = 5
-
-
-def order_pair(m: int) -> Tuple[int, int]:
-    """Extraction orders of the plain 2m-fold derivative: m-th in T and S."""
-    return (m, m)
-
-
-def order_single_insertion(m: int) -> Tuple[int, int, int, int]:
-    """Orders with one operator insertion tagged by (C, D)."""
-    return (m, m, 1, 1)
-
-
-def order_double_insertion(m: int) -> Tuple[int, int, int, int, int, int]:
-    """Orders with two insertions tagged by (C, D) and (P, H)."""
-    return (m, m, 1, 1, 1, 1)
 
 
 def factorial(n: int) -> float:
@@ -283,7 +262,7 @@ class MultiSeries:
         """
         origin = (0,) * self.arity
         if self.val[origin] != 0 or self.dph[origin] != 0:
-            raise ValueError("series_exp requires a zero constant term")
+            raise ValueError("exp requires a zero constant term")
         out = MultiSeries.constant(self.caps, 1.0)
         term = MultiSeries.constant(self.caps, 1.0)
         for k in range(1, sum(self.caps) + 1):
@@ -309,21 +288,28 @@ class MultiSeries:
         return f"MultiSeries(caps={self.caps}, nonzero={self._nonzero_count()})"
 
 
-def series_from_poly(
-    arity: int, caps: Sequence[int], terms: Iterable[Tuple[Index, Scalar]]
-) -> MultiSeries:
-    """Convenience wrapper fixing the arity explicitly."""
-    caps = tuple(caps)
-    if len(caps) != arity:
-        raise ValueError(f"caps {caps} do not match arity {arity}")
-    return MultiSeries.from_terms(caps, terms)
+# -- checks on extracted values ----------------------------------------------
 
 
-def series_exp(p: MultiSeries) -> MultiSeries:
-    """Function form of :meth:`MultiSeries.exp`."""
-    return p.exp()
+def real_part(z: complex, what: str, scale: float = 1.0) -> float:
+    """Real part of ``z``, which must be real up to roundoff relative to ``scale``."""
+    if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real), scale):
+        raise NumericalError(f"{what} should be real, got {z!r}")
+    return z.real
 
 
-def extract_mixed(p: MultiSeries, orders: Sequence[int]) -> CDual:
-    """Function form of :meth:`MultiSeries.extract`."""
-    return p.extract(orders)
+def finite(x: float, what: str) -> float:
+    """``x`` itself; a calculator result that overflowed is a NumericalError."""
+    if not math.isfinite(x):
+        raise NumericalError(f"{what} is {x} (float overflow)")
+    return x
+
+
+def quiet_overflow(fn):
+    """``fn`` with numpy's overflow warnings off.
+
+    Overflow leaves inf or nan in the extractions, which :func:`finite` turns
+    into a NumericalError at the calculator's result; a warning would add
+    nothing.
+    """
+    return np.errstate(over="ignore", invalid="ignore")(fn)

@@ -1,12 +1,16 @@
 """Tests for sweep specs, config round-trips, CSV output and the CLI."""
 
+import math
+
 import pytest
 
 from su11.cli import main
+from su11.model import Params
 from su11.sweeps import (
     FIGURES,
     FigureJob,
     SweepSpec,
+    _eval_task,
     parse_config,
     run_figure,
     run_sweep,
@@ -81,6 +85,24 @@ class TestRunSweep:
         assert failed and all(r[2] == "" for r in failed)
         assert failed[0][3] == "DarkFringe"
         assert all("nan" not in r[2].lower() for r in rows)
+
+    @pytest.mark.parametrize(
+        "quantity,params",
+        [
+            # float overflow: nan / inf / 0 used to reach the CSV
+            ("delta_phi_lossy", dict(g=12.0, m=15)),
+            ("n_t", dict(g=12.0, m=15)),
+            ("sql", dict(g=12.0, m=15)),
+            ("qfi_ideal", dict(g=12.0, m=15)),
+            # roundoff near phi = 2 pi k used to raise untyped errors
+            ("qfi_ideal", dict(phi=1e-9, m=3)),
+            ("qfi_ideal", dict(phi=2 * math.pi, m=1)),
+            ("qcrb", dict(phi=2 * math.pi, m=1)),
+        ],
+        ids=["dphi-g12", "nt-g12", "sql-g12", "qfi-g12", "qfi-phi1e-9", "qfi-2pi", "qcrb-2pi"],
+    )
+    def test_overflow_and_roundoff_cells_carry_numerical_code(self, quantity, params):
+        assert _eval_task((quantity, Params(**params))) == ("", "Numerical")
 
     def test_csv_deterministic(self):
         spec = parse_config(EXAMPLE_CONFIG)[0]

@@ -134,9 +134,7 @@ class TestLoss:
         a = tmsv(0.8, 45)
         b = apply_phase(tmsv(0.5, 45), 0.9)
         stacked = BranchEnsemble(
-            45,
-            np.concatenate([a.amps[None] * 0.6, b.amps[None] * 0.8], axis=0),
-            [(), ()],
+            45, np.concatenate([a.amps[None] * 0.6, b.amps[None] * 0.8], axis=0)
         )
         lost = apply_loss(stacked, 0.75)
         la, lb = apply_loss(as_ensemble(a), 0.75), apply_loss(as_ensemble(b), 0.75)

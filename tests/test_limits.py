@@ -17,6 +17,9 @@ ORACLE_N_T = {
     (2, 1.0): 17.2735219281,
     (3, 0.6): 18.7305623397,
 }
+# closed-form values at g=1, beta=1, phi=0.4, T1=0.7 from a separate
+# normalizer series; the normalizer slice of the mode-a series must reproduce them
+PINNED_N_T = {0: 5.695732674842174, 3: 19.57953130944139, 15: 66.64610490894}
 
 
 class TestInternalPhotonNumber:
@@ -51,6 +54,11 @@ class TestInternalPhotonNumber:
     def test_frozen_oracle_values(self, m, T):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m, T1=T)
         assert internal_photon_number(p) == pytest.approx(ORACLE_N_T[(m, T)], rel=1e-6)
+
+    @pytest.mark.parametrize("m", sorted(PINNED_N_T))
+    def test_pinned_closed_form_values(self, m):
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=m, T1=0.7)
+        assert internal_photon_number(p) == pytest.approx(PINNED_N_T[m], rel=1e-12)
 
     def test_dark_fringe_of_subtraction_normalizer(self):
         # T = 1, phi = 0 makes v1 vanish, so m >= 1 has no support

@@ -73,7 +73,7 @@ class TestKernels:
 
     def test_dphi_channels_match_finite_differences(self):
         h = 1e-6
-        names = ["w1", "w2", "w3", "f1", "f2", "f3", "f4", "v1", "v2", "X1"]
+        names = ["w1", "w3", "f1", "f2", "f3", "f4", "v1", "v2", "X1"]
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = rng.uniform(0.2, 1.5)
@@ -119,52 +119,68 @@ class TestExponentA:
 
 
 class TestExponentsB:
+    """F2, F3 and F4 of the equivalent model are slices of F1.
+
+    Axes of exponent_f1 are (t, s, c, d, p, h): F2 is the (c, d, p, h) = 0
+    slice, F3 the (p, h) = 0 slice over (t, s, c, d), F4 the (c, d) = 0 slice
+    over (t, s, p, h).
+    """
+
     def test_f2_zero_at_zero_phase(self):
         ks = kernels(Params(g=1.0, phi=0.0, m=1))
-        f2 = ks.exponent_f2()
-        assert np.count_nonzero(f2.val) == 0
+        f2 = ks.exponent_f1().val[:, :, 0, 0, 0, 0]
+        assert np.count_nonzero(f2) == 0
 
     def test_f3_cd_extraction_matches_hand_expansion(self):
         # m = 0: the (c, d) coefficient of exp(F3) is |f2|^2 + |f2 beta|^2
         p = Params(g=0.9, beta=1.0, phi=0.4, m=0)
         ks = kernels(p)
-        got = ks.exponent_f3().exp().extract((0, 0, 1, 1)).val
+        got = ks.exponent_f1().exp().extract((0, 0, 1, 1, 0, 0)).val
         f2 = ks.f2.val
         want = abs(f2) ** 2 + (f2 * p.beta) * (f2.conjugate() * p.beta)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_f3_reduces_to_single_term_without_squeezing(self):
         ks = kernels(Params(g=0.0, beta=1.0, phi=0.8, m=1))
-        f3 = ks.exponent_f3()
-        nz = np.argwhere(f3.val != 0)
+        f3 = ks.exponent_f1().val[:, :, :, :, 0, 0]
+        nz = np.argwhere(f3 != 0)
         assert nz.tolist() == [[1, 0, 0, 1]]
-        assert f3.val[1, 0, 0, 1] == pytest.approx(
-            ks.f1.conj().val * ks.f3.val
-        )
+        assert f3[1, 0, 0, 1] == pytest.approx(ks.f1.conj().val * ks.f3.val)
 
-    def test_exponents_b_shapes(self):
-        ks = kernels(Params(m=2))
-        exps = ks.exponents_b()
-        assert exps["F1"].caps == (2, 2, 1, 1, 1, 1)
-        assert exps["F2"].caps == (2, 2)
-        assert exps["F3"].caps == (2, 2, 1, 1)
-        assert exps["F4"].caps == (2, 2, 1, 1)
+    def test_f2_is_output_exponent_and_f4_mirrors_f3(self):
+        # f4 = w1 makes the norm slice the lossless output exponent; F4 is F3
+        # with t <-> s, c <-> d and conjugated coefficients (h4 = conj(h3))
+        p = Params(g=1.1, beta=0.8, phi=0.9, m=2)
+        ks = kernels(p)
+        f1 = ks.exponent_f1()
+        a = ks.exponent_a(lossy=False, caps=(2, 2))
+        for box, out_box in ((f1.val, a.val), (f1.dph, a.dph)):
+            assert np.array_equal(box[:, :, 0, 0, 0, 0], out_box)
+            f3 = box[:, :, :, :, 0, 0]
+            f4 = box[:, :, 0, 0, :, :]
+            assert np.array_equal(f4, np.conj(f3.transpose(1, 0, 3, 2)))
 
 
 class TestInternalExponents:
+    """The internal state's normalizer is the (c, d) = 0 slice of either
+    number-insertion exponent."""
+
     def test_n1_matches_lossy_kernel(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=1, T1=0.7)
         ks = kernels(p)
-        n1 = ks.exponent_n1()
-        assert n1.val[1, 1] == pytest.approx(ks.v1.abs2().val)
+        n1 = ks.exponents_nt()["mode_a"].val[:, :, 0, 0]
+        assert n1[1, 1] == pytest.approx(ks.v1.abs2().val)
+        assert n1[1, 0] == pytest.approx(ks.v1.val * p.beta)
 
     def test_nt_exponents_share_normalizer_slice(self):
-        p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=0.6)
+        # at T1 = 1, v1 equals w1, so the shared slice is the output exponent
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0)
         ks = kernels(p)
         exps = ks.exponents_nt()
-        n1 = ks.exponent_n1(caps=(2, 2))
+        a = ks.exponent_a(lossy=False, caps=(2, 2))
         for s in exps.values():
-            assert np.allclose(s.val[:, :, 0, 0], n1.val)
+            assert np.array_equal(s.val[:, :, 0, 0], a.val)
+            assert np.array_equal(s.dph[:, :, 0, 0], a.dph)
 
 
 class TestXSeries:

@@ -11,6 +11,9 @@ from su11.sensitivity import sensitivity_ideal
 
 # fidelity-oracle values at g=1, beta=1, phi=0.4 (Richardson, converged n_cut)
 ORACLE_F_IDEAL = {0: 33.9379578869, 1: 55.5765637644, 2: 74.6353211166}
+# closed-form values at the same point from four separate exponent series
+# (F2, F3, F4, F1); the slices of exp(F1) must reproduce them
+PINNED_F_IDEAL = {0: 33.93795787185746, 3: 92.58751959779903, 15: 284.99657450220275}
 
 
 class TestQcrb:
@@ -35,6 +38,11 @@ class TestIdealQfi:
     def test_matches_fidelity_oracle_frozen(self, m):
         f = qfi_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=m)).f
         assert f == pytest.approx(ORACLE_F_IDEAL[m], rel=1e-5)
+
+    @pytest.mark.parametrize("m", sorted(PINNED_F_IDEAL))
+    def test_pinned_closed_form_values(self, m):
+        f = qfi_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=m)).f
+        assert f == pytest.approx(PINNED_F_IDEAL[m], rel=1e-12)
 
     def test_matches_fidelity_oracle_live(self):
         p = Params(g=0.6, beta=0.8, phi=0.7, m=1)

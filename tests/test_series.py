@@ -5,16 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from su11.series import (
-    CDual,
-    DummyVar,
-    MultiSeries,
-    factorial,
-    order_double_insertion,
-    order_pair,
-    order_single_insertion,
-    series_from_poly,
-)
+from su11.series import CDual, MultiSeries, factorial
 
 
 def w1_dual(g, phi):
@@ -81,13 +72,13 @@ class TestCDual:
 
 class TestConstruction:
     def test_constant_one(self):
-        s = series_from_poly(2, (1, 1), [((0, 0), 1.0)])
+        s = MultiSeries.from_terms((1, 1), [((0, 0), 1.0)])
         assert s.val[0, 0] == 1.0
         assert np.count_nonzero(s.val) == 1
 
     def test_single_cross_term(self):
         c = 2.5 - 1.0j
-        s = series_from_poly(2, (1, 1), [((1, 1), c)])
+        s = MultiSeries.from_terms((1, 1), [((1, 1), c)])
         assert s.val[1, 1] == c
         assert np.count_nonzero(s.val) == 1
 
@@ -96,8 +87,7 @@ class TestConstruction:
         f1, f2, f3, f4 = 0.9 - 0.4j, -0.5 - 0.2j, 0.7 - 0.6j, 0.3 + 0.3j
         beta = 1.0
         m = 2
-        s = series_from_poly(
-            6,
+        s = MultiSeries.from_terms(
             (m, m, 1, 1, 1, 1),
             [
                 ((1, 0, 0, 1, 0, 0), f1.conjugate() * f3),  # t d f1* f3
@@ -114,11 +104,11 @@ class TestConstruction:
 
     def test_rejects_index_beyond_caps(self):
         with pytest.raises(ValueError):
-            series_from_poly(2, (1, 1), [((2, 0), 1.0)])
+            MultiSeries.from_terms((1, 1), [((2, 0), 1.0)])
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
-            series_from_poly(2, (1, 1), [((1, 0, 0), 1.0)])
+            MultiSeries.from_terms((1, 1), [((1, 0, 0), 1.0)])
 
 
 class TestExp:
@@ -130,7 +120,7 @@ class TestExp:
 
     def test_exp_of_cross_term_matches_scalar_taylor(self):
         c = 0.8 - 0.1j
-        p = series_from_poly(2, (2, 2), [((1, 1), c)])
+        p = MultiSeries.from_terms((2, 2), [((1, 1), c)])
         e = p.exp()
         assert e.val[0, 0] == pytest.approx(1.0)
         assert e.val[1, 1] == pytest.approx(c)
@@ -148,7 +138,7 @@ class TestExp:
         assert e.val[1, 1] == pytest.approx(expected, rel=1e-14)
 
     def test_exp_rejects_constant_term(self):
-        p = series_from_poly(2, (1, 1), [((0, 0), 0.5)])
+        p = MultiSeries.from_terms((1, 1), [((0, 0), 0.5)])
         with pytest.raises(ValueError):
             p.exp()
 
@@ -201,7 +191,7 @@ class TestExtract:
 
     def test_extract_cross_of_exp(self):
         c = 1.3 + 0.4j
-        e = series_from_poly(2, (1, 1), [((1, 1), c)]).exp()
+        e = MultiSeries.from_terms((1, 1), [((1, 1), c)]).exp()
         assert e.extract((1, 1)).val == pytest.approx(c)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
@@ -234,13 +224,6 @@ class TestExtract:
     def test_factorial_guard(self):
         with pytest.raises(ValueError):
             factorial(35)
-
-    def test_extraction_order_helpers(self):
-        assert order_pair(3) == (3, 3)
-        assert order_single_insertion(2) == (2, 2, 1, 1)
-        assert order_double_insertion(1) == (1, 1, 1, 1, 1, 1)
-        assert [v for v in DummyVar] == [0, 1, 2, 3, 4, 5]
-        assert DummyVar.C == 2 and DummyVar.H == 5
 
 
 class TestPhiDerivativeChannel:
