@@ -7,14 +7,24 @@ unitaries vectorize across branches.
 
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
-generator, loss as the full Kraus set, subtraction as repeated lowering) so
-that it shares no algebra with the closed-form calculator it verifies.  The
-squeezer's generator splits into tridiagonal blocks along the grid
-diagonals; a diagonal phase gauge makes each block the gain times a real
-symmetric matrix that depends on the cutoff alone, so one real
-eigendecomposition per diagonal and cutoff serves every gain and phase.  A
-sub-stepped Taylor exponential of the same generator is kept as an
+generator, loss as the full Kraus set) so that it shares no algebra with the
+closed-form calculator it verifies.  The squeezer's generator splits into
+tridiagonal blocks along the grid diagonals; a diagonal phase gauge makes
+each block the gain times a real symmetric matrix that depends on the cutoff
+alone, so one real eigendecomposition per diagonal and cutoff serves every
+gain and phase.  The second squeezer, S(g e^{i pi}), is applied as
+(-1)^{n_a} S(g) (-1)^{n_a}, so the two squeezers share one block set per
+gain.  A sub-stepped Taylor exponential of the same generator is kept as an
 independent cross-check of the blockwise propagator.
+
+Phase derivatives are exact: the phase shifter is the only element that
+depends on phi, so right after it the state's tangent is i a†a |state>, and
+every later element is linear and carries the tangent next to the state in
+the same pass.  Photon subtraction at the output is read from the joint
+photon-number table P(n_a, n_b) and its phase derivative: a^m takes
+|n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every order m
+is a reweighting of one table.  :func:`subtract_photons` keeps the literal
+repeated lowering as the cross-check of that reweighting.
 
 Every reported oracle number goes through :func:`converged_value`, which
 recomputes at a larger cutoff and accepts only when the two agree.
@@ -22,6 +32,7 @@ recomputes at a larger cutoff and accepts only when the two agree.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Callable, Iterable, List, Sequence, Tuple
 
@@ -92,20 +103,40 @@ def _edge_mass(amps: np.ndarray) -> float:
 # -- state containers ---------------------------------------------------------
 
 
-class FockState:
-    """Pure two-mode state on the truncated grid (amps indexed n_a, n_b)."""
+class _Amplitudes:
+    """Amplitudes on the grid, optionally with their phase tangent.
 
-    __slots__ = ("n_cut", "amps")
+    ``data`` holds the amplitudes, or the amplitudes and their d/dphi
+    stacked on a leading axis of two, so that a linear element acts on both
+    in one pass; ``amps`` and ``tangent`` are views of it.
+    """
 
-    def __init__(self, n_cut: int, amps: np.ndarray):
+    __slots__ = ("n_cut", "data")
+    _VALUE_NDIM = 2
+
+    def __init__(self, n_cut: int, amps: np.ndarray, tangent: np.ndarray | None = None):
         self.n_cut = int(n_cut)
-        self.amps = amps
+        self.data = amps if tangent is None else np.stack((amps, tangent))
+
+    @property
+    def amps(self) -> np.ndarray:
+        return self.data[0] if self.data.ndim > self._VALUE_NDIM else self.data
+
+    @property
+    def tangent(self) -> np.ndarray | None:
+        return self.data[1] if self.data.ndim > self._VALUE_NDIM else None
 
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-class BranchEnsemble:
+class FockState(_Amplitudes):
+    """Pure two-mode state on the truncated grid (amps indexed n_a, n_b)."""
+
+    __slots__ = ()
+
+
+class BranchEnsemble(_Amplitudes):
     """Weight-carrying pure branches of a lossy evolution.
 
     ``amps`` has shape (branches, n_cut+1, n_cut+1); branch weights are the
@@ -114,19 +145,39 @@ class BranchEnsemble:
     this ensemble (1.0 if none).
     """
 
-    __slots__ = ("n_cut", "amps", "subtract_prob")
+    __slots__ = ("subtract_prob",)
+    _VALUE_NDIM = 3
 
-    def __init__(self, n_cut: int, amps: np.ndarray, subtract_prob: float = 1.0):
-        self.n_cut = int(n_cut)
-        self.amps = amps
+    def __init__(self, n_cut: int, amps: np.ndarray, subtract_prob: float = 1.0, tangent=None):
+        super().__init__(n_cut, amps, tangent)
         self.subtract_prob = float(subtract_prob)
 
-    def total_trace(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+    total_trace = _Amplitudes.norm2
+
+
+def _like(x, data: np.ndarray):
+    """A copy of state or ensemble x that holds new data."""
+    out = copy.copy(x)
+    out.data = data
+    return out
 
 
 def as_ensemble(state: FockState) -> BranchEnsemble:
-    return BranchEnsemble(state.n_cut, state.amps[None, :, :].copy())
+    """A one-branch ensemble of the state (and of its tangent, if carried)."""
+    return _like(BranchEnsemble(state.n_cut, state.amps), state.data[..., None, :, :].copy())
+
+
+def _seed_tangent(x):
+    """x with its phase tangent i a†a |x>: exact right after apply_phase."""
+    n_a = np.arange(x.n_cut + 1)[:, None]
+    return _like(x, np.stack((x.amps, 1j * n_a * x.amps)))
+
+
+def photon_tables(ens: BranchEnsemble) -> Tuple[np.ndarray, np.ndarray]:
+    """Joint photon-number table P(n_a, n_b) over the branches, and its d/dphi."""
+    v, t = ens.amps, ens.tangent
+    table = np.sum(v.real**2 + v.imag**2, axis=0)
+    return table, 2.0 * np.sum(v.real * t.real + v.imag * t.imag, axis=0)
 
 
 # -- preparation and pipeline elements ----------------------------------------
@@ -289,43 +340,62 @@ def _apply_tms_raw(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
 
 
 def apply_tms(x, g: float, theta: float):
-    """Two-mode squeezer on a state or every branch of an ensemble."""
-    amps = _apply_tms_raw(x.amps, g, theta)
+    """Two-mode squeezer on a state or every branch of an ensemble.
+
+    A carried tangent goes through in the same pass; leakage is judged on
+    the state alone.
+    """
+    out = _like(x, _apply_tms_raw(x.data, g, theta))
+    amps = out.amps
     total = float(np.sum(np.abs(amps) ** 2))
     if total > 0 and _edge_mass(amps) > LEAKAGE_TOL * total:
         raise LeakageError(
             f"top-layer mass {_edge_mass(amps) / total:.2e} after squeezer at n_cut={x.n_cut}"
         )
-    if isinstance(x, BranchEnsemble):
-        return BranchEnsemble(x.n_cut, amps, x.subtract_prob)
-    return FockState(x.n_cut, amps)
+    return out
+
+
+def _parity(x):
+    """(-1)^{n_a} on mode a."""
+    sign = 1.0 - 2.0 * (np.arange(x.n_cut + 1) % 2)
+    return _like(x, x.data * sign[:, None])
+
+
+def _second_squeezer(x, g: float):
+    """S(g e^{i pi}) = (-1)^{n_a} S(g) (-1)^{n_a}, from the theta = 0 blocks.
+
+    The parity flip sends a to -a, so it flips the sign of the generator;
+    the identity is exact and its factors are +-1 only.
+    """
+    return _parity(apply_tms(_parity(x), g, 0.0))
 
 
 def apply_phase(x, phi: float):
-    """e^{i phi a†a} on mode a."""
-    d = x.amps.shape[-2]
-    ph = np.exp(1j * phi * np.arange(d))
-    amps = x.amps * ph[:, None]
-    if isinstance(x, BranchEnsemble):
-        return BranchEnsemble(x.n_cut, amps, x.subtract_prob)
-    return FockState(x.n_cut, amps)
+    """e^{i phi a†a} on mode a; a carried tangent gains i a†a of the result."""
+    n_a = np.arange(x.n_cut + 1)[:, None]
+    ph = np.exp(1j * phi * n_a)
+    amps = x.amps * ph
+    if x.tangent is None:
+        return _like(x, amps)
+    return _like(x, np.stack((amps, x.tangent * ph + 1j * n_a * amps)))
 
 
 def apply_loss(x, T: float) -> BranchEnsemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
     Trace is preserved (the channel is CPTP); branches of negligible weight
-    are pruned.
+    are pruned, each tangent branch with its state branch, on the state's
+    weight.
     """
     if not 0.0 < T <= 1.0:
         raise ValueError(f"transmittance must lie in (0, 1], got {T}")
     ens = x if isinstance(x, BranchEnsemble) else as_ensemble(x)
     if T == 1.0:
-        return BranchEnsemble(ens.n_cut, ens.amps.copy(), ens.subtract_prob)
+        return _like(ens, ens.data.copy())
     d = ens.n_cut + 1
     t_pow = T ** (0.5 * np.arange(d))
     out_blocks = []
-    cur = ens.amps
+    cur = ens.data
     w = 1.0
     total_in = ens.total_trace()
     for l in range(d):
@@ -335,85 +405,135 @@ def apply_loss(x, T: float) -> BranchEnsemble:
             if not np.any(cur):
                 break
         block = (w * t_pow[:, None]) * cur
-        norms = np.sum(np.abs(block) ** 2, axis=(-2, -1))
+        value = block if ens.tangent is None else block[0]
+        norms = np.sum(np.abs(value) ** 2, axis=(-2, -1))
         keep = norms > BRANCH_PRUNE_TOL * max(total_in, 1e-300)
         if np.any(keep):
-            out_blocks.append(block[keep])
-    return BranchEnsemble(ens.n_cut, np.concatenate(out_blocks, axis=0), ens.subtract_prob)
+            out_blocks.append(block[..., keep, :, :])
+    return _like(ens, np.concatenate(out_blocks, axis=-3))
+
+
+def _lower(x, m: int):
+    """a^m on mode a, state and tangent alike."""
+    data = x.data
+    for _ in range(m):
+        data = lower_a(data)
+    return _like(x, data)
 
 
 def subtract_photons(ens: BranchEnsemble, m: int) -> BranchEnsemble:
-    """Apply a^m to every branch, record the success probability, renormalize."""
+    """Apply a^m to every branch, record the success probability, renormalize.
+
+    The literal form of the subtraction that the estimators read as a
+    reweighting of the photon-number table (see :func:`subtracted_moments`).
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
     trace_in = ens.total_trace()
-    amps = ens.amps
-    for _ in range(m):
-        amps = lower_a(amps)
-    prob = float(np.sum(np.abs(amps) ** 2))
+    out = _lower(ens, m)
+    prob = out.total_trace()
     # squared amplitudes carry ~1e-28 truncation-roundoff residue, so "zero
     # probability" is judged relative to the incoming trace
     if prob < 1e-24 * max(trace_in, 1e-300):
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
-    return BranchEnsemble(ens.n_cut, amps / math.sqrt(prob), prob)
+    out.data = out.data / math.sqrt(prob)
+    out.subtract_prob = prob
+    return out
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("a", "b"):
+        raise ValueError("mode must be 'a' or 'b'")
 
 
 def moments(ens: BranchEnsemble, mode: str = "a") -> Tuple[float, float]:
     """(mean, second moment) of the photon number in the given mode."""
+    _check_mode(mode)
     axis_other = -1 if mode == "a" else -2
-    if mode not in ("a", "b"):
-        raise ValueError("mode must be 'a' or 'b'")
     weights = np.sum(np.abs(ens.amps) ** 2, axis=(0, axis_other))
     n = np.arange(weights.shape[0])
     return float(np.sum(n * weights)), float(np.sum(n * n * weights))
 
 
+def subtracted_moments(
+    table: np.ndarray, dtable: np.ndarray, m: int, mode: str
+) -> Tuple[float, float, float, float]:
+    """(probability, mean, second moment, d mean/dphi) after a^m, from the tables.
+
+    a^m takes |n_a, n_b> to |n_a - m, n_b> with amplitude factor
+    sqrt(n_a!/(n_a - m)!), so the subtracted state's photon-number table is
+    the falling factorial n_a!/(n_a - m)! times P, shifted down by m in n_a.
+    """
+    n = np.arange(table.shape[0], dtype=float)
+    weight = np.prod(n[:, None] - np.arange(m)[None, :], axis=1)
+    if mode == "a":
+        k = n - m
+        marg, dmarg = weight * table.sum(axis=1), weight * dtable.sum(axis=1)
+    else:
+        k = n
+        marg, dmarg = weight @ table, weight @ dtable
+    prob = float(marg.sum())
+    # judged relative to the trace, as in subtract_photons
+    if prob < 1e-24 * max(float(table.sum()), 1e-300):
+        raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
+    mean = float(k @ marg) / prob
+    second = float((k * k) @ marg) / prob
+    dmean = (float(k @ dmarg) - mean * float(dmarg.sum())) / prob
+    return prob, mean, second, dmean
+
+
 # -- pipelines ----------------------------------------------------------------
 
 
-def output_ensemble(p: Params, n_cut: int, phi: float | None = None) -> BranchEnsemble:
-    """State at the output port before subtraction: loss(T2) S2 U_phi loss(T1) S1 |0, beta>."""
-    ph = p.phi if phi is None else phi
+def output_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
+    """State at the output port before subtraction: loss(T2) S2 U_phi loss(T1) S1 |0, beta>.
+
+    It carries its exact phase tangent from U_phi on.
+    """
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
     ens = apply_loss(st, p.T1)
-    ens = apply_phase(ens, ph)
-    ens = apply_tms(ens, p.g, math.pi)
-    ens = apply_loss(ens, p.T2)
-    return ens
+    ens = _seed_tangent(apply_phase(ens, p.phi))
+    ens = _second_squeezer(ens, p.g)
+    return apply_loss(ens, p.T2)
 
 
-def equivalent_state(p: Params, n_cut: int, phi: float | None = None) -> FockState:
-    """Normalized equivalent-model state: N1 (S2† a^m S2) U_phi S1 |0, beta>."""
-    ph = p.phi if phi is None else phi
+def equivalent_state(p: Params, n_cut: int) -> FockState:
+    """Normalized equivalent-model state: N1 (S2† a^m S2) U_phi S1 |0, beta>.
+
+    Its tangent is d/dphi of the unnormalized state, scaled by the same N1.
+    """
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
-    st = apply_phase(st, ph)
-    st = apply_tms(st, p.g, math.pi)
-    amps = st.amps
-    for _ in range(p.m):
-        amps = lower_a(amps)
-    if float(np.sum(np.abs(amps) ** 2)) < 1e-24:
+    st = _seed_tangent(apply_phase(st, p.phi))
+    st = _lower(_second_squeezer(st, p.g), p.m)
+    if st.norm2() < 1e-24:
         raise ZeroProbabilityError("equivalent-model state has zero norm")
-    st = apply_tms(FockState(n_cut, amps), p.g, 0.0)
-    nrm2 = st.norm2()
-    return FockState(n_cut, st.amps / math.sqrt(nrm2))
+    st = apply_tms(st, p.g, 0.0)
+    return _like(st, st.data / math.sqrt(st.norm2()))
 
 
-def loss_probe_state(p: Params, n_cut: int, phi: float | None = None) -> FockState:
-    """Normalized extended-system probe: N3 (sqrt(eta) e^{i phi} cosh g a + sinh g b†)^m S1 |0, beta>."""
-    ph = p.phi if phi is None else phi
+def loss_probe_state(p: Params, n_cut: int) -> FockState:
+    """Normalized extended-system probe: N3 (sqrt(eta) e^{i phi} cosh g a + sinh g b†)^m S1 |0, beta>.
+
+    Its tangent is the exact d/dphi of the normalized probe.
+    """
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
-    ca = math.sqrt(p.eta) * math.cosh(p.g) * complex(math.cos(ph), math.sin(ph))
+    ca = math.sqrt(p.eta) * math.cosh(p.g) * complex(math.cos(p.phi), math.sin(p.phi))
     cb = math.sinh(p.g)
-    amps = st.amps
+    data = np.stack((st.amps, np.zeros_like(st.amps)))
     for _ in range(p.m):
-        amps = ca * lower_a(amps) + cb * raise_b(amps)
-    nrm2 = float(np.sum(np.abs(amps) ** 2))
-    if nrm2 < 1e-24:
+        low = lower_a(data)
+        # d/dphi of the factor (ca a + cb b†) is i ca a
+        data = ca * low + cb * raise_b(data)
+        data[1] += 1j * ca * low[0]
+    nrm = math.sqrt(float(np.sum(np.abs(data[0]) ** 2)))
+    if nrm * nrm < 1e-24:
         raise ZeroProbabilityError("loss-equivalent probe state has zero norm")
-    return FockState(n_cut, amps / math.sqrt(nrm2))
+    psi, dpsi = data / nrm
+    # the normalization's own derivative keeps <psi|psi> = 1
+    return FockState(n_cut, psi, dpsi - psi * np.vdot(psi, dpsi).real)
 
 
 def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
@@ -422,13 +542,10 @@ def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
     st = apply_tms(st, p.g, 0.0)
     ens = apply_loss(st, p.T1)
     ens = apply_phase(ens, p.phi)
-    ens = apply_tms(ens, p.g, math.pi)
-    amps = ens.amps
-    for _ in range(p.m):
-        amps = lower_a(amps)
-    if float(np.sum(np.abs(amps) ** 2)) < 1e-24:
+    ens = _lower(_second_squeezer(ens, p.g), p.m)
+    if ens.total_trace() < 1e-24:
         raise ZeroProbabilityError("internal state has zero norm")
-    ens = apply_tms(BranchEnsemble(n_cut, amps), p.g, 0.0)
+    ens = apply_tms(ens, p.g, 0.0)
     prob = ens.total_trace()
     return BranchEnsemble(n_cut, ens.amps / math.sqrt(prob), prob)
 
@@ -474,29 +591,22 @@ def numeric_moments_multi(
     p: Params,
     m_list: Iterable[int],
     mode: str = "a",
-    dphi_step: float = 1e-4,
     n_cut: int = DEFAULT_N_CUT,
     rtol: float = 1e-8,
 ) -> dict:
     """Converged (delta_phi, mean, second) per subtraction order, sharing pipelines.
 
-    The three phase points of the central difference are each run once and
-    reused for every m.
+    Each cutoff runs the output pipeline once, with its exact phase tangent,
+    and reads every m from the joint photon-number table and its derivative.
     """
-    if not 1e-6 <= dphi_step <= 1e-3:
-        raise ValueError("dphi_step must lie in [1e-6, 1e-3]")
+    _check_mode(mode)
     m_list = list(m_list)
 
     def run(n: int):
+        table, dtable = photon_tables(output_ensemble(p, n))
         rows = []
-        ens_mid = output_ensemble(p, n)
-        ens_hi = output_ensemble(p, n, phi=p.phi + dphi_step)
-        ens_lo = output_ensemble(p, n, phi=p.phi - dphi_step)
         for m in m_list:
-            mean, second = moments(subtract_photons(ens_mid, m), mode)
-            mean_hi, _ = moments(subtract_photons(ens_hi, m), mode)
-            mean_lo, _ = moments(subtract_photons(ens_lo, m), mode)
-            dmean = (mean_hi - mean_lo) / (2.0 * dphi_step)
+            _, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
             var = second - mean * mean
             if abs(dmean) < 1e-12 * abs(mean) or dmean == 0.0:
                 raise StationaryPointError(
@@ -513,45 +623,38 @@ def numeric_moments_multi(
     }
 
 
-def numeric_sensitivity(
-    p: Params, mode: str = "a", dphi_step: float = 1e-4, n_cut: int = DEFAULT_N_CUT
-) -> float:
+def numeric_sensitivity(p: Params, mode: str = "a", n_cut: int = DEFAULT_N_CUT) -> float:
     """Error-propagation phase uncertainty from oracle moments (radians)."""
-    return numeric_moments_multi(p, [p.m], mode, dphi_step, n_cut)[p.m]["delta_phi"]
+    return numeric_moments_multi(p, [p.m], mode, n_cut)[p.m]["delta_phi"]
 
 
-def numeric_qfi_pure(
-    p: Params, dphi_step: float = 1e-3, n_cut: int = DEFAULT_N_CUT
-) -> float:
-    """Fidelity-based QFI of the pure equivalent-model state.
+def numeric_qfi_pure(p: Params, n_cut: int = DEFAULT_N_CUT) -> float:
+    """QFI of the pure equivalent-model state from its exact phase tangent.
 
-    F = 8 (1 - |<psi(phi)|psi(phi+d)>|) / d^2, Richardson-extrapolated over
-    d and d/2.
+    F = 4 [<t|t>/<v|v> - |<v|t>|^2/<v|v>^2] for the state v and tangent t.
     """
 
     def run(n: int):
-        psi0 = equivalent_state(p, n)
-
-        def f_of(delta: float) -> float:
-            psi_d = equivalent_state(p, n, phi=p.phi + delta)
-            fid = abs(np.vdot(psi0.amps, psi_d.amps))
-            return 8.0 * (1.0 - fid) / delta**2
-
-        f1 = f_of(dphi_step)
-        f2 = f_of(dphi_step / 2.0)
-        return ((4.0 * f2 - f1) / 3.0,)
+        st = equivalent_state(p, n)
+        v, t = st.amps, st.tangent
+        vv = np.vdot(v, v).real
+        return (4.0 * (np.vdot(t, t).real / vv - abs(np.vdot(v, t)) ** 2 / vv**2),)
 
     return float(converged_value(run, n_cut=n_cut)[0])
 
 
 def _kraus_branch_states(
-    amps: np.ndarray, eta: float, alpha: float, phi: float
-) -> List[np.ndarray]:
-    """All Kraus branches Pi_l(phi) |state> of the mode-a loss channel."""
-    d = amps.shape[-2]
-    eta_pow = eta ** (0.5 * np.arange(d))
+    psi: FockState, eta: float, alpha: float, phi: float
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Every Kraus branch chi_l = Pi_l(phi) |psi> of the mode-a loss channel, with d/dphi.
+
+    d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.
+    """
+    d = psi.n_cut + 1
+    n = np.arange(d)
+    eta_pow = eta ** (0.5 * n)
     out = []
-    cur = amps
+    cur = psi.data
     w = 1.0
     for l in range(d):
         if l > 0:
@@ -559,35 +662,25 @@ def _kraus_branch_states(
             w *= math.sqrt((1.0 - eta) / l)
             if w == 0.0 or not np.any(cur):
                 break
-        ph = np.exp(1j * phi * (np.arange(d) - alpha * l))
-        out.append((w * eta_pow * ph)[:, None] * cur)
+        ph = (w * eta_pow * np.exp(1j * phi * (n - alpha * l)))[:, None]
+        chi = ph * cur[0]
+        out.append((chi, 1j * (n - alpha * l)[:, None] * chi + ph * cur[1]))
     return out
 
 
-def numeric_cq(
-    p: Params, dphi_step: float = 1e-4, n_cut: int = DEFAULT_N_CUT
-) -> float:
+def numeric_cq(p: Params, n_cut: int = DEFAULT_N_CUT) -> float:
     """Extended-system QFI upper bound C_Q at placement p.alpha, end to end.
 
-    Builds chi_l(phi) = Pi_l(phi) |Psi(phi)> on the Fock grid, differentiates
-    by central differences, and assembles 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].
+    Builds chi_l(phi) = Pi_l(phi) |Psi(phi)> and its exact phase derivative on
+    the Fock grid, and assembles 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].
     """
 
     def run(n: int):
-        branches = {}
-        for ph in (p.phi - dphi_step, p.phi, p.phi + dphi_step):
-            psi = loss_probe_state(p, n, phi=ph)
-            branches[ph] = _kraus_branch_states(psi.amps, p.eta, p.alpha, ph)
-        mid = branches[p.phi]
-        hi = branches[p.phi + dphi_step]
-        lo = branches[p.phi - dphi_step]
-        n_br = min(len(mid), len(hi), len(lo))
         t_dd = 0.0
         t_dc = 0j
-        for l in range(n_br):
-            dchi = (hi[l] - lo[l]) / (2.0 * dphi_step)
+        for chi, dchi in _kraus_branch_states(loss_probe_state(p, n), p.eta, p.alpha, p.phi):
             t_dd += float(np.vdot(dchi, dchi).real)
-            t_dc += np.vdot(dchi, mid[l])
+            t_dc += np.vdot(dchi, chi)
         return (4.0 * (t_dd - abs(t_dc) ** 2),)
 
     return float(converged_value(run, n_cut=n_cut, rtol=1e-7)[0])

@@ -84,7 +84,7 @@ def criterion_1_sensitivity_oracle(level: str) -> CriterionResult:
 
 
 def criterion_2_qfi_oracle(level: str) -> CriterionResult:
-    """Ideal QFI matches the fidelity-based oracle to 1e-5 relative."""
+    """Ideal QFI matches the oracle's exact-tangent QFI to 1e-5 relative."""
     ms = [0, 1, 2]
     worst = 0.0
     n_points = 0

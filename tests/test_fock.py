@@ -18,8 +18,10 @@ from su11.fock import (
     numeric_moments_multi,
     numeric_qfi_pure,
     output_ensemble,
+    photon_tables,
     prepare_input,
     subtract_photons,
+    subtracted_moments,
 )
 from su11.model import Params, kernels
 
@@ -88,6 +90,15 @@ class TestTwoModeSqueezer:
         out = apply_tms(apply_tms(st, 0.9, 0.0), 0.9, math.pi)
         assert np.allclose(out.amps, st.amps, atol=1e-12)
 
+    def test_second_squeezer_is_parity_mirrored_theta_zero(self):
+        from su11.fock import _second_squeezer
+
+        ens = apply_loss(apply_tms(prepare_input(0.8, 40), 0.6, 0.0), 0.7)
+        assert ens.amps.ndim == 3 and ens.amps.shape[0] > 1
+        want = apply_tms(ens, 0.6, math.pi).amps
+        got = _second_squeezer(ens, 0.6).amps
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
     def test_leakage_detected_at_small_cutoff(self):
         with pytest.raises(LeakageError):
             apply_tms(prepare_input(0.0, 8), 2.0, 0.0)
@@ -142,6 +153,20 @@ class TestLoss:
         got = moments(lost, "a")[0] * lost.total_trace()
         assert got == pytest.approx(want_mean, rel=1e-10)
 
+    def test_prunes_tangent_with_its_state_on_the_state_weight(self):
+        v0 = tmsv(0.8, 40).amps
+        v1 = apply_phase(tmsv(0.5, 40), 0.9).amps
+        # pair 0: an ordinary state with a zero tangent; pair 1: a state far
+        # below the prune tolerance with a large tangent
+        ens = BranchEnsemble(
+            40, np.stack([v0, 1e-16 * v1]), tangent=np.stack([np.zeros_like(v0), v1])
+        )
+        lost = apply_loss(ens, 0.75)
+        want = apply_loss(BranchEnsemble(40, v0[None]), 0.75)
+        assert lost.amps.shape == lost.tangent.shape == want.amps.shape
+        assert np.array_equal(lost.amps, want.amps)
+        assert not np.any(lost.tangent)
+
 
 class TestSubtraction:
     def test_zero_subtraction_identity(self):
@@ -164,6 +189,27 @@ class TestSubtraction:
         sub = subtract_photons(ens, m)
         gm = kernels(p).exponent_a(lossy=False).exp().extract((m, m)).val.real
         assert sub.subtract_prob == pytest.approx(gm, rel=1e-8)
+
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    def test_table_reweighting_matches_literal_subtraction(self, mode):
+        p = Params(g=1.0, beta=1.0, phi=0.4, T1=0.8, T2=0.8)
+        ens = output_ensemble(p, 70)
+        assert ens.amps.shape[0] > 1
+        table, dtable = photon_tables(ens)
+        for m in range(4):
+            prob, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
+            sub = subtract_photons(ens, m)
+            want_mean, want_second = moments(sub, mode)
+            # d<n>/dphi of the literally lowered state and tangent
+            sub_table, sub_dtable = photon_tables(sub)
+            axis = 1 if mode == "a" else 0
+            k = np.arange(71)
+            marg, dmarg = sub_table.sum(axis=axis), sub_dtable.sum(axis=axis)
+            want_dmean = (k @ dmarg - want_mean * dmarg.sum()) / marg.sum()
+            assert prob == pytest.approx(sub.subtract_prob, rel=1e-12)
+            assert mean == pytest.approx(want_mean, rel=1e-12)
+            assert second == pytest.approx(want_second, rel=1e-12)
+            assert dmean == pytest.approx(want_dmean, rel=1e-12)
 
 
 class TestMoments:
@@ -190,12 +236,6 @@ class TestMoments:
 
 
 class TestNumericEstimators:
-    def test_sensitivity_step_halving_is_stable(self):
-        p = Params(g=1.0, beta=1.0, phi=0.4, m=1)
-        r1 = numeric_moments_multi(p, [1], dphi_step=2e-4)[1]["delta_phi"]
-        r2 = numeric_moments_multi(p, [1], dphi_step=1e-4)[1]["delta_phi"]
-        assert abs(r1 - r2) / r1 < 1e-7
-
     def test_mode_a_beats_mode_b(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=1)
         res = numeric_moments_multi(p, [1], mode="a")[1]["delta_phi"]
@@ -207,11 +247,54 @@ class TestNumericEstimators:
         f = numeric_qfi_pure(p)
         assert abs(f) < 1e-6
 
-    def test_qfi_delta_halving_stability(self):
-        p = Params(g=1.0, beta=1.0, phi=0.4, m=1)
-        f1 = numeric_qfi_pure(p, dphi_step=1e-3)
-        f2 = numeric_qfi_pure(p, dphi_step=5e-4)
-        assert abs(f1 - f2) / f1 < 1e-6
+    @pytest.mark.parametrize("g, beta, phi", [(0.3, 0.6, 0.8), (0.3, 0.6, 1.0), (0.5, 0.5, 0.4)])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_qfi_pure_matches_closed_form_to_roundoff(self, g, beta, phi, m):
+        from su11.qfi import qfi_ideal
+
+        p = Params(g=g, beta=beta, phi=phi, m=m)
+        assert numeric_qfi_pure(p) == pytest.approx(qfi_ideal(p).f, rel=1e-11)
+
+    @pytest.mark.parametrize("t1, t2", [(0.8, 1.0), (1.0, 0.8)])
+    def test_moments_match_lossy_closed_form(self, t1, t2):
+        from su11.sensitivity import sensitivity_lossy
+
+        p = Params(g=1.0, beta=1.0, phi=0.4, T1=t1, T2=t2)
+        for m, got in numeric_moments_multi(p, [0, 1, 2, 3]).items():
+            want = sensitivity_lossy(p.replace(m=m))
+            assert got["mean"] == pytest.approx(want.mean_n, rel=1e-8)
+            assert got["second"] == pytest.approx(want.mean_n2, rel=1e-8)
+            assert got["delta_phi"] == pytest.approx(want.delta_phi, rel=1e-8)
+
+    def test_tangent_table_matches_central_difference(self):
+        p = Params(g=0.8, beta=1.0, phi=0.4, T1=0.8, T2=0.9)
+        h = 1e-4
+        _, dtable = photon_tables(output_ensemble(p, 50))
+        hi, _ = photon_tables(output_ensemble(p.replace(phi=p.phi + h), 50))
+        lo, _ = photon_tables(output_ensemble(p.replace(phi=p.phi - h), 50))
+        fd = (hi - lo) / (2.0 * h)
+        assert np.max(np.abs(fd - dtable)) < 1e-7 * np.max(np.abs(dtable))
+
+    def test_pipelines_build_only_theta_zero_blocks(self, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        numeric_moments_multi(Params(g=0.5, beta=0.5, phi=0.4, T1=0.8), [0, 1])
+        assert fock._TMS_BLOCK_CACHE
+        assert all(theta == 0.0 for _, theta, _ in fock._TMS_BLOCK_CACHE)
+
+    def test_invalid_mode_fails_before_any_pipeline(self, monkeypatch):
+        from su11 import fock
+
+        def no_pipeline(*args):
+            raise AssertionError("a pipeline ran")
+
+        monkeypatch.setattr(fock, "prepare_input", no_pipeline)
+        with pytest.raises(ValueError, match="mode"):
+            numeric_moments_multi(Params(), [0, 1], mode="c")
+        with pytest.raises(ValueError, match="mode"):
+            moments(BranchEnsemble(5, np.zeros((1, 6, 6), complex)), "c")
 
     def test_equivalent_state_dark_fringe(self):
         p = Params(g=1.0, beta=1.0, phi=0.0, m=1)
