@@ -16,6 +16,7 @@ from su11.sweeps import (
     parse_config,
     run_figure,
     run_sweep,
+    thread_cap,
     to_csv,
 )
 from su11.verify import run_verify
@@ -25,6 +26,7 @@ def _cmd_sweep(args) -> int:
     try:
         text = Path(args.config).read_text()
         specs = parse_config(text)
+        thread_cap()
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -44,6 +46,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     try:
         job = FigureJob(args.figure_id, args.output or f"{args.figure_id}.csv")
+        thread_cap()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -9,10 +9,16 @@ The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
 generator, loss as the full Kraus set) so that it shares no algebra with the
 closed-form calculator it verifies.  The squeezer's generator splits into
-tridiagonal blocks along the grid diagonals; a diagonal phase gauge makes
-each block the gain times a real symmetric matrix that depends on the cutoff
-alone, so one real eigendecomposition per diagonal and cutoff serves every
-gain and phase.  The second squeezer, S(g e^{i pi}), is applied as
+tridiagonal blocks along the grid diagonals n_a - n_b = k; a diagonal phase
+gauge makes each block the gain times a real symmetric matrix that depends
+on the cutoff alone, so one real eigendecomposition per occupied diagonal
+and cutoff serves every gain and phase.  A diagonal is occupied when it
+holds more than BRANCH_PRUNE_TOL of the state's weight; the squeezer acts on
+those only.  Every pipeline starts from |0, beta>, the squeezers and the
+phase shifter conserve n_a - n_b, and loss, subtraction and b† only lower
+it, so the n_a > n_b half of the grid stays empty and only the coherent
+tail, widened by loss, is occupied.  Bases and blocks are built per
+diagonal on first use.  The second squeezer, S(g e^{i pi}), is applied as
 (-1)^{n_a} S(g) (-1)^{n_a}, so the two squeezers share one block set per
 gain.  A sub-stepped Taylor exponential of the same generator is kept as an
 independent cross-check of the blockwise propagator.
@@ -51,8 +57,10 @@ DEFAULT_N_CUT = 30
 # cutoffs agree to 1e-8; the ladder climbs geometrically up to this cap
 MAX_N_CUT = 200
 LEAKAGE_TOL = 1e-10
-# ensemble branches below this relative weight are dropped; the total dropped
-# mass stays far below the 1e-12 trace bookkeeping tolerance
+# ensemble branches, and squeezer diagonals n_a - n_b = k, below this
+# relative weight are dropped; the total dropped mass stays far below the
+# 1e-12 trace bookkeeping tolerance.  The squeezer conserves each diagonal's
+# weight, so it drops exactly what it would carry
 BRANCH_PRUNE_TOL = 1e-26
 
 
@@ -232,37 +240,29 @@ def _apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
 # one budget, in complex entries, bounds both caches (a real entry counts
-# half).  Blocks are only two real matrix products per diagonal away from
-# their basis, so they are evicted first (least recent first); a basis holds
-# the eigendecompositions and serves every gain and phase at its cutoff, so
-# bases go only once no blocks are left
+# half) and counts only the diagonals actually built.  Blocks are only two
+# real matrix products per diagonal away from their basis, so they are
+# evicted first (least recent first); a basis holds the eigendecompositions
+# and serves every gain and phase at its cutoff, so bases go only once no
+# blocks are left
 _TMS_CACHE_BUDGET = 1.2e7
 
 
-def _block_entries(d: int) -> float:
-    """Complex entries of the blocks at cutoff d: the sum of (d - k)^2."""
-    return d * (d + 1) * (2 * d + 1) / 6.0
+class _Diagonals(dict):
+    """One cache value: arrays per diagonal |n_a - n_b|, built on first use.
 
+    ``entries`` counts their size in complex entries.
+    """
 
-def _basis_entries(d: int) -> float:
-    """Complex-entry equivalents of a basis: real vectors and eigenvalues."""
-    return (_block_entries(d) + d * (d + 1) / 2.0) / 2.0
-
-
-def _cached(cache: dict, key):
-    """cache[key], marked most recent, or None."""
-    value = cache.get(key)
-    if value is not None:
-        cache[key] = cache.pop(key)
-    return value
+    entries = 0.0
 
 
 def _make_room(entries: float) -> None:
-    """Evict until a new cache entry of this size fits the shared budget."""
+    """Evict until a new cache value of this size fits the shared budget."""
 
     def used() -> float:
-        blocks = sum(_block_entries(key[2]) for key in _TMS_BLOCK_CACHE)
-        return blocks + sum(_basis_entries(d) for d in _TMS_BASIS_CACHE)
+        caches = (_TMS_BLOCK_CACHE, _TMS_BASIS_CACHE)
+        return sum(value.entries for cache in caches for value in cache.values())
 
     while used() + entries > _TMS_CACHE_BUDGET:
         cache = _TMS_BLOCK_CACHE or _TMS_BASIS_CACHE
@@ -271,26 +271,45 @@ def _make_room(entries: float) -> None:
         cache.pop(next(iter(cache)))  # evict least recent
 
 
-def _tms_basis(d: int) -> list:
-    """Eigenpairs (lambda_k, V_k) of the real tridiagonal J_k, k = 0..d-1.
+def _filled(cache: dict, key, ks: List[int], build) -> _Diagonals:
+    """cache[key], marked most recent, holding a value for every diagonal in ks.
+
+    ``build(missing)`` yields the values of the diagonals not built yet, in
+    order; room is made for the whole value before it goes back in.
+    """
+    value = cache.pop(key, None)
+    if value is None:
+        value = _Diagonals()
+    missing = [k for k in ks if k not in value]
+    if missing:
+        for k, arrays in zip(missing, build(missing)):
+            value[k] = arrays
+            parts = arrays if isinstance(arrays, tuple) else (arrays,)
+            value.entries += sum(a.nbytes for a in parts) / 16.0
+        _make_room(value.entries)
+    cache[key] = value
+    return value
+
+
+def _tms_basis(d: int, ks: List[int]) -> _Diagonals:
+    """Eigenpairs (lambda_k, V_k) of the real tridiagonal J_k for k in ks.
 
     J_k couples |n-1+k, n-1> and |n+k, n> with sqrt((n + k) n); it depends
-    on the cutoff alone, so one basis serves every gain and phase.
+    on the cutoff alone, so each occupied diagonal of each cutoff is
+    diagonalized once, on first use, and serves every gain and phase.
     """
-    basis = _cached(_TMS_BASIS_CACHE, d)
-    if basis is None:
-        basis = []
-        for k in range(d):
+
+    def build(missing):
+        for k in missing:
             n = np.arange(1, d - k)
             j = np.diag(np.sqrt((n + k) * n), 1)
-            basis.append(np.linalg.eigh(j + j.T))
-        _make_room(_basis_entries(d))
-        _TMS_BASIS_CACHE[d] = basis
-    return basis
+            yield np.linalg.eigh(j + j.T)
+
+    return _filled(_TMS_BASIS_CACHE, d, ks, build)
 
 
-def _tms_blocks(g: float, theta: float, d: int) -> List[np.ndarray]:
-    """Propagator blocks of exp(xi ab - xi* a†b†) on the truncated grid.
+def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> _Diagonals:
+    """Propagator blocks of exp(xi ab - xi* a†b†) for the diagonals k in ks.
 
     The generator conserves n_a - n_b, so it block-diagonalizes over the
     grid diagonals; by the a <-> b symmetry one block serves a diagonal and
@@ -299,53 +318,65 @@ def _tms_blocks(g: float, theta: float, d: int) -> List[np.ndarray]:
     J_k the real symmetric matrix of sqrt((n + k) n).  With (lambda_k, V_k)
     the eigenbasis of J_k, the block is D V_k diag(e^{-i g lambda_k}) V_k^T
     D^-1: the exact (unitary) exponential of the truncated generator,
-    matching the sub-stepped series to roundoff.
+    matching the sub-stepped series to roundoff.  Each block is built from
+    its diagonal's eigenbasis on first use.
     """
-    key = (float(g), float(theta), int(d))
-    blocks = _cached(_TMS_BLOCK_CACHE, key)
-    if blocks is not None:
-        return blocks
-    gauge = np.exp(1j * (-0.5 * math.pi - theta) * np.arange(d))
-    blocks = []
-    for lam, v in _tms_basis(d):
-        size = lam.size
-        u = np.empty((size, size), complex)
-        u.real = (v * np.cos(g * lam)) @ v.T
-        u.imag = (v * -np.sin(g * lam)) @ v.T
-        u *= gauge[:size, None] * gauge[:size].conj()
-        blocks.append(u)
-    _make_room(_block_entries(d))
-    _TMS_BLOCK_CACHE[key] = blocks
-    return blocks
+
+    def build(missing):
+        basis = _tms_basis(d, missing)
+        gauge = np.exp(1j * (-0.5 * math.pi - theta) * np.arange(d))
+        for k in missing:
+            lam, v = basis[k]
+            size = lam.size
+            u = np.empty((size, size), complex)
+            u.real = (v * np.cos(g * lam)) @ v.T
+            u.imag = (v * -np.sin(g * lam)) @ v.T
+            u *= gauge[:size, None] * gauge[:size].conj()
+            yield u
+
+    return _filled(_TMS_BLOCK_CACHE, (float(g), float(theta), int(d)), ks, build)
 
 
-def _apply_tms_raw(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
-    """Exact exponential of the truncated two-mode-squeezing generator."""
+def _apply_tms_raw(
+    amps: np.ndarray, g: float, theta: float, state: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact exponential of the truncated two-mode-squeezing generator.
+
+    Only the occupied diagonals are multiplied: those that hold more than
+    BRANCH_PRUNE_TOL of the weight of ``state`` (``amps`` itself by
+    default).  The squeezer conserves each diagonal's weight, so every other
+    diagonal is zero in the output.
+    """
     if g == 0.0:
         return amps.copy()
     d = amps.shape[-1]
-    blocks = _tms_blocks(g, theta, d)
-    # on the grid flattened to (..., d*d), diagonal |n+k, n> is the stride
-    # d+1 run from k*d, and its mirror |n, n+k> the run from k
+    state = amps if state is None else state
+    n = np.arange(d)
+    weight = np.bincount(
+        (n[:, None] - n[None, :] + d - 1).ravel(),
+        weights=(state.real**2 + state.imag**2).reshape(-1, d * d).sum(axis=0),
+        minlength=2 * d - 1,
+    )
+    occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300))
+    occupied = (occupied - (d - 1)).tolist()
+    blocks = _tms_blocks(g, theta, d, sorted({abs(k) for k in occupied}))
+    # on the grid flattened to (..., d*d), diagonal k >= 0, |n+k, n>, is the
+    # stride d+1 run from k*d, and its mirror -k, |n, n+k>, the run from k
     flat = amps.reshape(amps.shape[:-2] + (d * d,))
-    out = np.empty_like(flat)
-    for k, block in enumerate(blocks):
-        p_t = block.T
-        diag = slice(k * d, d * d, d + 1)
-        out[..., diag] = flat[..., diag] @ p_t
-        if k > 0:
-            mirror = slice(k, (d - k) * d, d + 1)
-            out[..., mirror] = flat[..., mirror] @ p_t
+    out = np.zeros_like(flat)
+    for k in occupied:
+        run = slice(k * d, d * d, d + 1) if k >= 0 else slice(-k, (d + k) * d, d + 1)
+        out[..., run] = flat[..., run] @ blocks[abs(k)].T
     return out.reshape(amps.shape)
 
 
 def apply_tms(x, g: float, theta: float):
     """Two-mode squeezer on a state or every branch of an ensemble.
 
-    A carried tangent goes through in the same pass; leakage is judged on
-    the state alone.
+    A carried tangent goes through in the same pass; the occupied diagonals
+    and leakage are judged on the state alone.
     """
-    out = _like(x, _apply_tms_raw(x.data, g, theta))
+    out = _like(x, _apply_tms_raw(x.data, g, theta, x.amps))
     amps = out.amps
     total = float(np.sum(np.abs(amps) ** 2))
     if total > 0 and _edge_mass(amps) > LEAKAGE_TOL * total:

@@ -163,11 +163,22 @@ def _eval_task(task: Tuple[str, Params]) -> Tuple[str, str]:
         return "", _error_code(err)
 
 
+def thread_cap() -> int | None:
+    """The SU11_THREADS cap on sweep parallelism, or None when unset or empty."""
+    cap = os.environ.get("SU11_THREADS")
+    if not cap:
+        return None
+    try:
+        return int(cap)
+    except ValueError:
+        raise ValueError(f"SU11_THREADS must be an integer, got {cap!r}") from None
+
+
 def _worker_count(n_tasks: int) -> int:
     workers = min(os.cpu_count() or 1, n_tasks)
-    cap = os.environ.get("SU11_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
+    cap = thread_cap()
+    if cap is not None:
+        workers = min(workers, max(1, cap))
     return max(workers, 1)
 
 

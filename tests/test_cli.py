@@ -182,6 +182,17 @@ class TestMain:
     def test_sweep_missing_file(self, tmp_path):
         assert main(["sweep", str(tmp_path / "absent.cfg")]) == 1
 
+    @pytest.mark.parametrize("command", ["figure", "sweep"])
+    def test_malformed_thread_cap_is_a_validation_error(self, command, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "sweeps.cfg"
+        cfg.write_text(EXAMPLE_CONFIG)
+        argv = ["figure", "fig3b"] if command == "figure" else ["sweep", str(cfg)]
+        monkeypatch.setenv("SU11_THREADS", "abc")
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: SU11_THREADS must be an integer, got 'abc'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[s]\nquantity = delta_phi_ideal\n")

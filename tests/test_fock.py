@@ -8,6 +8,7 @@ import pytest
 from su11.errors import LeakageError, ZeroProbabilityError
 from su11.fock import (
     BranchEnsemble,
+    FockState,
     apply_loss,
     apply_phase,
     apply_tms,
@@ -102,6 +103,43 @@ class TestTwoModeSqueezer:
     def test_leakage_detected_at_small_cutoff(self):
         with pytest.raises(LeakageError):
             apply_tms(prepare_input(0.0, 8), 2.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 1.1])
+    def test_matches_series_with_mass_on_both_sides_of_the_diagonal(self, theta):
+        from su11.fock import _apply_tms_raw, _apply_tms_series
+
+        amps = prepare_input(0.8, 40).amps
+        both = amps + 0.5 * amps.T
+        stack = apply_loss(FockState(40, both), 0.7).amps
+        assert stack.ndim == 3 and stack.shape[0] > 1
+        for x in (both, stack):
+            assert np.any(np.tril(x, -1)) and np.any(np.triu(x, 1))
+            got = _apply_tms_raw(x, 0.8, theta)
+            assert np.allclose(got, _apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
+
+    def test_diagonal_below_prune_tolerance_comes_out_zero(self):
+        from su11.fock import BRANCH_PRUNE_TOL, _apply_tms_raw, _apply_tms_series
+
+        amps = prepare_input(0.8, 40).amps.copy()
+        # |n+3, n> holds 38 * 1e-30 of the unit weight, below the tolerance
+        amps[np.arange(3, 41), np.arange(38)] = 1e-15
+        assert 38e-30 < BRANCH_PRUNE_TOL
+        got = _apply_tms_raw(amps, 0.8, 0.0)
+        want = _apply_tms_series(amps, 0.8, 0.0)
+        assert np.any(np.diagonal(want, -3))
+        assert not np.any(np.diagonal(got, -3))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_occupied_diagonals_are_judged_on_the_state_alone(self):
+        from su11.fock import _apply_tms_raw
+
+        v = prepare_input(0.8, 40).amps
+        # the tangent's mass on |n+2, n> sits where the state holds none
+        t = np.zeros_like(v)
+        t[np.arange(2, 41), np.arange(39)] = 1.0
+        out = apply_tms(FockState(40, v, t), 0.8, 0.0)
+        assert np.allclose(out.amps, _apply_tms_raw(v, 0.8, 0.0), rtol=0.0, atol=1e-15)
+        assert not np.any(out.tangent)
 
 
 class TestPhase:
@@ -358,25 +396,39 @@ class TestNumericEstimators:
 
         monkeypatch.setattr(fock.np.linalg, "eigh", counting_eigh)
         st = prepare_input(0.5, 24)
+        # |0, n> holds e^{-beta^2} beta^{2n} / n! of the weight, on diagonal -n
+        occupied = sum(
+            math.exp(-0.25) * 0.25**n / math.factorial(n) > fock.BRANCH_PRUNE_TOL
+            for n in range(25)
+        )
+        assert 0 < occupied < 25
         for g in (0.4, 0.9):
             for theta in (0.0, math.pi):
                 fock._apply_tms_raw(st.amps, g, theta)
-        assert len(calls) == 25
+        # one eigh per occupied diagonal |k|, of size 25 - k, at this cutoff
+        assert calls == [(25 - k, 25 - k) for k in range(occupied)]
         assert len(fock._TMS_BLOCK_CACHE) == 4
+        calls.clear()
+        for g in (0.4, 0.9):
+            for theta in (0.0, math.pi):
+                fock._apply_tms_raw(st.amps, g, theta)
+        assert not calls
 
     def test_caches_share_one_budget_over_a_gain_sweep(self, monkeypatch):
         from su11 import fock
 
         monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
         monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_CACHE_BUDGET", 1.5e5)
+        # the sweep builds about 1.4e5 entries of occupied diagonals in all
+        monkeypatch.setattr(fock, "_TMS_CACHE_BUDGET", 1e5)
 
         def entries():
-            blocks = sum(b.size for v in fock._TMS_BLOCK_CACHE.values() for b in v)
+            # only the diagonals built so far hold arrays
+            blocks = sum(b.size for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
             bases = sum(
                 (lam.size + vec.size) / 2.0
                 for v in fock._TMS_BASIS_CACHE.values()
-                for lam, vec in v
+                for lam, vec in v.values()
             )
             return blocks + bases
 
