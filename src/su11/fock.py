@@ -20,8 +20,12 @@ it, so the n_a > n_b half of the grid stays empty and only the coherent
 tail, widened by loss, is occupied.  Bases and blocks are built per
 diagonal on first use.  The second squeezer, S(g e^{i pi}), is applied as
 (-1)^{n_a} S(g) (-1)^{n_a}, so the two squeezers share one block set per
-gain.  A sub-stepped Taylor exponential of the same generator is kept as an
-independent cross-check of the blockwise propagator.
+gain.  Every pipeline squeezes at the one gain p.g, so only the blocks of
+the latest gain are cached: a new gain drops the others, and a sweep along
+phi, beta or the transmittances reuses its blocks from point to point while
+a sweep along g, whose points share no gain, keeps no stale ones.  Bases
+hold no gain and stay.  A sub-stepped Taylor exponential of the same
+generator is kept as an independent cross-check of the blockwise propagator.
 
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
@@ -240,7 +244,9 @@ def _apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
 # one budget, in complex entries, bounds both caches (a real entry counts
-# half) and counts only the diagonals actually built.  Blocks are only two
+# half) and counts only the diagonals actually built.  The block cache holds
+# one gain at a time (see _tms_blocks), so the budget bounds that gain's
+# blocks at every cutoff and phase, plus the bases.  Blocks are only two
 # real matrix products per diagonal away from their basis, so they are
 # evicted first (least recent first); a basis holds the eigendecompositions
 # and serves every gain and phase at its cutoff, so bases go only once no
@@ -320,6 +326,11 @@ def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> _Diagonals:
     D^-1: the exact (unitary) exponential of the truncated generator,
     matching the sub-stepped series to roundoff.  Each block is built from
     its diagonal's eigenbasis on first use.
+
+    The cache keeps the blocks of one gain: every pipeline squeezes at a
+    single gain, so blocks of any other gain are dropped before this gain's
+    are looked up.  Returning to a dropped gain rebuilds its blocks from the
+    cached bases, without a new eigendecomposition.
     """
 
     def build(missing):
@@ -334,7 +345,10 @@ def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> _Diagonals:
             u *= gauge[:size, None] * gauge[:size].conj()
             yield u
 
-    return _filled(_TMS_BLOCK_CACHE, (float(g), float(theta), int(d)), ks, build)
+    g = float(g)
+    for key in [key for key in _TMS_BLOCK_CACHE if key[0] != g]:
+        del _TMS_BLOCK_CACHE[key]
+    return _filled(_TMS_BLOCK_CACHE, (g, float(theta), int(d)), ks, build)
 
 
 def _apply_tms_raw(
@@ -414,15 +428,19 @@ def apply_phase(x, phi: float):
 def apply_loss(x, T: float) -> BranchEnsemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
-    Trace is preserved (the channel is CPTP); branches of negligible weight
-    are pruned, each tangent branch with its state branch, on the state's
-    weight.
+    T lies in [0, 1].  Trace is preserved (the channel is CPTP); branches of
+    negligible weight are pruned, each tangent branch with its state branch,
+    on the state's weight.  At T = 0 every photon of mode a is lost: T^{n/2}
+    is [1, 0, ...], so branch l holds row l of the input moved to n_a = 0.
+    At T = 1 the channel is the identity and an ensemble is returned as it
+    is, not copied (a state becomes a fresh one-branch ensemble), so no
+    element may write into its input.
     """
-    if not 0.0 < T <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {T}")
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     ens = x if isinstance(x, BranchEnsemble) else as_ensemble(x)
     if T == 1.0:
-        return _like(ens, ens.data.copy())
+        return ens
     d = ens.n_cut + 1
     t_pow = T ** (0.5 * np.arange(d))
     out_blocks = []

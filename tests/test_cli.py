@@ -179,6 +179,24 @@ class TestMain:
         text = (tmp_path / "delta-vs-T.csv").read_text()
         assert text.count("\n") == 1 + 4 * 2  # header + rows
 
+    def test_oracle_sweep_reaches_complete_internal_loss(self, tmp_path):
+        from su11.limits import limits
+
+        cfg = tmp_path / "sweeps.cfg"
+        cfg.write_text(
+            "[nt-vs-T1]\nquantity = oracle_n_t\naxis = T1\nlo = 0.0\nhi = 1.0\n"
+            "points = 3\nm = 0,1\ng = 0.5\nbeta = 0.5\nphi = 0.4\n"
+        )
+        assert main(["sweep", str(cfg), "-o", str(tmp_path)]) == 0
+        lines = (tmp_path / "nt-vs-T1.csv").read_text().splitlines()
+        assert lines[0] == "T1,m,oracle_n_t,error"
+        assert len(lines) == 1 + 3 * 2
+        for line in lines[1:]:
+            t1, m, value, code = line.split(",")
+            assert code == ""
+            want = limits(Params(g=0.5, beta=0.5, phi=0.4, T1=float(t1), m=int(m))).n_t
+            assert float(value) == pytest.approx(want, rel=1e-8)
+
     def test_sweep_missing_file(self, tmp_path):
         assert main(["sweep", str(tmp_path / "absent.cfg")]) == 1
 

@@ -7,6 +7,7 @@ import pytest
 
 from su11.errors import LeakageError, ZeroProbabilityError
 from su11.fock import (
+    BRANCH_PRUNE_TOL,
     BranchEnsemble,
     FockState,
     apply_loss,
@@ -16,6 +17,7 @@ from su11.fock import (
     converged_value,
     equivalent_state,
     moments,
+    numeric_internal_photon_number,
     numeric_moments_multi,
     numeric_qfi_pure,
     output_ensemble,
@@ -29,6 +31,19 @@ from su11.model import Params, kernels
 
 def tmsv(g, n_cut=50):
     return apply_tms(prepare_input(0.0, n_cut), g, 0.0)
+
+
+def held_blocks():
+    """Every squeezer block the cache holds, by key and diagonal."""
+    from su11 import fock
+
+    return {(key, k): b for key, v in fock._TMS_BLOCK_CACHE.items() for k, b in v.items()}
+
+
+def same_blocks(held):
+    """Whether the cache holds exactly these block arrays, none rebuilt."""
+    now = held_blocks()
+    return now.keys() == held.keys() and all(now[i] is b for i, b in held.items())
 
 
 class TestPrepareInput:
@@ -118,7 +133,7 @@ class TestTwoModeSqueezer:
             assert np.allclose(got, _apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
 
     def test_diagonal_below_prune_tolerance_comes_out_zero(self):
-        from su11.fock import BRANCH_PRUNE_TOL, _apply_tms_raw, _apply_tms_series
+        from su11.fock import _apply_tms_raw, _apply_tms_series
 
         amps = prepare_input(0.8, 40).amps.copy()
         # |n+3, n> holds 38 * 1e-30 of the unit weight, below the tolerance
@@ -190,6 +205,52 @@ class TestLoss:
         want_mean = 0.36 * moments(la, "a")[0] + 0.64 * moments(lb, "a")[0]
         got = moments(lost, "a")[0] * lost.total_trace()
         assert got == pytest.approx(want_mean, rel=1e-10)
+
+    def test_rejects_transmittance_outside_unit_interval(self):
+        st = tmsv(0.8, 40)
+        for T in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="transmittance"):
+                apply_loss(st, T)
+
+    def test_complete_loss_moves_each_row_to_mode_a_vacuum(self):
+        # at T = 0, K_l = a^l / sqrt(l!) takes |l, n_b> to |0, n_b>
+        st = tmsv(0.8, 40)
+        ens = apply_loss(st, 0.0)
+        assert not np.any(ens.amps[:, 1:, :])
+        kept = np.sum(np.abs(st.amps) ** 2, axis=1) > BRANCH_PRUNE_TOL
+        assert np.allclose(ens.amps[:, 0, :], st.amps[kept], rtol=1e-14, atol=0.0)
+        assert ens.total_trace() == pytest.approx(1.0, abs=1e-12)
+        assert moments(ens, "a") == (0.0, 0.0)
+        assert moments(ens, "b") == pytest.approx(moments(as_ensemble(st), "b"), rel=1e-12)
+
+    def test_unit_transmittance_returns_its_ensemble(self):
+        ens = apply_loss(tmsv(0.8, 40), 0.7)
+        assert apply_loss(ens, 1.0) is ens
+        st = FockState(40, tmsv(0.8, 40).amps, np.ones((41, 41), complex))
+        out = apply_loss(st, 1.0)
+        assert isinstance(out, BranchEnsemble) and out.amps.shape == (1, 41, 41)
+        assert not np.shares_memory(out.data, st.data)
+        assert np.array_equal(out.amps[0], st.amps) and np.array_equal(out.tangent[0], st.tangent)
+
+    def test_elements_leave_their_input_unchanged(self):
+        from su11.fock import _lower, _parity, _second_squeezer, _seed_tangent
+
+        ens = _seed_tangent(apply_phase(apply_loss(tmsv(0.4, 40), 0.8), 0.4))
+        before = ens.data.copy()
+        for element in (
+            lambda x: apply_tms(x, 0.4, 0.0),
+            lambda x: _second_squeezer(x, 0.4),
+            lambda x: apply_phase(x, 0.4),
+            lambda x: apply_loss(x, 1.0),
+            lambda x: apply_loss(x, 0.7),
+            lambda x: apply_loss(x, 0.0),
+            lambda x: subtract_photons(x, 0),
+            lambda x: subtract_photons(x, 2),
+            lambda x: _lower(x, 0),
+            _parity,
+        ):
+            element(ens)
+            assert np.array_equal(ens.data, before)
 
     def test_prunes_tangent_with_its_state_on_the_state_weight(self):
         v0 = tmsv(0.8, 40).amps
@@ -402,17 +463,71 @@ class TestNumericEstimators:
             for n in range(25)
         )
         assert 0 < occupied < 25
-        for g in (0.4, 0.9):
+
+        def squeeze(g):
             for theta in (0.0, math.pi):
                 fock._apply_tms_raw(st.amps, g, theta)
+            return set(fock._TMS_BLOCK_CACHE)
+
+        squeeze(0.4)
         # one eigh per occupied diagonal |k|, of size 25 - k, at this cutoff
         assert calls == [(25 - k, 25 - k) for k in range(occupied)]
-        assert len(fock._TMS_BLOCK_CACHE) == 4
+        # the basis serves the next gain, whose blocks replace the last gain's
+        assert squeeze(0.9) == {(0.9, 0.0, 25), (0.9, math.pi, 25)}
+        assert len(calls) == occupied
         calls.clear()
-        for g in (0.4, 0.9):
-            for theta in (0.0, math.pi):
-                fock._apply_tms_raw(st.amps, g, theta)
+        # a repeat at the last gain finds every block in place
+        blocks = held_blocks()
+        squeeze(0.9)
+        assert same_blocks(blocks)
+        # going back to the first gain rebuilds its blocks from the basis
+        assert squeeze(0.4) == {(0.4, 0.0, 25), (0.4, math.pi, 25)}
         assert not calls
+
+    def test_gain_sweep_keeps_only_the_last_gains_blocks(self, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cutoffs = set()
+        for g in (0.3, 0.4, 0.5):
+            fock.numeric_internal_photon_number(Params(g=g, beta=0.5, phi=0.4, T1=0.9, m=1))
+            # one key per cutoff the ladder ran at this gain
+            assert len(fock._TMS_BLOCK_CACHE) >= 2
+            assert {key[0] for key in fock._TMS_BLOCK_CACHE} == {g}
+            cutoffs.update(key[2] for key in fock._TMS_BLOCK_CACHE)
+        # bases hold no gain, so every cutoff of the sweep keeps its basis
+        assert set(fock._TMS_BASIS_CACHE) == cutoffs
+
+    def test_phase_sweep_reuses_one_gains_blocks(self, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        points = [Params(g=0.5, beta=0.5, phi=phi, T1=0.9, m=1) for phi in (0.3, 0.35, 0.4)]
+        values = [fock.numeric_internal_photon_number(points[0])]
+        first = held_blocks()
+        for p in points[1:]:
+            values.append(fock.numeric_internal_photon_number(p))
+            assert same_blocks(first)
+        for p, value in zip(points, values):
+            monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+            monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+            assert fock.numeric_internal_photon_number(p) == value
+
+    def test_complete_loss_keeps_typed_outcomes(self):
+        from su11.errors import StationaryPointError
+        from su11.limits import limits
+
+        # all of mode a is lost before the phase shifter: N_T is still defined
+        p = Params(g=0.5, beta=0.8, phi=0.4, T1=0.0, m=1)
+        assert numeric_internal_photon_number(p) == pytest.approx(limits(p).n_t, rel=1e-10)
+        # ... but no output photon number depends on phi any more
+        with pytest.raises(StationaryPointError):
+            numeric_moments_multi(p, [0, 1])
+        # all of mode a is lost at the output: a^m has nothing to subtract
+        with pytest.raises(ZeroProbabilityError):
+            numeric_moments_multi(p.replace(T1=1.0, T2=0.0), [1])
 
     def test_caches_share_one_budget_over_a_gain_sweep(self, monkeypatch):
         from su11 import fock
