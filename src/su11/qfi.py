@@ -10,34 +10,37 @@ derivative taken from the dual channel.
 Lossy case: photon loss inside mode a makes the evolution non-unitary; the
 problem is purified into system + environment, where the loss channel's
 Kraus operators carry a free placement parameter alpha.  Minimizing the
-purified-state bound C_Q over alpha tightens it to F_L.  Both the raw
-C_Q(alpha) and its analytic minimum are implemented; the numeric
-alpha-minimization is the in-house ground truth for the closed form.
+purified-state bound C_Q over alpha tightens it to F_L, which `qfi_lossy`
+returns in closed form.  The raw C_Q(alpha) stays public (`cq_alpha`): the
+numeric alpha scan in `su11.verify` (criterion C3) minimizes it as the
+independent check on the closed form.
 
 Note on the closed form: the printed reference expression groups one term
 (i<Psit|n|Psi> - i<Psi|n|Psit>) outside the 4 eta <n> (...) factor; direct
 minimization of C_Q shows it belongs inside (otherwise the eta -> 1 limit
-fails to reproduce the ideal QFI).  The corrected minimum is implemented
-and continuously cross-checked against the alpha scan.
+fails to reproduce the ideal QFI).  The corrected minimum is implemented;
+C3 checks it against the alpha scan and, at eta = 1, against the ideal QFI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from su11.errors import DarkFringeError, NormalizationError, NumericalError, StationaryPointError
 from su11.model import Params, kernels
 from su11.series import DARK_FRINGE_FLOOR, finite, quiet_overflow, real_part
 
-# closed form and numeric alpha minimum must agree this tightly
-MIN_CONSISTENCY_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class QfiReport:
-    """QFI value, the corresponding Cramer-Rao bound, and audit terms."""
+    """QFI value, the corresponding Cramer-Rao bound, and audit terms.
+
+    ``alpha_star`` is the closed-form Kraus placement minimizing the lossy
+    bound (None for the ideal QFI; at eta = 1 every placement gives the same
+    bound); ``terms`` holds the inner products the value is built from.
+    """
 
     f: float
     qcrb: float
@@ -170,60 +173,11 @@ def cq_alpha(p: Params) -> float:
     return _cq_from(_loss_inner_products(p), p.eta, p.alpha)
 
 
-def _minimize_cq(
-    d: Dict[str, complex], eta: float, lo: float = -2.0, hi: float = 1.0
-) -> Tuple[float, float]:
-    """Grid scan plus golden-section refinement of C_Q over alpha.
-
-    The bracket widens automatically if the minimum lands on an edge; a flat
-    profile (eta = 1) short-circuits to alpha = 0.
-    """
-    n_grid = 41
-    for _ in range(8):
-        vals = [_cq_from(d, eta, lo + (hi - lo) * i / (n_grid - 1)) for i in range(n_grid)]
-        spread = max(vals) - min(vals)
-        if spread <= 1e-12 * max(1.0, abs(vals[0])):
-            return 0.0, vals[0]
-        i_min = vals.index(min(vals))
-        if i_min == 0:
-            lo, hi = lo - (hi - lo), hi
-            continue
-        if i_min == n_grid - 1:
-            lo, hi = lo, hi + (hi - lo)
-            continue
-        break
-    else:
-        raise NumericalError("alpha minimization bracket did not stabilize")
-    step = (hi - lo) / (n_grid - 1)
-    a = lo + (i_min - 1) * step
-    b = lo + (i_min + 1) * step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _cq_from(d, eta, x1)
-    f2 = _cq_from(d, eta, x2)
-    for _ in range(90):
-        if b - a < 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _cq_from(d, eta, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _cq_from(d, eta, x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
-
-
 def qfi_lossy(p: Params) -> QfiReport:
     """QFI bound under mode-a internal loss of transmissivity p.eta.
 
-    Returns the analytic alpha-minimum of C_Q; the report also carries the
-    numeric minimum, and the two must agree to 1e-8 relative (if not, the
-    numeric minimum wins and the report flags the discrepancy).
+    Returns the analytic alpha-minimum of C_Q and its minimizing placement;
+    ``terms`` holds the loss-equivalent probe's inner products.
     """
     d = _loss_inner_products(p)
     eta = p.eta
@@ -239,22 +193,8 @@ def qfi_lossy(p: Params) -> QfiReport:
         raise NormalizationError(
             f"degenerate minimization denominator {denom} (no photons in mode a?)"
         )
-    f_closed = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
-    alpha_closed = (var - s) / denom - 1.0
-    alpha_num, f_num = _minimize_cq(d, eta)
-    agree = abs(f_closed - f_num) <= MIN_CONSISTENCY_RTOL * max(abs(f_num), 1e-30)
-    f = f_closed if agree else f_num
-    terms = dict(d)
-    terms.update(
-        {
-            "f_closed": f_closed,
-            "f_numeric_min": f_num,
-            "alpha_star_closed": alpha_closed,
-            "alpha_star_numeric": alpha_num,
-            "closed_numeric_consistent": agree,
-        }
-    )
-    alpha_star = alpha_num if eta < 1.0 else alpha_closed
+    f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
     if not 0.0 < f < math.inf:
         raise NumericalError(f"QFI must be positive and finite, got {f}")
-    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=terms)
+    alpha_star = (var - s) / denom - 1.0
+    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=d)

@@ -112,8 +112,12 @@ class CDual:
         return self._coerce(other) / self
 
     def __pow__(self, p: float) -> "CDual":
-        v = self.val**p
-        return CDual(v, p * self.val ** (p - 1) * self.dph)
+        # a complex power that overflows raises instead of giving inf
+        try:
+            v = self.val**p
+            return CDual(v, p * self.val ** (p - 1) * self.dph)
+        except OverflowError:
+            raise NumericalError(f"({self.val!r}) ** {p} overflowed") from None
 
     def conj(self) -> "CDual":
         # phi is real, so conjugation commutes with d/dphi

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from su11.cli import main
 from su11.model import Params
 from su11.sweeps import (
     FIGURES,
+    QUANTITIES,
     FigureJob,
     SweepSpec,
     _eval_task,
@@ -98,11 +100,39 @@ class TestRunSweep:
             ("qfi_ideal", dict(phi=1e-9, m=3)),
             ("qfi_ideal", dict(phi=2 * math.pi, m=1)),
             ("qcrb", dict(phi=2 * math.pi, m=1)),
+            # the normalizer's complex power overflowed with an untyped error
+            (
+                "qfi_ideal",
+                dict(g=0.08560370573548237, beta=2.981156668039141,
+                     phi=-2.4127980815017835e-07, m=15),
+            ),
         ],
-        ids=["dphi-g12", "nt-g12", "sql-g12", "qfi-g12", "qfi-phi1e-9", "qfi-2pi", "qcrb-2pi"],
+        ids=["dphi-g12", "nt-g12", "sql-g12", "qfi-g12", "qfi-phi1e-9", "qfi-2pi", "qcrb-2pi",
+             "qfi-pow-overflow"],
     )
     def test_overflow_and_roundoff_cells_carry_numerical_code(self, quantity, params):
         assert _eval_task((quantity, Params(**params))) == ("", "Numerical")
+
+    def test_near_fringe_cells_hold_a_value_or_a_code(self):
+        # seeded points within 1e-6 rad of the phi = 0 dark fringe at high m,
+        # where the extractions are all roundoff and may overflow
+        analytic = [q for q in QUANTITIES if not q.startswith("oracle_")]
+        assert len(analytic) == 8
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            p = Params(
+                g=float(rng.uniform(0.02, 0.5)),
+                beta=float(rng.uniform(1.0, 5.0)),
+                phi=float(rng.uniform(-1e-6, 1e-6)),
+                m=int(rng.integers(8, 16)),
+                T1=float(rng.uniform(0.6, 1.0)),
+                T2=float(rng.uniform(0.6, 1.0)),
+                eta=float(rng.uniform(0.6, 1.0)),
+            )
+            for quantity in analytic:
+                value, code = _eval_task((quantity, p))
+                assert (value == "") != (code == ""), (quantity, p, value, code)
+                assert code or 0.0 < float(value) < math.inf, (quantity, p, value)
 
     def test_csv_deterministic(self):
         spec = parse_config(EXAMPLE_CONFIG)[0]

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from su11 import qfi
 from su11.errors import DarkFringeError, NormalizationError
 from su11.fock import numeric_cq, numeric_qfi_pure
 from su11.model import Params
 from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal
+from su11.verify import alpha_scan
 
-# fidelity-oracle values at g=1, beta=1, phi=0.4 (Richardson, converged n_cut)
+# Fock-oracle QFI at g=1, beta=1, phi=0.4 (converged n_cut), frozen; the
+# exact-tangent oracle of numeric_qfi_pure reproduces each to rel 2e-10
 ORACLE_F_IDEAL = {0: 33.9379578869, 1: 55.5765637644, 2: 74.6353211166}
 # closed-form values at the same point from four separate exponent series
 # (F2, F3, F4, F1); the slices of exp(F1) must reproduce them
@@ -120,11 +123,28 @@ class TestLossyQfi:
     @pytest.mark.parametrize("eta", [0.5, 0.7, 0.9, 1.0])
     def test_closed_form_equals_numeric_minimum(self, eta):
         for m in (0, 1, 2, 3):
-            r = qfi_lossy(Params(g=1.0, beta=1.0, phi=0.4, m=m, eta=eta))
-            assert r.terms["closed_numeric_consistent"]
-            assert r.terms["f_closed"] == pytest.approx(
-                r.terms["f_numeric_min"], rel=1e-8
-            )
+            p = Params(g=1.0, beta=1.0, phi=0.4, m=m, eta=eta)
+            _, f_scan = alpha_scan(p)
+            assert qfi_lossy(p).f == pytest.approx(f_scan, rel=1e-8)
+
+    def test_reads_the_closed_form_only(self, monkeypatch):
+        # one set of inner products, and no evaluation of C_Q(alpha)
+        calls = []
+        inner_products = qfi._loss_inner_products
+
+        def counted(p):
+            calls.append(p)
+            return inner_products(p)
+
+        def forbidden(*args):
+            raise AssertionError("qfi_lossy evaluated C_Q(alpha)")
+
+        monkeypatch.setattr(qfi, "_loss_inner_products", counted)
+        monkeypatch.setattr(qfi, "_cq_from", forbidden)
+        for eta in (0.7, 1.0):
+            calls.clear()
+            qfi_lossy(Params(g=1.0, beta=1.0, phi=0.4, m=1, eta=eta))
+            assert len(calls) == 1
 
     def test_increases_with_m_under_fixed_loss(self):
         fs = [
@@ -162,10 +182,14 @@ class TestLossyQfi:
         assert r.terms["var"].real >= 0.0
 
     def test_wide_alpha_bracket_handled(self):
-        # at eta = 0.9 the optimal placement lies outside the initial bracket
-        r = qfi_lossy(Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.9))
+        # at eta = 0.9 the optimal placement lies outside the scan's initial
+        # bracket [-2, 1]
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.9)
+        r = qfi_lossy(p)
+        alpha_scanned, f_scan = alpha_scan(p)
+        assert alpha_scanned == pytest.approx(1.5445, abs=2e-3)
         assert r.alpha_star == pytest.approx(1.5445, abs=2e-3)
-        assert r.terms["closed_numeric_consistent"]
+        assert r.f == pytest.approx(f_scan, rel=1e-8)
 
     def test_lossy_bound_ordering_with_matched_placement(self):
         # internal mode-a loss with T2 = 1 and T = eta: intensity detection
@@ -179,8 +203,12 @@ class TestLossyQfi:
 
     def test_minimization_consistent_on_figure_grid(self):
         for eta in np.linspace(0.4, 1.0, 61):
-            r = qfi_lossy(Params(g=1.0, beta=1.0, phi=0.4, m=2, eta=float(eta)))
-            assert r.terms["closed_numeric_consistent"]
+            p = Params(g=1.0, beta=1.0, phi=0.4, m=2, eta=float(eta))
+            r = qfi_lossy(p)
+            alpha_scanned, f_scan = alpha_scan(p)
+            assert r.f == pytest.approx(f_scan, rel=1e-8)
+            if eta < 1.0:  # at eta = 1 C_Q does not depend on alpha
+                assert r.alpha_star == pytest.approx(alpha_scanned, abs=2e-3)
 
     def test_no_photons_raises(self):
         with pytest.raises(NormalizationError):

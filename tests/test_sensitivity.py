@@ -8,12 +8,8 @@ import pytest
 from su11.errors import DarkFringeError, StationaryPointError
 from su11.fock import numeric_moments_multi
 from su11.model import Params, kernels
-from su11.sensitivity import (
-    d_mean_dphi_fd,
-    optimal_phase,
-    sensitivity_ideal,
-    sensitivity_lossy,
-)
+from su11.sensitivity import optimal_phase, sensitivity_ideal, sensitivity_lossy
+from su11.verify import d_mean_dphi_fd
 
 # Fock-oracle values, frozen (converged n_cut ladder, central step 1e-4):
 # g=1, beta=1, phi=0.4, m=2, T1=0.8, T2=1
@@ -123,7 +119,7 @@ class TestDualChannel:
                 T2=float(rng.uniform(0.6, 1.0)),
             )
             r = sensitivity_lossy(p)
-            fd = d_mean_dphi_fd(p, lossy=True)
+            fd = d_mean_dphi_fd(p)
             assert r.d_mean_dphi == pytest.approx(fd, rel=1e-6)
 
 
