@@ -55,12 +55,18 @@ from su11.errors import (
     ZeroProbabilityError,
 )
 from su11.model import Params
+from su11.series import STATIONARY_REL_TOL
 
 DEFAULT_N_CUT = 30
+LADDER_STEP = 5
+LADDER_GROWTH = 1.3
 # (g = 1, beta = 1, phi = 1.0, m = 3) needs n_cut ~ 170 before consecutive
 # cutoffs agree to 1e-8; the ladder climbs geometrically up to this cap
 MAX_N_CUT = 200
 LEAKAGE_TOL = 1e-10
+# squared norm, relative to the (unit) input's, below which a lowered state is
+# empty: squared amplitudes carry ~1e-28 truncation-roundoff residue
+ZERO_NORM_FLOOR = 1e-24
 # ensemble branches, and squeezer diagonals n_a - n_b = k, below this
 # relative weight are dropped; the total dropped mass stays far below the
 # 1e-12 trace bookkeeping tolerance.  The squeezer conserves each diagonal's
@@ -481,9 +487,8 @@ def subtract_photons(ens: BranchEnsemble, m: int) -> BranchEnsemble:
     trace_in = ens.total_trace()
     out = _lower(ens, m)
     prob = out.total_trace()
-    # squared amplitudes carry ~1e-28 truncation-roundoff residue, so "zero
-    # probability" is judged relative to the incoming trace
-    if prob < 1e-24 * max(trace_in, 1e-300):
+    # "zero probability" is judged relative to the incoming trace
+    if prob < ZERO_NORM_FLOOR * max(trace_in, 1e-300):
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
     out.data = out.data / math.sqrt(prob)
     out.subtract_prob = prob
@@ -523,7 +528,7 @@ def subtracted_moments(
         marg, dmarg = weight @ table, weight @ dtable
     prob = float(marg.sum())
     # judged relative to the trace, as in subtract_photons
-    if prob < 1e-24 * max(float(table.sum()), 1e-300):
+    if prob < ZERO_NORM_FLOOR * max(float(table.sum()), 1e-300):
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
     mean = float(k @ marg) / prob
     second = float((k * k) @ marg) / prob
@@ -556,7 +561,7 @@ def equivalent_state(p: Params, n_cut: int) -> FockState:
     st = apply_tms(st, p.g, 0.0)
     st = _seed_tangent(apply_phase(st, p.phi))
     st = _lower(_second_squeezer(st, p.g), p.m)
-    if st.norm2() < 1e-24:
+    if st.norm2() < ZERO_NORM_FLOOR:
         raise ZeroProbabilityError("equivalent-model state has zero norm")
     st = apply_tms(st, p.g, 0.0)
     return _like(st, st.data / math.sqrt(st.norm2()))
@@ -578,7 +583,7 @@ def loss_probe_state(p: Params, n_cut: int) -> FockState:
         data = ca * low + cb * raise_b(data)
         data[1] += 1j * ca * low[0]
     nrm = math.sqrt(float(np.sum(np.abs(data[0]) ** 2)))
-    if nrm * nrm < 1e-24:
+    if nrm * nrm < ZERO_NORM_FLOOR:
         raise ZeroProbabilityError("loss-equivalent probe state has zero norm")
     psi, dpsi = data / nrm
     # the normalization's own derivative keeps <psi|psi> = 1
@@ -592,7 +597,7 @@ def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
     ens = apply_loss(st, p.T1)
     ens = apply_phase(ens, p.phi)
     ens = _lower(_second_squeezer(ens, p.g), p.m)
-    if ens.total_trace() < 1e-24:
+    if ens.total_trace() < ZERO_NORM_FLOOR:
         raise ZeroProbabilityError("internal state has zero norm")
     ens = apply_tms(ens, p.g, 0.0)
     prob = ens.total_trace()
@@ -605,31 +610,29 @@ def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
 def converged_value(
     fn: Callable[[int], Sequence[float]],
     n_cut: int = DEFAULT_N_CUT,
-    step: int = 5,
-    n_max: int = MAX_N_CUT,
     rtol: float = 1e-8,
-    growth: float = 1.3,
 ) -> np.ndarray:
-    """Accept fn(n) only when fn(n) and fn(n + step) agree to rtol.
+    """Accept fn(n) only when fn(n) and fn(n + LADDER_STEP) agree to rtol.
 
     Leakage failures and failed agreement both climb the cutoff ladder
-    geometrically (highly squeezed corners need cutoffs well above the
-    starting point).  Raises ConvergenceError when the ladder is exhausted.
+    geometrically, to max(n + LADDER_STEP, int(n * LADDER_GROWTH)) (highly
+    squeezed corners need cutoffs well above the starting point).  Raises
+    ConvergenceError once the ladder passes MAX_N_CUT, read at call time.
     """
     n = n_cut
-    while n <= n_max:
+    while n <= MAX_N_CUT:
         try:
             a = np.atleast_1d(np.asarray(fn(n), dtype=float))
-            b = np.atleast_1d(np.asarray(fn(n + step), dtype=float))
+            b = np.atleast_1d(np.asarray(fn(n + LADDER_STEP), dtype=float))
         except LeakageError:
-            n = max(n + step, int(n * growth))
+            n = max(n + LADDER_STEP, int(n * LADDER_GROWTH))
             continue
         denom = np.maximum(np.abs(b), 1e-30)
         if np.all(np.abs(b - a) / denom < rtol):
             return b
-        n = max(n + step, int(n * growth))
+        n = max(n + LADDER_STEP, int(n * LADDER_GROWTH))
     raise ConvergenceError(
-        f"oracle did not converge to rtol={rtol} within n_cut <= {n_max}"
+        f"oracle did not converge to rtol={rtol} within n_cut <= {MAX_N_CUT}"
     )
 
 
@@ -641,7 +644,6 @@ def numeric_moments_multi(
     m_list: Iterable[int],
     mode: str = "a",
     n_cut: int = DEFAULT_N_CUT,
-    rtol: float = 1e-8,
 ) -> dict:
     """Converged (delta_phi, mean, second) per subtraction order, sharing pipelines.
 
@@ -657,14 +659,14 @@ def numeric_moments_multi(
         for m in m_list:
             _, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
             var = second - mean * mean
-            if abs(dmean) < 1e-12 * abs(mean) or dmean == 0.0:
+            if abs(dmean) < STATIONARY_REL_TOL * abs(mean) or dmean == 0.0:
                 raise StationaryPointError(
                     f"oracle: d<N>/dphi vanishes at phi={p.phi}, m={m}"
                 )
             rows.append((math.sqrt(max(var, 0.0)) / abs(dmean), mean, second))
         return np.asarray(rows).ravel()
 
-    flat = converged_value(run, n_cut=n_cut, rtol=rtol)
+    flat = converged_value(run, n_cut)
     rows = flat.reshape(len(m_list), 3)
     return {
         m: {"delta_phi": rows[i, 0], "mean": rows[i, 1], "second": rows[i, 2]}
@@ -672,12 +674,12 @@ def numeric_moments_multi(
     }
 
 
-def numeric_sensitivity(p: Params, mode: str = "a", n_cut: int = DEFAULT_N_CUT) -> float:
+def numeric_sensitivity(p: Params, mode: str = "a") -> float:
     """Error-propagation phase uncertainty from oracle moments (radians)."""
-    return numeric_moments_multi(p, [p.m], mode, n_cut)[p.m]["delta_phi"]
+    return numeric_moments_multi(p, [p.m], mode)[p.m]["delta_phi"]
 
 
-def numeric_qfi_pure(p: Params, n_cut: int = DEFAULT_N_CUT) -> float:
+def numeric_qfi_pure(p: Params) -> float:
     """QFI of the pure equivalent-model state from its exact phase tangent.
 
     F = 4 [<t|t>/<v|v> - |<v|t>|^2/<v|v>^2] for the state v and tangent t.
@@ -689,7 +691,7 @@ def numeric_qfi_pure(p: Params, n_cut: int = DEFAULT_N_CUT) -> float:
         vv = np.vdot(v, v).real
         return (4.0 * (np.vdot(t, t).real / vv - abs(np.vdot(v, t)) ** 2 / vv**2),)
 
-    return float(converged_value(run, n_cut=n_cut)[0])
+    return float(converged_value(run)[0])
 
 
 def _kraus_branch_states(
@@ -717,7 +719,7 @@ def _kraus_branch_states(
     return out
 
 
-def numeric_cq(p: Params, n_cut: int = DEFAULT_N_CUT) -> float:
+def numeric_cq(p: Params) -> float:
     """Extended-system QFI upper bound C_Q at placement p.alpha, end to end.
 
     Builds chi_l(phi) = Pi_l(phi) |Psi(phi)> and its exact phase derivative on
@@ -732,12 +734,10 @@ def numeric_cq(p: Params, n_cut: int = DEFAULT_N_CUT) -> float:
             t_dc += np.vdot(dchi, chi)
         return (4.0 * (t_dd - abs(t_dc) ** 2),)
 
-    return float(converged_value(run, n_cut=n_cut, rtol=1e-7)[0])
+    return float(converged_value(run, rtol=1e-7)[0])
 
 
-def numeric_internal_photon_number(
-    p: Params, n_cut: int = DEFAULT_N_CUT, rtol: float = 1e-8
-) -> float:
+def numeric_internal_photon_number(p: Params) -> float:
     """Converged <n_a + n_b> of the internal state."""
 
     def run(n: int):
@@ -746,4 +746,4 @@ def numeric_internal_photon_number(
         mean_b, _ = moments(ens, "b")
         return (mean_a + mean_b,)
 
-    return float(converged_value(run, n_cut=n_cut, rtol=rtol)[0])
+    return float(converged_value(run)[0])

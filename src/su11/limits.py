@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from su11.errors import DarkFringeError, NumericalError
 from su11.model import Params, kernels
-from su11.series import DARK_FRINGE_FLOOR, finite, quiet_overflow, real_part
+from su11.series import finite, normalizer, quiet_overflow, real_part
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ def internal_photon_number(p: Params) -> float:
     exps = kernels(p).exponents_nt()
     e_a = exps["mode_a"].exp()
     norm = e_a.extract((m, m, 0, 0)).val
-    if abs(norm) < DARK_FRINGE_FLOOR:
-        raise DarkFringeError(f"internal-state normalizer vanished at m={m}")
+    normalizer(norm, DarkFringeError, f"internal-state normalizer vanished at m={m}")
     num = e_a.extract((m, m, 1, 1)).val + exps["mode_b"].exp().extract((m, m, 1, 1)).val
     n_t = real_part(num / norm, "internal photon number")
     return finite(n_t, "internal photon number")

@@ -9,7 +9,8 @@ Every closed-form quantity in the calculator is a mixed-derivative
 extraction of exp(P) for one of a small family of exponent polynomials P
 whose coefficients are built from a handful of phase-dependent kernels
 (w, f, v, X families).  :class:`KernelSet` owns all of them, each carrying
-its d/dphi channel, and provides factories for the exponent series.
+its d/dphi channel, and provides factories for the exponent series, whose
+caps follow from the subtraction order m alone.
 
 Dummy-variable conventions used throughout:
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from su11.series import CDual, MultiSeries
 
@@ -136,28 +137,25 @@ class KernelSet:
 
     # -- bilinear exponent of the output-port normalization ----------------
 
-    @staticmethod
-    def _bilinear(w: CDual, beta: float, caps) -> MultiSeries:
-        """st |w|^2 + (t w + s w*) beta over (t, s)."""
+    def _bilinear(self, w: CDual) -> MultiSeries:
+        """st |w|^2 + (t w + s w*) beta over (t, s), capped at (m+2, m+2)."""
+        beta = self.p.beta
         terms = [((1, 1), w.abs2())]
         if beta != 0.0:
             terms += [((1, 0), w * beta), ((0, 1), w.conj() * beta)]
-        return MultiSeries.from_terms(caps, terms)
+        return MultiSeries.from_terms((self.p.m + 2, self.p.m + 2), terms)
 
-    def exponent_a(self, lossy: bool, caps: Optional[Sequence[int]] = None) -> MultiSeries:
+    def exponent_a(self, lossy: bool) -> MultiSeries:
         """Exponent of the output-port generating function, over (t, s).
 
         The lossy variant replaces w1 by w3; at T1 = T2 = 1 the two are the
         same floating-point numbers, so the reduction is exact.
         """
-        if caps is None:
-            caps = (self.p.m + 2, self.p.m + 2)
-        w = self.w3 if lossy else self.w1
-        return self._bilinear(w, self.p.beta, caps)
+        return self._bilinear(self.w3 if lossy else self.w1)
 
     # -- equivalent-model exponent for the ideal QFI -------------------------
 
-    def exponent_f1(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
+    def exponent_f1(self) -> MultiSeries:
         """Double number insertion, over (t, s, c, d, p, h).
 
         (c, d) tags the insertion left of the subtraction pair, (p, h) the one
@@ -166,11 +164,9 @@ class KernelSet:
         """
         m, b = self.p.m, self.p.beta
         f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
-        if caps is None:
-            k = max(m, 1)
-            caps = (k, k, 1, 1, 1, 1)
+        k = max(m, 1)
         return MultiSeries.from_terms(
-            caps,
+            (k, k, 1, 1, 1, 1),
             [
                 ((1, 0, 0, 1, 0, 0), f1.conj() * f3),
                 ((0, 0, 0, 1, 1, 0), f1.abs2()),
@@ -234,22 +230,17 @@ class KernelSet:
 
     # -- extended-system series at transmissivity eta ------------------------
 
-    def exponent_x5(self, caps: Optional[Sequence[int]] = None) -> MultiSeries:
+    def exponent_x5(self) -> MultiSeries:
         """Norm exponent of the loss-equivalent probe, over (t, s)."""
-        if caps is None:
-            m = self.p.m
-            caps = (m + 2, m + 2)
-        return self._bilinear(self.X1, self.p.beta, caps)
+        return self._bilinear(self.X1)
 
-    def x_polys(self, caps: Optional[Sequence[int]] = None) -> Dict[str, MultiSeries]:
+    def x_polys(self) -> Dict[str, MultiSeries]:
         """The X2, X3, X4, X6 polynomial factors over (t, s).
 
         X2 tags the phase derivative acting on the ket, X3 on the bra; X4 is
         the direct cross contraction between the two derivative insertions.
         """
-        if caps is None:
-            m = self.p.m
-            caps = (m + 2, m + 2)
+        caps = (self.p.m + 2, self.p.m + 2)
         b = self.p.beta
         X1 = self.X1
         q2 = X1.conj() - self._half_sh2g

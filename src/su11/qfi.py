@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 from su11.errors import DarkFringeError, NormalizationError, NumericalError, StationaryPointError
 from su11.model import Params, kernels
-from su11.series import DARK_FRINGE_FLOOR, finite, quiet_overflow, real_part
+from su11.series import finite, normalizer, quiet_overflow, real_part
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def qfi_ideal(p: Params) -> QfiReport:
     m = p.m
     e1 = kernels(p).exponent_f1().exp()
     g2 = e1.extract((m, m, 0, 0, 0, 0))
-    if abs(g2.val) < DARK_FRINGE_FLOOR:
-        raise DarkFringeError(f"equivalent-model normalizer vanished at m={m}")
+    normalizer(g2.val, DarkFringeError, f"equivalent-model normalizer vanished at m={m}")
     real_part(g2.val, "norm extraction")
     n1_dual = g2 ** (-0.5)
     n1 = real_part(n1_dual.val, "N1")
@@ -114,16 +113,13 @@ def _loss_inner_products(p: Params) -> Dict[str, complex]:
     """
     ks = kernels(p)
     m = p.m
-    caps = (m + 2, m + 2)
-    e5 = ks.exponent_x5(caps).exp()
-    xs = ks.x_polys(caps)
+    e5 = ks.exponent_x5().exp()
+    xs = ks.x_polys()
 
     def ext(series) -> complex:
         return series.extract((m, m)).val
 
-    norm_raw = ext(e5)
-    if abs(norm_raw) < DARK_FRINGE_FLOOR:
-        raise NormalizationError(f"probe normalizer vanished at m={m}")
+    norm_raw = normalizer(ext(e5), NormalizationError, f"probe normalizer vanished at m={m}")
     n3sq = 1.0 / real_part(norm_raw, "probe norm extraction")
     sh2 = math.sinh(p.g) ** 2
     x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]

@@ -18,9 +18,8 @@ from typing import Callable, Tuple
 
 from su11.errors import DarkFringeError, NumericalError, StationaryPointError, Su11Error
 from su11.model import Params, kernels
-from su11.series import DARK_FRINGE_FLOOR, IMAG_TOL, MultiSeries, finite, quiet_overflow, real_part
-
-STATIONARY_REL_TOL = 1e-12
+from su11.series import (IMAG_TOL, STATIONARY_REL_TOL, MultiSeries, finite, normalizer,
+                         quiet_overflow, real_part)
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,7 @@ class SensitivityReport:
 def _error_propagation(exp_a: MultiSeries, m: int) -> SensitivityReport:
     e = exp_a.exp()
     gm = e.extract((m, m))
-    if abs(gm.val) < DARK_FRINGE_FLOOR:
-        raise DarkFringeError(
-            f"subtraction normalizer vanished (m={m} at a dark fringe)"
-        )
+    normalizer(gm.val, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
     gm1 = e.extract((m + 1, m + 1))
     gm2 = e.extract((m + 2, m + 2))
     n1sq = 1.0 / gm  # normalization squared, with its phi derivative

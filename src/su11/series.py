@@ -21,18 +21,20 @@ Coefficient boxes are tiny (at most ``(m+3)^2 * 2^4`` entries for the
 largest kernels), so dense storage wins over sparse maps.
 
 The calculators read physical quantities off the extracted values with the
-checks at the end of this module, which turn every numerical inconsistency
-(a spurious imaginary part, float overflow) into a typed NumericalError.
+checks at the end of this module.  :func:`normalizer` is the one dark-fringe
+test: a normalizer extraction under DARK_FRINGE_FLOOR raises the caller's
+error type.  The others turn every numerical inconsistency (a spurious
+imaginary part, float overflow) into a typed NumericalError.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from su11.errors import NumericalError
+from su11.errors import NumericalError, Su11Error
 
 # Factorials are evaluated in double precision; beyond 34! the representation
 # error of the factorial itself would dominate the extracted coefficients.
@@ -43,6 +45,8 @@ MAX_FACTORIAL_ORDER = 34
 DARK_FRINGE_FLOOR = 1e-300
 # relative imaginary residue tolerated on a quantity that must be real
 IMAG_TOL = 1e-10
+# |d<N>/dphi| below this fraction of <N> is stationary, in closed form and oracle
+STATIONARY_REL_TOL = 1e-12
 
 Scalar = Union["CDual", complex, float, int]
 
@@ -293,6 +297,13 @@ class MultiSeries:
 
 
 # -- checks on extracted values ----------------------------------------------
+
+
+def normalizer(z: complex, error: Type[Su11Error], message: str) -> complex:
+    """``z`` itself; a normalizer under DARK_FRINGE_FLOOR raises ``error(message)``."""
+    if abs(z) < DARK_FRINGE_FLOOR:
+        raise error(message)
+    return z
 
 
 def real_part(z: complex, what: str, scale: float = 1.0) -> float:

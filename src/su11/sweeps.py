@@ -80,15 +80,14 @@ class SweepSpec:
 
     def params_at(self, x: float, m: int) -> Params:
         kw = dict(self.fixed)
-        nu = int(kw.pop("nu", 1))
+        nu = kw.pop("nu", 1)
+        if not float(nu).is_integer():
+            raise ValueError(f"nu must be a positive integer, got {nu}")
         kw[self.axis] = x
-        return Params(m=m, nu=nu, **kw)
+        return Params(m=m, nu=int(nu), **kw)
 
     def grid(self) -> List[float]:
-        return [
-            self.lo + (self.hi - self.lo) * i / (self.n_points - 1)
-            for i in range(self.n_points)
-        ]
+        return _lin(self.lo, self.hi, self.n_points)
 
 
 # -- config files --------------------------------------------------------------
@@ -97,10 +96,13 @@ class SweepSpec:
 def parse_config(text: str) -> List[SweepSpec]:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # parameter names are case-sensitive (T1, T2)
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+        sections = {section: dict(cp.items(section)) for section in cp.sections()}
+    except configparser.Error as err:
+        raise ValueError(f"malformed config: {err}") from None
     specs = []
-    for section in cp.sections():
-        opts = dict(cp.items(section))
+    for section, opts in sections.items():
         try:
             quantity = opts.pop("quantity")
             axis = opts.pop("axis")
@@ -189,7 +191,7 @@ def evaluate_grid(tasks: List[Tuple[str, Params]]) -> List[Tuple[str, str]]:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_eval_task, tasks, chunksize=4))
-        except (OSError, PermissionError):
+        except OSError:
             pass  # restricted environments fall back to in-process evaluation
     return [_eval_task(t) for t in tasks]
 

@@ -24,7 +24,7 @@ from su11.limits import internal_photon_number, limits
 from su11.model import Params, kernels
 from su11.qfi import _cq_from, _loss_inner_products, qfi_ideal, qfi_lossy
 from su11.sensitivity import golden_section, sensitivity_ideal, sensitivity_lossy
-from su11.series import DARK_FRINGE_FLOOR
+from su11.series import normalizer
 
 
 @dataclass
@@ -178,8 +178,6 @@ def criterion_4_reductions(level: str) -> CriterionResult:
         try:
             out = fn(Params(g=1.0, beta=1.0, phi=0.0, m=1))
             problems.append(f"{fn.__name__} returned {out} at the dark fringe")
-        except DarkFringeError:
-            pass
         except Su11Error:
             pass
     return CriterionResult(
@@ -306,8 +304,7 @@ def d_mean_dphi_fd(p: Params) -> float:
     def mean_at(phi: float) -> float:
         e = kernels(p.replace(phi=phi)).exponent_a(lossy=True).exp()
         gm = e.extract((p.m, p.m)).val
-        if abs(gm) < DARK_FRINGE_FLOOR:
-            raise DarkFringeError("dark fringe inside finite-difference stencil")
+        normalizer(gm, DarkFringeError, "dark fringe inside finite-difference stencil")
         return (e.extract((p.m + 1, p.m + 1)).val / gm).real
 
     return (mean_at(p.phi + 1e-5) - mean_at(p.phi - 1e-5)) / 2e-5

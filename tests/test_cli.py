@@ -1,6 +1,10 @@
 """Tests for sweep specs, config round-trips, CSV output and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,10 @@ beta = 1.0
 phi = 0.4
 T2 = 1.0
 """
+
+ROOT = Path(__file__).resolve().parents[1]
+# the benchmark's committed figure tables, read only
+REFERENCE_FIGURES = ROOT / "perfbench" / "refs" / "figures"
 
 
 class TestSweepSpec:
@@ -191,6 +199,22 @@ class TestFigures:
         labels = [c[0] for c in fig.columns]
         assert "delta_phi_b_oracle" in labels
 
+    @pytest.mark.parametrize("figure_id", ["fig5", "fig11a", "fig13b"])
+    def test_matches_reference_table(self, figure_id):
+        # the benchmark's rule: values to rel 1e-9, error codes exact
+        got = to_csv(run_figure(FigureJob(figure_id))).splitlines()
+        want = (REFERENCE_FIGURES / f"{figure_id}.csv").read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for got_line, want_line in zip(got[1:], want[1:]):
+            row, ref = got_line.split(","), want_line.split(",")
+            assert row[:2] == ref[:2]
+            assert row[3::2] == ref[3::2]
+            for value, ref_value in zip(row[2::2], ref[2::2]):
+                assert (value == "") == (ref_value == "")
+                if value:
+                    assert float(value) == pytest.approx(float(ref_value), rel=1e-9)
+
 
 class TestMain:
     def test_figure_command(self, tmp_path):
@@ -245,3 +269,40 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[s]\nquantity = delta_phi_ideal\n")
         assert main(["sweep", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "quantity = qcrb\naxis = g\n",  # no [section] header
+            "[s]\nquantity = qcrb\nquantity = sql\naxis = g\nlo = 0.5\nhi = 1\npoints = 2\n",
+            "[s]\nquantity = qcrb\naxis = g\nlo = 0.5\nhi = 1\npoints = 2\nbeta = 1%\n",
+        ],
+        ids=["missing-section-header", "duplicate-key", "bad-interpolation"],
+    )
+    def test_malformed_config_is_a_validation_error(self, text, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "su11.cli", "sweep", str(cfg), "-o", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_non_integer_nu_is_a_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nu.cfg"
+        cfg.write_text("[s]\nquantity = qcrb\naxis = g\nlo = 0.5\nhi = 1\npoints = 2\nnu = 2.7\n")
+        assert main(["sweep", str(cfg), "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: nu must be a positive integer")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_integer_nu_enters_the_bound(self, tmp_path):
+        cfg = tmp_path / "nu.cfg"
+        cfg.write_text("[s]\nquantity = qcrb\naxis = g\nlo = 0.5\nhi = 1\npoints = 2\nnu = 2\n")
+        assert main(["sweep", str(cfg), "-o", str(tmp_path)]) == 0
+        for line in (tmp_path / "s.csv").read_text().splitlines()[1:]:
+            g, _, value, _ = line.split(",")
+            f = QUANTITIES["qfi_lossy"](Params(g=float(g)))
+            assert float(value) == pytest.approx(1.0 / math.sqrt(2.0 * f), rel=1e-12)

@@ -400,9 +400,11 @@ class TestNumericEstimators:
         with pytest.raises(ZeroProbabilityError):
             equivalent_state(p, 70)
 
-    def test_converged_value_detects_stuck_ladder(self):
+    def test_converged_value_detects_stuck_ladder(self, monkeypatch):
+        from su11 import fock
         from su11.errors import ConvergenceError
 
+        monkeypatch.setattr(fock, "MAX_N_CUT", 45)
         calls = []
 
         def fn(n):
@@ -410,7 +412,7 @@ class TestNumericEstimators:
             return (1.0 + 0.1 * n,)
 
         with pytest.raises(ConvergenceError):
-            converged_value(fn, n_cut=30, n_max=45)
+            converged_value(fn, n_cut=30)
         assert calls == [30, 35, 39, 44]
 
     def test_converged_value_accepts_stable_pair(self):
