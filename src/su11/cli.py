@@ -1,7 +1,8 @@
 """Command-line driver: sweeps, figure data, verification.
 
 Exit codes: 0 success, 1 validation problem (arguments, config), 2 numerical
-failure (verification criteria or unexpected arithmetic trouble).
+failure (a verification criterion failed, a finding stopped reproducing, or
+unexpected arithmetic trouble).
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ def _cmd_verify(args) -> int:
     results = run_verify(args.level)
     for result in results:
         print(result.line())
-    n_failed = sum(not r.passed for r in results)
-    print(f"{len(results) - n_failed}/{len(results)} criteria passed")
-    return 0 if n_failed == 0 else 2
+    criteria = [r for r in results if not r.finding]
+    findings = [r for r in results if r.finding]
+    print(f"{sum(r.passed for r in criteria)}/{len(criteria)} criteria passed")
+    print(f"{sum(r.passed for r in findings)}/{len(findings)} findings reproduced")
+    return 0 if all(r.passed for r in results) else 2
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Brute-force two-mode Fock-space simulator: ground truth at desk scale.
 
-States live on a truncated grid ``amps[n_a, n_b]`` with per-mode cutoff
-``n_cut``.  Loss channels expand pure states into Kraus branches; the whole
-branch set is carried as one tensor with a leading branch axis so that
-unitaries vectorize across branches.
+States live on a truncated grid with per-mode cutoff ``n_cut``.  Loss
+channels expand pure states into Kraus branches, so the one state type,
+:class:`Ensemble`, holds weight-carrying pure branches on a leading branch
+axis, ``amps[branch, n_a, n_b]``; a pure state is an ensemble of one branch.
+Unitaries act on every branch in one pass.
 
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
@@ -24,8 +25,9 @@ gain.  Every pipeline squeezes at the one gain p.g, so only the blocks of
 the latest gain are cached: a new gain drops the others, and a sweep along
 phi, beta or the transmittances reuses its blocks from point to point while
 a sweep along g, whose points share no gain, keeps no stale ones.  Bases
-hold no gain and stay.  A sub-stepped Taylor exponential of the same
-generator is kept as an independent cross-check of the blockwise propagator.
+hold no gain and stay.  The tests keep a sub-stepped Taylor exponential of
+the same generator as an independent cross-check of the blockwise
+propagator.
 
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
@@ -33,8 +35,9 @@ every later element is linear and carries the tangent next to the state in
 the same pass.  Photon subtraction at the output is read from the joint
 photon-number table P(n_a, n_b) and its phase derivative: a^m takes
 |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every order m
-is a reweighting of one table.  :func:`subtract_photons` keeps the literal
-repeated lowering as the cross-check of that reweighting.
+is a reweighting of one table.  The equivalent-model and internal pipelines
+subtract by literal repeated lowering, :func:`subtract_photons`, which also
+cross-checks that reweighting.
 
 Every reported oracle number goes through :func:`converged_value`, which
 recomputes at a larger cutoff and accepts only when the two agree.
@@ -42,7 +45,6 @@ recomputes at a larger cutoff and accepts only when the two agree.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable, Iterable, List, Sequence, Tuple
 
@@ -93,105 +95,51 @@ def raise_b(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ab(amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    da, db = amps.shape[-2:]
-    ra = np.sqrt(np.arange(1.0, da))
-    rb = np.sqrt(np.arange(1.0, db))
-    out[..., :-1, :-1] = ra[:, None] * rb[None, :] * amps[..., 1:, 1:]
-    return out
+# -- the state container -----------------------------------------------------
 
 
-def _adag_bdag(amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    da, db = amps.shape[-2:]
-    ra = np.sqrt(np.arange(1.0, da))
-    rb = np.sqrt(np.arange(1.0, db))
-    out[..., 1:, 1:] = ra[:, None] * rb[None, :] * amps[..., :-1, :-1]
-    return out
+class Ensemble:
+    """Weight-carrying pure branches of a two-mode state, optionally with their tangent.
 
-
-def _edge_mass(amps: np.ndarray) -> float:
-    """Probability mass with either mode in its top two Fock layers."""
-    total = float(np.sum(np.abs(amps) ** 2))
-    interior = float(np.sum(np.abs(amps[..., :-2, :-2]) ** 2))
-    return total - interior
-
-
-# -- state containers ---------------------------------------------------------
-
-
-class _Amplitudes:
-    """Amplitudes on the grid, optionally with their phase tangent.
-
+    ``amps`` has shape (branches, n_cut + 1, n_cut + 1), indexed
+    (branch, n_a, n_b); branch weights are the squared norms of the
+    unnormalized branch amplitudes, and a pure state is one branch.
     ``data`` holds the amplitudes, or the amplitudes and their d/dphi
-    stacked on a leading axis of two, so that a linear element acts on both
-    in one pass; ``amps`` and ``tangent`` are views of it.
+    stacked in front of the branch axis, so that a linear element acts on
+    both in one pass; ``amps`` and ``tangent`` are views of it.
     """
 
-    __slots__ = ("n_cut", "data")
-    _VALUE_NDIM = 2
+    __slots__ = ("data",)
 
-    def __init__(self, n_cut: int, amps: np.ndarray, tangent: np.ndarray | None = None):
-        self.n_cut = int(n_cut)
-        self.data = amps if tangent is None else np.stack((amps, tangent))
+    def __init__(self, data: np.ndarray):
+        if data.ndim not in (3, 4):
+            raise ValueError(f"ensemble data must be 3-D or 4-D, got shape {data.shape}")
+        self.data = data
+
+    @property
+    def n_cut(self) -> int:
+        return self.data.shape[-1] - 1
 
     @property
     def amps(self) -> np.ndarray:
-        return self.data[0] if self.data.ndim > self._VALUE_NDIM else self.data
+        return self.data[0] if self.data.ndim == 4 else self.data
 
     @property
     def tangent(self) -> np.ndarray | None:
-        return self.data[1] if self.data.ndim > self._VALUE_NDIM else None
+        return self.data[1] if self.data.ndim == 4 else None
 
-    def norm2(self) -> float:
+    def trace(self) -> float:
+        """Total weight of the branches."""
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-class FockState(_Amplitudes):
-    """Pure two-mode state on the truncated grid (amps indexed n_a, n_b)."""
-
-    __slots__ = ()
-
-
-class BranchEnsemble(_Amplitudes):
-    """Weight-carrying pure branches of a lossy evolution.
-
-    ``amps`` has shape (branches, n_cut+1, n_cut+1); branch weights are the
-    squared norms of the unnormalized branch amplitudes.  ``subtract_prob``
-    records the success probability of the photon subtraction that produced
-    this ensemble (1.0 if none).
-    """
-
-    __slots__ = ("subtract_prob",)
-    _VALUE_NDIM = 3
-
-    def __init__(self, n_cut: int, amps: np.ndarray, subtract_prob: float = 1.0, tangent=None):
-        super().__init__(n_cut, amps, tangent)
-        self.subtract_prob = float(subtract_prob)
-
-    total_trace = _Amplitudes.norm2
-
-
-def _like(x, data: np.ndarray):
-    """A copy of state or ensemble x that holds new data."""
-    out = copy.copy(x)
-    out.data = data
-    return out
-
-
-def as_ensemble(state: FockState) -> BranchEnsemble:
-    """A one-branch ensemble of the state (and of its tangent, if carried)."""
-    return _like(BranchEnsemble(state.n_cut, state.amps), state.data[..., None, :, :].copy())
-
-
-def _seed_tangent(x):
+def _seed_tangent(x: Ensemble) -> Ensemble:
     """x with its phase tangent i a†a |x>: exact right after apply_phase."""
     n_a = np.arange(x.n_cut + 1)[:, None]
-    return _like(x, np.stack((x.amps, 1j * n_a * x.amps)))
+    return Ensemble(np.stack((x.amps, 1j * n_a * x.amps)))
 
 
-def photon_tables(ens: BranchEnsemble) -> Tuple[np.ndarray, np.ndarray]:
+def photon_tables(ens: Ensemble) -> Tuple[np.ndarray, np.ndarray]:
     """Joint photon-number table P(n_a, n_b) over the branches, and its d/dphi."""
     v, t = ens.amps, ens.tangent
     table = np.sum(v.real**2 + v.imag**2, axis=0)
@@ -201,8 +149,8 @@ def photon_tables(ens: BranchEnsemble) -> Tuple[np.ndarray, np.ndarray]:
 # -- preparation and pipeline elements ----------------------------------------
 
 
-def prepare_input(beta: float, n_cut: int) -> FockState:
-    """Vacuum in mode a, coherent |beta> in mode b."""
+def prepare_input(beta: float, n_cut: int) -> Ensemble:
+    """Vacuum in mode a, coherent |beta> in mode b, as a one-branch ensemble."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
     d = n_cut + 1
@@ -217,34 +165,7 @@ def prepare_input(beta: float, n_cut: int) -> FockState:
         raise LeakageError(
             f"n_cut={n_cut} leaves coherent tail mass {tail:.2e} > 1e-14 for beta={beta}"
         )
-    return FockState(n_cut, amps)
-
-
-def _apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
-    """exp(xi ab - xi* a†b†) with xi = g e^{i theta}, by sub-stepped Taylor sums.
-
-    The generator norm grows like |xi| * n_cut, so it is split into enough
-    substeps that each local series converges far below 1e-14.  Kept as a
-    slow cross-check of the blockwise propagator.
-    """
-    if g == 0.0:
-        return amps.copy()
-    xi = g * complex(math.cos(theta), math.sin(theta))
-    d = amps.shape[-1]
-    steps = max(1, math.ceil(abs(xi) * d / 2.0))
-    acc = amps.astype(complex, copy=True)
-    for _ in range(steps):
-        term = acc
-        out = acc.copy()
-        for k in range(1, 80):
-            term = (xi * _ab(term) - np.conj(xi) * _adag_bdag(term)) / (k * steps)
-            out += term
-            if np.max(np.abs(term)) < 1e-17 * max(np.max(np.abs(out)), 1e-300):
-                break
-        else:
-            raise RuntimeError("two-mode squeezer series did not terminate")
-        acc = out
-    return acc
+    return Ensemble(amps[None])
 
 
 _TMS_BLOCK_CACHE: dict = {}
@@ -362,10 +283,12 @@ def _apply_tms_raw(
 ) -> np.ndarray:
     """Exact exponential of the truncated two-mode-squeezing generator.
 
-    Only the occupied diagonals are multiplied: those that hold more than
-    BRANCH_PRUNE_TOL of the weight of ``state`` (``amps`` itself by
-    default).  The squeezer conserves each diagonal's weight, so every other
-    diagonal is zero in the output.
+    Every axis before the last two (tangent, branches) is folded into the
+    rows of one matrix product per diagonal, so a state, a stack and a stack
+    with its tangent take one path.  Only the occupied diagonals are
+    multiplied: those that hold more than BRANCH_PRUNE_TOL of the weight of
+    ``state`` (``amps`` itself by default).  The squeezer conserves each
+    diagonal's weight, so every other diagonal is zero in the output.
     """
     if g == 0.0:
         return amps.copy()
@@ -380,39 +303,38 @@ def _apply_tms_raw(
     occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300))
     occupied = (occupied - (d - 1)).tolist()
     blocks = _tms_blocks(g, theta, d, sorted({abs(k) for k in occupied}))
-    # on the grid flattened to (..., d*d), diagonal k >= 0, |n+k, n>, is the
-    # stride d+1 run from k*d, and its mirror -k, |n, n+k>, the run from k
-    flat = amps.reshape(amps.shape[:-2] + (d * d,))
+    # on the grid flattened to d*d, diagonal k >= 0, |n+k, n>, is the stride
+    # d+1 run from k*d, and its mirror -k, |n, n+k>, the run from k
+    flat = amps.reshape(-1, d * d)
     out = np.zeros_like(flat)
     for k in occupied:
         run = slice(k * d, d * d, d + 1) if k >= 0 else slice(-k, (d + k) * d, d + 1)
-        out[..., run] = flat[..., run] @ blocks[abs(k)].T
+        out[:, run] = flat[:, run] @ blocks[abs(k)].T
     return out.reshape(amps.shape)
 
 
-def apply_tms(x, g: float, theta: float):
-    """Two-mode squeezer on a state or every branch of an ensemble.
+def apply_tms(x: Ensemble, g: float, theta: float) -> Ensemble:
+    """Two-mode squeezer on every branch.
 
     A carried tangent goes through in the same pass; the occupied diagonals
     and leakage are judged on the state alone.
     """
-    out = _like(x, _apply_tms_raw(x.data, g, theta, x.amps))
-    amps = out.amps
-    total = float(np.sum(np.abs(amps) ** 2))
-    if total > 0 and _edge_mass(amps) > LEAKAGE_TOL * total:
-        raise LeakageError(
-            f"top-layer mass {_edge_mass(amps) / total:.2e} after squeezer at n_cut={x.n_cut}"
-        )
+    out = Ensemble(_apply_tms_raw(x.data, g, theta, x.amps))
+    total = out.trace()
+    # mass with either mode in its top two Fock layers
+    edge = total - float(np.sum(np.abs(out.amps[..., :-2, :-2]) ** 2))
+    if total > 0 and edge > LEAKAGE_TOL * total:
+        raise LeakageError(f"top-layer mass {edge / total:.2e} after squeezer at n_cut={x.n_cut}")
     return out
 
 
-def _parity(x):
+def _parity(x: Ensemble) -> Ensemble:
     """(-1)^{n_a} on mode a."""
     sign = 1.0 - 2.0 * (np.arange(x.n_cut + 1) % 2)
-    return _like(x, x.data * sign[:, None])
+    return Ensemble(x.data * sign[:, None])
 
 
-def _second_squeezer(x, g: float):
+def _second_squeezer(x: Ensemble, g: float) -> Ensemble:
     """S(g e^{i pi}) = (-1)^{n_a} S(g) (-1)^{n_a}, from the theta = 0 blocks.
 
     The parity flip sends a to -a, so it flips the sign of the generator;
@@ -421,78 +343,76 @@ def _second_squeezer(x, g: float):
     return _parity(apply_tms(_parity(x), g, 0.0))
 
 
-def apply_phase(x, phi: float):
+def apply_phase(x: Ensemble, phi: float) -> Ensemble:
     """e^{i phi a†a} on mode a; a carried tangent gains i a†a of the result."""
     n_a = np.arange(x.n_cut + 1)[:, None]
     ph = np.exp(1j * phi * n_a)
     amps = x.amps * ph
     if x.tangent is None:
-        return _like(x, amps)
-    return _like(x, np.stack((amps, x.tangent * ph + 1j * n_a * amps)))
+        return Ensemble(amps)
+    return Ensemble(np.stack((amps, x.tangent * ph + 1j * n_a * amps)))
 
 
-def apply_loss(x, T: float) -> BranchEnsemble:
+def _kraus_terms(data: np.ndarray, T: float):
+    """(l, K_l data) over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l."""
+    d = data.shape[-1]
+    t_pow = T ** (0.5 * np.arange(d))
+    w = 1.0
+    for l in range(d):
+        if l > 0:
+            data = lower_a(data)
+            w *= math.sqrt((1.0 - T) / l)
+            if w == 0.0 or not np.any(data):
+                return
+        yield l, (w * t_pow[:, None]) * data
+
+
+def apply_loss(x: Ensemble, T: float) -> Ensemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
     T lies in [0, 1].  Trace is preserved (the channel is CPTP); branches of
     negligible weight are pruned, each tangent branch with its state branch,
     on the state's weight.  At T = 0 every photon of mode a is lost: T^{n/2}
     is [1, 0, ...], so branch l holds row l of the input moved to n_a = 0.
-    At T = 1 the channel is the identity and an ensemble is returned as it
-    is, not copied (a state becomes a fresh one-branch ensemble), so no
-    element may write into its input.
+    At T = 1 the channel is the identity and the input is returned as it
+    is, not copied, so no element may write into its input.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
-    ens = x if isinstance(x, BranchEnsemble) else as_ensemble(x)
     if T == 1.0:
-        return ens
-    d = ens.n_cut + 1
-    t_pow = T ** (0.5 * np.arange(d))
+        return x
     out_blocks = []
-    cur = ens.data
-    w = 1.0
-    total_in = ens.total_trace()
-    for l in range(d):
-        if l > 0:
-            cur = lower_a(cur)
-            w *= math.sqrt((1.0 - T) / l)
-            if not np.any(cur):
-                break
-        block = (w * t_pow[:, None]) * cur
-        value = block if ens.tangent is None else block[0]
-        norms = np.sum(np.abs(value) ** 2, axis=(-2, -1))
+    total_in = x.trace()
+    for _, block in _kraus_terms(x.data, T):
+        norms = np.sum(np.abs(Ensemble(block).amps) ** 2, axis=(-2, -1))
         keep = norms > BRANCH_PRUNE_TOL * max(total_in, 1e-300)
         if np.any(keep):
             out_blocks.append(block[..., keep, :, :])
-    return _like(ens, np.concatenate(out_blocks, axis=-3))
+    return Ensemble(np.concatenate(out_blocks, axis=-3))
 
 
-def _lower(x, m: int):
+def _lower(x: Ensemble, m: int) -> Ensemble:
     """a^m on mode a, state and tangent alike."""
     data = x.data
     for _ in range(m):
         data = lower_a(data)
-    return _like(x, data)
+    return Ensemble(data)
 
 
-def subtract_photons(ens: BranchEnsemble, m: int) -> BranchEnsemble:
-    """Apply a^m to every branch, record the success probability, renormalize.
+def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
+    """Apply a^m to every branch and renormalize.
 
-    The literal form of the subtraction that the estimators read as a
-    reweighting of the photon-number table (see :func:`subtracted_moments`).
+    The equivalent-model and internal pipelines subtract with it, and it
+    cross-checks the table reweighting of :func:`subtracted_moments`.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    trace_in = ens.total_trace()
     out = _lower(ens, m)
-    prob = out.total_trace()
+    prob = out.trace()
     # "zero probability" is judged relative to the incoming trace
-    if prob < ZERO_NORM_FLOOR * max(trace_in, 1e-300):
+    if prob < ZERO_NORM_FLOOR * max(ens.trace(), 1e-300):
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
-    out.data = out.data / math.sqrt(prob)
-    out.subtract_prob = prob
-    return out
+    return Ensemble(out.data / math.sqrt(prob))
 
 
 def _check_mode(mode: str) -> None:
@@ -500,7 +420,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError("mode must be 'a' or 'b'")
 
 
-def moments(ens: BranchEnsemble, mode: str = "a") -> Tuple[float, float]:
+def moments(ens: Ensemble, mode: str = "a") -> Tuple[float, float]:
     """(mean, second moment) of the photon number in the given mode."""
     _check_mode(mode)
     axis_other = -1 if mode == "a" else -2
@@ -539,7 +459,7 @@ def subtracted_moments(
 # -- pipelines ----------------------------------------------------------------
 
 
-def output_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
+def output_ensemble(p: Params, n_cut: int) -> Ensemble:
     """State at the output port before subtraction: loss(T2) S2 U_phi loss(T1) S1 |0, beta>.
 
     It carries its exact phase tangent from U_phi on.
@@ -552,7 +472,7 @@ def output_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
     return apply_loss(ens, p.T2)
 
 
-def equivalent_state(p: Params, n_cut: int) -> FockState:
+def equivalent_state(p: Params, n_cut: int) -> Ensemble:
     """Normalized equivalent-model state: N1 (S2† a^m S2) U_phi S1 |0, beta>.
 
     Its tangent is d/dphi of the unnormalized state, scaled by the same N1.
@@ -560,14 +480,10 @@ def equivalent_state(p: Params, n_cut: int) -> FockState:
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
     st = _seed_tangent(apply_phase(st, p.phi))
-    st = _lower(_second_squeezer(st, p.g), p.m)
-    if st.norm2() < ZERO_NORM_FLOOR:
-        raise ZeroProbabilityError("equivalent-model state has zero norm")
-    st = apply_tms(st, p.g, 0.0)
-    return _like(st, st.data / math.sqrt(st.norm2()))
+    return apply_tms(subtract_photons(_second_squeezer(st, p.g), p.m), p.g, 0.0)
 
 
-def loss_probe_state(p: Params, n_cut: int) -> FockState:
+def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
     """Normalized extended-system probe: N3 (sqrt(eta) e^{i phi} cosh g a + sinh g b†)^m S1 |0, beta>.
 
     Its tangent is the exact d/dphi of the normalized probe.
@@ -587,21 +503,16 @@ def loss_probe_state(p: Params, n_cut: int) -> FockState:
         raise ZeroProbabilityError("loss-equivalent probe state has zero norm")
     psi, dpsi = data / nrm
     # the normalization's own derivative keeps <psi|psi> = 1
-    return FockState(n_cut, psi, dpsi - psi * np.vdot(psi, dpsi).real)
+    return Ensemble(np.stack((psi, dpsi - psi * np.vdot(psi, dpsi).real)))
 
 
-def internal_ensemble(p: Params, n_cut: int) -> BranchEnsemble:
+def internal_ensemble(p: Params, n_cut: int) -> Ensemble:
     """Normalized internal state: N4 (S2† a^m S2) U_phi loss(T1) S1 |0, beta>."""
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
     ens = apply_loss(st, p.T1)
     ens = apply_phase(ens, p.phi)
-    ens = _lower(_second_squeezer(ens, p.g), p.m)
-    if ens.total_trace() < ZERO_NORM_FLOOR:
-        raise ZeroProbabilityError("internal state has zero norm")
-    ens = apply_tms(ens, p.g, 0.0)
-    prob = ens.total_trace()
-    return BranchEnsemble(n_cut, ens.amps / math.sqrt(prob), prob)
+    return apply_tms(subtract_photons(_second_squeezer(ens, p.g), p.m), p.g, 0.0)
 
 
 # -- convergence protocol ------------------------------------------------------
@@ -695,41 +606,34 @@ def numeric_qfi_pure(p: Params) -> float:
 
 
 def _kraus_branch_states(
-    psi: FockState, eta: float, alpha: float, phi: float
+    psi: Ensemble, eta: float, alpha: float, phi: float
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Every Kraus branch chi_l = Pi_l(phi) |psi> of the mode-a loss channel, with d/dphi.
 
     d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.
     """
-    d = psi.n_cut + 1
-    n = np.arange(d)
-    eta_pow = eta ** (0.5 * n)
+    n = np.arange(psi.n_cut + 1)
     out = []
-    cur = psi.data
-    w = 1.0
-    for l in range(d):
-        if l > 0:
-            cur = lower_a(cur)
-            w *= math.sqrt((1.0 - eta) / l)
-            if w == 0.0 or not np.any(cur):
-                break
-        ph = (w * eta_pow * np.exp(1j * phi * (n - alpha * l)))[:, None]
-        chi = ph * cur[0]
-        out.append((chi, 1j * (n - alpha * l)[:, None] * chi + ph * cur[1]))
+    for l, (k_psi, k_dpsi) in _kraus_terms(psi.data, eta):
+        ph = np.exp(1j * phi * (n - alpha * l))[:, None]
+        chi = ph * k_psi
+        out.append((chi, 1j * (n - alpha * l)[:, None] * chi + ph * k_dpsi))
     return out
 
 
-def numeric_cq(p: Params) -> float:
-    """Extended-system QFI upper bound C_Q at placement p.alpha, end to end.
+def numeric_cq(p: Params, alpha: float) -> float:
+    """Extended-system QFI upper bound C_Q at Kraus placement alpha, end to end.
 
     Builds chi_l(phi) = Pi_l(phi) |Psi(phi)> and its exact phase derivative on
     the Fock grid, and assembles 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
 
     def run(n: int):
         t_dd = 0.0
         t_dc = 0j
-        for chi, dchi in _kraus_branch_states(loss_probe_state(p, n), p.eta, p.alpha, p.phi):
+        for chi, dchi in _kraus_branch_states(loss_probe_state(p, n), p.eta, alpha, p.phi):
             t_dd += float(np.vdot(dchi, dchi).real)
             t_dc += np.vdot(dchi, chi)
         return (4.0 * (t_dd - abs(t_dc) ** 2),)

@@ -51,7 +51,6 @@ class Params:
     T1     -- internal transmittance (loss between OPA1 and the phase shifter)
     T2     -- external transmittance (loss after OPA2)
     eta    -- transmissivity of the loss channel in the extended-system QFI
-    alpha  -- Kraus placement parameter (0: loss before the shifter, -1: after)
     nu     -- number of repeated experiments entering the QCRB
     """
 
@@ -62,7 +61,6 @@ class Params:
     T1: float = 1.0
     T2: float = 1.0
     eta: float = 1.0
-    alpha: float = 0.0
     nu: int = 1
 
     def __post_init__(self):
@@ -79,8 +77,6 @@ class Params:
                 raise ValueError(f"{name} must lie in [0, 1], got {t}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not isinstance(self.nu, int) or self.nu < 1:
             raise ValueError(f"nu must be a positive integer, got {self.nu}")
 

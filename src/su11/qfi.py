@@ -164,9 +164,11 @@ def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
     return cq
 
 
-def cq_alpha(p: Params) -> float:
-    """Purified-system QFI bound C_Q at the placement parameter p.alpha."""
-    return _cq_from(_loss_inner_products(p), p.eta, p.alpha)
+def cq_alpha(p: Params, alpha: float) -> float:
+    """Purified-system bound C_Q at placement alpha (0: loss before the shifter, -1: after)."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return _cq_from(_loss_inner_products(p), p.eta, alpha)
 
 
 def qfi_lossy(p: Params) -> QfiReport:

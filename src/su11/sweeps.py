@@ -1,20 +1,18 @@
 """Parameter sweeps, figure-data jobs, config parsing and CSV emission.
 
 Sweep configuration lives in flat ``key = value`` INI sections, one section
-per sweep, so any tooling can parse and regenerate it.  CSV output is
-deterministic: stable row ordering, 17-significant-digit floats, and failed
-grid points carry an empty value cell plus a named error code instead of
-NaNs.
+per sweep.  CSV output is deterministic: stable row ordering,
+17-significant-digit floats, and failed grid points carry an empty value
+cell plus a named error code instead of NaNs.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from su11 import fock
 from su11.errors import Su11Error
@@ -45,8 +43,8 @@ QUANTITIES: Dict[str, Callable[[Params], float]] = {
     "oracle_n_t": fock.numeric_internal_photon_number,
 }
 
-AXES = ("g", "beta", "phi", "T1", "T2", "eta", "alpha")
-_FIXED_KEYS = ("g", "beta", "phi", "T1", "T2", "eta", "alpha", "nu")
+AXES = ("g", "beta", "phi", "T1", "T2", "eta")
+_FIXED_KEYS = AXES + ("nu",)
 
 
 @dataclass(frozen=True)
@@ -126,22 +124,6 @@ def parse_config(text: str) -> List[SweepSpec]:
             )
         )
     return specs
-
-
-def serialize_config(specs: Sequence[SweepSpec]) -> str:
-    out = io.StringIO()
-    for spec in specs:
-        out.write(f"[{spec.name}]\n")
-        out.write(f"quantity = {spec.quantity}\n")
-        out.write(f"axis = {spec.axis}\n")
-        out.write(f"lo = {format_float(spec.lo)}\n")
-        out.write(f"hi = {format_float(spec.hi)}\n")
-        out.write(f"points = {spec.n_points}\n")
-        out.write(f"m = {','.join(str(m) for m in spec.m_list)}\n")
-        for key, value in spec.fixed:
-            out.write(f"{key} = {format_float(value)}\n")
-        out.write("\n")
-    return out.getvalue()
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -256,6 +238,14 @@ def _lin(lo: float, hi: float, n: int) -> List[float]:
 _BASE = dict(g=1.0, beta=1.0, phi=0.4)
 
 
+def _figure_header(fig: "_FigureDef") -> List[str]:
+    """Axis, m, then a value and an error column per declared column label."""
+    header = [fig.axis, "m"]
+    for label, _, _ in fig.columns:
+        header.extend([label, f"{label}_error"])
+    return header
+
+
 def _build_fig2(fig: "_FigureDef") -> "Table":
     """Mode-a analytic plus mode-b oracle columns, sharing oracle pipelines.
 
@@ -292,10 +282,8 @@ def _build_fig2(fig: "_FigureDef") -> "Table":
                 oracle.get(m, ""),
                 code_b,
             ]
-    header = [fig.axis, "m", "delta_phi_a", "delta_phi_a_error",
-              "delta_phi_b_oracle", "delta_phi_b_oracle_error"]
     rows = [rows_by_key[(m, x)] for m in m_list for x in _lin(lo, hi, n)]
-    return header, rows
+    return _figure_header(fig), rows
 
 
 def _figures() -> Dict[str, _FigureDef]:
@@ -440,9 +428,6 @@ def run_figure(job: FigureJob) -> Table:
             for _, quantity, to_params in fig.columns:
                 tasks.append((quantity, to_params(x, m)))
     results = evaluate_grid(tasks)
-    header = [fig.axis, "m"]
-    for label, _, _ in fig.columns:
-        header.extend([label, f"{label}_error"])
     rows = []
     it = iter(results)
     for m in fig.m_list:
@@ -452,4 +437,4 @@ def run_figure(job: FigureJob) -> Table:
                 value, code = next(it)
                 row.extend([value, code])
             rows.append(row)
-    return header, rows
+    return _figure_header(fig), rows

@@ -5,6 +5,9 @@ these.  Quantitative acceptance is anchored to the independent Fock oracle
 plus the published orderings and reduction identities; every tolerance is
 pinned here.
 
+A finding, a measured departure from a published claim, passes while it
+reproduces and fails once the claim starts to hold.
+
 ``fast`` restricts the oracle grids (m <= 2, lower starting cutoff) for a
 sub-2-minute run; ``full`` runs everything.
 """
@@ -34,9 +37,10 @@ class CriterionResult:
     passed: bool
     details: str
     seconds: float = 0.0
+    finding: bool = False
 
     def line(self) -> str:
-        flag = "PASS" if self.passed else "FAIL"
+        flag = "FAIL" if not self.passed else "FINDING" if self.finding else "PASS"
         return f"{flag}  {self.cid}  {self.description}  [{self.details}] ({self.seconds:.1f}s)"
 
 
@@ -234,13 +238,25 @@ def c5_loss_placement_problems() -> List[str]:
 
 
 def criterion_5_orderings(level: str) -> CriterionResult:
-    """Published orderings at g=1, beta=1, phi=0.4."""
-    problems = c5_monotonicity_problems() + c5_loss_placement_problems()
+    """m-monotonicity orderings at g=1, beta=1, phi=0.4."""
+    problems = c5_monotonicity_problems()
     return CriterionResult(
         "C5",
-        "published orderings (m-monotonicity, internal vs external loss)",
+        "published orderings in m",
         not problems,
         "; ".join(problems) if problems else "all orderings hold",
+    )
+
+
+def finding_1_loss_placement_reversal(level: str) -> CriterionResult:
+    """At phi = 0.4, internal loss is not strictly worse than external up to T = 0.95."""
+    problems = c5_loss_placement_problems()
+    return CriterionResult(
+        "F1",
+        "internal vs external loss ordering reverses below T = 0.95 at phi = 0.4",
+        bool(problems),
+        "; ".join(problems) if problems else "strict ordering holds",
+        finding=True,
     )
 
 
@@ -362,12 +378,14 @@ CRITERIA: List[Callable[[str], CriterionResult]] = [
     criterion_9_numerical_hygiene,
 ]
 
+FINDINGS: List[Callable[[str], CriterionResult]] = [finding_1_loss_placement_reversal]
+
 
 def run_verify(level: str = "full") -> List[CriterionResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     results = []
-    for criterion in CRITERIA:
+    for criterion in CRITERIA + FINDINGS:
         start = time.perf_counter()
         result = criterion(level)
         result.seconds = time.perf_counter() - start

@@ -20,9 +20,10 @@ from su11.sweeps import (
     parse_config,
     run_figure,
     run_sweep,
-    serialize_config,
     to_csv,
 )
+from su11.verify import CriterionResult
+from references import serialize_config
 
 EXAMPLE_CONFIG = """\
 [delta-vs-T]
@@ -41,6 +42,17 @@ T2 = 1.0
 ROOT = Path(__file__).resolve().parents[1]
 # the benchmark's committed figure tables, read only
 REFERENCE_FIGURES = ROOT / "perfbench" / "refs" / "figures"
+
+
+def run_sweep_config(text: str, tmp_path: Path) -> subprocess.CompletedProcess:
+    """`su11 sweep` on the config text, in a fresh interpreter."""
+    cfg = tmp_path / "sweeps.cfg"
+    cfg.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "su11.cli", "sweep", str(cfg), "-o", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
 
 
 class TestSweepSpec:
@@ -280,16 +292,25 @@ class TestMain:
         ids=["missing-section-header", "duplicate-key", "bad-interpolation"],
     )
     def test_malformed_config_is_a_validation_error(self, text, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "su11.cli", "sweep", str(cfg), "-o", str(tmp_path)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_sweep_config(text, tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[s]\nquantity = qfi_lossy\naxis = alpha\nlo = -1\nhi = 0\npoints = 2\neta = 0.7\n",
+            "[s]\nquantity = qfi_lossy\naxis = eta\nlo = 0.5\nhi = 1\npoints = 2\nalpha = 0.3\n",
+        ],
+        ids=["axis", "fixed"],
+    )
+    def test_kraus_placement_is_not_a_sweep_parameter(self, text, tmp_path):
+        # no quantity reads alpha: qfi_lossy minimizes over it in closed form
+        proc = run_sweep_config(text, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_non_integer_nu_is_a_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "nu.cfg"
@@ -306,3 +327,23 @@ class TestMain:
             g, _, value, _ = line.split(",")
             f = QUANTITIES["qfi_lossy"](Params(g=float(g)))
             assert float(value) == pytest.approx(1.0 / math.sqrt(2.0 * f), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "criterion_passes, finding_reproduces, code",
+        [(True, True, 0), (False, True, 2), (True, False, 2)],
+    )
+    def test_verify_exit_code_is_its_verdict(
+        self, criterion_passes, finding_reproduces, code, monkeypatch, capsys
+    ):
+        results = [
+            CriterionResult("C1", "a criterion", criterion_passes, ""),
+            CriterionResult("F1", "a finding", finding_reproduces, "", finding=True),
+        ]
+        monkeypatch.setattr("su11.cli.run_verify", lambda level: results)
+        assert main(["verify"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("FINDING  F1  " if finding_reproduces else "FAIL  F1  ")
+        assert lines[2:] == [
+            f"{int(criterion_passes)}/1 criteria passed",
+            f"{int(finding_reproduces)}/1 findings reproduced",
+        ]

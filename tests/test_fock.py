@@ -8,14 +8,15 @@ import pytest
 from su11.errors import LeakageError, ZeroProbabilityError
 from su11.fock import (
     BRANCH_PRUNE_TOL,
-    BranchEnsemble,
-    FockState,
+    Ensemble,
+    _lower,
     apply_loss,
     apply_phase,
     apply_tms,
-    as_ensemble,
     converged_value,
     equivalent_state,
+    internal_ensemble,
+    loss_probe_state,
     moments,
     numeric_internal_photon_number,
     numeric_moments_multi,
@@ -27,6 +28,7 @@ from su11.fock import (
     subtracted_moments,
 )
 from su11.model import Params, kernels
+from references import apply_tms_series
 
 
 def tmsv(g, n_cut=50):
@@ -49,17 +51,18 @@ def same_blocks(held):
 class TestPrepareInput:
     def test_vacuum(self):
         st = prepare_input(0.0, 10)
-        assert st.amps[0, 0] == 1.0
-        assert st.norm2() == pytest.approx(1.0)
+        assert st.amps.shape == (1, 11, 11)
+        assert st.amps[0, 0, 0] == 1.0
+        assert st.trace() == pytest.approx(1.0)
 
     def test_coherent_norm(self):
         st = prepare_input(1.0, 20)
-        assert st.norm2() == pytest.approx(1.0, abs=1e-15)
+        assert st.trace() == pytest.approx(1.0, abs=1e-15)
 
     def test_coherent_mean(self):
         for beta in (0.5, 1.0, 1.5):
             st = prepare_input(beta, 30)
-            mean, second = moments(as_ensemble(st), "b")
+            mean, second = moments(st, "b")
             assert mean == pytest.approx(beta**2, rel=1e-12)
             assert second == pytest.approx(beta**2 + beta**4, rel=1e-12)
 
@@ -91,15 +94,15 @@ class TestTwoModeSqueezer:
 
     def test_tmsv_mean_photon_number(self):
         st = tmsv(1.0, 50)
-        mean, _ = moments(as_ensemble(st), "a")
+        mean, _ = moments(st, "a")
         assert mean == pytest.approx(math.sinh(1.0) ** 2, rel=1e-10)
-        mean_b, _ = moments(as_ensemble(st), "b")
+        mean_b, _ = moments(st, "b")
         assert mean_b == pytest.approx(math.sinh(1.0) ** 2, rel=1e-10)
 
     def test_unitarity(self):
         st = prepare_input(1.0, 70)
         out = apply_tms(st, 1.0, 0.7)
-        assert out.norm2() == pytest.approx(1.0, abs=1e-12)
+        assert out.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_pair_restores_state(self):
         st = prepare_input(1.0, 70)
@@ -121,26 +124,26 @@ class TestTwoModeSqueezer:
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, 1.1])
     def test_matches_series_with_mass_on_both_sides_of_the_diagonal(self, theta):
-        from su11.fock import _apply_tms_raw, _apply_tms_series
+        from su11.fock import _apply_tms_raw
 
-        amps = prepare_input(0.8, 40).amps
+        amps = prepare_input(0.8, 40).amps[0]
         both = amps + 0.5 * amps.T
-        stack = apply_loss(FockState(40, both), 0.7).amps
+        stack = apply_loss(Ensemble(both[None]), 0.7).amps
         assert stack.ndim == 3 and stack.shape[0] > 1
         for x in (both, stack):
             assert np.any(np.tril(x, -1)) and np.any(np.triu(x, 1))
             got = _apply_tms_raw(x, 0.8, theta)
-            assert np.allclose(got, _apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
+            assert np.allclose(got, apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
 
     def test_diagonal_below_prune_tolerance_comes_out_zero(self):
-        from su11.fock import _apply_tms_raw, _apply_tms_series
+        from su11.fock import _apply_tms_raw
 
-        amps = prepare_input(0.8, 40).amps.copy()
+        amps = prepare_input(0.8, 40).amps[0].copy()
         # |n+3, n> holds 38 * 1e-30 of the unit weight, below the tolerance
         amps[np.arange(3, 41), np.arange(38)] = 1e-15
         assert 38e-30 < BRANCH_PRUNE_TOL
         got = _apply_tms_raw(amps, 0.8, 0.0)
-        want = _apply_tms_series(amps, 0.8, 0.0)
+        want = apply_tms_series(amps, 0.8, 0.0)
         assert np.any(np.diagonal(want, -3))
         assert not np.any(np.diagonal(got, -3))
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -151,10 +154,65 @@ class TestTwoModeSqueezer:
         v = prepare_input(0.8, 40).amps
         # the tangent's mass on |n+2, n> sits where the state holds none
         t = np.zeros_like(v)
-        t[np.arange(2, 41), np.arange(39)] = 1.0
-        out = apply_tms(FockState(40, v, t), 0.8, 0.0)
+        t[0, np.arange(2, 41), np.arange(39)] = 1.0
+        out = apply_tms(Ensemble(np.stack((v, t))), 0.8, 0.0)
         assert np.allclose(out.amps, _apply_tms_raw(v, 0.8, 0.0), rtol=0.0, atol=1e-15)
         assert not np.any(out.tangent)
+
+
+class TestEnsemble:
+    def test_rejects_data_without_a_branch_axis(self):
+        with pytest.raises(ValueError, match="3-D or 4-D"):
+            Ensemble(np.zeros((6, 6), complex))
+
+    def test_every_element_takes_and_returns_a_leading_branch_axis(self):
+        from su11.fock import _parity, _second_squeezer, _seed_tangent
+
+        st = prepare_input(0.8, 40)
+        assert isinstance(st, Ensemble) and st.amps.shape == (1, 41, 41) and st.tangent is None
+        pure = apply_tms(st, 0.4, 0.0)
+        mixed = apply_loss(pure, 0.8)
+        assert mixed.amps.shape[0] > 1
+        elements = (
+            lambda x: apply_tms(x, 0.4, 0.0),
+            lambda x: _second_squeezer(x, 0.4),
+            lambda x: apply_phase(x, 0.4),
+            lambda x: apply_loss(x, 1.0),
+            lambda x: apply_loss(x, 0.7),
+            lambda x: apply_loss(x, 0.0),
+            lambda x: subtract_photons(x, 2),
+            lambda x: _lower(x, 2),
+            _parity,
+        )
+        for x in (pure, mixed, _seed_tangent(pure), _seed_tangent(mixed)):
+            for element in elements:
+                out = element(x)
+                assert isinstance(out, Ensemble)
+                assert out.amps.ndim == 3 and out.amps.shape[1:] == (41, 41)
+                assert (out.tangent is None) == (x.tangent is None)
+                if out.tangent is not None:
+                    assert out.tangent.shape == out.amps.shape
+            assert _seed_tangent(x).tangent.shape == x.amps.shape
+        p = Params(g=0.4, beta=0.8, phi=0.4, m=1, T1=0.8, T2=0.9, eta=0.8)
+        for pipeline in (output_ensemble, equivalent_state, loss_probe_state, internal_ensemble):
+            out = pipeline(p, 40)
+            assert isinstance(out, Ensemble) and out.amps.ndim == 3
+
+    @pytest.mark.parametrize("theta", [0.0, 1.1])
+    def test_one_branch_squeezes_as_it_does_inside_a_stack_with_a_tangent(self, theta):
+        from su11.fock import _apply_tms_raw
+
+        v = apply_tms(prepare_input(0.8, 40), 0.3, 0.0).amps
+        n = np.arange(41)
+        # branches on the same diagonals as v, so the stack occupies what v does
+        stack = np.concatenate([v, 0.5 * v * np.exp(0.7j * n), 0.3 * v.conj()])
+        tangent = 1j * n[:, None] * stack + 0.2 * stack
+        together = apply_tms(Ensemble(np.stack((stack, tangent))), 0.5, theta)
+        alone = apply_tms(Ensemble(v), 0.5, theta).amps
+        # the tangent's diagonals are judged on its state, as apply_tms judges them
+        tangent_alone = _apply_tms_raw(tangent[:1], 0.5, theta, v)
+        assert np.allclose(together.amps[:1], alone, rtol=0.0, atol=1e-15)
+        assert np.allclose(together.tangent[:1], tangent_alone, rtol=0.0, atol=1e-15)
 
 
 class TestPhase:
@@ -169,8 +227,8 @@ class TestPhase:
 
     def test_number_conserving(self):
         st = tmsv(0.8, 45)
-        before = moments(as_ensemble(st), "a")
-        after = moments(as_ensemble(apply_phase(st, 1.3)), "a")
+        before = moments(st, "a")
+        after = moments(apply_phase(st, 1.3), "a")
         assert after == pytest.approx(before)
 
 
@@ -179,17 +237,17 @@ class TestLoss:
         st = tmsv(1.0, 50)
         ens = apply_loss(st, 1.0)
         assert ens.amps.shape[0] == 1
-        assert np.array_equal(ens.amps[0], st.amps)
+        assert np.array_equal(ens.amps[0], st.amps[0])
 
     def test_trace_preserved(self):
         st = tmsv(1.0, 50)
         for T in (0.9, 0.7, 0.4):
             ens = apply_loss(st, T)
-            assert ens.total_trace() == pytest.approx(1.0, abs=1e-12)
+            assert ens.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_scales_linearly(self):
         st = tmsv(1.0, 50)
-        mean0, _ = moments(as_ensemble(st), "a")
+        mean0, _ = moments(st, "a")
         ens = apply_loss(st, 0.7)
         mean, _ = moments(ens, "a")
         assert mean == pytest.approx(0.7 * mean0, rel=1e-10)
@@ -197,13 +255,11 @@ class TestLoss:
     def test_commutes_with_ensemble_concatenation(self):
         a = tmsv(0.8, 45)
         b = apply_phase(tmsv(0.5, 45), 0.9)
-        stacked = BranchEnsemble(
-            45, np.concatenate([a.amps[None] * 0.6, b.amps[None] * 0.8], axis=0)
-        )
+        stacked = Ensemble(np.concatenate([a.amps * 0.6, b.amps * 0.8], axis=0))
         lost = apply_loss(stacked, 0.75)
-        la, lb = apply_loss(as_ensemble(a), 0.75), apply_loss(as_ensemble(b), 0.75)
+        la, lb = apply_loss(a, 0.75), apply_loss(b, 0.75)
         want_mean = 0.36 * moments(la, "a")[0] + 0.64 * moments(lb, "a")[0]
-        got = moments(lost, "a")[0] * lost.total_trace()
+        got = moments(lost, "a")[0] * lost.trace()
         assert got == pytest.approx(want_mean, rel=1e-10)
 
     def test_rejects_transmittance_outside_unit_interval(self):
@@ -217,23 +273,23 @@ class TestLoss:
         st = tmsv(0.8, 40)
         ens = apply_loss(st, 0.0)
         assert not np.any(ens.amps[:, 1:, :])
-        kept = np.sum(np.abs(st.amps) ** 2, axis=1) > BRANCH_PRUNE_TOL
-        assert np.allclose(ens.amps[:, 0, :], st.amps[kept], rtol=1e-14, atol=0.0)
-        assert ens.total_trace() == pytest.approx(1.0, abs=1e-12)
+        rows = st.amps[0]
+        kept = np.sum(np.abs(rows) ** 2, axis=1) > BRANCH_PRUNE_TOL
+        assert np.allclose(ens.amps[:, 0, :], rows[kept], rtol=1e-14, atol=0.0)
+        assert ens.trace() == pytest.approx(1.0, abs=1e-12)
         assert moments(ens, "a") == (0.0, 0.0)
-        assert moments(ens, "b") == pytest.approx(moments(as_ensemble(st), "b"), rel=1e-12)
+        assert moments(ens, "b") == pytest.approx(moments(st, "b"), rel=1e-12)
 
     def test_unit_transmittance_returns_its_ensemble(self):
         ens = apply_loss(tmsv(0.8, 40), 0.7)
         assert apply_loss(ens, 1.0) is ens
-        st = FockState(40, tmsv(0.8, 40).amps, np.ones((41, 41), complex))
+        # a pure state is a one-branch ensemble, returned as it is with its tangent
+        st = Ensemble(np.stack((tmsv(0.8, 40).amps, np.ones((1, 41, 41), complex))))
         out = apply_loss(st, 1.0)
-        assert isinstance(out, BranchEnsemble) and out.amps.shape == (1, 41, 41)
-        assert not np.shares_memory(out.data, st.data)
-        assert np.array_equal(out.amps[0], st.amps) and np.array_equal(out.tangent[0], st.tangent)
+        assert out is st and out.amps.shape == out.tangent.shape == (1, 41, 41)
 
     def test_elements_leave_their_input_unchanged(self):
-        from su11.fock import _lower, _parity, _second_squeezer, _seed_tangent
+        from su11.fock import _parity, _second_squeezer, _seed_tangent
 
         ens = _seed_tangent(apply_phase(apply_loss(tmsv(0.4, 40), 0.8), 0.4))
         before = ens.data.copy()
@@ -253,15 +309,13 @@ class TestLoss:
             assert np.array_equal(ens.data, before)
 
     def test_prunes_tangent_with_its_state_on_the_state_weight(self):
-        v0 = tmsv(0.8, 40).amps
-        v1 = apply_phase(tmsv(0.5, 40), 0.9).amps
+        v0 = tmsv(0.8, 40).amps[0]
+        v1 = apply_phase(tmsv(0.5, 40), 0.9).amps[0]
         # pair 0: an ordinary state with a zero tangent; pair 1: a state far
         # below the prune tolerance with a large tangent
-        ens = BranchEnsemble(
-            40, np.stack([v0, 1e-16 * v1]), tangent=np.stack([np.zeros_like(v0), v1])
-        )
+        ens = Ensemble(np.stack((np.stack([v0, 1e-16 * v1]), np.stack([np.zeros_like(v0), v1]))))
         lost = apply_loss(ens, 0.75)
-        want = apply_loss(BranchEnsemble(40, v0[None]), 0.75)
+        want = apply_loss(Ensemble(v0[None]), 0.75)
         assert lost.amps.shape == lost.tangent.shape == want.amps.shape
         assert np.array_equal(lost.amps, want.amps)
         assert not np.any(lost.tangent)
@@ -271,13 +325,13 @@ class TestSubtraction:
     def test_zero_subtraction_identity(self):
         ens = apply_loss(tmsv(1.0, 50), 0.8)
         out = subtract_photons(ens, 0)
-        assert out.subtract_prob == pytest.approx(1.0, abs=1e-12)
+        assert _lower(ens, 0).trace() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.amps, ens.amps, atol=1e-12)
 
     def test_vacuum_mode_a_rejects(self):
         st = prepare_input(1.0, 20)
         with pytest.raises(ZeroProbabilityError):
-            subtract_photons(as_ensemble(st), 1)
+            subtract_photons(st, 1)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_success_probability_matches_generating_function(self, m):
@@ -285,9 +339,8 @@ class TestSubtraction:
         # the 2m-fold extraction of exp(A1)
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m)
         ens = output_ensemble(p, 70)
-        sub = subtract_photons(ens, m)
         gm = kernels(p).exponent_a(lossy=False).exp().extract((m, m)).val.real
-        assert sub.subtract_prob == pytest.approx(gm, rel=1e-8)
+        assert _lower(ens, m).trace() == pytest.approx(gm, rel=1e-8)
 
     @pytest.mark.parametrize("mode", ["a", "b"])
     def test_table_reweighting_matches_literal_subtraction(self, mode):
@@ -305,7 +358,7 @@ class TestSubtraction:
             k = np.arange(71)
             marg, dmarg = sub_table.sum(axis=axis), sub_dtable.sum(axis=axis)
             want_dmean = (k @ dmarg - want_mean * dmarg.sum()) / marg.sum()
-            assert prob == pytest.approx(sub.subtract_prob, rel=1e-12)
+            assert prob == pytest.approx(_lower(ens, m).trace(), rel=1e-12)
             assert mean == pytest.approx(want_mean, rel=1e-12)
             assert second == pytest.approx(want_second, rel=1e-12)
             assert dmean == pytest.approx(want_dmean, rel=1e-12)
@@ -313,7 +366,7 @@ class TestSubtraction:
 
 class TestMoments:
     def test_vacuum(self):
-        ens = as_ensemble(prepare_input(0.0, 10))
+        ens = prepare_input(0.0, 10)
         assert moments(ens, "a") == (0.0, 0.0)
 
     def test_ideal_pipeline_mean_matches_closed_form(self):
@@ -393,7 +446,7 @@ class TestNumericEstimators:
         with pytest.raises(ValueError, match="mode"):
             numeric_moments_multi(Params(), [0, 1], mode="c")
         with pytest.raises(ValueError, match="mode"):
-            moments(BranchEnsemble(5, np.zeros((1, 6, 6), complex)), "c")
+            moments(Ensemble(np.zeros((1, 6, 6), complex)), "c")
 
     def test_equivalent_state_dark_fringe(self):
         p = Params(g=1.0, beta=1.0, phi=0.0, m=1)
@@ -422,27 +475,27 @@ class TestNumericEstimators:
         assert converged_value(fn, n_cut=40)[0] == 2.0
 
     def test_block_propagator_matches_substepped_series(self):
-        from su11.fock import _apply_tms_series, _apply_tms_raw
+        from su11.fock import _apply_tms_raw
 
         st = prepare_input(0.8, 40)
         a = _apply_tms_raw(st.amps, 1.0, 0.0)
-        b = _apply_tms_series(st.amps, 1.0, 0.0)
+        b = apply_tms_series(st.amps, 1.0, 0.0)
         assert np.allclose(a, b, atol=1e-12)
         a = _apply_tms_raw(st.amps, 0.7, math.pi)
-        b = _apply_tms_series(st.amps, 0.7, math.pi)
+        b = apply_tms_series(st.amps, 0.7, math.pi)
         assert np.allclose(a, b, atol=1e-12)
         a = _apply_tms_raw(st.amps, 0.8, 1.1)
-        b = _apply_tms_series(st.amps, 0.8, 1.1)
+        b = apply_tms_series(st.amps, 0.8, 1.1)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_block_propagator_matches_series_on_branch_stack(self):
-        from su11.fock import _apply_tms_series, _apply_tms_raw
+        from su11.fock import _apply_tms_raw
 
         st = apply_tms(prepare_input(0.8, 40), 0.6, 0.0)
         stack = apply_loss(st, 0.7).amps
         assert stack.ndim == 3 and stack.shape[0] > 1
         a = _apply_tms_raw(stack, 0.6, math.pi)
-        b = _apply_tms_series(stack, 0.6, math.pi)
+        b = apply_tms_series(stack, 0.6, math.pi)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_one_eigendecomposition_per_diagonal_and_cutoff(self, monkeypatch):

@@ -93,23 +93,31 @@ class TestCqAlpha:
         p = Params(g=1.0, beta=1.0, phi=0.4, m=1, eta=1.0)
         f_ideal = qfi_ideal(p).f
         for alpha in (-1.0, 0.0, 0.8):
-            assert cq_alpha(p.replace(alpha=alpha)) == pytest.approx(f_ideal, rel=1e-12)
+            assert cq_alpha(p, alpha) == pytest.approx(f_ideal, rel=1e-12)
 
     @pytest.mark.parametrize("m,alpha", [(0, 0.0), (0, -1.0), (1, 0.3)])
     def test_matches_kraus_oracle(self, m, alpha):
-        p = Params(g=1.0, beta=1.0, phi=0.4, m=m, eta=0.7, alpha=alpha)
-        assert cq_alpha(p) == pytest.approx(numeric_cq(p), rel=1e-5)
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=m, eta=0.7)
+        assert cq_alpha(p, alpha) == pytest.approx(numeric_cq(p, alpha), rel=1e-5)
+
+    def test_rejects_non_finite_placement(self):
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                cq_alpha(p, alpha)
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                numeric_cq(p, alpha)
 
     def test_placements_differ_under_loss(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
-        before = cq_alpha(p.replace(alpha=0.0))
-        after = cq_alpha(p.replace(alpha=-1.0))
+        before = cq_alpha(p, 0.0)
+        after = cq_alpha(p, -1.0)
         assert abs(before - after) > 1.0
 
     def test_alpha_scan_minimum_equals_qfi_lossy(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
         scan = min(
-            cq_alpha(p.replace(alpha=float(a))) for a in np.linspace(-1.5, 1.5, 301)
+            cq_alpha(p, float(a)) for a in np.linspace(-1.5, 1.5, 301)
         )
         assert qfi_lossy(p).f == pytest.approx(scan, rel=1e-5)
 
