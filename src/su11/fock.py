@@ -279,7 +279,7 @@ def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> _Diagonals:
 
 
 def _apply_tms_raw(
-    amps: np.ndarray, g: float, theta: float, state: np.ndarray | None = None
+    amps: np.ndarray, g: float, theta: float, state: np.ndarray | None = None, mirror: bool = False
 ) -> np.ndarray:
     """Exact exponential of the truncated two-mode-squeezing generator.
 
@@ -289,6 +289,9 @@ def _apply_tms_raw(
     multiplied: those that hold more than BRANCH_PRUNE_TOL of the weight of
     ``state`` (``amps`` itself by default).  The squeezer conserves each
     diagonal's weight, so every other diagonal is zero in the output.
+
+    With ``mirror`` (see :func:`apply_tms`) entry (i, j) of each block gains
+    the exact sign (-1)^{i+j}, as n_a steps by one along a diagonal.
     """
     if g == 0.0:
         return amps.copy()
@@ -303,44 +306,36 @@ def _apply_tms_raw(
     occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300))
     occupied = (occupied - (d - 1)).tolist()
     blocks = _tms_blocks(g, theta, d, sorted({abs(k) for k in occupied}))
+    sign = 1.0 - 2.0 * (n % 2)
     # on the grid flattened to d*d, diagonal k >= 0, |n+k, n>, is the stride
     # d+1 run from k*d, and its mirror -k, |n, n+k>, the run from k
     flat = amps.reshape(-1, d * d)
     out = np.zeros_like(flat)
     for k in occupied:
         run = slice(k * d, d * d, d + 1) if k >= 0 else slice(-k, (d + k) * d, d + 1)
-        out[:, run] = flat[:, run] @ blocks[abs(k)].T
+        u = blocks[abs(k)]
+        if mirror:
+            u = u * (sign[: len(u), None] * sign[: len(u)])
+        out[:, run] = flat[:, run] @ u.T
     return out.reshape(amps.shape)
 
 
-def apply_tms(x: Ensemble, g: float, theta: float) -> Ensemble:
+def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ensemble:
     """Two-mode squeezer on every branch.
 
-    A carried tangent goes through in the same pass; the occupied diagonals
-    and leakage are judged on the state alone.
+    With ``mirror`` it is (-1)^{n_a} S (-1)^{n_a}, the squeezer at theta + pi
+    (parity sends a to -a): the second squeezer, S(g e^{i pi}), is the mirror
+    at theta = 0 and shares its blocks with the first.  A carried tangent
+    goes through in the same pass; the occupied diagonals and leakage are
+    judged on the state alone.
     """
-    out = Ensemble(_apply_tms_raw(x.data, g, theta, x.amps))
+    out = Ensemble(_apply_tms_raw(x.data, g, theta, x.amps, mirror))
     total = out.trace()
     # mass with either mode in its top two Fock layers
     edge = total - float(np.sum(np.abs(out.amps[..., :-2, :-2]) ** 2))
     if total > 0 and edge > LEAKAGE_TOL * total:
         raise LeakageError(f"top-layer mass {edge / total:.2e} after squeezer at n_cut={x.n_cut}")
     return out
-
-
-def _parity(x: Ensemble) -> Ensemble:
-    """(-1)^{n_a} on mode a."""
-    sign = 1.0 - 2.0 * (np.arange(x.n_cut + 1) % 2)
-    return Ensemble(x.data * sign[:, None])
-
-
-def _second_squeezer(x: Ensemble, g: float) -> Ensemble:
-    """S(g e^{i pi}) = (-1)^{n_a} S(g) (-1)^{n_a}, from the theta = 0 blocks.
-
-    The parity flip sends a to -a, so it flips the sign of the generator;
-    the identity is exact and its factors are +-1 only.
-    """
-    return _parity(apply_tms(_parity(x), g, 0.0))
 
 
 def apply_phase(x: Ensemble, phi: float) -> Ensemble:
@@ -381,14 +376,30 @@ def apply_loss(x: Ensemble, T: float) -> Ensemble:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
         return x
-    out_blocks = []
-    total_in = x.trace()
-    for _, block in _kraus_terms(x.data, T):
-        norms = np.sum(np.abs(Ensemble(block).amps) ** 2, axis=(-2, -1))
-        keep = norms > BRANCH_PRUNE_TOL * max(total_in, 1e-300)
-        if np.any(keep):
-            out_blocks.append(block[..., keep, :, :])
-    return Ensemble(np.concatenate(out_blocks, axis=-3))
+    # K_l moves row n + l of a branch to row n and scales its weight by
+    # (1 - T)^l T^n (n+1)...(n+l) / l!, so the input's row weights give every
+    # branch's weight: branches are kept before any is built
+    floor = BRANCH_PRUNE_TOL * max(x.trace(), 1e-300)
+    rows = np.sum(np.abs(x.amps) ** 2, axis=-1)
+    t_pow = T ** np.arange(x.n_cut + 1)
+    keeps, w2 = [], 1.0
+    for l in range(x.n_cut + 1):
+        if l > 0:
+            rows = np.arange(1.0, rows.shape[-1]) * rows[:, 1:]
+            w2 *= (1.0 - T) / l
+            if w2 == 0.0 or not rows.any():
+                break
+        keeps.append(w2 * (rows @ t_pow[: rows.shape[-1]]) > floor)
+    while keeps and not keeps[-1].any():
+        keeps.pop()
+    shape = x.data.shape
+    out = np.empty(shape[:-3] + (sum(int(k.sum()) for k in keeps),) + shape[-2:], x.data.dtype)
+    start = 0
+    for keep, (_, block) in zip(keeps, _kraus_terms(x.data, T)):
+        stop = start + int(keep.sum())
+        out[..., start:stop, :, :] = block[..., keep, :, :]
+        start = stop
+    return Ensemble(out)
 
 
 def _lower(x: Ensemble, m: int) -> Ensemble:
@@ -468,7 +479,7 @@ def output_ensemble(p: Params, n_cut: int) -> Ensemble:
     st = apply_tms(st, p.g, 0.0)
     ens = apply_loss(st, p.T1)
     ens = _seed_tangent(apply_phase(ens, p.phi))
-    ens = _second_squeezer(ens, p.g)
+    ens = apply_tms(ens, p.g, 0.0, mirror=True)
     return apply_loss(ens, p.T2)
 
 
@@ -480,7 +491,7 @@ def equivalent_state(p: Params, n_cut: int) -> Ensemble:
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
     st = _seed_tangent(apply_phase(st, p.phi))
-    return apply_tms(subtract_photons(_second_squeezer(st, p.g), p.m), p.g, 0.0)
+    return apply_tms(subtract_photons(apply_tms(st, p.g, 0.0, mirror=True), p.m), p.g, 0.0)
 
 
 def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
@@ -512,7 +523,7 @@ def internal_ensemble(p: Params, n_cut: int) -> Ensemble:
     st = apply_tms(st, p.g, 0.0)
     ens = apply_loss(st, p.T1)
     ens = apply_phase(ens, p.phi)
-    return apply_tms(subtract_photons(_second_squeezer(ens, p.g), p.m), p.g, 0.0)
+    return apply_tms(subtract_photons(apply_tms(ens, p.g, 0.0, mirror=True), p.m), p.g, 0.0)
 
 
 # -- convergence protocol ------------------------------------------------------

@@ -2,8 +2,11 @@
 
 They share no algebra with the code they check: the Taylor squeezer builds
 exp(xi ab - xi* a†b†) from the operators themselves, not from the blockwise
-eigendecomposition of ``su11.fock``, and ``serialize_config`` writes the
-config text that ``su11.sweeps.parse_config`` reads.
+eigendecomposition of ``su11.fock``; the loss channel builds every Kraus
+branch from its binomial amplitudes and judges each on its own norm, where
+``su11.fock`` judges them from row weights before building any; and
+``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
+reads.
 """
 
 from __future__ import annotations
@@ -60,6 +63,23 @@ def apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
             raise RuntimeError("two-mode squeezer series did not terminate")
         acc = out
     return acc
+
+
+def apply_loss_branchwise(amps: np.ndarray, T: float, prune_tol: float) -> np.ndarray:
+    """Mode-a loss on (branches, d, d) amplitudes, one Kraus branch at a time.
+
+    Row n of K_l |psi> is sqrt(C(n + l, l) (1 - T)^l T^n) times row n + l of
+    |psi>.  Branches at or below prune_tol of the input trace are dropped.
+    """
+    d = amps.shape[-1]
+    floor = prune_tol * float(np.sum(np.abs(amps) ** 2))
+    kept = []
+    for l in range(d):
+        k = np.zeros_like(amps)
+        for n in range(d - l):
+            k[:, n, :] = math.sqrt(math.comb(n + l, l) * (1.0 - T) ** l * T**n) * amps[:, n + l, :]
+        kept.extend(b for b in k if np.sum(np.abs(b) ** 2) > floor)
+    return np.array(kept)
 
 
 def serialize_config(specs: Sequence[SweepSpec]) -> str:

@@ -28,7 +28,7 @@ from su11.fock import (
     subtracted_moments,
 )
 from su11.model import Params, kernels
-from references import apply_tms_series
+from references import apply_loss_branchwise, apply_tms_series
 
 
 def tmsv(g, n_cut=50):
@@ -110,12 +110,10 @@ class TestTwoModeSqueezer:
         assert np.allclose(out.amps, st.amps, atol=1e-12)
 
     def test_second_squeezer_is_parity_mirrored_theta_zero(self):
-        from su11.fock import _second_squeezer
-
         ens = apply_loss(apply_tms(prepare_input(0.8, 40), 0.6, 0.0), 0.7)
         assert ens.amps.ndim == 3 and ens.amps.shape[0] > 1
         want = apply_tms(ens, 0.6, math.pi).amps
-        got = _second_squeezer(ens, 0.6).amps
+        got = apply_tms(ens, 0.6, 0.0, mirror=True).amps
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_leakage_detected_at_small_cutoff(self):
@@ -166,7 +164,7 @@ class TestEnsemble:
             Ensemble(np.zeros((6, 6), complex))
 
     def test_every_element_takes_and_returns_a_leading_branch_axis(self):
-        from su11.fock import _parity, _second_squeezer, _seed_tangent
+        from su11.fock import _seed_tangent
 
         st = prepare_input(0.8, 40)
         assert isinstance(st, Ensemble) and st.amps.shape == (1, 41, 41) and st.tangent is None
@@ -175,14 +173,13 @@ class TestEnsemble:
         assert mixed.amps.shape[0] > 1
         elements = (
             lambda x: apply_tms(x, 0.4, 0.0),
-            lambda x: _second_squeezer(x, 0.4),
+            lambda x: apply_tms(x, 0.4, 0.0, mirror=True),
             lambda x: apply_phase(x, 0.4),
             lambda x: apply_loss(x, 1.0),
             lambda x: apply_loss(x, 0.7),
             lambda x: apply_loss(x, 0.0),
             lambda x: subtract_photons(x, 2),
             lambda x: _lower(x, 2),
-            _parity,
         )
         for x in (pure, mixed, _seed_tangent(pure), _seed_tangent(mixed)):
             for element in elements:
@@ -262,6 +259,26 @@ class TestLoss:
         got = moments(lost, "a")[0] * lost.trace()
         assert got == pytest.approx(want_mean, rel=1e-10)
 
+    @pytest.mark.parametrize("T", [0.0, 0.3, 0.75])
+    def test_matches_the_branchwise_kraus_expansion(self, T):
+        ens = apply_phase(apply_loss(tmsv(0.8, 40), 0.6), 0.9)
+        got = apply_loss(ens, T).amps
+        want = apply_loss_branchwise(ens.amps, T, BRANCH_PRUNE_TOL)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_keeps_branches_past_a_pruned_one(self):
+        # rows n_a = 0 and 100 only: at T = 0.5 the branches l = 1, 2 fall
+        # below the prune tolerance, and l = 3 onward rise above it again
+        amps = np.zeros((1, 101, 101), complex)
+        amps[0, 0, 0] = amps[0, 100, 0] = math.sqrt(0.5)
+        got = apply_loss(Ensemble(amps), 0.5)
+        want = apply_loss_branchwise(amps, 0.5, BRANCH_PRUNE_TOL)
+        assert got.amps.shape == want.shape
+        assert np.allclose(got.amps, want, rtol=0.0, atol=1e-14)
+        assert not np.any(got.amps[1, 0])  # branch l = 3 holds row 100 moved to 97
+        assert got.trace() == pytest.approx(1.0, abs=1e-12)
+
     def test_rejects_transmittance_outside_unit_interval(self):
         st = tmsv(0.8, 40)
         for T in (-0.1, 1.1):
@@ -289,13 +306,13 @@ class TestLoss:
         assert out is st and out.amps.shape == out.tangent.shape == (1, 41, 41)
 
     def test_elements_leave_their_input_unchanged(self):
-        from su11.fock import _parity, _second_squeezer, _seed_tangent
+        from su11.fock import _seed_tangent
 
         ens = _seed_tangent(apply_phase(apply_loss(tmsv(0.4, 40), 0.8), 0.4))
         before = ens.data.copy()
         for element in (
             lambda x: apply_tms(x, 0.4, 0.0),
-            lambda x: _second_squeezer(x, 0.4),
+            lambda x: apply_tms(x, 0.4, 0.0, mirror=True),
             lambda x: apply_phase(x, 0.4),
             lambda x: apply_loss(x, 1.0),
             lambda x: apply_loss(x, 0.7),
@@ -303,7 +320,6 @@ class TestLoss:
             lambda x: subtract_photons(x, 0),
             lambda x: subtract_photons(x, 2),
             lambda x: _lower(x, 0),
-            _parity,
         ):
             element(ens)
             assert np.array_equal(ens.data, before)
