@@ -8,7 +8,7 @@ not representable.
 Every closed-form quantity in the calculator is a mixed-derivative
 extraction of exp(P) for one of a small family of exponent polynomials P
 whose coefficients are built from a handful of phase-dependent kernels
-(w, f, v, X families).  :class:`KernelSet` owns all of them, each carrying
+(w, v, X families).  :class:`KernelSet` owns all of them, each carrying
 its d/dphi channel, and provides factories for the exponent series, whose
 caps follow from the subtraction order m alone.
 
@@ -16,16 +16,13 @@ Dummy-variable conventions used throughout:
 
 * 2-variable series: (t, s)
 * 4-variable series: (t, s, c, d)
-* 6-variable series: (t, s, c, d, p, h)
 
 t and s carry the subtraction order, so every extraction is taken at
-(m, m) in them.  Each insertion tag pair, (c, d) or (p, h), enters the
-exponent with degree at most one per variable; extracting it at order
-(1, 1) reads the insertion, at order (0, 0) drops every term it tags.  So
-the extractions with fewer insertions are slices of one generating
-function, not separate exponents: exp(F1) at (m, m, 0, 0, 0, 0) is the
-equivalent model's norm, and the mode-a number insertion at (m, m, 0, 0) is
-the internal state's normalizer.
+(m, m) in them.  The insertion tag pair (c, d) enters the exponent with
+degree at most one per variable; extracting it at order (1, 1) reads the
+insertion, at order (0, 0) drops every term it tags.  So the mode-a number
+insertion at (m, m, 0, 0) is the internal state's normalizer, not a
+separate exponent.
 """
 
 from __future__ import annotations
@@ -91,21 +88,19 @@ class KernelSet:
 
     Scalar kernels (all :class:`CDual`):
 
-    * w1 -- (1/2) sinh 2g (1 - e^{-i phi}); lossless output kernel
-    * w3 -- (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}); lossy kernel
-    * f1..f4 -- Bogoliubov coefficients of the equivalent-model expansion
+    * w3 -- (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}); output kernel,
+      the lossless one at T1 = T2 = 1
     * v1, v2 -- internal-photon-number kernels (loss T = T1)
     * X1 -- extended-system kernel at transmissivity eta
 
     Exponent series, one generating function per calculator:
 
     * :meth:`exponent_a` -- output port, for the error-propagation moments
-    * :meth:`exponent_f1` -- equivalent model with two number insertions;
-      its slices give every inner product of the ideal QFI
     * :meth:`exponents_nt` -- mode-a and mode-b number insertions of the
       internal state; their shared (c, d) = 0 slice is its normalizer
     * :meth:`exponent_x5` and :meth:`x_polys` -- the loss-equivalent probe
-      of the extended system
+      of the extended system; at eta = 1 it is the lossless probe, so they
+      serve the ideal QFI as well
     """
 
     def __init__(self, p: Params):
@@ -118,12 +113,7 @@ class KernelSet:
         sqT1, sqT2 = math.sqrt(p.T1), math.sqrt(p.T2)
         sqeta = math.sqrt(p.eta)
 
-        self.w1 = 0.5 * sh2g * (1.0 - self.e_m)
         self.w3 = (0.5 * sh2g * sqT2) * (1.0 - self.e_m * sqT1)
-        self.f1 = self.e_m * ch
-        self.f2 = self.e_m * (-sh)
-        self.f3 = self.e_m * (ch * ch) - sh * sh
-        self.f4 = self.w1
         self.v1 = 0.5 * sh2g * (1.0 - self.e_m * sqT1)
         self.v2 = self.e_m * (-sqT1 * sh)
         self.X1 = 0.5 * sh2g * (1.0 - self.e_m * sqeta)
@@ -141,46 +131,9 @@ class KernelSet:
             terms += [((1, 0), w * beta), ((0, 1), w.conj() * beta)]
         return MultiSeries.from_terms((self.p.m + 2, self.p.m + 2), terms)
 
-    def exponent_a(self, lossy: bool) -> MultiSeries:
-        """Exponent of the output-port generating function, over (t, s).
-
-        The lossy variant replaces w1 by w3; at T1 = T2 = 1 the two are the
-        same floating-point numbers, so the reduction is exact.
-        """
-        return self._bilinear(self.w3 if lossy else self.w1)
-
-    # -- equivalent-model exponent for the ideal QFI -------------------------
-
-    def exponent_f1(self) -> MultiSeries:
-        """Double number insertion, over (t, s, c, d, p, h).
-
-        (c, d) tags the insertion left of the subtraction pair, (p, h) the one
-        right of it; the (c, d, p, h) = 0 slice is the norm exponent, which
-        equals the lossless output exponent since f4 = w1.
-        """
-        m, b = self.p.m, self.p.beta
-        f1, f2, f3, f4 = self.f1, self.f2, self.f3, self.f4
-        k = max(m, 1)
-        return MultiSeries.from_terms(
-            (k, k, 1, 1, 1, 1),
-            [
-                ((1, 0, 0, 1, 0, 0), f1.conj() * f3),
-                ((0, 0, 0, 1, 1, 0), f1.abs2()),
-                ((0, 1, 0, 0, 1, 0), f1 * f3.conj()),
-                ((0, 0, 0, 0, 1, 1), f2.abs2()),
-                ((1, 1, 0, 0, 0, 0), f4.abs2()),
-                ((1, 0, 0, 0, 0, 1), f4 * f2.conj()),
-                ((0, 1, 1, 0, 0, 0), f2 * f4.conj()),
-                ((0, 0, 1, 0, 0, 1), f2.abs2()),
-                ((0, 0, 1, 1, 0, 0), f2.abs2()),
-                ((0, 1, 0, 0, 0, 0), f4.conj() * b),
-                ((0, 0, 0, 0, 0, 1), f2.conj() * b),
-                ((0, 0, 0, 1, 0, 0), f2.conj() * b),
-                ((0, 0, 1, 0, 0, 0), f2 * b),
-                ((1, 0, 0, 0, 0, 0), f4 * b),
-                ((0, 0, 0, 0, 1, 0), f2 * b),
-            ],
-        )
+    def exponent_a(self) -> MultiSeries:
+        """Exponent of the output-port generating function, over (t, s)."""
+        return self._bilinear(self.w3)
 
     # -- internal-photon-number exponents (loss parameter T = T1) -----------
 

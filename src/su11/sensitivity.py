@@ -6,8 +6,8 @@ gives  delta^2 phi = Var(N) / |d<N>/dphi|^2,  with the phi derivative taken
 from the dual channel of the extraction (`su11.verify` checks it against
 central differences).
 
-The lossy variant is the identical code path with the lossy kernel, so the
-no-loss reduction is bit-for-bit.
+The ideal variant is the lossy one at T1 = T2 = 1, so the no-loss
+reduction is bit-for-bit.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def _error_propagation(exp_a: MultiSeries, m: int) -> SensitivityReport:
 
 def sensitivity_ideal(p: Params) -> SensitivityReport:
     """Error-propagation sensitivity of the lossless interferometer."""
-    return _error_propagation(kernels(p).exponent_a(lossy=False), p.m)
+    return _error_propagation(kernels(p.replace(T1=1.0, T2=1.0)).exponent_a(), p.m)
 
 
 def sensitivity_lossy(p: Params) -> SensitivityReport:
     """Sensitivity with internal (T1) and external (T2) photon loss."""
-    return _error_propagation(kernels(p).exponent_a(lossy=True), p.m)
+    return _error_propagation(kernels(p).exponent_a(), p.m)
 
 
 def optimal_phase(

@@ -17,7 +17,7 @@ mechanized with two ingredients:
   caps; since extraction only ever reads coefficients inside the box, the
   truncated arithmetic is exact for every extracted value.
 
-Coefficient boxes are tiny (at most ``(m+3)^2 * 2^4`` entries for the
+Coefficient boxes are tiny (at most ``(m+3)^2 * 2^2`` entries for the
 largest kernels), so dense storage wins over sparse maps.
 
 The calculators read physical quantities off the extracted values with the
@@ -45,6 +45,8 @@ MAX_FACTORIAL_ORDER = 34
 DARK_FRINGE_FLOOR = 1e-300
 # relative imaginary residue tolerated on a quantity that must be real
 IMAG_TOL = 1e-10
+# estimated relative roundoff above which a calculator result is a NumericalError
+ROUNDOFF_REL_TOL = 1e-9
 # |d<N>/dphi| below this fraction of <N> is stationary, in closed form and oracle
 STATIONARY_REL_TOL = 1e-12
 

@@ -22,18 +22,13 @@ from su11.qfi import qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
 
-def _qcrb_at(p: Params) -> float:
-    # the lossy bound reduces to the ideal one at eta = 1, so a single rule
-    # covers both figure families
-    return qfi_lossy(p).qcrb
-
-
 QUANTITIES: Dict[str, Callable[[Params], float]] = {
     "delta_phi_ideal": lambda p: sensitivity_ideal(p).delta_phi,
     "delta_phi_lossy": lambda p: sensitivity_lossy(p).delta_phi,
     "qfi_ideal": lambda p: qfi_ideal(p).f,
     "qfi_lossy": lambda p: qfi_lossy(p).f,
-    "qcrb": _qcrb_at,
+    # the ideal QFI is the lossy bound at eta = 1, so one rule covers both figure families
+    "qcrb": lambda p: qfi_lossy(p).qcrb,
     "sql": lambda p: limits(p).sql,
     "hl": lambda p: limits(p).hl,
     "n_t": lambda p: limits(p).n_t,

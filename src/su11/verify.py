@@ -22,7 +22,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from su11 import fock
-from su11.errors import DarkFringeError, NumericalError, Su11Error
+from su11.errors import DarkFringeError, NormalizationError, NumericalError, Su11Error
 from su11.limits import internal_photon_number, limits
 from su11.model import Params, kernels
 from su11.qfi import _cq_from, _loss_inner_products, qfi_ideal, qfi_lossy
@@ -116,7 +116,7 @@ def alpha_scan(p: Params) -> Tuple[float, float]:
     widening the bracket while the minimum lands on an edge; golden-section
     then refines it.  A flat profile (eta = 1) short-circuits to alpha = 0.
     """
-    d = _loss_inner_products(p)
+    d = _loss_inner_products(p, NormalizationError)
 
     def cq(alpha: float) -> float:
         return _cq_from(d, p.eta, alpha)
@@ -144,7 +144,12 @@ def alpha_scan(p: Params) -> Tuple[float, float]:
 
 def criterion_3_lossy_minimization(level: str) -> CriterionResult:
     """Closed-form lossy QFI equals the numeric alpha minimum (rel 1e-8);
-    at eta = 1 both equal the ideal QFI (rel 1e-10)."""
+    at eta = 1 both equal the ideal QFI (rel 1e-10).
+
+    The ideal QFI is the same closed form at eta = 1, so the unit-eta gap
+    compares the alpha scan's C_Q with that closed form; C2 (the oracle) is
+    the independent check of the ideal QFI.
+    """
     worst_min = 0.0
     worst_unit = 0.0
     for eta in (0.5, 0.7, 0.9, 1.0):
@@ -155,7 +160,7 @@ def criterion_3_lossy_minimization(level: str) -> CriterionResult:
             worst_min = max(worst_min, abs(r.f - fn) / abs(fn))
             if eta == 1.0:
                 fi = qfi_ideal(p).f
-                worst_unit = max(worst_unit, abs(r.f - fi) / fi, abs(fn - fi) / fi)
+                worst_unit = max(worst_unit, abs(fn - fi) / fi)
     passed = worst_min < 1e-8 and worst_unit < 1e-10
     return CriterionResult(
         "C3",
@@ -170,8 +175,9 @@ def criterion_4_reductions(level: str) -> CriterionResult:
     problems = []
     for m in (0, 1, 3):
         p = Params(g=1.1, beta=0.8, phi=0.9, m=m, T1=1.0, T2=1.0)
+        # w1 is X1 at eta = 1; delta_phi is even in w3, so its sign is checked here
         ks = kernels(p)
-        if ks.w3.val != ks.w1.val:
+        if (ks.w3.val, ks.w3.dph) != (ks.X1.val, ks.X1.dph):
             problems.append(f"w3 != w1 at T1=T2=1 (m={m})")
         ri, rl = sensitivity_ideal(p), sensitivity_lossy(p)
         if not math.isclose(ri.delta_phi, rl.delta_phi, rel_tol=1e-14):
@@ -318,7 +324,7 @@ def d_mean_dphi_fd(p: Params) -> float:
     """Central-difference (step 1e-5) lossy d<N>/dphi, the check on the dual channel."""
 
     def mean_at(phi: float) -> float:
-        e = kernels(p.replace(phi=phi)).exponent_a(lossy=True).exp()
+        e = kernels(p.replace(phi=phi)).exponent_a().exp()
         gm = e.extract((p.m, p.m)).val
         normalizer(gm, DarkFringeError, "dark fringe inside finite-difference stencil")
         return (e.extract((p.m + 1, p.m + 1)).val / gm).real

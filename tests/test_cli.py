@@ -115,7 +115,8 @@ class TestRunSweep:
             ("delta_phi_lossy", dict(g=12.0, m=15)),
             ("n_t", dict(g=12.0, m=15)),
             ("sql", dict(g=12.0, m=15)),
-            ("qfi_ideal", dict(g=12.0, m=15)),
+            # qfi_ideal is still finite at g = 12 (test_qfi) and overflows from g = 12.5
+            ("qfi_ideal", dict(g=12.5, m=15)),
             # roundoff near phi = 2 pi k used to raise untyped errors
             ("qfi_ideal", dict(phi=1e-9, m=3)),
             ("qfi_ideal", dict(phi=2 * math.pi, m=1)),
@@ -126,9 +127,16 @@ class TestRunSweep:
                 dict(g=0.08560370573548237, beta=2.981156668039141,
                      phi=-2.4127980815017835e-07, m=15),
             ),
+            # the probe's inner products grow like 1/|X1|^2 next to a fringe and
+            # cancel: the roundoff estimate turns these into codes, not values
+            *[("qfi_ideal", dict(phi=phi, m=m)) for phi in (1e-8, 1e-7) for m in (1, 3, 8, 15)],
+            ("qfi_ideal", dict(g=1.61, beta=1.02, phi=2 * math.pi + 6e-8, m=6)),
+            ("qfi_lossy", dict(eta=1.0 - 1e-9, phi=1e-8, m=1)),
         ],
         ids=["dphi-g12", "nt-g12", "sql-g12", "qfi-g12", "qfi-phi1e-9", "qfi-2pi", "qcrb-2pi",
-             "qfi-pow-overflow"],
+             "qfi-pow-overflow",
+             *[f"qfi-phi{phi}-m{m}" for phi in ("1e-8", "1e-7") for m in (1, 3, 8, 15)],
+             "qfi-2pi+6e-8", "qfi-lossy-eta1-1e-9"],
     )
     def test_overflow_and_roundoff_cells_carry_numerical_code(self, quantity, params):
         assert _eval_task((quantity, Params(**params))) == ("", "Numerical")
@@ -211,7 +219,7 @@ class TestFigures:
         labels = [c[0] for c in fig.columns]
         assert "delta_phi_b_oracle" in labels
 
-    @pytest.mark.parametrize("figure_id", ["fig5", "fig11a", "fig13b"])
+    @pytest.mark.parametrize("figure_id", ["fig5", "fig7a", "fig7b", "fig11a", "fig11b", "fig13b"])
     def test_matches_reference_table(self, figure_id):
         # the benchmark's rule: values to rel 1e-9, error codes exact
         got = to_csv(run_figure(FigureJob(figure_id))).splitlines()

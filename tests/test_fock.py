@@ -355,7 +355,7 @@ class TestSubtraction:
         # the 2m-fold extraction of exp(A1)
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m)
         ens = output_ensemble(p, 70)
-        gm = kernels(p).exponent_a(lossy=False).exp().extract((m, m)).val.real
+        gm = kernels(p).exponent_a().exp().extract((m, m)).val.real
         assert _lower(ens, m).trace() == pytest.approx(gm, rel=1e-8)
 
     @pytest.mark.parametrize("mode", ["a", "b"])
@@ -390,7 +390,7 @@ class TestMoments:
         p = Params(g=1.0, beta=1.0, phi=0.4)
         ens = output_ensemble(p, 70)
         mean, _ = moments(ens, "a")
-        w1 = kernels(p).w1.val
+        w1 = kernels(p).w3.val  # the lossless kernel: w3 at T1 = T2 = 1
         assert mean == pytest.approx(abs(w1) ** 2 * 2.0, rel=1e-9)
 
     def test_full_pipeline_moments_match_error_propagation_report(self):

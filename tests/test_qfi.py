@@ -1,5 +1,7 @@
 """Tests for the ideal and lossy quantum Fisher information."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,51 @@ from su11.verify import alpha_scan
 # Fock-oracle QFI at g=1, beta=1, phi=0.4 (converged n_cut), frozen; the
 # exact-tangent oracle of numeric_qfi_pure reproduces each to rel 2e-10
 ORACLE_F_IDEAL = {0: 33.9379578869, 1: 55.5765637644, 2: 74.6353211166}
-# closed-form values at the same point from four separate exponent series
-# (F2, F3, F4, F1); the slices of exp(F1) must reproduce them
-PINNED_F_IDEAL = {0: 33.93795787185746, 3: 92.58751959779903, 15: 284.99657450220275}
+# ideal QFI as the equivalent model's own generating function over six dummy
+# variables gave it, before the extended-system bound at eta = 1 replaced
+# that route; by m, then (g, beta, phi)
+PINNED_F_IDEAL = {
+    0: {
+        (0.5, 0.0, 0.4): 1.3810978455418161,
+        (0.5, 2.5, 2.0): 11.856312979623967,
+        (1.0, 1.0, 0.4): 33.93795787185746,
+        (1.0, 0.0, 2.0): 13.15411641800824,
+        (1.5, 1.0, 2.0): 282.9381301921282,
+        (1.5, 2.5, 0.4): 1241.4847688793543,
+        (11.0, 1.0, 0.4): 9.638700082184569e+18,
+        (11.5, 0.0, 0.4): 2.374029855150613e+19,
+    },
+    3: {
+        (0.5, 0.0, 0.4): 5.524391382167295,
+        (0.5, 2.5, 2.0): 19.1420710663443,
+        (1.0, 1.0, 0.4): 92.58751959779903,
+        (1.0, 0.0, 2.0): 52.61646567203306,
+        (1.5, 1.0, 2.0): 743.2976013018088,
+        (1.5, 2.5, 0.4): 1801.5992985915836,
+        (11.0, 1.0, 0.4): 2.468874649445761e+19,
+        (11.5, 0.0, 0.4): 9.49611942060245e+19,
+    },
+    8: {
+        (0.5, 0.0, 0.4): 12.429880609876818,
+        (0.5, 2.5, 2.0): 29.558528788297338,
+        (1.0, 1.0, 0.4): 175.7637363598153,
+        (1.0, 0.0, 2.0): 118.38704776207487,
+        (1.5, 1.0, 2.0): 1389.5572880654054,
+        (1.5, 2.5, 0.4): 2614.480611423067,
+        (11.0, 1.0, 0.4): 4.566071283755411e+19,
+        (11.5, 0.0, 0.4): 2.1366268696355484e+20,
+    },
+    15: {
+        (0.5, 0.0, 0.4): 22.097565528665655,
+        (0.5, 2.5, 2.0): 42.873376689713155,
+        (1.0, 1.0, 0.4): 284.99657450220275,
+        (1.0, 0.0, 2.0): 210.4658626881337,
+        (1.5, 1.0, 2.0): 2234.8001750744734,
+        (1.5, 2.5, 0.4): 3646.8543541501276,
+        (11.0, 1.0, 0.4): 7.300754266192111e+19,
+        (11.5, 0.0, 0.4): 3.798447768240967e+20,
+    },
+}
 
 
 class TestQcrb:
@@ -44,8 +88,9 @@ class TestIdealQfi:
 
     @pytest.mark.parametrize("m", sorted(PINNED_F_IDEAL))
     def test_pinned_closed_form_values(self, m):
-        f = qfi_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=m)).f
-        assert f == pytest.approx(PINNED_F_IDEAL[m], rel=1e-12)
+        for (g, beta, phi), want in PINNED_F_IDEAL[m].items():
+            f = qfi_ideal(Params(g=g, beta=beta, phi=phi, m=m)).f
+            assert f == pytest.approx(want, rel=1e-11), (g, beta, phi)
 
     def test_matches_fidelity_oracle_live(self):
         p = Params(g=0.6, beta=0.8, phi=0.7, m=1)
@@ -68,13 +113,16 @@ class TestIdealQfi:
             ]
             assert all(a < b for a, b in zip(fg, fg[1:]))
 
-    def test_insertion_extractions_are_conjugate(self):
-        r = qfi_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=2))
-        assert r.terms["h4"] == pytest.approx(r.terms["h3"].conjugate(), rel=1e-12)
-
     def test_dark_fringe(self):
         with pytest.raises(DarkFringeError):
             qfi_ideal(Params(g=1.0, beta=1.0, phi=0.0, m=1))
+
+    def test_finite_at_large_gain(self):
+        # the series still fits at g = 12, m = 15, where F grows like e^{4g}
+        f = qfi_ideal(Params(g=12.0, beta=1.0, phi=0.4, m=15)).f
+        assert f == pytest.approx(3.986e21, rel=1e-3)
+        below = qfi_ideal(Params(g=11.5, beta=1.0, phi=0.4, m=15)).f
+        assert f == pytest.approx(math.e**2 * below, rel=1e-9)
 
     def test_zero_gain_has_no_information(self):
         from su11.errors import StationaryPointError
@@ -140,9 +188,9 @@ class TestLossyQfi:
         calls = []
         inner_products = qfi._loss_inner_products
 
-        def counted(p):
+        def counted(p, vanished):
             calls.append(p)
-            return inner_products(p)
+            return inner_products(p, vanished)
 
         def forbidden(*args):
             raise AssertionError("qfi_lossy evaluated C_Q(alpha)")

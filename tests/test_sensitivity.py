@@ -26,7 +26,7 @@ class TestIdeal:
     def test_m0_mean_closed_form(self):
         p = Params(g=1.0, beta=0.7, phi=0.9, m=0)
         r = sensitivity_ideal(p)
-        w1 = kernels(p).w1.val
+        w1 = kernels(p).w3.val  # the lossless kernel: w3 at T1 = T2 = 1
         assert r.mean_n == pytest.approx(abs(w1) ** 2 * (1 + p.beta**2), rel=1e-12)
 
     def test_dark_fringe_raises(self):
