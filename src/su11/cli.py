@@ -35,24 +35,46 @@ def _cmd_sweep(args) -> int:
         print("error: config contains no sweep sections", file=sys.stderr)
         return 1
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: output directory {out_dir}: {err.strerror or err}", file=sys.stderr)
+        return 1
     for spec in specs:
         table = run_sweep(spec)
         path = out_dir / f"{spec.name}.csv"
-        path.write_text(to_csv(table))
+        if not _write(path, to_csv(table)):
+            return 1
         print(path)
     return 0
+
+
+def _write(path: Path, text: str) -> bool:
+    """Write the CSV text; on failure report it and return False."""
+    try:
+        path.write_text(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_figure(args) -> int:
     try:
         job = FigureJob(args.figure_id, args.output or f"{args.figure_id}.csv")
         thread_cap()
+        path = Path(job.output_path)
+        # checked before the figure is computed, not after
+        if path.is_dir():
+            raise ValueError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"output directory {path.parent} does not exist")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     table = run_figure(job)
-    Path(job.output_path).write_text(to_csv(table))
+    if not _write(path, to_csv(table)):
+        return 1
     print(job.output_path)
     return 0
 

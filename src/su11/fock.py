@@ -10,24 +10,28 @@ The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
 generator, loss as the full Kraus set) so that it shares no algebra with the
 closed-form calculator it verifies.  The squeezer's generator splits into
-tridiagonal blocks along the grid diagonals n_a - n_b = k; a diagonal phase
-gauge makes each block the gain times a real symmetric matrix that depends
-on the cutoff alone, so one real eigendecomposition per occupied diagonal
-and cutoff serves every gain and phase.  A diagonal is occupied when it
+tridiagonal blocks along the grid diagonals n_a - n_b = k.  At theta = 0
+each block is the gain times a real antisymmetric matrix K_k that depends on
+the cutoff alone, so the block exp(g K_k) is a real rotation; K_k couples
+even to odd photon numbers only, so one half-size singular value
+decomposition of that coupling per occupied diagonal and cutoff serves every
+gain and phase.  Any other theta is a diagonal phase twist before and after
+the same real block, and a block acts as one real matrix product on the
+complex amplitudes viewed as (re, im) pairs.  A diagonal is occupied when it
 holds more than BRANCH_PRUNE_TOL of the state's weight; the squeezer acts on
 those only.  Every pipeline starts from |0, beta>, the squeezers and the
 phase shifter conserve n_a - n_b, and loss, subtraction and b† only lower
 it, so the n_a > n_b half of the grid stays empty and only the coherent
-tail, widened by loss, is occupied.  Bases and blocks are built per
-diagonal on first use.  The second squeezer, S(g e^{i pi}), is applied as
-(-1)^{n_a} S(g) (-1)^{n_a}, so the two squeezers share one block set per
-gain.  Every pipeline squeezes at the one gain p.g, so only the blocks of
-the latest gain are cached: a new gain drops the others, and a sweep along
-phi, beta or the transmittances reuses its blocks from point to point while
-a sweep along g, whose points share no gain, keeps no stale ones.  Bases
-hold no gain and stay.  The tests keep a sub-stepped Taylor exponential of
-the same generator as an independent cross-check of the blockwise
-propagator.
+tail, widened by loss, is occupied.  Bases and blocks, all real, are built
+per diagonal on first use.  The second squeezer, S(g e^{i pi}), is applied
+as (-1)^{n_a} S(g) (-1)^{n_a}, an exact sign twist, so the two squeezers
+share one block set per gain.  Every pipeline squeezes at the one gain p.g,
+so only the blocks of the latest gain are cached: a new gain drops the
+others, and a sweep along phi, beta or the transmittances reuses its blocks
+from point to point while a sweep along g, whose points share no gain, keeps
+no stale ones.  Bases hold no gain and stay.  The tests keep a sub-stepped
+Taylor exponential of the same generator as an independent cross-check of
+the blockwise propagator.
 
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
@@ -170,14 +174,14 @@ def prepare_input(beta: float, n_cut: int) -> Ensemble:
 
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
-# one budget, in complex entries, bounds both caches (a real entry counts
-# half) and counts only the diagonals actually built.  The block cache holds
-# one gain at a time (see _tms_blocks), so the budget bounds that gain's
-# blocks at every cutoff and phase, plus the bases.  Blocks are only two
-# real matrix products per diagonal away from their basis, so they are
-# evicted first (least recent first); a basis holds the eigendecompositions
-# and serves every gain and phase at its cutoff, so bases go only once no
-# blocks are left
+# one budget, in complex entries, bounds both caches (both hold real arrays,
+# and a real entry counts half) and counts only the diagonals actually
+# built.  The block cache holds one gain at a time (see _tms_blocks), so the
+# budget bounds that gain's blocks at every cutoff and phase, plus the bases.
+# Blocks are only three half-size real matrix products per diagonal away
+# from their basis, so they are evicted first (least recent first); a basis
+# holds the singular value decompositions and serves every gain and phase at
+# its cutoff, so bases go only once no blocks are left
 _TMS_CACHE_BUDGET = 1.2e7
 
 
@@ -225,52 +229,78 @@ def _filled(cache: dict, key, ks: List[int], build) -> _Diagonals:
 
 
 def _tms_basis(d: int, ks: List[int]) -> _Diagonals:
-    """Eigenpairs (lambda_k, V_k) of the real tridiagonal J_k for k in ks.
+    """Half-size singular value decompositions (sigma_k, U_k, W_k) for k in ks.
 
-    J_k couples |n-1+k, n-1> and |n+k, n> with sqrt((n + k) n); it depends
-    on the cutoff alone, so each occupied diagonal of each cutoff is
-    diagonalized once, on first use, and serves every gain and phase.
+    On |n+k, n> (n = 0..s-1, s = d - k) the theta = 0 generator is g K_k,
+    with K_k real, antisymmetric and tridiagonal: +sqrt((n + k) n) at
+    (n - 1, n) and its negative at (n, n - 1).  It couples even n only to
+    odd n, so in even/odd order K_k = [[0, C_k], [-C_k^T, 0]], where C_k,
+    ((s + 1) // 2) x (s // 2), is lower bidiagonal: the even/odd coupling
+    of the real symmetric J_k of sqrt((n + k) n), with the signs (-1)^(i+j)
+    that the gauge D = diag((-i)^n) puts on it (D J_k D^-1 = i K_k).  With
+    C_k = U_k diag(sigma_k) W_k^T (U_k square, so for odd s its last column
+    spans the zero mode), the eigenvalues of J_k are +-sigma_k, plus 0 for
+    odd s.  C_k depends on the cutoff alone, so each occupied diagonal of
+    each cutoff is decomposed once, on first use, and serves every gain and
+    phase.
     """
 
     def build(missing):
         for k in missing:
-            n = np.arange(1, d - k)
-            j = np.diag(np.sqrt((n + k) * n), 1)
-            yield np.linalg.eigh(j + j.T)
+            s = d - k
+            n = np.arange(1, s)
+            c = np.sqrt((n + k) * n)
+            # C_k[i, i] = c_{2i+1} and C_k[i+1, i] = -c_{2i+2}, with c_n at c[n - 1]
+            coupling = np.zeros(((s + 1) // 2, s // 2))
+            i = np.arange(s // 2)
+            coupling[i, i] = c[0::2]
+            i = i[: (s - 1) // 2]
+            coupling[i + 1, i] = -c[1::2]
+            u, sigma, wt = np.linalg.svd(coupling)
+            yield sigma, u, wt.T
 
     return _filled(_TMS_BASIS_CACHE, d, ks, build)
 
 
 def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> _Diagonals:
-    """Propagator blocks of exp(xi ab - xi* a†b†) for the diagonals k in ks.
+    """Real rotation blocks of exp(xi ab - xi* a†b†) for the diagonals k in ks.
 
     The generator conserves n_a - n_b, so it block-diagonalizes over the
     grid diagonals; by the a <-> b symmetry one block serves a diagonal and
-    its mirror.  On |n+k, n> (n = 0..d-1-k) it is the tridiagonal
-    -i g D J_k D^-1, with D = diag(e^{i n psi}), psi = -pi/2 - theta, and
-    J_k the real symmetric matrix of sqrt((n + k) n).  With (lambda_k, V_k)
-    the eigenbasis of J_k, the block is D V_k diag(e^{-i g lambda_k}) V_k^T
-    D^-1: the exact (unitary) exponential of the truncated generator,
-    matching the sub-stepped series to roundoff.  Each block is built from
-    its diagonal's eigenbasis on first use.
+    its mirror.  On |n+k, n> (n = 0..d-1-k) the theta = 0 block is exp(g
+    K_k), a real orthogonal matrix (see :func:`_tms_basis`); in even/odd
+    order it is
+
+        [[U cos U^T,  U sin W^T],
+         [-W sin U^T, W cos W^T]],   cos, sin = cos(g sigma_k), sin(g sigma_k),
+
+    with cos = 1 on the zero mode of odd s: the exact exponential of the
+    truncated generator, matching the sub-stepped series to roundoff.  Any
+    other theta is the diagonal twist E exp(g K_k) E^-1, E = diag(e^{-i n
+    theta}), which :func:`_apply_tms_raw` applies to the state, so the
+    blocks are real and the same at every theta.  Each block is built from
+    its diagonal's basis on first use.
 
     The cache keeps the blocks of one gain: every pipeline squeezes at a
     single gain, so blocks of any other gain are dropped before this gain's
     are looked up.  Returning to a dropped gain rebuilds its blocks from the
-    cached bases, without a new eigendecomposition.
+    cached bases, without a new decomposition.
     """
 
     def build(missing):
         basis = _tms_basis(d, missing)
-        gauge = np.exp(1j * (-0.5 * math.pi - theta) * np.arange(d))
         for k in missing:
-            lam, v = basis[k]
-            size = lam.size
-            u = np.empty((size, size), complex)
-            u.real = (v * np.cos(g * lam)) @ v.T
-            u.imag = (v * -np.sin(g * lam)) @ v.T
-            u *= gauge[:size, None] * gauge[:size].conj()
-            yield u
+            sigma, u, w = basis[k]
+            s = d - k
+            cos, sin = np.cos(g * sigma), np.sin(g * sigma)
+            # for odd s the even half also holds the zero mode, left in place
+            cos_even = np.append(cos, np.ones(len(u) - sigma.size))
+            r = np.empty((s, s))
+            r[0::2, 0::2] = (u * cos_even) @ u.T
+            r[0::2, 1::2] = (u[:, : sigma.size] * sin) @ w.T
+            r[1::2, 0::2] = -r[0::2, 1::2].T
+            r[1::2, 1::2] = (w * cos) @ w.T
+            yield r
 
     g = float(g)
     for key in [key for key in _TMS_BLOCK_CACHE if key[0] != g]:
@@ -284,14 +314,19 @@ def _apply_tms_raw(
     """Exact exponential of the truncated two-mode-squeezing generator.
 
     Every axis before the last two (tangent, branches) is folded into the
-    rows of one matrix product per diagonal, so a state, a stack and a stack
-    with its tangent take one path.  Only the occupied diagonals are
-    multiplied: those that hold more than BRANCH_PRUNE_TOL of the weight of
-    ``state`` (``amps`` itself by default).  The squeezer conserves each
-    diagonal's weight, so every other diagonal is zero in the output.
+    rows of one real matrix product per diagonal: the diagonal's entries of
+    all rows are gathered into a (length, rows) complex array, viewed as
+    (length, 2 rows) real (re, im) pairs, and rotated by the real block.
+    A state, a stack and a stack with its tangent take one path.  Only the
+    occupied diagonals are multiplied: those that hold more than
+    BRANCH_PRUNE_TOL of the weight of ``state`` (``amps`` itself by
+    default).  The squeezer conserves each diagonal's weight, so every other
+    diagonal is zero in the output.
 
-    With ``mirror`` (see :func:`apply_tms`) entry (i, j) of each block gains
-    the exact sign (-1)^{i+j}, as n_a steps by one along a diagonal.
+    A nonzero theta twists entry j of a diagonal by e^{i j theta} before the
+    block and entry i by e^{-i i theta} after it.  With ``mirror`` (see
+    :func:`apply_tms`) the twist also carries the exact sign (-1)^j, as n_a
+    steps by one along a diagonal, so the mirror at theta = 0 stays real.
     """
     if g == 0.0:
         return amps.copy()
@@ -306,17 +341,24 @@ def _apply_tms_raw(
     occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300))
     occupied = (occupied - (d - 1)).tolist()
     blocks = _tms_blocks(g, theta, d, sorted({abs(k) for k in occupied}))
-    sign = 1.0 - 2.0 * (n % 2)
+    twist = np.exp(1j * theta * n) if theta != 0.0 else None
+    if mirror:
+        sign = 1.0 - 2.0 * (n % 2)
+        twist = sign if twist is None else sign * twist
     # on the grid flattened to d*d, diagonal k >= 0, |n+k, n>, is the stride
     # d+1 run from k*d, and its mirror -k, |n, n+k>, the run from k
     flat = amps.reshape(-1, d * d)
     out = np.zeros_like(flat)
     for k in occupied:
         run = slice(k * d, d * d, d + 1) if k >= 0 else slice(-k, (d + k) * d, d + 1)
-        u = blocks[abs(k)]
-        if mirror:
-            u = u * (sign[: len(u), None] * sign[: len(u)])
-        out[:, run] = flat[:, run] @ u.T
+        r = blocks[abs(k)]
+        x = np.ascontiguousarray(flat[:, run].T)
+        if twist is not None:
+            x *= twist[: len(r), None]
+        y = (r @ x.view(np.float64)).view(complex)
+        if twist is not None:
+            y *= twist[: len(r), None].conj()
+        out[:, run] = y.T
     return out.reshape(amps.shape)
 
 
@@ -325,7 +367,8 @@ def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ense
 
     With ``mirror`` it is (-1)^{n_a} S (-1)^{n_a}, the squeezer at theta + pi
     (parity sends a to -a): the second squeezer, S(g e^{i pi}), is the mirror
-    at theta = 0 and shares its blocks with the first.  A carried tangent
+    at theta = 0, the exact sign twist (-1)^j on each diagonal around the
+    real blocks it shares with the first.  A carried tangent
     goes through in the same pass; the occupied diagonals and leakage are
     judged on the state alone.
     """

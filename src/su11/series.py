@@ -117,14 +117,6 @@ class CDual:
     def __rtruediv__(self, other: Scalar) -> "CDual":
         return self._coerce(other) / self
 
-    def __pow__(self, p: float) -> "CDual":
-        # a complex power that overflows raises instead of giving inf
-        try:
-            v = self.val**p
-            return CDual(v, p * self.val ** (p - 1) * self.dph)
-        except OverflowError:
-            raise NumericalError(f"({self.val!r}) ** {p} overflowed") from None
-
     def conj(self) -> "CDual":
         # phi is real, so conjugation commutes with d/dphi
         return CDual(self.val.conjugate(), self.dph.conjugate())

@@ -2,7 +2,7 @@
 
 They share no algebra with the code they check: the Taylor squeezer builds
 exp(xi ab - xi* a†b†) from the operators themselves, not from the blockwise
-eigendecomposition of ``su11.fock``; the loss channel builds every Kraus
+real rotations of ``su11.fock``; the loss channel builds every Kraus
 branch from its binomial amplitudes and judges each on its own norm, where
 ``su11.fock`` judges them from row weights before building any; and
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``

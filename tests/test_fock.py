@@ -110,17 +110,20 @@ class TestTwoModeSqueezer:
         assert np.allclose(out.amps, st.amps, atol=1e-12)
 
     def test_second_squeezer_is_parity_mirrored_theta_zero(self):
+        from su11.fock import _seed_tangent
+
         ens = apply_loss(apply_tms(prepare_input(0.8, 40), 0.6, 0.0), 0.7)
-        assert ens.amps.ndim == 3 and ens.amps.shape[0] > 1
-        want = apply_tms(ens, 0.6, math.pi).amps
-        got = apply_tms(ens, 0.6, 0.0, mirror=True).amps
+        ens = _seed_tangent(apply_phase(ens, 0.4))
+        assert ens.amps.ndim == 3 and ens.amps.shape[0] > 1 and ens.tangent is not None
+        want = apply_tms(ens, 0.6, math.pi).data
+        got = apply_tms(ens, 0.6, 0.0, mirror=True).data
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_leakage_detected_at_small_cutoff(self):
         with pytest.raises(LeakageError):
             apply_tms(prepare_input(0.0, 8), 2.0, 0.0)
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi, 1.1])
+    @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi, 1.1])
     def test_matches_series_with_mass_on_both_sides_of_the_diagonal(self, theta):
         from su11.fock import _apply_tms_raw
 
@@ -128,7 +131,9 @@ class TestTwoModeSqueezer:
         both = amps + 0.5 * amps.T
         stack = apply_loss(Ensemble(both[None]), 0.7).amps
         assert stack.ndim == 3 and stack.shape[0] > 1
-        for x in (both, stack):
+        n = np.arange(41)
+        with_tangent = np.stack((stack, 1j * n[:, None] * stack + 0.2 * stack.conj()))
+        for x in (both, stack, with_tangent):
             assert np.any(np.tril(x, -1)) and np.any(np.triu(x, 1))
             got = _apply_tms_raw(x, 0.8, theta)
             assert np.allclose(got, apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
@@ -156,6 +161,41 @@ class TestTwoModeSqueezer:
         out = apply_tms(Ensemble(np.stack((v, t))), 0.8, 0.0)
         assert np.allclose(out.amps, _apply_tms_raw(v, 0.8, 0.0), rtol=0.0, atol=1e-15)
         assert not np.any(out.tangent)
+
+
+class TestSqueezerBlocks:
+    def test_cached_blocks_are_real_rotations(self, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        for d in (41, 42, 121):
+            for theta in (0.0, 1.1):
+                fock._tms_blocks(0.8, theta, d, list(range(d)))
+        held = held_blocks()
+        assert {len(b) for b in held.values()} == set(range(1, 122))
+        for r in held.values():
+            assert r.dtype == np.float64
+            assert np.allclose(r @ r.T, np.eye(len(r)), rtol=0.0, atol=1e-13)
+        for basis in fock._TMS_BASIS_CACHE.values():
+            assert all(a.dtype == np.float64 for arrays in basis.values() for a in arrays)
+
+    @pytest.mark.parametrize("d", [24, 25, 41])
+    def test_half_size_spectrum_matches_the_generator(self, d, monkeypatch):
+        from su11 import fock
+
+        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        basis = fock._tms_basis(d, list(range(d)))
+        for k in range(d):
+            sigma, u, w = basis[k]
+            s = d - k
+            assert u.shape == ((s + 1) // 2,) * 2 and w.shape == (s // 2,) * 2
+            n = np.arange(1, s)
+            j = np.diag(np.sqrt((n + k) * n), 1)
+            # the full-size J_k through eigvalsh is the independent reference
+            want = np.linalg.eigvalsh(j + j.T)
+            got = np.sort(np.concatenate((sigma, -sigma, np.zeros(s % 2))))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestEnsemble:
@@ -520,13 +560,13 @@ class TestNumericEstimators:
         monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
         monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
         calls = []
-        eigh = fock.np.linalg.eigh
+        svd = fock.np.linalg.svd
 
-        def counting_eigh(a, *args, **kwargs):
+        def counting_svd(a, *args, **kwargs):
             calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(fock.np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(fock.np.linalg, "svd", counting_svd)
         st = prepare_input(0.5, 24)
         # |0, n> holds e^{-beta^2} beta^{2n} / n! of the weight, on diagonal -n
         occupied = sum(
@@ -541,8 +581,9 @@ class TestNumericEstimators:
             return set(fock._TMS_BLOCK_CACHE)
 
         squeeze(0.4)
-        # one eigh per occupied diagonal |k|, of size 25 - k, at this cutoff
-        assert calls == [(25 - k, 25 - k) for k in range(occupied)]
+        # one half-size svd per occupied diagonal |k|, of length s = 25 - k,
+        # at this cutoff: its even/odd coupling is ((s + 1) // 2) x (s // 2)
+        assert calls == [((26 - k) // 2, (25 - k) // 2) for k in range(occupied)]
         # the basis serves the next gain, whose blocks replace the last gain's
         assert squeeze(0.9) == {(0.9, 0.0, 25), (0.9, math.pi, 25)}
         assert len(calls) == occupied
@@ -605,16 +646,17 @@ class TestNumericEstimators:
 
         monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
         monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
-        # the sweep builds about 1.4e5 entries of occupied diagonals in all
-        monkeypatch.setattr(fock, "_TMS_CACHE_BUDGET", 1e5)
+        # unbounded, the sweep's real blocks and bases of occupied diagonals
+        # grow to about 9e4 entries
+        monkeypatch.setattr(fock, "_TMS_CACHE_BUDGET", 5e4)
 
         def entries():
-            # only the diagonals built so far hold arrays
-            blocks = sum(b.size for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
+            # only the diagonals built so far hold arrays, all of them real
+            blocks = sum(b.size / 2.0 for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
             bases = sum(
-                (lam.size + vec.size) / 2.0
+                (sigma.size + u.size + w.size) / 2.0
                 for v in fock._TMS_BASIS_CACHE.values()
-                for lam, vec in v.values()
+                for sigma, u, w in v.values()
             )
             return blocks + bases
 
