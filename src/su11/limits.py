@@ -3,13 +3,19 @@
 The standard quantum limit and Heisenberg limit are referenced to the mean
 photon number of the state inside the interferometer, counted just before
 the second amplifier with the subtraction folded in as a non-local
-operation.  Internal loss enters through the single transmittance T = T1;
-the mode-a and mode-b number insertions are separate extractions, and the
-normalizer is the mode-a series' extraction without the insertion.
+operation.  Internal loss enters through the single transmittance T = T1.
+Both number insertions reduce to the factor Y(v1) of `su11.model`: mode a
+inserts T sh^2 (1 + Y(v1)) and mode b inserts sh^2 + ch^2 Y(v1), so
+
+    N_T = (ch^2 + T sh^2) <Y(v1)> + (1 + T) sh^2,
+
+with <q> = ext_(m,m)[q e] / ext_(m,m)[e] over the internal state's
+generating function e = exp(B(v1)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from su11.errors import DarkFringeError, NumericalError
@@ -28,12 +34,13 @@ class LimitsReport:
 def internal_photon_number(p: Params) -> float:
     """<n_a + n_b> of the internal state, with m-photon subtraction folded in."""
     m = p.m
-    exps = kernels(p).exponents_nt()
-    e_a = exps["mode_a"].exp()
-    norm = e_a.extract((m, m, 0, 0)).val
+    ks = kernels(p)
+    e = ks.exponent_nt().exp()
+    norm = e.extract((m, m)).val
     normalizer(norm, DarkFringeError, f"internal-state normalizer vanished at m={m}")
-    num = e_a.extract((m, m, 1, 1)).val + exps["mode_b"].exp().extract((m, m, 1, 1)).val
-    n_t = real_part(num / norm, "internal photon number")
+    y_mean = real_part((ks.y_poly(ks.v1) * e).extract((m, m)).val / norm, "<Y(v1)>")
+    ch2, sh2 = math.cosh(p.g) ** 2, math.sinh(p.g) ** 2
+    n_t = (ch2 + p.T1 * sh2) * y_mean + (1.0 + p.T1) * sh2
     return finite(n_t, "internal photon number")
 
 

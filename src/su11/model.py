@@ -6,23 +6,18 @@ beta is a non-negative real).  Unbalanced configurations are deliberately
 not representable.
 
 Every closed-form quantity in the calculator is a mixed-derivative
-extraction of exp(P) for one of a small family of exponent polynomials P
-whose coefficients are built from a handful of phase-dependent kernels
-(w, v, X families).  :class:`KernelSet` owns all of them, each carrying
-its d/dphi channel, and provides factories for the exponent series, whose
-caps follow from the subtraction order m alone.
+extraction, over two dummy variables (t, s), of a polynomial times
+exp(B(w)), where
 
-Dummy-variable conventions used throughout:
+    B(w) = st |w|^2 + (t w + s w*) beta = Y(w) - beta^2,
+    Y(w) = (beta + t w)(beta + s w*),
 
-* 2-variable series: (t, s)
-* 4-variable series: (t, s, c, d)
-
-t and s carry the subtraction order, so every extraction is taken at
-(m, m) in them.  The insertion tag pair (c, d) enters the exponent with
-degree at most one per variable; extracting it at order (1, 1) reads the
-insertion, at order (0, 0) drops every term it tags.  So the mode-a number
-insertion at (m, m, 0, 0) is the internal state's normalizer, not a
-separate exponent.
+for one of a handful of phase-dependent kernels w.  :class:`KernelSet`
+owns the kernels, each carrying its d/dphi channel, and builds the
+exponents and polynomial factors over (t, s), all with the caps
+(m + 2, m + 2) of :attr:`KernelSet.caps`.  t and s carry the subtraction
+order: the sensitivity extracts at (m, m) to (m + 2, m + 2), every other
+calculator at (m, m).
 """
 
 from __future__ import annotations
@@ -84,20 +79,20 @@ class Params:
 
 
 class KernelSet:
-    """Phase-dependent kernel coefficients and the exponent series built on them.
+    """Phase-dependent kernel coefficients and the series built on them.
 
     Scalar kernels (all :class:`CDual`):
 
     * w3 -- (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}); output kernel,
       the lossless one at T1 = T2 = 1
-    * v1, v2 -- internal-photon-number kernels (loss T = T1)
+    * v1 -- internal-state kernel (loss T = T1)
     * X1 -- extended-system kernel at transmissivity eta
 
-    Exponent series, one generating function per calculator:
+    Exponents, one generating function per calculator:
 
     * :meth:`exponent_a` -- output port, for the error-propagation moments
-    * :meth:`exponents_nt` -- mode-a and mode-b number insertions of the
-      internal state; their shared (c, d) = 0 slice is its normalizer
+    * :meth:`exponent_nt` -- the internal state; :meth:`y_poly` at v1 is
+      the factor its photon number is read from
     * :meth:`exponent_x5` and :meth:`x_polys` -- the loss-equivalent probe
       of the extended system; at eta = 1 it is the lossless probe, so they
       serve the ideal QFI as well
@@ -105,112 +100,68 @@ class KernelSet:
 
     def __init__(self, p: Params):
         self.p = p
+        self.caps = (p.m + 2, p.m + 2)
         phase = CDual.variable(p.phi)
         self.e_m = (phase * (-1j)).exp()  # e^{-i phi}
-        g = p.g
-        sh2g = math.sinh(2.0 * g)
-        ch, sh = math.cosh(g), math.sinh(g)
+        sh2g = math.sinh(2.0 * p.g)
         sqT1, sqT2 = math.sqrt(p.T1), math.sqrt(p.T2)
         sqeta = math.sqrt(p.eta)
 
         self.w3 = (0.5 * sh2g * sqT2) * (1.0 - self.e_m * sqT1)
         self.v1 = 0.5 * sh2g * (1.0 - self.e_m * sqT1)
-        self.v2 = self.e_m * (-sqT1 * sh)
         self.X1 = 0.5 * sh2g * (1.0 - self.e_m * sqeta)
-        self._cosh_g = ch
-        self._sinh_g = sh
         self._half_sh2g = 0.5 * sh2g
 
-    # -- bilinear exponent of the output-port normalization ----------------
+    def y_poly(self, w: CDual) -> MultiSeries:
+        """Y(w) = (beta + t w)(beta + s w*) over (t, s)."""
+        b = self.p.beta
+        return MultiSeries.from_terms(
+            self.caps,
+            [
+                ((0, 0), complex(b * b)),
+                ((1, 0), w * b),
+                ((0, 1), w.conj() * b),
+                ((1, 1), w.abs2()),
+            ],
+        )
 
     def _bilinear(self, w: CDual) -> MultiSeries:
-        """st |w|^2 + (t w + s w*) beta over (t, s), capped at (m+2, m+2)."""
-        beta = self.p.beta
-        terms = [((1, 1), w.abs2())]
-        if beta != 0.0:
-            terms += [((1, 0), w * beta), ((0, 1), w.conj() * beta)]
-        return MultiSeries.from_terms((self.p.m + 2, self.p.m + 2), terms)
+        """st |w|^2 + (t w + s w*) beta, which is Y(w) without its constant."""
+        return self.y_poly(w) - self.p.beta * self.p.beta
 
     def exponent_a(self) -> MultiSeries:
-        """Exponent of the output-port generating function, over (t, s)."""
+        """Exponent of the output-port generating function."""
         return self._bilinear(self.w3)
 
-    # -- internal-photon-number exponents (loss parameter T = T1) -----------
-
-    def exponents_nt(self) -> Dict[str, MultiSeries]:
-        """Mode-a and mode-b number-insertion exponents over (t, s, c, d).
-
-        The two share the normalizer exponent of the internal state as their
-        (c, d) = 0 slice; their (m, m, 1, 1) extractions add up to the
-        internal photon number numerator.
-        """
-        m, b = self.p.m, self.p.beta
-        v1, v2 = self.v1, self.v2
-        ch, sh = self._cosh_g, self._sinh_g
-        k = max(m, 1)
-        caps = (k, k, 1, 1)
-        mode_a = MultiSeries.from_terms(
-            caps,
-            [
-                ((1, 0, 0, 0), v1 * b),
-                ((0, 1, 0, 0), v1.conj() * b),
-                ((0, 0, 1, 0), v2 * b),
-                ((0, 0, 0, 1), v2.conj() * b),
-                ((1, 0, 0, 1), v1 * v2.conj()),
-                ((1, 1, 0, 0), v1.abs2()),
-                ((0, 0, 1, 1), v2.abs2()),
-                ((0, 1, 1, 0), v1.conj() * v2),
-            ],
-        )
-        mode_b = MultiSeries.from_terms(
-            caps,
-            [
-                ((1, 0, 0, 0), v1 * b),
-                ((0, 1, 0, 0), v1.conj() * b),
-                ((0, 0, 1, 0), ch * b),
-                ((0, 0, 0, 1), ch * b),
-                ((1, 0, 1, 0), v1 * ch),
-                ((1, 1, 0, 0), v1.abs2()),
-                ((0, 1, 0, 1), v1.conj() * ch),
-                ((0, 0, 1, 1), complex(sh * sh)),
-            ],
-        )
-        return {"mode_a": mode_a, "mode_b": mode_b}
+    def exponent_nt(self) -> MultiSeries:
+        """Exponent of the internal state's generating function (loss T = T1)."""
+        return self._bilinear(self.v1)
 
     # -- extended-system series at transmissivity eta ------------------------
 
     def exponent_x5(self) -> MultiSeries:
-        """Norm exponent of the loss-equivalent probe, over (t, s)."""
+        """Norm exponent of the loss-equivalent probe."""
         return self._bilinear(self.X1)
 
     def x_polys(self) -> Dict[str, MultiSeries]:
         """The X2, X3, X4, X6 polynomial factors over (t, s).
 
         X2 tags the phase derivative acting on the ket, X3 on the bra; X4 is
-        the direct cross contraction between the two derivative insertions.
+        the direct cross contraction between the two derivative insertions;
+        X6 = Y(X1).
         """
-        caps = (self.p.m + 2, self.p.m + 2)
         b = self.p.beta
         X1 = self.X1
         q2 = X1.conj() - self._half_sh2g
         q3 = -q2.conj()  # (1/2) sinh 2g - X1
         x2 = MultiSeries.from_terms(
-            caps, [((0, 1), q2 * (1j * b)), ((1, 1), q2 * X1 * 1j)]
+            self.caps, [((0, 1), q2 * (1j * b)), ((1, 1), q2 * X1 * 1j)]
         )
         x3 = MultiSeries.from_terms(
-            caps, [((1, 0), q3 * (1j * b)), ((1, 1), q3 * X1.conj() * 1j)]
+            self.caps, [((1, 0), q3 * (1j * b)), ((1, 1), q3 * X1.conj() * 1j)]
         )
-        x4 = MultiSeries.from_terms(caps, [((1, 1), q3 * q2)])
-        x6 = MultiSeries.from_terms(
-            caps,
-            [
-                ((0, 0), complex(b * b)),
-                ((1, 0), X1 * b),
-                ((0, 1), X1.conj() * b),
-                ((1, 1), X1.abs2()),
-            ],
-        )
-        return {"X2": x2, "X3": x3, "X4": x4, "X6": x6}
+        x4 = MultiSeries.from_terms(self.caps, [((1, 1), q3 * q2)])
+        return {"X2": x2, "X3": x3, "X4": x4, "X6": self.y_poly(X1)}
 
 
 def kernels(p: Params) -> KernelSet:

@@ -21,6 +21,9 @@ from su11.model import Params, kernels
 from su11.series import (IMAG_TOL, STATIONARY_REL_TOL, MultiSeries, finite, normalizer,
                          quiet_overflow, real_part)
 
+# samples of the coarse grid that brackets the optimal phase
+PHASE_GRID = 33
+
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -77,18 +80,16 @@ def sensitivity_lossy(p: Params) -> SensitivityReport:
 def optimal_phase(
     p: Params,
     interval: Tuple[float, float],
-    n_grid: int = 33,
     lossy: bool = False,
 ) -> Tuple[float, float]:
     """Locate the phase minimizing delta_phi on an interval.
 
-    A coarse grid picks the bracketing neighborhood; golden-section then
-    refines it.  Samples hitting a dark fringe or a stationary point are
-    skipped; if every sample fails the last error propagates.
+    A coarse grid of PHASE_GRID samples picks the bracketing neighborhood;
+    golden-section then refines it.  Samples hitting a dark fringe or a
+    stationary point are skipped; if every sample fails the last error
+    propagates.
     """
     lo, hi = interval
-    if n_grid < 3:
-        raise ValueError("need at least 3 grid samples")
     evaluate = sensitivity_lossy if lossy else sensitivity_ideal
 
     def delta_at(phi: float) -> float:
@@ -96,8 +97,8 @@ def optimal_phase(
 
     samples = []
     last_error: Su11Error | None = None
-    for i in range(n_grid):
-        phi = lo + (hi - lo) * i / (n_grid - 1)
+    for i in range(PHASE_GRID):
+        phi = lo + (hi - lo) * i / (PHASE_GRID - 1)
         try:
             samples.append((delta_at(phi), phi))
         except (DarkFringeError, StationaryPointError) as err:
@@ -106,7 +107,7 @@ def optimal_phase(
         assert last_error is not None
         raise last_error
     best_delta, best_phi = min(samples)
-    span = (hi - lo) / (n_grid - 1)
+    span = (hi - lo) / (PHASE_GRID - 1)
     a = max(lo, best_phi - span)
     b = min(hi, best_phi + span)
 

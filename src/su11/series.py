@@ -17,8 +17,8 @@ mechanized with two ingredients:
   caps; since extraction only ever reads coefficients inside the box, the
   truncated arithmetic is exact for every extracted value.
 
-Coefficient boxes are tiny (at most ``(m+3)^2 * 2^2`` entries for the
-largest kernels), so dense storage wins over sparse maps.
+Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
+dummy variables), so dense storage wins over sparse maps.
 
 The calculators read physical quantities off the extracted values with the
 checks at the end of this module.  :func:`normalizer` is the one dark-fringe

@@ -96,6 +96,9 @@ def parse_config(text: str) -> List[SweepSpec]:
         raise ValueError(f"malformed config: {err}") from None
     specs = []
     for section, opts in sections.items():
+        # each section is written to <output dir>/<section>.csv
+        if section in ("", ".", "..") or "/" in section or os.sep in section:
+            raise ValueError(f"section name [{section}] is not a file name")
         try:
             quantity = opts.pop("quantity")
             axis = opts.pop("axis")

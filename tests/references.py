@@ -6,7 +6,9 @@ real rotations of ``su11.fock``; the loss channel builds every Kraus
 branch from its binomial amplitudes and judges each on its own norm, where
 ``su11.fock`` judges them from row weights before building any; and
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
-reads.
+reads; ``laguerre_coefficient`` sums a coefficient of exp(a ts + b t + c s)
+term by term in arbitrary precision, where ``su11.series`` exponentiates a
+double-precision coefficient box.
 """
 
 from __future__ import annotations
@@ -97,3 +99,16 @@ def serialize_config(specs: Sequence[SweepSpec]) -> str:
             out.write(f"{key} = {format_float(value)}\n")
         out.write("\n")
     return out.getvalue()
+
+
+def laguerre_coefficient(a, b, c, i: int, j: int):
+    """Coefficient of t^i s^j in exp(a ts + b t + c s), in the scalars' own arithmetic.
+
+    c_ij = sum_k a^k b^(i-k) c^(j-k) / (k! (i-k)! (j-k)!); pass mpmath numbers
+    to evaluate it beyond double precision.
+    """
+    return sum(
+        a**k * b ** (i - k) * c ** (j - k)
+        / (math.factorial(k) * math.factorial(i - k) * math.factorial(j - k))
+        for k in range(min(i, j) + 1)
+    )

@@ -117,9 +117,10 @@ class TestRunSweep:
         [
             # float overflow: nan / inf / 0 used to reach the CSV
             ("delta_phi_lossy", dict(g=12.0, m=15)),
-            ("n_t", dict(g=12.0, m=15)),
-            ("sql", dict(g=12.0, m=15)),
-            # qfi_ideal is still finite at g = 12 (test_qfi) and overflows from g = 12.5
+            # n_t and qfi_ideal are still finite at g = 12 (test_limits, test_qfi);
+            # every calculator overflows at g = 12.5
+            ("n_t", dict(g=12.5, m=15)),
+            ("sql", dict(g=12.5, m=15)),
             ("qfi_ideal", dict(g=12.5, m=15)),
             # roundoff near phi = 2 pi k used to raise untyped errors
             ("qfi_ideal", dict(phi=1e-9, m=3)),
@@ -318,6 +319,20 @@ class TestMain:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("section", ["../escaped", "sub/x"], ids=["parent-dir", "sub-dir"])
+    def test_section_name_that_is_not_a_file_name_is_a_validation_error(self, section, tmp_path):
+        # each section is written to <output dir>/<section>.csv, so a path
+        # in the name is refused before anything is computed or created
+        cfg = tmp_path / "sweeps.cfg"
+        cfg.write_text(f"[{section}]\nquantity = qcrb\naxis = g\nlo = 0.5\nhi = 1\npoints = 2\n")
+        out = tmp_path / "out"
+        proc = run_cli("sweep", str(cfg), "-o", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert not (tmp_path / "escaped.csv").exists()
 
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -20,6 +20,14 @@ ORACLE_N_T = {
 # closed-form values at g=1, beta=1, phi=0.4, T1=0.7 from a separate
 # normalizer series; the normalizer slice of the mode-a series must reproduce them
 PINNED_N_T = {0: 5.695732674842174, 3: 19.57953130944139, 15: 66.64610490894}
+# closed-form values off the g = 1, beta = 1, phi = 0.4 line, from the
+# mode-a and mode-b insertions taken as separate four-variable series
+PINNED_OFF_LINE = {
+    (0.5, 2.0, 1.1, 0.45, 0): 5.968667301205258,
+    (0.5, 2.0, 1.1, 0.45, 5): 16.846544950947134,
+    (0.5, 2.0, 1.1, 0.45, 15): 35.03520637803466,
+    (1.8, 0.3, 2.5, 0.9, 8): 166.77114898586657,
+}
 
 
 class TestInternalPhotonNumber:
@@ -59,6 +67,32 @@ class TestInternalPhotonNumber:
     def test_pinned_closed_form_values(self, m):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m, T1=0.7)
         assert internal_photon_number(p) == pytest.approx(PINNED_N_T[m], rel=1e-12)
+
+    @pytest.mark.parametrize("g,beta,phi,T,m", sorted(PINNED_OFF_LINE))
+    def test_pinned_values_off_the_paper_line(self, g, beta, phi, T, m):
+        p = Params(g=g, beta=beta, phi=phi, m=m, T1=T)
+        want = PINNED_OFF_LINE[(g, beta, phi, T, m)]
+        assert internal_photon_number(p) == pytest.approx(want, rel=1e-12)
+
+    def test_finite_at_high_gain_and_order(self):
+        # |v1|^(2m) is near the double-precision limit at g = 12, m = 15
+        mpmath = pytest.importorskip("mpmath")
+        from references import laguerre_coefficient
+
+        g, beta, phi, T, m = 12.0, 1.0, 0.4, 1.0, 15
+        with mpmath.workdps(60):
+            sh, ch = mpmath.sinh(g), mpmath.cosh(g)
+            v1 = sh * ch * (1 - mpmath.sqrt(T) * mpmath.expj(-phi))
+            a, b, c = abs(v1) ** 2, beta * v1, beta * mpmath.conj(v1)
+
+            def coeff(i, j):
+                return laguerre_coefficient(a, b, c, i, j)
+
+            # Y(v1) = beta^2 + b t + c s + a ts
+            y = beta**2 * coeff(m, m) + b * coeff(m - 1, m) + c * coeff(m, m - 1) + a * coeff(m - 1, m - 1)
+            want = (ch**2 + T * sh**2) * mpmath.re(y / coeff(m, m)) + (1 + T) * sh**2
+        got = internal_photon_number(Params(g=g, beta=beta, phi=phi, m=m, T1=T))
+        assert got == pytest.approx(float(want), rel=1e-9)
 
     def test_dark_fringe_of_subtraction_normalizer(self):
         # T = 1, phi = 0 makes v1 vanish, so m >= 1 has no support

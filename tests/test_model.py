@@ -80,7 +80,7 @@ class TestKernels:
 
     def test_dphi_channels_match_finite_differences(self):
         h = 1e-6
-        names = ["w3", "v1", "v2", "X1"]
+        names = ["w3", "v1", "X1"]
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = rng.uniform(0.2, 1.5)
@@ -127,25 +127,23 @@ class TestExponentA:
 
 
 class TestInternalExponents:
-    """The internal state's normalizer is the (c, d) = 0 slice of either
-    number-insertion exponent."""
+    """The internal state's exponent is the bilinear exponent of v1."""
 
     def test_n1_matches_lossy_kernel(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=1, T1=0.7)
         ks = kernels(p)
-        n1 = ks.exponents_nt()["mode_a"].val[:, :, 0, 0]
+        n1 = ks.exponent_nt().val
+        assert n1.shape == (4, 4)
         assert n1[1, 1] == pytest.approx(ks.v1.abs2().val)
         assert n1[1, 0] == pytest.approx(ks.v1.val * p.beta)
 
-    def test_nt_exponents_share_normalizer_slice(self):
-        # at T1 = 1, v1 equals w1, so the shared slice is the output exponent
-        p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0)
-        ks = kernels(p)
-        exps = ks.exponents_nt()
-        a = ks.exponent_a()
-        for s in exps.values():
-            assert np.array_equal(s.val[:, :, 0, 0], a.val[:3, :3])
-            assert np.array_equal(s.dph[:, :, 0, 0], a.dph[:3, :3])
+    def test_nt_exponent_is_the_lossless_output_exponent(self):
+        # at T1 = 1, v1 equals w1, so the internal exponent is the output one
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0, T2=0.6)
+        nt = kernels(p).exponent_nt()
+        a = kernels(p.replace(T2=1.0)).exponent_a()
+        assert np.array_equal(nt.val, a.val)
+        assert np.array_equal(nt.dph, a.dph)
 
 
 class TestXSeries:

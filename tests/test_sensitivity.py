@@ -146,4 +146,4 @@ class TestOptimalPhase:
         # zero gain keeps mode a dark at every phase, so m >= 1 never succeeds
         p = Params(g=0.0, beta=1.0, m=1)
         with pytest.raises(DarkFringeError):
-            optimal_phase(p, (0.1, 1.0), n_grid=5)
+            optimal_phase(p, (0.1, 1.0))
