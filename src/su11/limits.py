@@ -15,7 +15,6 @@ generating function e = exp(B(v1)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from su11.errors import DarkFringeError, NumericalError
@@ -39,8 +38,7 @@ def internal_photon_number(p: Params) -> float:
     norm = e.extract((m, m)).val
     normalizer(norm, DarkFringeError, f"internal-state normalizer vanished at m={m}")
     y_mean = real_part((ks.y_poly(ks.v1) * e).extract((m, m)).val / norm, "<Y(v1)>")
-    ch2, sh2 = math.cosh(p.g) ** 2, math.sinh(p.g) ** 2
-    n_t = (ch2 + p.T1 * sh2) * y_mean + (1.0 + p.T1) * sh2
+    n_t = (ks.ch2 + p.T1 * ks.sh2) * y_mean + (1.0 + p.T1) * ks.sh2
     return finite(n_t, "internal photon number")
 
 

@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-from su11.series import CDual, MultiSeries
+from su11.errors import NumericalError
+from su11.series import CDual, MultiSeries, finite
 
-# caps of (m+2, m+2) keep factorial orders within double precision
+# the largest order the extractions are held to mpmath references at
 MAX_SUBTRACTIONS = 15
 
 
@@ -88,6 +89,9 @@ class KernelSet:
     * v1 -- internal-state kernel (loss T = T1)
     * X1 -- extended-system kernel at transmissivity eta
 
+    plus the floats sh2 = sinh^2 g and ch2 = cosh^2 g.  A gain whose
+    sinh(2g) overflows raises NumericalError here.
+
     Exponents, one generating function per calculator:
 
     * :meth:`exponent_a` -- output port, for the error-propagation moments
@@ -103,7 +107,13 @@ class KernelSet:
         self.caps = (p.m + 2, p.m + 2)
         phase = CDual.variable(p.phi)
         self.e_m = (phase * (-1j)).exp()  # e^{-i phi}
-        sh2g = math.sinh(2.0 * p.g)
+        try:
+            sh2g = finite(math.sinh(2.0 * p.g), "sinh(2g)")
+        except OverflowError:
+            raise NumericalError(f"sinh(2g) overflows at g = {p.g}") from None
+        # sinh^2 g and cosh^2 g are at most sinh(2g) / 2 + 1, so neither overflows
+        self.sh2 = math.sinh(p.g) ** 2
+        self.ch2 = math.cosh(p.g) ** 2
         sqT1, sqT2 = math.sqrt(p.T1), math.sqrt(p.T2)
         sqeta = math.sqrt(p.eta)
 
@@ -112,22 +122,16 @@ class KernelSet:
         self.X1 = 0.5 * sh2g * (1.0 - self.e_m * sqeta)
         self._half_sh2g = 0.5 * sh2g
 
-    def y_poly(self, w: CDual) -> MultiSeries:
-        """Y(w) = (beta + t w)(beta + s w*) over (t, s)."""
+    def _bilinear(self, w: CDual) -> MultiSeries:
+        """B(w) = st |w|^2 + (t w + s w*) beta, with a constant term of exactly 0."""
         b = self.p.beta
         return MultiSeries.from_terms(
-            self.caps,
-            [
-                ((0, 0), complex(b * b)),
-                ((1, 0), w * b),
-                ((0, 1), w.conj() * b),
-                ((1, 1), w.abs2()),
-            ],
+            self.caps, [((1, 0), w * b), ((0, 1), w.conj() * b), ((1, 1), w.abs2())]
         )
 
-    def _bilinear(self, w: CDual) -> MultiSeries:
-        """st |w|^2 + (t w + s w*) beta, which is Y(w) without its constant."""
-        return self.y_poly(w) - self.p.beta * self.p.beta
+    def y_poly(self, w: CDual) -> MultiSeries:
+        """Y(w) = (beta + t w)(beta + s w*) = B(w) + beta^2 over (t, s)."""
+        return self._bilinear(w) + self.p.beta * self.p.beta
 
     def exponent_a(self) -> MultiSeries:
         """Exponent of the output-port generating function."""

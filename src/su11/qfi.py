@@ -82,7 +82,7 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
 
     norm_raw = normalizer(ext(e5), vanished, f"probe normalizer vanished at m={m}")
     n3sq = 1.0 / real_part(norm_raw, "probe norm extraction")
-    sh2 = math.sinh(p.g) ** 2
+    sh2 = ks.sh2
     x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
     x6p1 = x6 + 1.0
     x6p2 = x6 + 2.0
@@ -92,7 +92,7 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     t_bra = n3sq * ext(x3 * e5)  # <Psit|Psi>
     t_ket = n3sq * ext(x2 * e5)  # <Psi|Psit>
     n_mean = n3sq * sh2 * ext(x6p1 * e5)
-    var = n3sq * sh2 * sh2 * ext(quad * e5) + n_mean - n_mean**2
+    var = n3sq * sh2 * sh2 * ext(quad * e5) + n_mean - n_mean * n_mean
     n_bra = n3sq * sh2 * ext(x3 * x6p2 * e5)  # <Psit|n|Psi>
     n_ket = n3sq * sh2 * ext(x2 * x6p2 * e5)  # <Psi|n|Psit>
     return {

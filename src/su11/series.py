@@ -15,7 +15,11 @@ mechanized with two ingredients:
 * :class:`MultiSeries` -- a dense box of dual coefficients truncated at a
   per-variable maximum degree.  Products discard any term exceeding the
   caps; since extraction only ever reads coefficients inside the box, the
-  truncated arithmetic is exact for every extracted value.
+  truncated arithmetic is exact for every extracted value.  Its exponential
+  solves the recurrence x0 dE/dx0 = (x0 dP/dx0) E row by row along the first
+  variable, one truncated convolution per row for the model's bilinear
+  exponents, and takes the phase channel as one more product,
+  d exp(P)/dphi = (dP/dphi) exp(P).
 
 Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
 dummy variables), so dense storage wins over sparse maps.
@@ -36,9 +40,9 @@ import numpy as np
 
 from su11.errors import NumericalError, Su11Error
 
-# Factorials are evaluated in double precision; beyond 34! the representation
-# error of the factorial itself would dominate the extracted coefficients.
-# Together with caps of (m+2, m+2) this bounds the subtraction order at m <= 15.
+# Extraction scales a coefficient by orders_i! in double precision; the model
+# reads at most (m+2)! = 17!, and the guard stops callers far beyond it.  The
+# exponential itself uses no factorials: its recurrence divides by row indices.
 MAX_FACTORIAL_ORDER = 34
 
 # a normalizer extraction below this magnitude is treated as exactly zero
@@ -256,23 +260,17 @@ class MultiSeries:
     # -- exponentiation and mixed-derivative extraction ----------------------
 
     def exp(self) -> "MultiSeries":
-        """exp of a series with zero constant term.
+        """exp of a series with zero constant term, exact for every retained degree.
 
-        The exponent polynomials of the model all have vanishing constant
-        term, which makes them nilpotent in the truncated algebra: the Taylor
-        sum below terminates and is exact for every retained degree.
+        The value channel is built row by row along the first variable
+        (:func:`_exp_box`); the phase channel is d exp(P)/dphi =
+        (dP/dphi) exp(P), one more truncated product.
         """
         origin = (0,) * self.arity
         if self.val[origin] != 0 or self.dph[origin] != 0:
             raise ValueError("exp requires a zero constant term")
-        out = MultiSeries.constant(self.caps, 1.0)
-        term = MultiSeries.constant(self.caps, 1.0)
-        for k in range(1, sum(self.caps) + 1):
-            term = (term * self) * (1.0 / k)
-            if term._nonzero_count() == 0:
-                break
-            out = out + term
-        return out
+        val = _exp_box(self.val)
+        return MultiSeries(self.caps, val, _times(self.dph, val))
 
     def extract(self, orders: Sequence[int]) -> CDual:
         """Mixed partial derivative at the origin: coeffs[orders] * prod(orders_i!)."""
@@ -288,6 +286,47 @@ class MultiSeries:
 
     def __repr__(self) -> str:
         return f"MultiSeries(caps={self.caps}, nonzero={self._nonzero_count()})"
+
+
+def _times(a, b):
+    """Truncated product of two coefficient boxes of one shape (or two scalars).
+
+    Boxes of two or more variables add one shifted copy of ``b`` per nonzero
+    coefficient of ``a``, so ``a`` should be the sparser factor.
+    """
+    if np.ndim(a) == 0:
+        return a * b
+    if np.ndim(a) == 1:
+        return np.convolve(a, b)[: len(b)]
+    out = np.zeros(b.shape, complex)
+    for idx in map(tuple, np.argwhere(a)):
+        dst = tuple(slice(i, None) for i in idx)
+        src = tuple(slice(0, n - i) for i, n in zip(idx, b.shape))
+        out[dst] += a[idx] * b[src]
+    return out
+
+
+def _exp_box(p: np.ndarray) -> np.ndarray:
+    """exp of a coefficient box with zero constant term, row by row along axis 0.
+
+    E = exp(P) solves x0 dE/dx0 = (x0 dP/dx0) E, so the x0^i row of E is
+    E_i = (1/i) sum_j j P_j E_(i-j), summed over the nonzero rows P_j of P
+    with each row product truncated to the box.  The first row is
+    E_0 = exp(P_0), one variable down.  A bilinear exponent over (t, s) has
+    one nonzero row past the first, so each row costs one convolution.
+    """
+    e = np.zeros(p.shape, complex)
+    e[0] = _exp_box(p[0]) if p.ndim > 1 else 1.0
+    nonzero = np.flatnonzero(p.reshape(len(p), -1).any(axis=1))
+    rows = [(j, j * p[j]) for j in nonzero[nonzero > 0]]
+    for i in range(1, len(p)):
+        acc = 0.0
+        for j, jp in rows:
+            if j > i:
+                break
+            acc = acc + _times(jp, e[i - j])
+        e[i] = acc / i
+    return e
 
 
 # -- checks on extracted values ----------------------------------------------

@@ -6,9 +6,10 @@ real rotations of ``su11.fock``; the loss channel builds every Kraus
 branch from its binomial amplitudes and judges each on its own norm, where
 ``su11.fock`` judges them from row weights before building any; and
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
-reads; ``laguerre_coefficient`` sums a coefficient of exp(a ts + b t + c s)
-term by term in arbitrary precision, where ``su11.series`` exponentiates a
-double-precision coefficient box.
+reads; ``taylor_exp`` sums the Taylor series of a truncated exponential out of
+whole-box products, where ``su11.series`` solves a row-by-row recurrence; and
+``laguerre_coefficient`` sums a coefficient of exp(a ts + b t + c s) term by
+term in arbitrary precision.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from su11.series import MultiSeries
 from su11.sweeps import SweepSpec, format_float
 
 
@@ -99,6 +101,20 @@ def serialize_config(specs: Sequence[SweepSpec]) -> str:
             out.write(f"{key} = {format_float(value)}\n")
         out.write("\n")
     return out.getvalue()
+
+
+def taylor_exp(p: MultiSeries) -> MultiSeries:
+    """exp(p) for p with zero constant term, as the Taylor sum of p^k / k!.
+
+    p is nilpotent in the truncated algebra, so the sum ends after at most
+    sum(caps) terms and is exact for every retained degree.
+    """
+    out = MultiSeries.constant(p.caps, 1.0)
+    term = MultiSeries.constant(p.caps, 1.0)
+    for k in range(1, sum(p.caps) + 1):
+        term = (term * p) * (1.0 / k)
+        out = out + term
+    return out
 
 
 def laguerre_coefficient(a, b, c, i: int, j: int):

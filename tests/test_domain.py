@@ -1,0 +1,59 @@
+"""Every calculator cell is a finite value or a typed error over the whole Params domain."""
+
+import math
+
+import pytest
+
+from su11.model import Params
+from su11.sweeps import _eval_task
+
+CALCULATORS = ("delta_phi_lossy", "qfi_ideal", "qfi_lossy", "n_t")
+
+
+def assert_finite_or_coded(value: str, code: str) -> None:
+    if code:
+        assert not value
+    else:
+        assert math.isfinite(float(value))
+
+
+@pytest.mark.parametrize("quantity", CALCULATORS)
+@pytest.mark.parametrize(
+    "p",
+    [
+        Params(g=400.0),  # sinh(2g) overflows
+        Params(beta=1e200),  # beta^2 overflows
+        Params(beta=math.inf),
+        Params(g=1e-8, beta=1e150),  # <n>^2 overflows in the QFI
+    ],
+    ids=["g400", "beta1e200", "beta_inf", "tiny_g_huge_beta"],
+)
+def test_overflowing_edges_are_values_or_numerical(p, quantity):
+    value, code = _eval_task((quantity, p))
+    assert code in ("", "Numerical")
+    assert_finite_or_coded(value, code)
+
+
+def test_whole_domain_is_finite_or_typed():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonneg = st.floats(min_value=0.0, allow_nan=False)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    params = st.builds(
+        Params,
+        g=st.one_of(st.floats(0.0, 20.0), nonneg),
+        beta=st.one_of(st.floats(0.0, 1e3), nonneg),
+        phi=st.floats(allow_nan=False, allow_infinity=False),
+        m=st.integers(0, 15),
+        T1=unit,
+        T2=unit,
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        nu=st.integers(1, 10**6),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(params, st.sampled_from(CALCULATORS + ("delta_phi_ideal",)))
+    def cell(p, quantity):
+        assert_finite_or_coded(*_eval_task((quantity, p)))
+
+    cell()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from references import laguerre_coefficient, taylor_exp
 from su11.series import CDual, MultiSeries, factorial
 
 
@@ -165,6 +166,34 @@ class TestExp:
             rhs = (p + q).exp()
             assert np.allclose(lhs.val, rhs.val, atol=1e-12)
             assert np.allclose(lhs.dph, rhs.dph, atol=1e-12)
+
+    @pytest.mark.parametrize("caps", [(4, 5), (3, 3, 1, 1)])
+    def test_exp_matches_taylor_reference_in_both_channels(self, caps):
+        # terms up to degree 2 in each variable, so a row of the recurrence
+        # collects more than one earlier row
+        rng = np.random.default_rng(23)
+        idx_pool = [i for i in np.ndindex(*(min(c, 2) + 1 for c in caps)) if any(i)]
+        assert any(i[0] == 2 for i in idx_pool)
+        for _ in range(10):
+            p = MultiSeries.from_terms(caps, [
+                (idx, CDual(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))))
+                for idx in idx_pool
+                if rng.random() < 0.5
+            ])
+            got, want = p.exp(), taylor_exp(p)
+            for g, w in ((got.val, want.val), (got.dph, want.dph)):
+                assert np.allclose(g, w, rtol=1e-12, atol=1e-13 * np.abs(w).max())
+
+    @pytest.mark.parametrize("g,phi,beta", [(1.0, 0.4, 1.0), (3.0, 1.1, 2.0), (0.3, 2.5, 0.5)])
+    def test_exp_matches_laguerre_reference_over_the_m15_box(self, g, phi, beta):
+        mpmath = pytest.importorskip("mpmath")
+        p = MultiSeries.from_terms((17, 17), a1_terms(w1_dual(g, phi), beta))
+        e = p.exp()
+        a, b, c = (mpmath.mpc(p.val[k]) for k in ((1, 1), (1, 0), (0, 1)))
+        with mpmath.workdps(40):
+            for i, j in np.ndindex(e.val.shape):
+                want = complex(laguerre_coefficient(a, b, c, i, j))
+                assert abs(e.val[i, j] - want) <= 1e-12 * abs(want)
 
     def test_multiplication_commutes_and_associates(self):
         rng = np.random.default_rng(22)
