@@ -1,16 +1,17 @@
 """Brute-force two-mode Fock-space simulator: ground truth at desk scale.
 
-States live on a truncated grid with per-mode cutoff ``n_cut``.  Loss
-channels expand pure states into Kraus branches, so the one state type,
-:class:`Ensemble`, holds weight-carrying pure branches on a leading branch
-axis, ``amps[branch, n_a, n_b]``; a pure state is an ensemble of one branch.
-Unitaries act on every branch in one pass.
+States live on a truncated grid with per-mode cutoff ``n_cut``.  The
+internal loss channel expands pure states into Kraus branches, so the one
+state type, :class:`Ensemble`, holds weight-carrying pure branches on a
+leading branch axis, ``amps[branch, n_a, n_b]``; a pure state is an ensemble
+of one branch.  Unitaries act on every branch in one pass.
 
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
-generator, loss as the full Kraus set) so that it shares no algebra with the
-closed-form calculator it verifies.  The squeezer's generator splits into
-tridiagonal blocks along the grid diagonals n_a - n_b = k.  At theta = 0
+generator, internal loss as the full Kraus set, each branch one scaled row
+slice of its input) so that it shares no algebra with the closed-form
+calculator it verifies.  The squeezer's generator splits into tridiagonal
+blocks along the grid diagonals n_a - n_b = k.  At theta = 0
 each block is the gain times a real antisymmetric matrix K_k that depends on
 the cutoff alone, so the block exp(g K_k) is a real rotation; K_k couples
 even to odd photon numbers only, so one half-size singular value
@@ -36,12 +37,14 @@ the blockwise propagator.
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
 every later element is linear and carries the tangent next to the state in
-the same pass.  Photon subtraction at the output is read from the joint
-photon-number table P(n_a, n_b) and its phase derivative: a^m takes
-|n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every order m
-is a reweighting of one table.  The equivalent-model and internal pipelines
-subtract by literal repeated lowering, :func:`subtract_photons`, which also
-cross-checks that reweighting.
+the same pass.  The output loss T2 follows the last element, so it acts on
+the joint photon-number table P(n_a, n_b) and its phase derivative, all that
+subtraction and detection read, as the binomial thinning of n_a
+(:func:`thin_tables`).  Subtraction is read from the thinned table: a^m
+takes |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every
+order m is a reweighting of one table.  The equivalent-model and internal
+pipelines subtract by literal repeated lowering, :func:`subtract_photons`,
+which also cross-checks that reweighting.
 
 Every reported oracle number goes through :func:`converged_value`, which
 recomputes at a larger cutoff and accepts only when the two agree.
@@ -134,7 +137,7 @@ class Ensemble:
 
     def trace(self) -> float:
         """Total weight of the branches."""
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.vdot(self.amps, self.amps).real)
 
 
 def _seed_tangent(x: Ensemble) -> Ensemble:
@@ -148,6 +151,28 @@ def photon_tables(ens: Ensemble) -> Tuple[np.ndarray, np.ndarray]:
     v, t = ens.amps, ens.tangent
     table = np.sum(v.real**2 + v.imag**2, axis=0)
     return table, 2.0 * np.sum(v.real * t.real + v.imag * t.imag, axis=0)
+
+
+def thin_tables(table: np.ndarray, dtable: np.ndarray, T: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The tables of photon_tables after mode-a loss of transmittance T.
+
+    Loss thins n_a binomially, P'(k, n_b) = sum_n C(n, k) T^k (1 - T)^(n - k)
+    P(n, n_b), as photon_tables reads it after apply_loss; the d/dphi table
+    alike.  The matrix is built by Pascal's rule, from nonnegative terms
+    only.  At T = 1 the tables are returned as they are.
+    """
+    if not 0.0 <= T <= 1.0:
+        raise ValueError(f"transmittance must lie in [0, 1], got {T}")
+    if T == 1.0:
+        return table, dtable
+    d = table.shape[0]
+    # column n is the distribution of the k survivors of n photons
+    binom = np.zeros((d, d))
+    binom[0, 0] = 1.0
+    for n in range(1, d):
+        binom[: n + 1, n] = (1.0 - T) * binom[: n + 1, n - 1]
+        binom[1 : n + 1, n] += T * binom[:n, n - 1]
+    return binom @ table, binom @ dtable
 
 
 # -- preparation and pipeline elements ----------------------------------------
@@ -375,7 +400,8 @@ def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ense
     out = Ensemble(_apply_tms_raw(x.data, g, theta, x.amps, mirror))
     total = out.trace()
     # mass with either mode in its top two Fock layers
-    edge = total - float(np.sum(np.abs(out.amps[..., :-2, :-2]) ** 2))
+    top_a, top_b = out.amps[..., -2:, :], out.amps[..., :-2, -2:]
+    edge = float(np.sum(top_a.real**2 + top_a.imag**2) + np.sum(top_b.real**2 + top_b.imag**2))
     if total > 0 and edge > LEAKAGE_TOL * total:
         raise LeakageError(f"top-layer mass {edge / total:.2e} after squeezer at n_cut={x.n_cut}")
     return out
@@ -391,18 +417,21 @@ def apply_phase(x: Ensemble, phi: float) -> Ensemble:
     return Ensemble(np.stack((amps, x.tangent * ph + 1j * n_a * amps)))
 
 
-def _kraus_terms(data: np.ndarray, T: float):
-    """(l, K_l data) over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l."""
-    d = data.shape[-1]
-    t_pow = T ** (0.5 * np.arange(d))
-    w = 1.0
+def _kraus_rows(T: float, d: int):
+    """(l, c_l) over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l.
+
+    Row n of K_l x is c_l[n] times row n + l of x, with c_l[n] = sqrt(C(n +
+    l, l) (1 - T)^l T^n) for n = 0..d - 1 - l, carried from c_(l-1) by the
+    factor sqrt((1 - T) (n + l) / l).  Stops once the coefficients vanish.
+    """
+    n = np.arange(d)
+    c = T ** (0.5 * n)
     for l in range(d):
         if l > 0:
-            data = lower_a(data)
-            w *= math.sqrt((1.0 - T) / l)
-            if w == 0.0 or not np.any(data):
+            c = c[:-1] * np.sqrt((1.0 - T) * (n[: d - l] + l) / l)
+            if not c.any():
                 return
-        yield l, (w * t_pow[:, None]) * data
+        yield l, c
 
 
 def apply_loss(x: Ensemble, T: float) -> Ensemble:
@@ -419,28 +448,22 @@ def apply_loss(x: Ensemble, T: float) -> Ensemble:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
         return x
-    # K_l moves row n + l of a branch to row n and scales its weight by
-    # (1 - T)^l T^n (n+1)...(n+l) / l!, so the input's row weights give every
-    # branch's weight: branches are kept before any is built
+    # the input's row weights give every branch's weight, so branches are
+    # kept before any is built
     floor = BRANCH_PRUNE_TOL * max(x.trace(), 1e-300)
-    rows = np.sum(np.abs(x.amps) ** 2, axis=-1)
-    t_pow = T ** np.arange(x.n_cut + 1)
-    keeps, w2 = [], 1.0
-    for l in range(x.n_cut + 1):
-        if l > 0:
-            rows = np.arange(1.0, rows.shape[-1]) * rows[:, 1:]
-            w2 *= (1.0 - T) / l
-            if w2 == 0.0 or not rows.any():
-                break
-        keeps.append(w2 * (rows @ t_pow[: rows.shape[-1]]) > floor)
-    while keeps and not keeps[-1].any():
-        keeps.pop()
+    v = x.amps
+    rows = np.sum(v.real**2 + v.imag**2, axis=-1)
+    kept = []
+    for l, c in _kraus_rows(T, x.n_cut + 1):
+        keep = rows[:, l:] @ (c * c) > floor
+        if keep.any():
+            kept.append((l, c, keep))
     shape = x.data.shape
-    out = np.empty(shape[:-3] + (sum(int(k.sum()) for k in keeps),) + shape[-2:], x.data.dtype)
+    out = np.zeros(shape[:-3] + (sum(int(k.sum()) for *_, k in kept),) + shape[-2:], x.data.dtype)
     start = 0
-    for keep, (_, block) in zip(keeps, _kraus_terms(x.data, T)):
+    for l, c, keep in kept:
         stop = start + int(keep.sum())
-        out[..., start:stop, :, :] = block[..., keep, :, :]
+        np.multiply(c[:, None], x.data[..., keep, l:, :], out=out[..., start:stop, : c.size, :])
         start = stop
     return Ensemble(out)
 
@@ -514,16 +537,17 @@ def subtracted_moments(
 
 
 def output_ensemble(p: Params, n_cut: int) -> Ensemble:
-    """State at the output port before subtraction: loss(T2) S2 U_phi loss(T1) S1 |0, beta>.
+    """State after the second squeezer, before the output loss: S2 U_phi loss(T1) S1 |0, beta>.
 
-    It carries its exact phase tangent from U_phi on.
+    The internal loss T1 is a full Kraus set, since S2 follows it; the
+    output loss T2 is applied to this state's photon-number tables
+    (:func:`thin_tables`).  It carries its exact phase tangent from U_phi on.
     """
     st = prepare_input(p.beta, n_cut)
     st = apply_tms(st, p.g, 0.0)
     ens = apply_loss(st, p.T1)
     ens = _seed_tangent(apply_phase(ens, p.phi))
-    ens = apply_tms(ens, p.g, 0.0, mirror=True)
-    return apply_loss(ens, p.T2)
+    return apply_tms(ens, p.g, 0.0, mirror=True)
 
 
 def equivalent_state(p: Params, n_cut: int) -> Ensemble:
@@ -613,13 +637,14 @@ def numeric_moments_multi(
     """Converged (delta_phi, mean, second) per subtraction order, sharing pipelines.
 
     Each cutoff runs the output pipeline once, with its exact phase tangent,
-    and reads every m from the joint photon-number table and its derivative.
+    thins its joint photon-number table and derivative by the output loss,
+    and reads every m from them.
     """
     _check_mode(mode)
     m_list = list(m_list)
 
     def run(n: int):
-        table, dtable = photon_tables(output_ensemble(p, n))
+        table, dtable = thin_tables(*photon_tables(output_ensemble(p, n)), p.T2)
         rows = []
         for m in m_list:
             _, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
@@ -666,12 +691,18 @@ def _kraus_branch_states(
 
     d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.
     """
-    n = np.arange(psi.n_cut + 1)
+    d = psi.n_cut + 1
+    n = np.arange(d)
     out = []
-    for l, (k_psi, k_dpsi) in _kraus_terms(psi.data, eta):
-        ph = np.exp(1j * phi * (n - alpha * l))[:, None]
-        chi = ph * k_psi
-        out.append((chi, 1j * (n - alpha * l)[:, None] * chi + ph * k_dpsi))
+    for l, c in _kraus_rows(eta, d):
+        s = c.size
+        rate = 1j * (n[:s] - alpha * l)[:, None]
+        # Pi_l |psi> and Pi_l |psi'>, then the phase rate's term
+        branch = np.zeros_like(psi.data)
+        np.multiply(c[:, None] * np.exp(phi * rate), psi.data[..., l:, :], out=branch[..., :s, :])
+        chi, dchi = branch
+        dchi[..., :s, :] += rate * chi[..., :s, :]
+        out.append((chi, dchi))
     return out
 
 

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Type
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError,
                          StationaryPointError, Su11Error)
 from su11.model import Params, kernels
-from su11.series import ROUNDOFF_REL_TOL, normalizer, quiet_overflow, real_part
+from su11.series import ROUNDOFF_REL_TOL, finite, normalizer, quiet_overflow, real_part
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,25 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
 
 
 def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
-    """C_Q at a given Kraus placement, from precomputed inner products."""
-    u = 1.0 - (1.0 + alpha) * (1.0 - eta)
+    """C_Q at a given Kraus placement, from precomputed inner products.
+
+    Squares are products, which overflow to inf where a float power raises;
+    a result that overflowed is a NumericalError.
+    """
+    a1 = 1.0 + alpha
+    u = 1.0 - a1 * (1.0 - eta)
     tt, n_mean, var = d["tt"], d["n_mean"], d["var"]
-    n2 = var + n_mean**2
+    n2 = var + n_mean * n_mean
     cross = 1j * u * (d["n_bra"] - d["n_ket"])
-    z = 1j * d["t_bra"] + u * n_mean
-    return 4.0 * (
+    z = abs(1j * d["t_bra"] + u * n_mean)
+    cq = 4.0 * (
         tt
         + u * u * n2
-        + (1.0 + alpha) ** 2 * eta * (1.0 - eta) * n_mean
+        + a1 * a1 * eta * (1.0 - eta) * n_mean
         + real_part(cross, "H2 cross term", abs(cross) + 1.0)
-        - abs(z) ** 2
+        - z * z
     )
+    return finite(cq, "C_Q")
 
 
 def cq_alpha(p: Params, alpha: float) -> float:

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from su11.errors import NumericalError, Su11Error
 from su11.model import Params
+from su11.qfi import cq_alpha
 from su11.sweeps import _eval_task
 
 CALCULATORS = ("delta_phi_lossy", "qfi_ideal", "qfi_lossy", "n_t")
@@ -34,6 +36,25 @@ def test_overflowing_edges_are_values_or_numerical(p, quantity):
     assert_finite_or_coded(value, code)
 
 
+def assert_cq_finite_or_typed(p: Params, alpha: float, typed=Su11Error) -> None:
+    try:
+        value = cq_alpha(p, alpha)
+    except typed:
+        return
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Params(g=1e-12, beta=1e92, phi=phi, m=m) for phi in (1e-9, 0.4, 3.0) for m in (0, 3, 15)]
+    + [Params(g=1.0, beta=beta, phi=0.4, m=1) for beta in (1e60, 1e80, 1e100, 1e120, 1e155)],
+    ids=lambda p: f"g{p.g:g}-beta{p.beta:g}-phi{p.phi:g}-m{p.m}",
+)
+def test_overflowing_cq_alpha_is_a_value_or_numerical(p):
+    # <n>^2 and |z|^2 overflow; float powers raised OverflowError or gave nan
+    assert_cq_finite_or_typed(p, 0.3, NumericalError)
+
+
 def test_whole_domain_is_finite_or_typed():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -56,4 +77,10 @@ def test_whole_domain_is_finite_or_typed():
     def cell(p, quantity):
         assert_finite_or_coded(*_eval_task((quantity, p)))
 
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(params, st.floats(-2.0, 2.0))
+    def cq(p, alpha):
+        assert_cq_finite_or_typed(p, alpha)
+
     cell()
+    cq()

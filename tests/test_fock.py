@@ -9,6 +9,7 @@ from su11.errors import LeakageError, ZeroProbabilityError
 from su11.fock import (
     BRANCH_PRUNE_TOL,
     Ensemble,
+    _kraus_branch_states,
     _lower,
     apply_loss,
     apply_phase,
@@ -26,6 +27,7 @@ from su11.fock import (
     prepare_input,
     subtract_photons,
     subtracted_moments,
+    thin_tables,
 )
 from su11.model import Params, kernels
 from references import apply_loss_branchwise, apply_tms_series
@@ -377,6 +379,50 @@ class TestLoss:
         assert not np.any(lost.tangent)
 
 
+def assert_close_to(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestOutputLoss:
+    @pytest.mark.parametrize("T", [0.0, 0.3, 0.8])
+    def test_thinned_tables_match_the_kraus_route(self, T):
+        # output loss on the counts equals the literal channel on the branches
+        ens = output_ensemble(Params(g=0.8, beta=1.0, phi=0.4, T1=0.8), 50)
+        assert ens.amps.shape[0] > 1
+        table, dtable = thin_tables(*photon_tables(ens), T)
+        want, dwant = photon_tables(apply_loss(ens, T))
+        assert_close_to(table, want, 1e-13)
+        assert_close_to(dtable, dwant, 1e-13)
+
+    def test_unit_transmittance_returns_the_tables(self):
+        table, dtable = np.ones((4, 4)), np.zeros((4, 4))
+        got = thin_tables(table, dtable, 1.0)
+        assert got[0] is table and got[1] is dtable
+        for T in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="transmittance"):
+                thin_tables(table, dtable, T)
+
+    def test_branch_states_are_the_loss_channels_branches(self):
+        # chi_l = e^{i phi (n - alpha l)} K_l psi, and its tangent adds the
+        # phase rate's term to K_l psi'
+        eta, alpha, phi = 0.7, 0.3, 0.9
+        psi = loss_probe_state(Params(g=0.5, beta=1.0, phi=0.4, m=1, eta=eta), 40)
+        lost = apply_loss(psi, eta)
+        branches = _kraus_branch_states(psi, eta, alpha, phi)
+        kept = lost.amps.shape[0]
+        assert kept > 1
+        n = np.arange(41)[:, None]
+        for l, (chi, dchi) in enumerate(branches[:kept]):
+            rate = 1j * (n - alpha * l)
+            ph = np.exp(phi * rate)
+            assert_close_to(chi, ph * lost.amps[l : l + 1], 1e-14)
+            assert_close_to(dchi, rate * chi + ph * lost.tangent[l : l + 1], 1e-14)
+        # the branches the channel prunes are the negligible ones
+        for chi, _ in branches[kept:]:
+            assert np.vdot(chi, chi).real <= BRANCH_PRUNE_TOL * psi.trace()
+
+
 class TestSubtraction:
     def test_zero_subtraction_identity(self):
         ens = apply_loss(tmsv(1.0, 50), 0.8)
@@ -477,9 +523,13 @@ class TestNumericEstimators:
     def test_tangent_table_matches_central_difference(self):
         p = Params(g=0.8, beta=1.0, phi=0.4, T1=0.8, T2=0.9)
         h = 1e-4
-        _, dtable = photon_tables(output_ensemble(p, 50))
-        hi, _ = photon_tables(output_ensemble(p.replace(phi=p.phi + h), 50))
-        lo, _ = photon_tables(output_ensemble(p.replace(phi=p.phi - h), 50))
+
+        def tables(q):
+            return thin_tables(*photon_tables(output_ensemble(q, 50)), q.T2)
+
+        _, dtable = tables(p)
+        hi, _ = tables(p.replace(phi=p.phi + h))
+        lo, _ = tables(p.replace(phi=p.phi - h))
         fd = (hi - lo) / (2.0 * h)
         assert np.max(np.abs(fd - dtable)) < 1e-7 * np.max(np.abs(dtable))
 
