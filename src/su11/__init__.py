@@ -1,7 +1,7 @@
 """SU(1,1) interferometer with multiphoton subtraction: sensitivity, QFI, limits.
 
-Closed-form calculators built on a truncated power-series engine, plus an
-independent brute-force Fock-space oracle and a sweep/figure CLI.
+Closed-form calculators (Laguerre formulas, and a power-series engine for the
+QFI), an independent brute-force Fock-space oracle and a sweep/figure CLI.
 """
 
 from su11.limits import LimitsReport, internal_photon_number, limits

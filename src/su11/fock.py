@@ -43,7 +43,7 @@ subtraction and detection read, as the binomial thinning of n_a
 (:func:`thin_tables`).  Subtraction is read from the thinned table: a^m
 takes |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every
 order m is a reweighting of one table.  The equivalent-model and internal
-pipelines subtract by literal repeated lowering, :func:`subtract_photons`,
+pipelines subtract with :func:`subtract_photons`, one scaled row slice,
 which also cross-checks that reweighting.
 
 Every reported oracle number goes through :func:`converged_value`, which
@@ -468,28 +468,26 @@ def apply_loss(x: Ensemble, T: float) -> Ensemble:
     return Ensemble(out)
 
 
-def _lower(x: Ensemble, m: int) -> Ensemble:
-    """a^m on mode a, state and tangent alike."""
-    data = x.data
-    for _ in range(m):
-        data = lower_a(data)
-    return Ensemble(data)
-
-
 def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
     """Apply a^m to every branch and renormalize.
 
-    The equivalent-model and internal pipelines subtract with it, and it
+    Row n of a^m |psi> is sqrt((n + 1) ... (n + m)) times row n + m of |psi>,
+    so a^m is one scaled row slice of the state and its tangent alike.  The
+    equivalent-model and internal pipelines subtract with it, and it
     cross-checks the table reweighting of :func:`subtracted_moments`.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    out = _lower(ens, m)
-    prob = out.trace()
+    rows = max(ens.n_cut + 1 - m, 0)
+    scale = np.prod(np.sqrt(np.arange(rows, dtype=float)[:, None] + np.arange(1, m + 1)), axis=1)
+    out = np.zeros_like(ens.data)
+    np.multiply(scale[:, None], ens.data[..., m:, :], out=out[..., :rows, :])
+    prob = Ensemble(out).trace()
     # "zero probability" is judged relative to the incoming trace
     if prob < ZERO_NORM_FLOOR * max(ens.trace(), 1e-300):
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
-    return Ensemble(out.data / math.sqrt(prob))
+    out /= math.sqrt(prob)
+    return Ensemble(out)
 
 
 def _check_mode(mode: str) -> None:

@@ -7,19 +7,20 @@ operation.  Internal loss enters through the single transmittance T = T1.
 Both number insertions reduce to the factor Y(v1) of `su11.model`: mode a
 inserts T sh^2 (1 + Y(v1)) and mode b inserts sh^2 + ch^2 Y(v1), so
 
-    N_T = (ch^2 + T sh^2) <Y(v1)> + (1 + T) sh^2,
+    N_T = (ch^2 + T sh^2) <Y(v1)> + (1 + T) sh^2.
 
-with <q> = ext_(m,m)[q e] / ext_(m,m)[e] over the internal state's
-generating function e = exp(B(v1)).
+exp(B(v1)) generates a displaced thermal state, and
+d_t d_s exp(B) = |v1|^2 (1 + Y(v1)) exp(B), so <Y(v1)> = c1 - 1 whatever phi
+is (`su11.model`); v1 enters only through the subtraction's normalizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from su11.errors import DarkFringeError, NumericalError
+from su11.errors import NumericalError
 from su11.model import Params, kernels
-from su11.series import finite, normalizer, quiet_overflow, real_part
+from su11.series import finite
 
 
 @dataclass(frozen=True)
@@ -29,15 +30,10 @@ class LimitsReport:
     hl: float
 
 
-@quiet_overflow
 def internal_photon_number(p: Params) -> float:
     """<n_a + n_b> of the internal state, with m-photon subtraction folded in."""
-    m = p.m
     ks = kernels(p)
-    e = ks.exponent_nt().exp()
-    norm = e.extract((m, m)).val
-    normalizer(norm, DarkFringeError, f"internal-state normalizer vanished at m={m}")
-    y_mean = real_part((ks.y_poly(ks.v1) * e).extract((m, m)).val / norm, "<Y(v1)>")
+    _, y_mean, _ = ks.subtraction(ks.v1.abs2().val.real)
     n_t = (ks.ch2 + p.T1 * ks.sh2) * y_mean + (1.0 + p.T1) * ks.sh2
     return finite(n_t, "internal photon number")
 

@@ -1,33 +1,36 @@
-"""Parameter set and generating-function kernels of the balanced SU(1,1) model.
+"""Parameter set, kernels and Laguerre values of the balanced SU(1,1) model.
 
 The interferometer is fixed at its balance point: the two amplifier phases
 are 0 and pi, both gains equal g, and the coherent input phase is 0 (so
 beta is a non-negative real).  Unbalanced configurations are deliberately
 not representable.
 
-Every closed-form quantity in the calculator is a mixed-derivative
-extraction, over two dummy variables (t, s), of a polynomial times
-exp(B(w)), where
+Each closed form starts from the bilinear exponent over two dummy
+variables (t, s), which carry the subtraction order,
 
     B(w) = st |w|^2 + (t w + s w*) beta = Y(w) - beta^2,
     Y(w) = (beta + t w)(beta + s w*),
 
-for one of a handful of phase-dependent kernels w.  :class:`KernelSet`
-owns the kernels, each carrying its d/dphi channel, and builds the
-exponents and polynomial factors over (t, s), all with the caps
-(m + 2, m + 2) of :attr:`KernelSet.caps`.  t and s carry the subtraction
-order: the sensitivity extracts at (m, m) to (m + 2, m + 2), every other
-calculator at (m, m).
+for one of a handful of phase-dependent kernels w.  exp(B(w)) generates a
+displaced thermal state of thermal number u = |w|^2, and its (n, n)
+extraction is n! u^n L_n(-beta^2), with L_n(-x) = sum_j C(n, j) x^j / j!.
+So the one-kernel quantities, the output moments (w3) and the internal
+photon number (v1), are Laguerre values times powers of u, and phi enters
+only through u.  The QFI mixes derivative insertions over the kernel X1; it
+still extracts at (m, m) from `su11.series` series with the caps
+(m + 2, m + 2) of :attr:`KernelSet.caps`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict
+from functools import lru_cache
+from typing import Dict, Sequence, Tuple
 
-from su11.errors import NumericalError
-from su11.series import CDual, MultiSeries, finite
+from su11.errors import DarkFringeError, NumericalError
+from su11.series import CDual, MultiSeries, finite, normalizer
 
 # the largest order the extractions are held to mpmath references at
 MAX_SUBTRACTIONS = 15
@@ -80,7 +83,7 @@ class Params:
 
 
 class KernelSet:
-    """Phase-dependent kernel coefficients and the series built on them.
+    """Phase-dependent kernel coefficients, Laguerre values and the QFI series.
 
     Scalar kernels (all :class:`CDual`):
 
@@ -92,21 +95,16 @@ class KernelSet:
     plus the floats sh2 = sinh^2 g and ch2 = cosh^2 g.  A gain whose
     sinh(2g) overflows raises NumericalError here.
 
-    Exponents, one generating function per calculator:
-
-    * :meth:`exponent_a` -- output port, for the error-propagation moments
-    * :meth:`exponent_nt` -- the internal state; :meth:`y_poly` at v1 is
-      the factor its photon number is read from
-    * :meth:`exponent_x5` and :meth:`x_polys` -- the loss-equivalent probe
-      of the extended system; at eta = 1 it is the lossless probe, so they
-      serve the ideal QFI as well
+    :meth:`subtraction` serves the one-kernel quantities.  :meth:`exponent_x5`
+    and :meth:`x_polys` build the series of the extended system's
+    loss-equivalent probe, which at eta = 1 is the lossless probe, so they
+    serve the ideal QFI as well.
     """
 
     def __init__(self, p: Params):
         self.p = p
         self.caps = (p.m + 2, p.m + 2)
-        phase = CDual.variable(p.phi)
-        self.e_m = (phase * (-1j)).exp()  # e^{-i phi}
+        e_m = cmath.exp(-1j * p.phi)
         try:
             sh2g = finite(math.sinh(2.0 * p.g), "sinh(2g)")
         except OverflowError:
@@ -114,13 +112,37 @@ class KernelSet:
         # sinh^2 g and cosh^2 g are at most sinh(2g) / 2 + 1, so neither overflows
         self.sh2 = math.sinh(p.g) ** 2
         self.ch2 = math.cosh(p.g) ** 2
-        sqT1, sqT2 = math.sqrt(p.T1), math.sqrt(p.T2)
-        sqeta = math.sqrt(p.eta)
+        sqT1 = math.sqrt(p.T1)
 
-        self.w3 = (0.5 * sh2g * sqT2) * (1.0 - self.e_m * sqT1)
-        self.v1 = 0.5 * sh2g * (1.0 - self.e_m * sqT1)
-        self.X1 = 0.5 * sh2g * (1.0 - self.e_m * sqeta)
+        def kernel(scale: float, sqrt_t: float) -> CDual:
+            # scale (1 - sqrt_t e^{-i phi}), whose d/dphi is scale i sqrt_t e^{-i phi}
+            return CDual((1.0 - e_m * sqrt_t) * scale, (1j * e_m * sqrt_t) * scale)
+
+        self.w3 = kernel(0.5 * sh2g * math.sqrt(p.T2), sqT1)
+        self.v1 = kernel(0.5 * sh2g, sqT1)
+        self.X1 = kernel(0.5 * sh2g, math.sqrt(p.eta))
         self._half_sh2g = 0.5 * sh2g
+
+    def subtraction(self, u: float) -> Tuple[float, float, float]:
+        """(N1, c1 - 1, D_m / L_m^2) for m photons subtracted at thermal number u.
+
+        With L_n = L_n(-beta^2), c1 = (m + 1) L_(m+1) / L_m and
+        D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2, <N> = c1 u and
+        Var(N) = (D_m / L_m^2) u^2 + c1 u, each polynomial summed from its
+        non-negative coefficients.  N1 = (m! u^m L_m)^(-1/2); a weight
+        m! u^m L_m under DARK_FRINGE_FLOOR is a DarkFringeError, and one
+        that overflows a NumericalError.
+        """
+        m = self.p.m
+        x = self.p.beta * self.p.beta
+        l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(m))
+        weight = math.factorial(m) * l_m
+        # one factor of u at a time: the partial products move monotonically
+        # toward the weight, so none over- or underflows before it does
+        for _ in range(m):
+            weight *= u
+        normalizer(weight, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
+        return finite(weight, "subtraction normalizer") ** -0.5, y / l_m, d / l_m / l_m
 
     def _bilinear(self, w: CDual) -> MultiSeries:
         """B(w) = st |w|^2 + (t w + s w*) beta, with a constant term of exactly 0."""
@@ -132,14 +154,6 @@ class KernelSet:
     def y_poly(self, w: CDual) -> MultiSeries:
         """Y(w) = (beta + t w)(beta + s w*) = B(w) + beta^2 over (t, s)."""
         return self._bilinear(w) + self.p.beta * self.p.beta
-
-    def exponent_a(self) -> MultiSeries:
-        """Exponent of the output-port generating function."""
-        return self._bilinear(self.w3)
-
-    def exponent_nt(self) -> MultiSeries:
-        """Exponent of the internal state's generating function (loss T = T1)."""
-        return self._bilinear(self.v1)
 
     # -- extended-system series at transmissivity eta ------------------------
 
@@ -166,6 +180,35 @@ class KernelSet:
         )
         x4 = MultiSeries.from_terms(self.caps, [((1, 1), q3 * q2)])
         return {"X2": x2, "X3": x3, "X4": x4, "X6": self.y_poly(X1)}
+
+
+@lru_cache(maxsize=None)
+def _laguerre_coefficients(m: int) -> Tuple[Tuple[float, ...], ...]:
+    """Coefficients in x, highest first, of L_m(-x), (m + 1) L_(m+1)(-x) - L_m(-x) and D_m(x).
+
+    The degree-j coefficient of a product is exact: j! [x^j] L_a L_b =
+    sum_i C(j, i) C(a, i) C(b, j - i).  All are non-negative, and D_m's
+    x^(2m+2) terms cancel.  About a third of a millisecond at m = 15.
+    """
+
+    def product(a: int, b: int) -> list:
+        return [sum(math.comb(j, i) * math.comb(a, i) * math.comb(b, j - i) for i in range(j + 1))
+                for j in range(a + b + 1)]
+
+    l_m = [math.comb(m, j) for j in range(m + 1)]
+    y = [(m + 1) * math.comb(m + 1, j) - math.comb(m, j) for j in range(m + 2)]
+    d = [(m + 1) * (m + 2) * a - (m + 1) ** 2 * b
+         for a, b in zip(product(m + 2, m), product(m + 1, m + 1))]
+    return tuple(tuple(n / math.factorial(j) for j, n in reversed(list(enumerate(c))))
+                 for c in (l_m, y, d[:-1]))
+
+
+def _positive_sum(coeffs: Sequence[float], x: float) -> float:
+    """The polynomial with coefficients ``coeffs``, highest first, at x, by Horner's rule."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def kernels(p: Params) -> KernelSet:

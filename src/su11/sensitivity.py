@@ -1,10 +1,11 @@
 """Intensity-detection phase sensitivity at output mode a, ideal and lossy.
 
-The mean and second moment of the detected photon number are extractions of
-the output generating function exp(A); the error-propagation formula then
-gives  delta^2 phi = Var(N) / |d<N>/dphi|^2,  with the phi derivative taken
-from the dual channel of the extraction (`su11.verify` checks it against
-central differences).
+Output mode a is a displaced thermal state of thermal number u = |w3|^2.
+After m subtractions, <N> = c1 u and d<N>/dphi = c1 u', with u' from the
+kernel's d/dphi channel (`su11.verify` checks it against central
+differences of <N>), and Var(N) = (D_m / L_m^2) u^2 + c1 u is a sum of
+non-negative terms (c1 and D_m: `su11.model.KernelSet.subtraction`).
+Error propagation gives  delta^2 phi = Var(N) / |d<N>/dphi|^2.
 
 The ideal variant is the lossy one at T1 = T2 = 1, so the no-loss
 reduction is bit-for-bit.
@@ -16,10 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from su11.errors import DarkFringeError, NumericalError, StationaryPointError, Su11Error
+from su11.errors import DarkFringeError, StationaryPointError, Su11Error
 from su11.model import Params, kernels
-from su11.series import (IMAG_TOL, STATIONARY_REL_TOL, MultiSeries, finite, normalizer,
-                         quiet_overflow, real_part)
+from su11.series import STATIONARY_REL_TOL, finite
 
 # samples of the coarse grid that brackets the optimal phase
 PHASE_GRID = 33
@@ -36,45 +36,37 @@ class SensitivityReport:
     d_mean_dphi: float
 
 
-@quiet_overflow
-def _error_propagation(exp_a: MultiSeries, m: int) -> SensitivityReport:
-    e = exp_a.exp()
-    gm = e.extract((m, m))
-    normalizer(gm.val, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
-    gm1 = e.extract((m + 1, m + 1))
-    gm2 = e.extract((m + 2, m + 2))
-    n1sq = 1.0 / gm  # normalization squared, with its phi derivative
-    mean = n1sq * gm1
-    mean2 = n1sq * (gm1 + gm2)
-    mean_v = finite(real_part(mean.val, "<N>", abs(mean.val)), "<N>")
-    mean2_v = finite(real_part(mean2.val, "<N^2>", abs(mean2.val)), "<N^2>")
-    dmean_v = finite(real_part(mean.dph, "d<N>/dphi", abs(mean.dph)), "d<N>/dphi")
-    var = mean2_v - mean_v * mean_v
-    if var < -IMAG_TOL * max(mean2_v, 1.0):
-        raise NumericalError(f"negative variance {var} at m={m}")
-    var = max(var, 0.0)
-    if dmean_v == 0.0 or abs(dmean_v) < STATIONARY_REL_TOL * abs(mean_v):
+def _error_propagation(p: Params) -> SensitivityReport:
+    ks = kernels(p)
+    u2 = ks.w3.abs2()
+    u, du = u2.val.real, u2.dph.real
+    norm, y, spread = ks.subtraction(u)
+    c1 = 1.0 + y
+    mean = finite(c1 * u, "<N>")
+    dmean = finite(c1 * du, "d<N>/dphi")
+    var = spread * u * u + mean
+    mean2 = finite(var + mean * mean, "<N^2>")
+    if dmean == 0.0 or abs(dmean) < STATIONARY_REL_TOL * abs(mean):
         raise StationaryPointError(
-            f"d<N>/dphi = {dmean_v:.3e} is stationary relative to <N> = {mean_v:.3e}"
+            f"d<N>/dphi = {dmean:.3e} is stationary relative to <N> = {mean:.3e}"
         )
-    norm = float(gm.val.real) ** -0.5
     return SensitivityReport(
-        delta_phi=math.sqrt(var) / abs(dmean_v),
-        mean_n=mean_v,
-        mean_n2=mean2_v,
+        delta_phi=math.sqrt(var) / abs(dmean),
+        mean_n=mean,
+        mean_n2=mean2,
         norm=norm,
-        d_mean_dphi=dmean_v,
+        d_mean_dphi=dmean,
     )
 
 
 def sensitivity_ideal(p: Params) -> SensitivityReport:
     """Error-propagation sensitivity of the lossless interferometer."""
-    return _error_propagation(kernels(p.replace(T1=1.0, T2=1.0)).exponent_a(), p.m)
+    return _error_propagation(p.replace(T1=1.0, T2=1.0))
 
 
 def sensitivity_lossy(p: Params) -> SensitivityReport:
     """Sensitivity with internal (T1) and external (T2) photon loss."""
-    return _error_propagation(kernels(p).exponent_a(), p.m)
+    return _error_propagation(p)
 
 
 def optimal_phase(

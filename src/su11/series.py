@@ -1,11 +1,11 @@
 """Truncated multivariate power series over phase-carrying dual scalars.
 
-The calculator evaluates expectation values of the form
+The QFI (`su11.qfi`) evaluates expectation values of the form
 
-    d^(k1+...+kn) / (dx1^k1 ... dxn^kn)  exp(P(x1..xn)) |_{x=0}
+    d^(k1+...+kn) / (dx1^k1 ... dxn^kn)  Q(x1..xn) exp(P(x1..xn)) |_{x=0}
 
-where P is a low-degree polynomial in a handful of dummy variables whose
-coefficients depend on the physical phase ``phi``.  Everything here is
+where P and Q are low-degree polynomials in a handful of dummy variables
+whose coefficients depend on the physical phase ``phi``.  Everything here is
 mechanized with two ingredients:
 
 * :class:`CDual` -- a complex scalar carrying d/dphi in a second channel
@@ -24,11 +24,11 @@ mechanized with two ingredients:
 Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
 dummy variables), so dense storage wins over sparse maps.
 
-The calculators read physical quantities off the extracted values with the
-checks at the end of this module.  :func:`normalizer` is the one dark-fringe
-test: a normalizer extraction under DARK_FRINGE_FLOOR raises the caller's
-error type.  The others turn every numerical inconsistency (a spurious
-imaginary part, float overflow) into a typed NumericalError.
+The calculators read physical quantities off their values with the checks
+at the end of this module.  :func:`normalizer` is the one dark-fringe test:
+a normalizer under DARK_FRINGE_FLOOR raises the caller's error type.  The
+others turn every numerical inconsistency (a spurious imaginary part, float
+overflow) into a typed NumericalError.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from su11.errors import NumericalError, Su11Error
 
-# Extraction scales a coefficient by orders_i! in double precision; the model
-# reads at most (m+2)! = 17!, and the guard stops callers far beyond it.  The
+# Extraction scales a coefficient by orders_i! in double precision; the QFI
+# reads at most m! = 15!, and the guard stops callers far beyond it.  The
 # exponential itself uses no factorials: its recurrence divides by row indices.
 MAX_FACTORIAL_ORDER = 34
 

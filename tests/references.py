@@ -7,9 +7,12 @@ branch from its binomial amplitudes and judges each on its own norm, where
 ``su11.fock`` judges them from row weights before building any; and
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
 reads; ``taylor_exp`` sums the Taylor series of a truncated exponential out of
-whole-box products, where ``su11.series`` solves a row-by-row recurrence; and
+whole-box products, where ``su11.series`` solves a row-by-row recurrence;
 ``laguerre_coefficient`` sums a coefficient of exp(a ts + b t + c s) term by
-term in arbitrary precision.
+term in arbitrary precision; and ``engine_sensitivity`` and
+``engine_photon_number`` read the output moments and N_T off mixed-derivative
+extractions of exp(B(w)) with the series engine, where ``su11.sensitivity``
+and ``su11.limits`` evaluate Laguerre polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from su11.series import MultiSeries
+from su11.model import Params, kernels
+from su11.series import CDual, MultiSeries
 from su11.sweeps import SweepSpec, format_float
 
 
@@ -128,3 +132,45 @@ def laguerre_coefficient(a, b, c, i: int, j: int):
         / (math.factorial(k) * math.factorial(i - k) * math.factorial(j - k))
         for k in range(min(i, j) + 1)
     )
+
+
+def bilinear_exponent(p: Params, w: CDual) -> MultiSeries:
+    """B(w) = st |w|^2 + (t w + s w*) beta over (t, s), with the caps (m + 2, m + 2)."""
+    b = p.beta
+    return MultiSeries.from_terms(
+        (p.m + 2, p.m + 2), [((1, 0), w * b), ((0, 1), w.conj() * b), ((1, 1), w.abs2())]
+    )
+
+
+def engine_sensitivity(p: Params) -> dict:
+    """The lossy sensitivity report's fields from three extractions of exp(B(w3)).
+
+    With G_k the (k, k) extraction, <N> = G_(m+1) / G_m and
+    <N^2> = (G_(m+1) + G_(m+2)) / G_m, phase derivatives from the dual channel,
+    and Var(N) = <N^2> - <N>^2, which cancels about <N>-fold.
+    """
+    m = p.m
+    e = bilinear_exponent(p, kernels(p).w3).exp()
+    gm, gm1, gm2 = (e.extract((k, k)) for k in (m, m + 1, m + 2))
+    mean = gm1 / gm
+    mean2 = ((gm1 + gm2) / gm).val.real
+    var = mean2 - mean.val.real**2
+    return {
+        "delta_phi": math.sqrt(var) / abs(mean.dph.real),
+        "mean_n": mean.val.real,
+        "mean_n2": mean2,
+        "d_mean_dphi": mean.dph.real,
+        "norm": gm.val.real**-0.5,
+    }
+
+
+def engine_photon_number(p: Params) -> float:
+    """N_T = (ch^2 + T1 sh^2) <Y(v1)> + (1 + T1) sh^2 over e = exp(B(v1)).
+
+    <Y(v1)> = ext_(m,m)[Y e] / ext_(m,m)[e], with Y(v1) = B(v1) + beta^2.
+    """
+    ks = kernels(p)
+    b = bilinear_exponent(p, ks.v1)
+    e = b.exp()
+    y_mean = ((b + p.beta**2) * e).extract((p.m, p.m)).val / e.extract((p.m, p.m)).val
+    return (ks.ch2 + p.T1 * ks.sh2) * y_mean.real + (1.0 + p.T1) * ks.sh2

@@ -115,10 +115,10 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "quantity,params",
         [
-            # float overflow: nan / inf / 0 used to reach the CSV
-            ("delta_phi_lossy", dict(g=12.0, m=15)),
-            # n_t and qfi_ideal are still finite at g = 12 (test_limits, test_qfi);
-            # every calculator overflows at g = 12.5
+            # float overflow: nan / inf / 0 used to reach the CSV.  delta_phi,
+            # n_t and qfi_ideal are still finite at g = 12 (test_sensitivity,
+            # test_limits, test_qfi); the normalizer N1 overflows at g = 12.5
+            ("delta_phi_lossy", dict(g=12.5, m=15)),
             ("n_t", dict(g=12.5, m=15)),
             ("sql", dict(g=12.5, m=15)),
             ("qfi_ideal", dict(g=12.5, m=15)),

@@ -10,7 +10,6 @@ from su11.fock import (
     BRANCH_PRUNE_TOL,
     Ensemble,
     _kraus_branch_states,
-    _lower,
     apply_loss,
     apply_phase,
     apply_tms,
@@ -18,6 +17,7 @@ from su11.fock import (
     equivalent_state,
     internal_ensemble,
     loss_probe_state,
+    lower_a,
     moments,
     numeric_internal_photon_number,
     numeric_moments_multi,
@@ -30,7 +30,16 @@ from su11.fock import (
     thin_tables,
 )
 from su11.model import Params, kernels
+from su11.sensitivity import sensitivity_ideal
 from references import apply_loss_branchwise, apply_tms_series
+
+
+def lowered(ens, m):
+    """a^m on mode a by m repeated lower_a calls, state and tangent alike, unnormalized."""
+    data = ens.data
+    for _ in range(m):
+        data = lower_a(data)
+    return Ensemble(data)
 
 
 def tmsv(g, n_cut=50):
@@ -221,7 +230,6 @@ class TestEnsemble:
             lambda x: apply_loss(x, 0.7),
             lambda x: apply_loss(x, 0.0),
             lambda x: subtract_photons(x, 2),
-            lambda x: _lower(x, 2),
         )
         for x in (pure, mixed, _seed_tangent(pure), _seed_tangent(mixed)):
             for element in elements:
@@ -361,7 +369,6 @@ class TestLoss:
             lambda x: apply_loss(x, 0.0),
             lambda x: subtract_photons(x, 0),
             lambda x: subtract_photons(x, 2),
-            lambda x: _lower(x, 0),
         ):
             element(ens)
             assert np.array_equal(ens.data, before)
@@ -427,7 +434,7 @@ class TestSubtraction:
     def test_zero_subtraction_identity(self):
         ens = apply_loss(tmsv(1.0, 50), 0.8)
         out = subtract_photons(ens, 0)
-        assert _lower(ens, 0).trace() == pytest.approx(1.0, abs=1e-12)
+        assert lowered(ens, 0).trace() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.amps, ens.amps, atol=1e-12)
 
     def test_vacuum_mode_a_rejects(self):
@@ -438,11 +445,22 @@ class TestSubtraction:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_success_probability_matches_generating_function(self, m):
         # the success probability of a^m on the normalized ideal output equals
-        # the 2m-fold extraction of exp(A1)
+        # N1^-2 = m! u^m L_m, the 2m-fold extraction of exp(A1)
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m)
         ens = output_ensemble(p, 70)
-        gm = kernels(p).exponent_a().exp().extract((m, m)).val.real
-        assert _lower(ens, m).trace() == pytest.approx(gm, rel=1e-8)
+        gm = sensitivity_ideal(p).norm ** -2
+        assert lowered(ens, m).trace() == pytest.approx(gm, rel=1e-8)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_row_slice_matches_repeated_lowering(self, m):
+        # a branch stack with its tangent, subtracted in one scaled slice
+        from su11.fock import _seed_tangent
+
+        ens = _seed_tangent(apply_phase(apply_loss(tmsv(0.6, 40), 0.7), 0.4))
+        assert ens.amps.shape[0] > 1
+        want = lowered(ens, m)
+        got = subtract_photons(ens, m)
+        assert_close_to(got.data, want.data / math.sqrt(want.trace()), 1e-15)
 
     @pytest.mark.parametrize("mode", ["a", "b"])
     def test_table_reweighting_matches_literal_subtraction(self, mode):
@@ -460,7 +478,7 @@ class TestSubtraction:
             k = np.arange(71)
             marg, dmarg = sub_table.sum(axis=axis), sub_dtable.sum(axis=axis)
             want_dmean = (k @ dmarg - want_mean * dmarg.sum()) / marg.sum()
-            assert prob == pytest.approx(_lower(ens, m).trace(), rel=1e-12)
+            assert prob == pytest.approx(lowered(ens, m).trace(), rel=1e-12)
             assert mean == pytest.approx(want_mean, rel=1e-12)
             assert second == pytest.approx(want_second, rel=1e-12)
             assert dmean == pytest.approx(want_dmean, rel=1e-12)

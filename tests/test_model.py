@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from su11.model import Params, kernels
+from references import bilinear_exponent
+from su11.model import Params, _laguerre_coefficients, kernels
 
 
 class TestParams:
@@ -97,21 +98,23 @@ class TestKernels:
 
 
 class TestExponentA:
+    """The output exponent B(w3) that the engine reference extracts from."""
+
     def test_zero_phase_gives_zero_series(self):
-        ks = kernels(Params(g=1.0, phi=0.0, m=1))
-        a = ks.exponent_a()
+        p = Params(g=1.0, phi=0.0, m=1)
+        a = bilinear_exponent(p, kernels(p).w3)
         assert np.count_nonzero(a.val) == 0
 
     def test_zero_beta_keeps_only_cross_term(self):
-        ks = kernels(Params(g=1.0, phi=0.7, beta=0.0, m=1))
-        a = ks.exponent_a()
+        p = Params(g=1.0, phi=0.7, beta=0.0, m=1)
+        a = bilinear_exponent(p, kernels(p).w3)
         nz = np.argwhere(a.val != 0)
         assert nz.tolist() == [[1, 1]]
 
     def test_coefficients_read_off_directly(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, T1=0.8, T2=0.9)
         ks = kernels(p)
-        a = ks.exponent_a()
+        a = bilinear_exponent(p, ks.w3)
         assert a.val[1, 1] == pytest.approx(ks.w3.abs2().val)
         assert a.val[1, 0] == pytest.approx(ks.w3.val * p.beta)
         assert a.val[0, 1] == pytest.approx(ks.w3.val.conjugate() * p.beta)
@@ -120,7 +123,7 @@ class TestExponentA:
         # without loss the output exponent is the probe's norm exponent at eta = 1
         p = Params(g=1.1, beta=0.8, phi=0.9, m=2, T1=1.0, T2=1.0, eta=1.0)
         ks = kernels(p)
-        output = ks.exponent_a()
+        output = bilinear_exponent(p, ks.w3)
         probe = ks.exponent_x5()
         assert np.array_equal(output.val, probe.val)
         assert np.array_equal(output.dph, probe.dph)
@@ -132,7 +135,7 @@ class TestInternalExponents:
     def test_n1_matches_lossy_kernel(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=1, T1=0.7)
         ks = kernels(p)
-        n1 = ks.exponent_nt().val
+        n1 = bilinear_exponent(p, ks.v1).val
         assert n1.shape == (4, 4)
         assert n1[1, 1] == pytest.approx(ks.v1.abs2().val)
         assert n1[1, 0] == pytest.approx(ks.v1.val * p.beta)
@@ -140,10 +143,39 @@ class TestInternalExponents:
     def test_nt_exponent_is_the_lossless_output_exponent(self):
         # at T1 = 1, v1 equals w1, so the internal exponent is the output one
         p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0, T2=0.6)
-        nt = kernels(p).exponent_nt()
-        a = kernels(p.replace(T2=1.0)).exponent_a()
+        nt = bilinear_exponent(p, kernels(p).v1)
+        a = bilinear_exponent(p, kernels(p.replace(T2=1.0)).w3)
         assert np.array_equal(nt.val, a.val)
         assert np.array_equal(nt.dph, a.dph)
+
+
+class TestLaguerre:
+    """The positive-coefficient polynomials behind KernelSet.subtraction."""
+
+    @pytest.mark.parametrize("m", range(16))
+    def test_coefficients_are_non_negative_and_match_the_definition(self, m):
+        # D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2, its x^(2m+2)
+        # terms cancelled, against exact rational arithmetic
+        from fractions import Fraction
+
+        def lag(n, x):
+            return sum(Fraction(math.comb(n, j)) * x**j / math.factorial(j) for j in range(n + 1))
+
+        l_m, y, d = _laguerre_coefficients(m)
+        assert min(l_m + y + d) >= 0.0
+        assert (len(l_m), len(y), len(d)) == (m + 1, m + 2, 2 * m + 2)
+        for x in (Fraction(1, 7), Fraction(3), Fraction(40)):
+            want_y = (m + 1) * lag(m + 1, x) - lag(m, x)
+            want_d = (m + 1) * (m + 2) * lag(m + 2, x) * lag(m, x) - (m + 1) ** 2 * lag(m + 1, x) ** 2
+            for coeffs, want in ((l_m, lag(m, x)), (y, want_y), (d, want_d)):
+                got = sum(c * float(x) ** j for j, c in enumerate(reversed(coeffs)))
+                assert got == pytest.approx(float(want), rel=1e-13)
+
+    def test_unsubtracted_state_is_normalized_and_thermal_plus_coherent(self):
+        # m = 0: N1 = 1, c1 - 1 = beta^2 and D_0 = 1 + 2 beta^2, exactly
+        ks = kernels(Params(g=1.0, beta=0.7, phi=0.4, m=0))
+        x = 0.7 * 0.7
+        assert ks.subtraction(2.5) == (1.0, x, 1.0 + 2.0 * x)
 
 
 class TestXSeries:

@@ -7,9 +7,11 @@ import pytest
 
 from su11.errors import DarkFringeError, StationaryPointError
 from su11.fock import numeric_moments_multi
+from su11.limits import internal_photon_number
 from su11.model import Params, kernels
 from su11.sensitivity import optimal_phase, sensitivity_ideal, sensitivity_lossy
 from su11.verify import d_mean_dphi_fd
+from references import engine_photon_number, engine_sensitivity, laguerre_coefficient
 
 # Fock-oracle values, frozen (converged n_cut ladder, central step 1e-4):
 # g=1, beta=1, phi=0.4, m=2, T1=0.8, T2=1
@@ -104,6 +106,75 @@ class TestLossy:
             assert got.delta_phi == pytest.approx(want["delta_phi"], rel=1e-6)
             assert got.mean_n == pytest.approx(want["mean"], rel=1e-6)
             assert got.mean_n2 == pytest.approx(want["second"], rel=1e-6)
+
+
+def mp_delta_phi(mpmath, u, du, beta, m):
+    """delta_phi at 60 digits from three (k, k) extractions at thermal number u.
+
+    The extraction of exp(u ts + b t + c s) depends on b and c only through
+    bc = beta^2 u, so b = c = beta sqrt(u); <N> = c1 u gives d<N>/dphi = <N> u' / u.
+    """
+    with mpmath.workdps(60):
+        u, du, beta = mpmath.mpf(u), mpmath.mpf(du), mpmath.mpf(beta)
+        b = beta * mpmath.sqrt(u)
+        g0, g1, g2 = (
+            mpmath.factorial(k) ** 2 * laguerre_coefficient(u, b, b, k, k) for k in (m, m + 1, m + 2)
+        )
+        mean = g1 / g0
+        var = (g1 + g2) / g0 - mean**2
+        return float(mpmath.sqrt(var) / abs(mean * du / u))
+
+
+class TestAgainstReferences:
+    def test_laguerre_formulas_match_the_series_engine(self):
+        # the three-extraction moments of exp(B(w3)) and N_T's <Y(v1)>
+        rng = np.random.default_rng(2026)
+        for _ in range(500):
+            p = Params(
+                g=float(rng.uniform(0.05, 3.0)),
+                beta=float(rng.uniform(0.0, 3.0)),
+                phi=float(rng.uniform(0.1, 3.0)),
+                m=int(rng.integers(0, 16)),
+                T1=float(rng.uniform(0.05, 1.0)),
+                T2=float(rng.uniform(0.05, 1.0)),
+            )
+            got = sensitivity_lossy(p)
+            for name, want in engine_sensitivity(p).items():
+                assert getattr(got, name) == pytest.approx(want, rel=1e-12), (name, p)
+            assert internal_photon_number(p) == pytest.approx(engine_photon_number(p), rel=1e-12)
+
+    def test_variance_has_no_cancellation_at_large_beta(self):
+        # Var(N) = <N^2> - <N>^2 cancels about <N>-fold; the positive-coefficient
+        # form holds delta_phi to a 60-digit reference built from the same u, u', beta
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(60)
+        worst = 0.0
+        for _ in range(60):
+            p = Params(
+                g=float(rng.uniform(0.5, 6.0)),
+                beta=float(rng.uniform(30.0, 100.0)),
+                phi=float(rng.uniform(0.2, 3.0)),
+                m=int(rng.integers(0, 16)),
+                T1=float(rng.uniform(0.5, 1.0)),
+                T2=float(rng.uniform(0.5, 1.0)),
+            )
+            u = kernels(p).w3.abs2()
+            want = mp_delta_phi(mpmath, u.val.real, u.dph.real, p.beta, p.m)
+            worst = max(worst, abs(sensitivity_lossy(p).delta_phi / want - 1.0))
+        assert worst < 1e-14
+
+    def test_finite_at_high_gain_and_order(self):
+        # the normalizer m! u^m L_m is near the double-precision limit at g = 12,
+        # m = 15; the three-extraction route overflowed at (m + 2, m + 2) here
+        mpmath = pytest.importorskip("mpmath")
+        g, phi, m = 12.0, 0.4, 15
+        with mpmath.workdps(60):
+            shch2 = (mpmath.sinh(g) * mpmath.cosh(g)) ** 2
+            u = shch2 * (2 - 2 * mpmath.cos(phi))
+            du = shch2 * 2 * mpmath.sin(phi)
+            want = mp_delta_phi(mpmath, u, du, 1.0, m)
+        got = sensitivity_lossy(Params(g=g, beta=1.0, phi=phi, m=m)).delta_phi
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestDualChannel:
