@@ -95,10 +95,10 @@ class KernelSet:
     plus the floats sh2 = sinh^2 g and ch2 = cosh^2 g.  A gain whose
     sinh(2g) overflows raises NumericalError here.
 
-    :meth:`subtraction` serves the one-kernel quantities.  :meth:`exponent_x5`
-    and :meth:`x_polys` build the series of the extended system's
-    loss-equivalent probe, which at eta = 1 is the lossless probe, so they
-    serve the ideal QFI as well.
+    :meth:`laguerre` and :meth:`subtraction` serve the one-kernel quantities.
+    :meth:`exponent_x5` and :meth:`x_polys` build the series of the extended
+    system's loss-equivalent probe, which at eta = 1 is the lossless probe, so
+    they serve the ideal QFI as well.
     """
 
     def __init__(self, p: Params):
@@ -123,26 +123,30 @@ class KernelSet:
         self.X1 = kernel(0.5 * sh2g, math.sqrt(p.eta))
         self._half_sh2g = 0.5 * sh2g
 
-    def subtraction(self, u: float) -> Tuple[float, float, float]:
-        """(N1, c1 - 1, D_m / L_m^2) for m photons subtracted at thermal number u.
+    def laguerre(self) -> Tuple[float, float, float]:
+        """(L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from non-negative terms.
 
-        With L_n = L_n(-beta^2), c1 = (m + 1) L_(m+1) / L_m and
-        D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2, <N> = c1 u and
-        Var(N) = (D_m / L_m^2) u^2 + c1 u, each polynomial summed from its
-        non-negative coefficients.  N1 = (m! u^m L_m)^(-1/2); a weight
-        m! u^m L_m under DARK_FRINGE_FLOOR is a DarkFringeError, and one
+        c1 = (m + 1) L_(m+1) / L_m and D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.
+        """
+        x = self.p.beta * self.p.beta
+        l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(self.p.m))
+        return l_m, y / l_m, d / l_m / l_m
+
+    def subtraction(self, u: float) -> Tuple[float, float, float]:
+        """(N1, c1 - 1, D_m / L_m^2) at thermal number u, with N1 = (m! u^m L_m)^(-1/2).
+
+        A weight m! u^m L_m under DARK_FRINGE_FLOOR is a DarkFringeError, and one
         that overflows a NumericalError.
         """
         m = self.p.m
-        x = self.p.beta * self.p.beta
-        l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(m))
+        l_m, y, spread = self.laguerre()
         weight = math.factorial(m) * l_m
         # one factor of u at a time: the partial products move monotonically
         # toward the weight, so none over- or underflows before it does
         for _ in range(m):
             weight *= u
         normalizer(weight, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
-        return finite(weight, "subtraction normalizer") ** -0.5, y / l_m, d / l_m / l_m
+        return finite(weight, "subtraction normalizer") ** -0.5, y, spread
 
     def _bilinear(self, w: CDual) -> MultiSeries:
         """B(w) = st |w|^2 + (t w + s w*) beta, with a constant term of exactly 0."""

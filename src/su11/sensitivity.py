@@ -1,28 +1,33 @@
-"""Intensity-detection phase sensitivity at output mode a, ideal and lossy.
+"""Intensity-detection phase sensitivity at output mode a, ideal and lossy, and its optimum.
 
 Output mode a is a displaced thermal state of thermal number u = |w3|^2.
 After m subtractions, <N> = c1 u and d<N>/dphi = c1 u', with u' from the
 kernel's d/dphi channel (`su11.verify` checks it against central
-differences of <N>), and Var(N) = (D_m / L_m^2) u^2 + c1 u is a sum of
-non-negative terms (c1 and D_m: `su11.model.KernelSet.subtraction`).
+differences of <N>), and Var(N) = S u^2 + c1 u with S = D_m / L_m^2 is a sum
+of non-negative terms (c1 and S: `su11.model.KernelSet.laguerre`).
 Error propagation gives  delta^2 phi = Var(N) / |d<N>/dphi|^2.
 
 The ideal variant is the lossy one at T1 = T2 = 1, so the no-loss
 reduction is bit-for-bit.
+
+The optimum over phi is exact.  With c = cos phi, u = K v, v = a - b c, a = 1 + T1,
+b = 2 sqrt(T1) and K = (1/4) sinh^2 2g T2, delta^2 phi = N(c) / (c1^2 b^2 (1 - c^2)),
+N = S v^2 + (c1 / K) v.  The c^3 terms of the stationarity cubic N'(c)(1 - c^2) + 2c N(c)
+cancel, which leaves (times K) q c^2 - 2P c + q, P = SK (a^2 + b^2) + a c1.  Its roots are
+reciprocal, and P - q = d (SK d + c1) >= 0 with d = (1 - sqrt T1)^2, so one root c* lies in
+[-1, 1]: 1 - c* = (e + r) / (1 + r), e = (P - q) / P, r = sqrt(e (2 - e)).  It is the minimum
+over a period, as delta_phi diverges at c = +-1, except at T1 = 1, where c* = 1 is the fringe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
-from su11.errors import DarkFringeError, StationaryPointError, Su11Error
+from su11.errors import NumericalError, StationaryPointError, Su11Error
 from su11.model import Params, kernels
 from su11.series import STATIONARY_REL_TOL, finite
-
-# samples of the coarse grid that brackets the optimal phase
-PHASE_GRID = 33
 
 
 @dataclass(frozen=True)
@@ -69,75 +74,41 @@ def sensitivity_lossy(p: Params) -> SensitivityReport:
     return _error_propagation(p)
 
 
-def optimal_phase(
-    p: Params,
-    interval: Tuple[float, float],
-    lossy: bool = False,
-) -> Tuple[float, float]:
-    """Locate the phase minimizing delta_phi on an interval.
+def optimal_phase(p: Params, interval: Tuple[float, float]) -> Tuple[float, float]:
+    """(phi*, delta_phi*) minimizing delta_phi over phi in ``interval`` at p's g, beta, m, T1, T2.
 
-    A coarse grid of PHASE_GRID samples picks the bracketing neighborhood;
-    golden-section then refines it.  Samples hitting a dark fringe or a
-    stationary point are skipped; if every sample fails the last error
-    propagates.
+    Candidates: the endpoints and +-acos c*, each moved into the interval by one 2 pi k; a fringe
+    carries the limit 1 / (sinh 2g sqrt(T2 c1)), sensitivity_lossy evaluates the others, skipping
+    one that raises a typed error.  The least value wins, on a tie the smaller phase; if none
+    succeeds, the last error propagates.  A non-finite or reversed interval is a ValueError.
     """
     lo, hi = interval
-    evaluate = sensitivity_lossy if lossy else sensitivity_ideal
-
-    def delta_at(phi: float) -> float:
-        return evaluate(p.replace(phi=phi)).delta_phi
-
-    samples = []
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"interval must be finite with lo <= hi, got {interval}")
+    ks = kernels(p)
+    _, y, spread = ks.laguerre()
+    c1, k = 1.0 + y, ks.sh2 * (ks.ch2 * p.T2)  # sinh^2 g cosh^2 g = (1/4) sinh^2 2g
+    a, b, d = 1.0 + p.T1, 2.0 * math.sqrt(p.T1), (1.0 - math.sqrt(p.T1)) ** 2
+    big_p = spread * k * (a * a + b * b) + a * c1
+    e = d * (spread * k * d + c1) / big_p
+    if not (math.isfinite(big_p) and math.isfinite(e)):
+        raise NumericalError(f"optimal-phase coefficients not finite at g = {p.g}, beta = {p.beta}")
+    r = math.sqrt(e * (2.0 - e))
+    theta = 2.0 * math.asin(math.sqrt((e + r) / (2.0 + 2.0 * r)))  # acos c*, exactly 0 at T1 = 1
+    # +-theta, each moved by its 2 pi k into [lo, lo + 2 pi)
+    shifted = sorted({lo + (x - lo) % (2.0 * math.pi) for x in (theta, -theta)})
+    stationary = [x for x in shifted if x <= hi]
+    candidates = []
+    if p.T1 == 1.0:  # theta = 0: fringes carry the limit, infinite where g = 0 or T2 = 0
+        candidates = [(0.5 / math.sqrt(k * c1), x) for x in stationary if 0.0 < k * c1 < math.inf]
+        stationary = []
     last_error: Su11Error | None = None
-    for i in range(PHASE_GRID):
-        phi = lo + (hi - lo) * i / (PHASE_GRID - 1)
+    for phi in dict.fromkeys([lo, hi] + stationary):
         try:
-            samples.append((delta_at(phi), phi))
-        except (DarkFringeError, StationaryPointError) as err:
+            candidates.append((sensitivity_lossy(p.replace(phi=phi)).delta_phi, phi))
+        except Su11Error as err:
             last_error = err
-    if not samples:
-        assert last_error is not None
+    if not candidates:
         raise last_error
-    best_delta, best_phi = min(samples)
-    span = (hi - lo) / (PHASE_GRID - 1)
-    a = max(lo, best_phi - span)
-    b = min(hi, best_phi + span)
-
-    def safe_delta(phi: float) -> float:
-        try:
-            return delta_at(phi)
-        except (DarkFringeError, StationaryPointError):
-            return math.inf
-
-    x, fx = golden_section(safe_delta, a, b)
-    candidates = [(best_delta, best_phi), (fx, x)]
-    best_delta, best_phi = min(c for c in candidates if math.isfinite(c[0]))
-    return best_phi, best_delta
-
-
-def golden_section(fn: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """Golden-section refinement of a minimum of ``fn`` bracketed by [a, b].
-
-    Narrows the bracket to 1e-12 relative and returns the better of the two
-    final probes as (x, fn(x)); on a tie, the smaller x.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    # each step shrinks the bracket by invphi: 80 steps bring any bracket up
-    # to 1e4 wide under the tolerance
-    for _ in range(80):
-        if b - a < 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+    delta, phi = min(candidates)
+    return phi, delta

@@ -26,7 +26,7 @@ from su11.errors import NormalizationError, NumericalError, Su11Error
 from su11.limits import internal_photon_number, limits
 from su11.model import Params, kernels
 from su11.qfi import _cq_from, _loss_inner_products, qfi_ideal, qfi_lossy
-from su11.sensitivity import golden_section, sensitivity_ideal, sensitivity_lossy
+from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
 
 @dataclass
@@ -106,6 +106,29 @@ def criterion_2_qfi_oracle(level: str) -> CriterionResult:
         worst < 1e-5,
         f"{n_points} points, worst rel err {worst:.2e}",
     )
+
+
+def golden_section(fn: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
+    """(x, fn(x)) at the better final probe of a golden section over [a, b]; on a tie, the smaller x."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    # each step shrinks the bracket by invphi: 80 steps bring any bracket up to 1e4 wide under 1e-12
+    for _ in range(80):
+        if b - a < 1e-12 * max(1.0, abs(a), abs(b)):
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fn(x2)
+    if f1 <= f2:
+        return x1, f1
+    return x2, f2
 
 
 def alpha_scan(p: Params) -> Tuple[float, float]:

@@ -7,6 +7,7 @@ import pytest
 from su11.errors import NumericalError, Su11Error
 from su11.model import Params
 from su11.qfi import cq_alpha
+from su11.sensitivity import optimal_phase
 from su11.sweeps import _eval_task
 
 CALCULATORS = ("delta_phi_lossy", "qfi_ideal", "qfi_lossy", "n_t")
@@ -55,6 +56,29 @@ def test_overflowing_cq_alpha_is_a_value_or_numerical(p):
     assert_cq_finite_or_typed(p, 0.3, NumericalError)
 
 
+def assert_optimum_finite_or_typed(p: Params, lo: float, hi: float, typed=Su11Error) -> None:
+    try:
+        phi, delta = optimal_phase(p, (lo, hi))
+    except typed:
+        return
+    assert lo <= phi <= hi
+    assert math.isfinite(delta)
+
+
+@pytest.mark.parametrize(
+    "p", [Params(beta=1e200), Params(g=400.0), Params(beta=math.inf)], ids=["beta1e200", "g400", "beta_inf"]
+)
+def test_overflowing_optimum_is_numerical(p):
+    # the stationarity coefficients are not finite, or sinh(2g) overflows
+    assert_optimum_finite_or_typed(p, -1.0, 1.0, NumericalError)
+
+
+@pytest.mark.parametrize("interval", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_bad_interval_is_a_value_error(interval):
+    with pytest.raises(ValueError):
+        optimal_phase(Params(), interval)
+
+
 def test_whole_domain_is_finite_or_typed():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -82,5 +106,11 @@ def test_whole_domain_is_finite_or_typed():
     def cq(p, alpha):
         assert_cq_finite_or_typed(p, alpha)
 
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(params, st.floats(-1e6, 1e6), st.floats(0.0, 1e6))
+    def optimum(p, lo, width):
+        assert_optimum_finite_or_typed(p, lo, lo + width)
+
     cell()
     cq()
+    optimum()

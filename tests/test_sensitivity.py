@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from su11.errors import DarkFringeError, StationaryPointError
+from su11.errors import DarkFringeError, StationaryPointError, Su11Error
 from su11.fock import numeric_moments_multi
 from su11.limits import internal_photon_number
 from su11.model import Params, kernels
@@ -218,3 +218,78 @@ class TestOptimalPhase:
         p = Params(g=0.0, beta=1.0, m=1)
         with pytest.raises(DarkFringeError):
             optimal_phase(p, (0.1, 1.0))
+
+    def test_wide_interval_finds_the_optimum_next_to_a_fringe(self):
+        # the narrow minimum at phi ~ -0.1066 falls between the samples of a
+        # coarse grid over the whole interval; held to a dense scan
+        p = Params(g=1.9, beta=2.4, m=4, T1=0.83, T2=0.94)
+        phi_star, delta_star = optimal_phase(p, (-2.0, 6.1))
+        scan_min = math.inf
+        for phi in np.linspace(-2.0, 6.1, 400_001):
+            try:
+                scan_min = min(scan_min, sensitivity_lossy(p.replace(phi=float(phi))).delta_phi)
+            except Su11Error:
+                pass
+        assert -2.0 <= phi_star <= 6.1
+        assert delta_star <= scan_min * (1.0 + 1e-12)
+        assert scan_min <= delta_star * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("t2", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize(
+        "interval, fringe",
+        [((-1.0, 1.0), 0.0), ((0.0, math.pi), 0.0), ((5.0, 7.0), 2.0 * math.pi)],
+        ids=["-1_1", "0_pi", "5_7"],
+    )
+    def test_fringe_limit_without_internal_loss(self, m, t2, interval, fringe):
+        # at T1 = 1, delta_phi grows away from the fringe 2 pi k, where it tends
+        # to 1 / (sinh 2g sqrt(T2 c1)), c1 = (m + 1) L_(m+1)(-beta^2) / L_m(-beta^2)
+        def lag(n, x):
+            return sum(math.comb(n, j) * x**j / math.factorial(j) for j in range(n + 1))
+
+        g, beta = 1.0, 1.0
+        c1 = (m + 1) * lag(m + 1, beta**2) / lag(m, beta**2)
+        phi_star, delta_star = optimal_phase(Params(g=g, beta=beta, m=m, T2=t2), interval)
+        assert phi_star == pytest.approx(fringe, rel=1e-12, abs=1e-12)
+        assert delta_star == pytest.approx(1.0 / (math.sinh(2.0 * g) * math.sqrt(t2 * c1)), rel=1e-12)
+
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("dark", [dict(g=0.0), dict(T2=0.0)], ids=["g0", "T2_0"])
+    def test_dark_everywhere_still_raises(self, m, dark):
+        # with u = 0 at every phase there is no fringe limit either
+        error = DarkFringeError if m else StationaryPointError
+        with pytest.raises(error):
+            optimal_phase(Params(beta=1.0, m=m, **dark), (-1.0, 1.0))
+
+    def test_interior_optimum_matches_a_dense_scan(self):
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            p = Params(
+                g=float(rng.uniform(0.2, 2.0)),
+                beta=float(rng.uniform(0.0, 2.5)),
+                m=int(rng.integers(0, 6)),
+                T1=float(rng.uniform(0.2, 0.98)),
+                T2=float(rng.uniform(0.2, 1.0)),
+            )
+            phi_star, delta_star = optimal_phase(p, (1e-3, math.pi - 1e-3))
+            scan = [sensitivity_lossy(p.replace(phi=float(x))).delta_phi
+                    for x in np.linspace(1e-3, math.pi - 1e-3, 4001)]
+            assert delta_star <= min(scan) * (1.0 + 1e-12)
+            assert min(scan) <= delta_star * (1.0 + 1e-4)
+            assert sensitivity_lossy(p.replace(phi=phi_star)).delta_phi == delta_star
+
+
+class TestLossPlacementAtOptimum:
+    """At each placement's own optimal phase, internal loss costs more than external loss.
+
+    At the fixed phase 0.4 the ordering reverses near T ~ 0.87 (finding F1).
+    """
+
+    @pytest.mark.parametrize("g, beta", [(1.0, 1.0), (0.5, 1.0), (1.0, 2.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("m", range(4))
+    def test_internal_loss_is_worse(self, g, beta, m):
+        for t in np.linspace(0.4, 0.95, 12):
+            p = Params(g=g, beta=beta, m=m)
+            internal = optimal_phase(p.replace(T1=float(t)), (0.0, math.pi))[1]
+            external = optimal_phase(p.replace(T2=float(t)), (0.0, math.pi))[1]
+            assert internal > external, f"T = {t:.2f}"
