@@ -9,9 +9,11 @@ inserts T sh^2 (1 + Y(v1)) and mode b inserts sh^2 + ch^2 Y(v1), so
 
     N_T = (ch^2 + T sh^2) <Y(v1)> + (1 + T) sh^2.
 
-exp(B(v1)) generates a displaced thermal state, and
-d_t d_s exp(B) = |v1|^2 (1 + Y(v1)) exp(B), so <Y(v1)> = c1 - 1 whatever phi
-is (`su11.model`); v1 enters only through the subtraction's normalizer.
+Here v1 = (1/2) sinh 2g (1 - sqrt(T) e^{-i phi}).  exp(B(v1)) generates a
+displaced thermal state, and d_t d_s exp(B) = |v1|^2 (1 + Y(v1)) exp(B), so
+<Y(v1)> = c1 - 1 whatever phi is (`su11.model`); the thermal number |v1|^2,
+`KernelSet.thermal` at unit T2, enters only through the subtraction's
+normalizer.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class LimitsReport:
 def internal_photon_number(p: Params) -> float:
     """<n_a + n_b> of the internal state, with m-photon subtraction folded in."""
     ks = kernels(p)
-    _, y_mean, _ = ks.subtraction(ks.v1.abs2().val.real)
+    u, _ = ks.thermal(1.0)
+    _, y_mean, _ = ks.subtraction(u)
     n_t = (ks.ch2 + p.T1 * ks.sh2) * y_mean + (1.0 + p.T1) * ks.sh2
     return finite(n_t, "internal photon number")
 

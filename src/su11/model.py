@@ -11,14 +11,15 @@ variables (t, s), which carry the subtraction order,
     B(w) = st |w|^2 + (t w + s w*) beta = Y(w) - beta^2,
     Y(w) = (beta + t w)(beta + s w*),
 
-for one of a handful of phase-dependent kernels w.  exp(B(w)) generates a
-displaced thermal state of thermal number u = |w|^2, and its (n, n)
-extraction is n! u^n L_n(-beta^2), with L_n(-x) = sum_j C(n, j) x^j / j!.
-So the one-kernel quantities, the output moments (w3) and the internal
-photon number (v1), are Laguerre values times powers of u, and phi enters
-only through u.  The QFI mixes derivative insertions over the kernel X1; it
-still extracts at (m, m) from `su11.series` series with the caps
-(m + 2, m + 2) of :attr:`KernelSet.caps`.
+for a phase-dependent kernel w = S (1 - sqrt(T) e^{-i phi}).  exp(B(w))
+generates a displaced thermal state of thermal number u = |w|^2, and its
+(n, n) extraction is n! u^n L_n(-beta^2), with L_n(-x) = sum_j C(n, j) x^j / j!.
+So the output moments (S = (1/2) sinh 2g sqrt(T2), T = T1) and the internal
+photon number (S = (1/2) sinh 2g, T = T1) are Laguerre values times powers
+of u, and phi enters only through u and its explicit derivative u'
+(:meth:`KernelSet.thermal`).  The QFI mixes derivative insertions over the
+kernel X1 (T = eta); it still extracts at (m, m) from `su11.series` series
+with the caps (m + 2, m + 2) of :attr:`KernelSet.caps`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple
 
 from su11.errors import DarkFringeError, NumericalError
@@ -83,28 +84,21 @@ class Params:
 
 
 class KernelSet:
-    """Phase-dependent kernel coefficients, Laguerre values and the QFI series.
+    """Thermal numbers, Laguerre values and the QFI series of one configuration.
 
-    Scalar kernels (all :class:`CDual`):
+    :meth:`thermal` gives the thermal number u = |w|^2 and its d/dphi for the
+    one-kernel quantities; :meth:`laguerre` and :meth:`subtraction` turn u into
+    their subtraction factors.  ``sh2`` = sinh^2 g and ``ch2`` = cosh^2 g.  A
+    gain whose sinh(2g) overflows raises NumericalError here.
 
-    * w3 -- (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}); output kernel,
-      the lossless one at T1 = T2 = 1
-    * v1 -- internal-state kernel (loss T = T1)
-    * X1 -- extended-system kernel at transmissivity eta
-
-    plus the floats sh2 = sinh^2 g and ch2 = cosh^2 g.  A gain whose
-    sinh(2g) overflows raises NumericalError here.
-
-    :meth:`laguerre` and :meth:`subtraction` serve the one-kernel quantities.
     :meth:`exponent_x5` and :meth:`x_polys` build the series of the extended
-    system's loss-equivalent probe, which at eta = 1 is the lossless probe, so
-    they serve the ideal QFI as well.
+    system's loss-equivalent probe over its kernel :attr:`X1`, which at
+    eta = 1 is the lossless probe, so they serve the ideal QFI as well.
     """
 
     def __init__(self, p: Params):
         self.p = p
         self.caps = (p.m + 2, p.m + 2)
-        e_m = cmath.exp(-1j * p.phi)
         try:
             sh2g = finite(math.sinh(2.0 * p.g), "sinh(2g)")
         except OverflowError:
@@ -112,16 +106,27 @@ class KernelSet:
         # sinh^2 g and cosh^2 g are at most sinh(2g) / 2 + 1, so neither overflows
         self.sh2 = math.sinh(p.g) ** 2
         self.ch2 = math.cosh(p.g) ** 2
-        sqT1 = math.sqrt(p.T1)
-
-        def kernel(scale: float, sqrt_t: float) -> CDual:
-            # scale (1 - sqrt_t e^{-i phi}), whose d/dphi is scale i sqrt_t e^{-i phi}
-            return CDual((1.0 - e_m * sqrt_t) * scale, (1j * e_m * sqrt_t) * scale)
-
-        self.w3 = kernel(0.5 * sh2g * math.sqrt(p.T2), sqT1)
-        self.v1 = kernel(0.5 * sh2g, sqT1)
-        self.X1 = kernel(0.5 * sh2g, math.sqrt(p.eta))
         self._half_sh2g = 0.5 * sh2g
+
+    def thermal(self, t2: float) -> Tuple[float, float]:
+        """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(T1) e^{-i phi}).
+
+        S = (1/2) sinh 2g sqrt(t2).  With w = a + i b and dw/dphi = b + i q,
+        u = a^2 + b^2 and u' = 2 (b a + q b), in real arithmetic.
+        """
+        s = self._half_sh2g * math.sqrt(t2)
+        sq_t1 = math.sqrt(self.p.T1)
+        cos_t1 = math.cos(self.p.phi) * sq_t1
+        a = (1.0 - cos_t1) * s
+        b = (math.sin(self.p.phi) * sq_t1) * s
+        q = cos_t1 * s
+        return a * a + b * b, 2.0 * (b * a + q * b)
+
+    @cached_property
+    def X1(self) -> CDual:
+        """(1/2) sinh 2g (1 - sqrt(eta) e^{-i phi}) and its d/dphi, the extended-system kernel."""
+        e_m, sqrt_eta, half = cmath.exp(-1j * self.p.phi), math.sqrt(self.p.eta), self._half_sh2g
+        return CDual((1.0 - e_m * sqrt_eta) * half, (1j * e_m * sqrt_eta) * half)
 
     def laguerre(self) -> Tuple[float, float, float]:
         """(L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from non-negative terms.
@@ -155,10 +160,6 @@ class KernelSet:
             self.caps, [((1, 0), w * b), ((0, 1), w.conj() * b), ((1, 1), w.abs2())]
         )
 
-    def y_poly(self, w: CDual) -> MultiSeries:
-        """Y(w) = (beta + t w)(beta + s w*) = B(w) + beta^2 over (t, s)."""
-        return self._bilinear(w) + self.p.beta * self.p.beta
-
     # -- extended-system series at transmissivity eta ------------------------
 
     def exponent_x5(self) -> MultiSeries:
@@ -170,7 +171,7 @@ class KernelSet:
 
         X2 tags the phase derivative acting on the ket, X3 on the bra; X4 is
         the direct cross contraction between the two derivative insertions;
-        X6 = Y(X1).
+        X6 = Y(X1) = B(X1) + beta^2.
         """
         b = self.p.beta
         X1 = self.X1
@@ -183,7 +184,7 @@ class KernelSet:
             self.caps, [((1, 0), q3 * (1j * b)), ((1, 1), q3 * X1.conj() * 1j)]
         )
         x4 = MultiSeries.from_terms(self.caps, [((1, 1), q3 * q2)])
-        return {"X2": x2, "X3": x3, "X4": x4, "X6": self.y_poly(X1)}
+        return {"X2": x2, "X3": x3, "X4": x4, "X6": self._bilinear(X1) + b * b}
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """Intensity-detection phase sensitivity at output mode a, ideal and lossy, and its optimum.
 
-Output mode a is a displaced thermal state of thermal number u = |w3|^2.
-After m subtractions, <N> = c1 u and d<N>/dphi = c1 u', with u' from the
-kernel's d/dphi channel (`su11.verify` checks it against central
-differences of <N>), and Var(N) = S u^2 + c1 u with S = D_m / L_m^2 is a sum
-of non-negative terms (c1 and S: `su11.model.KernelSet.laguerre`).
+Output mode a is a displaced thermal state of thermal number
+u = |w3|^2, w3 = (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}).
+After m subtractions, <N> = c1 u and d<N>/dphi = c1 u', with u and u' in
+explicit real arithmetic (`su11.model.KernelSet.thermal`; `su11.verify`
+checks u' against central differences of <N>), and Var(N) = S u^2 + c1 u
+with S = D_m / L_m^2 is a sum of non-negative terms (c1 and S:
+`su11.model.KernelSet.laguerre`).
 Error propagation gives  delta^2 phi = Var(N) / |d<N>/dphi|^2.
 
 The ideal variant is the lossy one at T1 = T2 = 1, so the no-loss
@@ -43,8 +45,7 @@ class SensitivityReport:
 
 def _error_propagation(p: Params) -> SensitivityReport:
     ks = kernels(p)
-    u2 = ks.w3.abs2()
-    u, du = u2.val.real, u2.dph.real
+    u, du = ks.thermal(p.T2)
     norm, y, spread = ks.subtraction(u)
     c1 = 1.0 + y
     mean = finite(c1 * u, "<N>")

@@ -21,6 +21,10 @@ mechanized with two ingredients:
   exponents, and takes the phase channel as one more product,
   d exp(P)/dphi = (dP/dphi) exp(P).
 
+The QFI reads only the value channel: its phase derivative enters through
+the X2/X3 derivative insertions of `su11.model`.  The d/dphi channel serves
+the tests' series-engine reference of d<N>/dphi (``tests/references.py``).
+
 Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
 dummy variables), so dense storage wins over sparse maps.
 
@@ -69,8 +73,7 @@ class CDual:
     """Complex scalar plus its derivative with respect to the phase.
 
     Arithmetic follows the first-order dual-number rules, e.g.
-    ``(a*b).dph == a.val*b.dph + a.dph*b.val``.  Seed the phase variable
-    itself with :meth:`CDual.variable`.
+    ``(a*b).dph == a.val*b.dph + a.dph*b.val``.
     """
 
     __slots__ = ("val", "dph")
@@ -78,11 +81,6 @@ class CDual:
     def __init__(self, val: complex, dph: complex = 0j):
         self.val = complex(val)
         self.dph = complex(dph)
-
-    @staticmethod
-    def variable(x: float) -> "CDual":
-        """The differentiation variable itself: value x, derivative 1."""
-        return CDual(x, 1.0)
 
     @staticmethod
     def _coerce(other: Scalar) -> "CDual":
@@ -100,10 +98,6 @@ class CDual:
         o = self._coerce(other)
         return CDual(self.val - o.val, self.dph - o.dph)
 
-    def __rsub__(self, other: Scalar) -> "CDual":
-        o = self._coerce(other)
-        return CDual(o.val - self.val, o.dph - self.dph)
-
     def __neg__(self) -> "CDual":
         return CDual(-self.val, -self.dph)
 
@@ -118,16 +112,9 @@ class CDual:
         inv = 1.0 / o.val
         return CDual(self.val * inv, (self.dph - self.val * inv * o.dph) * inv)
 
-    def __rtruediv__(self, other: Scalar) -> "CDual":
-        return self._coerce(other) / self
-
     def conj(self) -> "CDual":
         # phi is real, so conjugation commutes with d/dphi
         return CDual(self.val.conjugate(), self.dph.conjugate())
-
-    def exp(self) -> "CDual":
-        e = np.exp(self.val)
-        return CDual(e, e * self.dph)
 
     def abs2(self) -> "CDual":
         """|z|^2 with the (real) derivative channel 2 Re(z' conj(z))."""

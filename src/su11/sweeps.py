@@ -9,6 +9,7 @@ cell plus a named error code instead of NaNs.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -67,9 +68,13 @@ class SweepSpec:
         for key, _ in self.fixed:
             if key not in _FIXED_KEYS:
                 raise ValueError(f"unknown parameter override {key!r}")
-        # probe both axis endpoints through Params validation
-        for x in (self.lo, self.hi):
-            self.params_at(x, self.m_list[0])
+        # an infinite end or a span that overflows puts NaNs on the grid
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"sweep span from lo = {self.lo} to hi = {self.hi} is not finite")
+        # every grid point at every m through Params validation, so a sweep that parses runs
+        for m in self.m_list:
+            for x in self.grid():
+                self.params_at(x, m)
 
     def params_at(self, x: float, m: int) -> Params:
         kw = dict(self.fixed)
@@ -220,7 +225,6 @@ class FigureJob:
 
 @dataclass(frozen=True)
 class _FigureDef:
-    description: str
     axis: str
     grid: Tuple[float, float, int]
     m_list: Tuple[int, ...]
@@ -288,7 +292,6 @@ def _figures() -> Dict[str, _FigureDef]:
     figs: Dict[str, _FigureDef] = {}
 
     figs["fig2"] = _FigureDef(
-        description="delta_phi vs phi at g=1, beta=1; mode a analytic, mode b oracle",
         axis="phi",
         grid=(0.05, 3.10, 32),
         m_list=(0, 1, 2, 3),
@@ -299,7 +302,6 @@ def _figures() -> Dict[str, _FigureDef]:
         builder=_build_fig2,
     )
     figs["fig3a"] = _FigureDef(
-        description="delta_phi vs beta at g=1, phi=0.4",
         axis="beta",
         grid=(0.0, 3.0, 61),
         m_list=(0, 1, 2, 3),
@@ -308,7 +310,6 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig3b"] = _FigureDef(
-        description="delta_phi vs g at beta=1, phi=0.4",
         axis="g",
         grid=(0.0, 2.0, 41),
         m_list=(0, 1, 2, 3),
@@ -317,7 +318,6 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig5"] = _FigureDef(
-        description="lossy delta_phi vs T; internal (T1=T) and external (T2=T) loss",
         axis="T",
         grid=(0.3, 1.0, 71),
         m_list=(0, 1, 2, 3),
@@ -327,21 +327,18 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig7a"] = _FigureDef(
-        description="ideal QFI vs beta at g=1, phi=0.4",
         axis="beta",
         grid=(0.0, 3.0, 61),
         m_list=(0, 1, 2, 3),
         columns=(("qfi", "qfi_ideal", lambda x, m: Params(g=1.0, beta=x, phi=0.4, m=m)),),
     )
     figs["fig7b"] = _FigureDef(
-        description="ideal QFI vs g at beta=1, phi=0.4",
         axis="g",
         grid=(0.0, 2.0, 41),
         m_list=(0, 1, 2, 3),
         columns=(("qfi", "qfi_ideal", lambda x, m: Params(g=x, beta=1.0, phi=0.4, m=m)),),
     )
     figs["fig8a"] = _FigureDef(
-        description="delta_phi and QCRB vs beta (ideal, g=1, phi=0.4)",
         axis="beta",
         grid=(0.2, 3.0, 57),
         m_list=(0, 1, 2, 3),
@@ -351,7 +348,6 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig8b"] = _FigureDef(
-        description="delta_phi and QCRB vs g (ideal, beta=1, phi=0.4)",
         axis="g",
         grid=(0.1, 2.0, 39),
         m_list=(0, 1, 2, 3),
@@ -361,14 +357,12 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig10"] = _FigureDef(
-        description="lossy QFI vs transmissivity T (mapped to eta), g=1, beta=1, phi=0.4",
         axis="T",
         grid=(0.4, 1.0, 61),
         m_list=(0, 1, 2, 3),
         columns=(("qfi_lossy", "qfi_lossy", lambda x, m: Params(eta=x, m=m, **_BASE)),),
     )
     figs["fig11a"] = _FigureDef(
-        description="QFI vs beta, ideal (T=1) and lossy (T=0.7), g=1, phi=0.4",
         axis="beta",
         grid=(0.0, 3.0, 61),
         m_list=(0, 1, 2, 3),
@@ -378,7 +372,6 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig11b"] = _FigureDef(
-        description="QFI vs g, ideal (T=1) and lossy (T=0.7), beta=1, phi=0.4",
         axis="g",
         grid=(0.0, 2.0, 41),
         m_list=(0, 1, 2, 3),
@@ -388,7 +381,6 @@ def _figures() -> Dict[str, _FigureDef]:
         ),
     )
     figs["fig12"] = _FigureDef(
-        description="internal photon number N_T vs T (T1=T), g=1, beta=1, phi=0.4",
         axis="T",
         grid=(0.4, 1.0, 61),
         m_list=(0, 1, 2, 3),
@@ -396,7 +388,6 @@ def _figures() -> Dict[str, _FigureDef]:
     )
     for m_fixed, fid in ((0, "fig13a"), (1, "fig13b"), (2, "fig13c"), (3, "fig13d")):
         figs[fid] = _FigureDef(
-            description=f"delta_phi_lossy, SQL, HL, QCRB vs T at m={m_fixed}",
             axis="T",
             grid=(0.4, 1.0, 61),
             m_list=(m_fixed,),

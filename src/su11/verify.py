@@ -24,7 +24,7 @@ import numpy as np
 from su11 import fock
 from su11.errors import NormalizationError, NumericalError, Su11Error
 from su11.limits import internal_photon_number, limits
-from su11.model import Params, kernels
+from su11.model import Params
 from su11.qfi import _cq_from, _loss_inner_products, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
@@ -197,10 +197,6 @@ def criterion_4_reductions(level: str) -> CriterionResult:
     problems = []
     for m in (0, 1, 3):
         p = Params(g=1.1, beta=0.8, phi=0.9, m=m, T1=1.0, T2=1.0)
-        # w1 is X1 at eta = 1; delta_phi is even in w3, so its sign is checked here
-        ks = kernels(p)
-        if (ks.w3.val, ks.w3.dph) != (ks.X1.val, ks.X1.dph):
-            problems.append(f"w3 != w1 at T1=T2=1 (m={m})")
         ri, rl = sensitivity_ideal(p), sensitivity_lossy(p)
         if not math.isclose(ri.delta_phi, rl.delta_phi, rel_tol=1e-14):
             problems.append(f"lossy reduction mismatch at m={m}")

@@ -11,19 +11,21 @@ whole-box products, where ``su11.series`` solves a row-by-row recurrence;
 ``laguerre_coefficient`` sums a coefficient of exp(a ts + b t + c s) term by
 term in arbitrary precision; and ``engine_sensitivity`` and
 ``engine_photon_number`` read the output moments and N_T off mixed-derivative
-extractions of exp(B(w)) with the series engine, where ``su11.sensitivity``
-and ``su11.limits`` evaluate Laguerre polynomials.
+extractions of exp(B(w)) with the series engine, over the complex dual kernel
+``dual_kernel`` and its d/dphi channel, where ``su11.sensitivity`` and
+``su11.limits`` evaluate Laguerre polynomials of a real thermal number.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 from typing import Sequence
 
 import numpy as np
 
-from su11.model import Params, kernels
+from su11.model import Params
 from su11.series import CDual, MultiSeries
 from su11.sweeps import SweepSpec, format_float
 
@@ -134,6 +136,17 @@ def laguerre_coefficient(a, b, c, i: int, j: int):
     )
 
 
+def dual_kernel(p: Params, t2: float) -> CDual:
+    """w = (1/2) sinh 2g sqrt(t2) (1 - sqrt(T1) e^{-i phi}) and its d/dphi, as a complex dual.
+
+    The output kernel w3 at t2 = T2 and the internal kernel v1 at t2 = 1.
+    """
+    scale = 0.5 * math.sinh(2.0 * p.g) * math.sqrt(t2)
+    e_m = cmath.exp(-1j * p.phi)
+    sqrt_t1 = math.sqrt(p.T1)
+    return CDual((1.0 - e_m * sqrt_t1) * scale, (1j * e_m * sqrt_t1) * scale)
+
+
 def bilinear_exponent(p: Params, w: CDual) -> MultiSeries:
     """B(w) = st |w|^2 + (t w + s w*) beta over (t, s), with the caps (m + 2, m + 2)."""
     b = p.beta
@@ -150,7 +163,7 @@ def engine_sensitivity(p: Params) -> dict:
     and Var(N) = <N^2> - <N>^2, which cancels about <N>-fold.
     """
     m = p.m
-    e = bilinear_exponent(p, kernels(p).w3).exp()
+    e = bilinear_exponent(p, dual_kernel(p, p.T2)).exp()
     gm, gm1, gm2 = (e.extract((k, k)) for k in (m, m + 1, m + 2))
     mean = gm1 / gm
     mean2 = ((gm1 + gm2) / gm).val.real
@@ -169,8 +182,8 @@ def engine_photon_number(p: Params) -> float:
 
     <Y(v1)> = ext_(m,m)[Y e] / ext_(m,m)[e], with Y(v1) = B(v1) + beta^2.
     """
-    ks = kernels(p)
-    b = bilinear_exponent(p, ks.v1)
+    sh2, ch2 = math.sinh(p.g) ** 2, math.cosh(p.g) ** 2
+    b = bilinear_exponent(p, dual_kernel(p, 1.0))
     e = b.exp()
     y_mean = ((b + p.beta**2) * e).extract((p.m, p.m)).val / e.extract((p.m, p.m)).val
-    return (ks.ch2 + p.T1 * ks.sh2) * y_mean.real + (1.0 + p.T1) * ks.sh2
+    return (ch2 + p.T1 * sh2) * y_mean.real + (1.0 + p.T1) * sh2

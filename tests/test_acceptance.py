@@ -48,7 +48,7 @@ def test_c5_m_monotonicity_orderings():
     reason=(
         "both the closed form and the Fock oracle agree the internal/external "
         "ordering reverses near T = 0.87, so the strict inequality cannot hold "
-        "all the way to T = 0.95; see the decisions ledger"
+        "all the way to T = 0.95; see the README's paragraph on finding F1"
     ),
 )
 def test_c5_internal_loss_strictly_worse_to_t095():
@@ -73,17 +73,18 @@ def test_c9_numerical_hygiene():
     _run(verify.criterion_9_numerical_hygiene)
 
 
-def test_mutation_flipped_w3_sign_is_caught(monkeypatch):
-    # sanity check that the reduction criterion has teeth
+def test_mutation_flipped_thermal_slope_is_caught(monkeypatch):
+    # sanity check that the derivative criterion has teeth: a sign error in
+    # u' = d|w3|^2/dphi flips d<N>/dphi against its finite differences
     import su11.model as model
 
-    original = model.KernelSet.__init__
+    original = model.KernelSet.thermal
 
-    def flipped(self, p):
-        original(self, p)
-        self.w3 = self.w3 * -1.0
+    def flipped(self, t2):
+        u, du = original(self, t2)
+        return u, -du
 
-    monkeypatch.setattr(model.KernelSet, "__init__", flipped)
-    result = verify.criterion_4_reductions("fast")
+    monkeypatch.setattr(model.KernelSet, "thermal", flipped)
+    result = verify.criterion_9_numerical_hygiene("fast")
     assert not result.passed
-    assert "w3 != w1" in result.details
+    assert "worst rel err 2.00e+00" in result.details

@@ -76,6 +76,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec("s", "delta_phi_lossy", "T1", 0.5, 1.2, 5)
 
+    def test_rejects_an_out_of_range_m_after_the_first(self):
+        with pytest.raises(ValueError):
+            SweepSpec("s", "delta_phi_lossy", "T1", 0.5, 1.0, 5, m_list=(0, 16))
+
 
 class TestConfig:
     def test_round_trip_is_identity(self):
@@ -333,6 +337,24 @@ class TestMain:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
         assert not (tmp_path / "escaped.csv").exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["axis = g\nlo = 0.5\nhi = inf\n", "axis = phi\nlo = -1e308\nhi = 1e308\n"],
+        ids=["infinite-end", "overflowing-span"],
+    )
+    def test_unbounded_grid_is_a_validation_error_before_any_csv(self, grid, tmp_path):
+        # both ends pass Params here, but the grid between them holds NaNs; the
+        # valid first section must not be written either
+        text = (
+            "[a]\nquantity = delta_phi_ideal\naxis = g\nlo = 0.5\nhi = 1\npoints = 2\n\n"
+            f"[b]\nquantity = delta_phi_ideal\n{grid}points = 3\n"
+        )
+        proc = run_sweep_config(text, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_sweep_bad_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

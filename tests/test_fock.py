@@ -494,8 +494,8 @@ class TestMoments:
         p = Params(g=1.0, beta=1.0, phi=0.4)
         ens = output_ensemble(p, 70)
         mean, _ = moments(ens, "a")
-        w1 = kernels(p).w3.val  # the lossless kernel: w3 at T1 = T2 = 1
-        assert mean == pytest.approx(abs(w1) ** 2 * 2.0, rel=1e-9)
+        u, _ = kernels(p).thermal(1.0)  # |w1|^2 of the lossless kernel
+        assert mean == pytest.approx(u * 2.0, rel=1e-9)
 
     def test_full_pipeline_moments_match_error_propagation_report(self):
         from su11.sensitivity import sensitivity_ideal

@@ -1,13 +1,19 @@
 """Tests for the parameter set and kernel coefficients."""
 
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from references import bilinear_exponent
+from references import bilinear_exponent, dual_kernel
 from su11.model import Params, _laguerre_coefficients, kernels
+from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
+
+# su11 re-exports limits(), which hides the submodule of that name
+LIMITS = importlib.import_module("su11.limits")
+SENSITIVITY = importlib.import_module("su11.sensitivity")
 
 
 class TestParams:
@@ -41,47 +47,72 @@ class TestParams:
 
 
 class TestKernels:
-    """Without loss every output kernel is the lossless w1 = (1/2) sinh 2g (1 - e^{-i phi}):
-    w3 at T1 = T2 = 1, v1 at T1 = 1 and X1 at eta = 1."""
+    """The thermal number u = |w|^2 of the one-kernel quantities and the QFI's kernel X1.
+
+    Without loss every kernel is the lossless w1 = (1/2) sinh 2g (1 - e^{-i phi}):
+    the output kernel w3 at T1 = T2 = 1, the internal one v1 at T1 = 1 and X1 at eta = 1.
+
+    The real arithmetic of thermal performs the float operations of a complex dual
+    kernel's abs2, so the two agree bit for bit.  Only the sign of a zero u' may
+    differ (complex products add signed zero terms), which == ignores; a zero u'
+    is a stationary point either way."""
 
     def test_w1_vanishes_at_zero_phase(self):
         ks = kernels(Params(g=1.0, phi=0.0))
-        assert ks.w3.val == 0.0
+        assert ks.thermal(1.0)[0] == 0.0
 
     def test_w1_at_pi_by_independent_evaluation(self):
         ks = kernels(Params(g=1.0, phi=math.pi))
         direct = 0.5 * math.sinh(2.0) * (1.0 - cmath.exp(-1j * math.pi))
-        assert ks.w3.val == pytest.approx(direct, rel=1e-15)
-        assert abs(ks.w3.val) == pytest.approx(math.sinh(2.0), rel=1e-12)
+        u, _ = ks.thermal(1.0)
+        assert u == pytest.approx(abs(direct) ** 2, rel=1e-15)
+        assert u == pytest.approx(math.sinh(2.0) ** 2, rel=1e-12)
 
     def test_w3_reduces_to_w1_without_loss(self):
-        ks = kernels(Params(g=0.8, phi=0.9, T1=1.0, T2=1.0, eta=1.0))
-        for other in (ks.v1, ks.X1):
-            assert ks.w3.val == other.val
-            assert ks.w3.dph == other.dph
+        # |w1|^2 = (1/2) sinh^2 2g (1 - cos phi), with d/dphi (1/2) sinh^2 2g sin phi
+        g, phi = 0.8, 0.9
+        u, du = kernels(Params(g=g, phi=phi, T1=1.0, T2=1.0)).thermal(1.0)
+        assert u == pytest.approx(0.5 * math.sinh(2 * g) ** 2 * (1.0 - math.cos(phi)), rel=1e-14)
+        assert du == pytest.approx(0.5 * math.sinh(2 * g) ** 2 * math.sin(phi), rel=1e-14)
 
     def test_bogoliubov_norm(self):
         # w1 is the conjugate b-dagger coefficient of the lossless output
         # a_out = A a + B b^dagger, A = ch^2 e^{i phi} - sh^2, and |A|^2 - |B|^2 = 1
         for g in (0.3, 1.0, 1.7):
             for phi in (0.0, 0.4, 2.0):
-                ks = kernels(Params(g=g, phi=phi))
+                u, _ = kernels(Params(g=g, phi=phi)).thermal(1.0)
                 a = math.cosh(g) ** 2 * cmath.exp(1j * phi) - math.sinh(g) ** 2
-                assert abs(a) ** 2 - ks.w3.abs2().val == pytest.approx(1.0, rel=1e-13)
+                assert abs(a) ** 2 - u == pytest.approx(1.0, rel=1e-13)
 
     def test_zero_phase_kernel_values(self):
-        ks = kernels(Params(g=1.3, phi=0.0))
-        assert ks.w3.val == 0.0
-        assert ks.v1.val == 0.0
+        ks = kernels(Params(g=1.3, phi=0.0, T2=0.6))
+        assert ks.thermal(ks.p.T2) == (0.0, 0.0)
+        assert ks.thermal(1.0) == (0.0, 0.0)
         assert ks.X1.val == 0.0
 
     def test_x1_at_unit_transmissivity_equals_w1(self):
-        ks = kernels(Params(g=1.0, phi=0.7, eta=1.0))
-        assert ks.X1.val == ks.w3.val
+        # bit for bit over seeded points, at T1 = T2 = eta = 1
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            ks = kernels(Params(g=float(rng.uniform(0.0, 4.0)), phi=float(rng.uniform(-7.0, 7.0))))
+            u2 = ks.X1.abs2()
+            assert ks.thermal(1.0) == (u2.val.real, u2.dph.real)
+
+    def test_thermal_is_the_reference_dual_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for i in range(1000):
+            p = Params(
+                g=float(rng.uniform(0.0, 4.0)),
+                phi=float(rng.uniform(-7.0, 7.0)) if i % 10 else float(rng.choice([0.0, math.pi])),
+                T1=float(rng.uniform(0.0, 1.0)) if i % 7 else float(rng.choice([0.0, 1.0])),
+                T2=float(rng.uniform(0.0, 1.0)) if i % 5 else float(rng.choice([0.0, 1.0])),
+            )
+            for t2 in (p.T2, 1.0):
+                u2 = dual_kernel(p, t2).abs2()
+                assert kernels(p).thermal(t2) == (u2.val.real, u2.dph.real), (p, t2)
 
     def test_dphi_channels_match_finite_differences(self):
         h = 1e-6
-        names = ["w3", "v1", "X1"]
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = rng.uniform(0.2, 1.5)
@@ -91,10 +122,27 @@ class TestKernels:
             ks = kernels(Params(phi=phi, **base))
             kp = kernels(Params(phi=phi + h, **base))
             km = kernels(Params(phi=phi - h, **base))
-            for name in names:
-                fd = (getattr(kp, name).val - getattr(km, name).val) / (2 * h)
-                dual = getattr(ks, name).dph
-                assert dual == pytest.approx(fd, rel=1e-6, abs=1e-9), name
+            for t2 in (T2, 1.0):
+                fd = (kp.thermal(t2)[0] - km.thermal(t2)[0]) / (2 * h)
+                assert ks.thermal(t2)[1] == pytest.approx(fd, rel=1e-6, abs=1e-9), t2
+            fd = (kp.X1.val - km.X1.val) / (2 * h)
+            assert ks.X1.dph == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    def test_one_kernel_quantities_build_no_dual_kernel(self, monkeypatch):
+        built = []
+
+        def spy(p):
+            built.append(kernels(p))
+            return built[-1]
+
+        monkeypatch.setattr(SENSITIVITY, "kernels", spy)
+        monkeypatch.setattr(LIMITS, "kernels", spy)
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=0.8, T2=0.9, eta=0.7)
+        sensitivity_ideal(p)
+        sensitivity_lossy(p)
+        LIMITS.limits(p)
+        assert len(built) == 3
+        assert all("X1" not in vars(ks) for ks in built)
 
 
 class TestExponentA:
@@ -102,29 +150,28 @@ class TestExponentA:
 
     def test_zero_phase_gives_zero_series(self):
         p = Params(g=1.0, phi=0.0, m=1)
-        a = bilinear_exponent(p, kernels(p).w3)
+        a = bilinear_exponent(p, dual_kernel(p, p.T2))
         assert np.count_nonzero(a.val) == 0
 
     def test_zero_beta_keeps_only_cross_term(self):
         p = Params(g=1.0, phi=0.7, beta=0.0, m=1)
-        a = bilinear_exponent(p, kernels(p).w3)
+        a = bilinear_exponent(p, dual_kernel(p, p.T2))
         nz = np.argwhere(a.val != 0)
         assert nz.tolist() == [[1, 1]]
 
     def test_coefficients_read_off_directly(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, T1=0.8, T2=0.9)
-        ks = kernels(p)
-        a = bilinear_exponent(p, ks.w3)
-        assert a.val[1, 1] == pytest.approx(ks.w3.abs2().val)
-        assert a.val[1, 0] == pytest.approx(ks.w3.val * p.beta)
-        assert a.val[0, 1] == pytest.approx(ks.w3.val.conjugate() * p.beta)
+        w3 = 0.5 * math.sinh(2.0) * math.sqrt(0.9) * (1.0 - math.sqrt(0.8) * cmath.exp(-0.4j))
+        a = bilinear_exponent(p, dual_kernel(p, p.T2))
+        assert a.val[1, 1] == pytest.approx(kernels(p).thermal(p.T2)[0], rel=1e-15)
+        assert a.val[1, 0] == pytest.approx(w3 * p.beta, rel=1e-15)
+        assert a.val[0, 1] == pytest.approx(w3.conjugate() * p.beta, rel=1e-15)
 
     def test_lossy_reduction_is_exact(self):
         # without loss the output exponent is the probe's norm exponent at eta = 1
         p = Params(g=1.1, beta=0.8, phi=0.9, m=2, T1=1.0, T2=1.0, eta=1.0)
-        ks = kernels(p)
-        output = bilinear_exponent(p, ks.w3)
-        probe = ks.exponent_x5()
+        output = bilinear_exponent(p, dual_kernel(p, p.T2))
+        probe = kernels(p).exponent_x5()
         assert np.array_equal(output.val, probe.val)
         assert np.array_equal(output.dph, probe.dph)
 
@@ -133,20 +180,21 @@ class TestInternalExponents:
     """The internal state's exponent is the bilinear exponent of v1."""
 
     def test_n1_matches_lossy_kernel(self):
-        p = Params(g=1.0, beta=1.0, phi=0.4, m=1, T1=0.7)
-        ks = kernels(p)
-        n1 = bilinear_exponent(p, ks.v1).val
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=1, T1=0.7, T2=0.6)
+        v1 = 0.5 * math.sinh(2.0) * (1.0 - math.sqrt(0.7) * cmath.exp(-0.4j))
+        n1 = bilinear_exponent(p, dual_kernel(p, 1.0)).val
         assert n1.shape == (4, 4)
-        assert n1[1, 1] == pytest.approx(ks.v1.abs2().val)
-        assert n1[1, 0] == pytest.approx(ks.v1.val * p.beta)
+        assert n1[1, 1] == pytest.approx(kernels(p).thermal(1.0)[0], rel=1e-15)
+        assert n1[1, 1] == pytest.approx(abs(v1) ** 2, rel=1e-14)
+        assert n1[1, 0] == pytest.approx(v1 * p.beta, rel=1e-15)
 
     def test_nt_exponent_is_the_lossless_output_exponent(self):
-        # at T1 = 1, v1 equals w1, so the internal exponent is the output one
+        # at T1 = 1, v1 equals w1, so the internal state's subtraction
+        # normalizer is the lossless output's N1, whatever T2 is
         p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0, T2=0.6)
-        nt = bilinear_exponent(p, kernels(p).v1)
-        a = bilinear_exponent(p, kernels(p.replace(T2=1.0)).w3)
-        assert np.array_equal(nt.val, a.val)
-        assert np.array_equal(nt.dph, a.dph)
+        ks = kernels(p)
+        n1_internal, _, _ = ks.subtraction(ks.thermal(1.0)[0])
+        assert n1_internal == sensitivity_ideal(p).norm
 
 
 class TestLaguerre:

@@ -1,5 +1,6 @@
 """Tests for the error-propagation sensitivity, ideal and lossy."""
 
+import cmath
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ class TestIdeal:
     def test_m0_mean_closed_form(self):
         p = Params(g=1.0, beta=0.7, phi=0.9, m=0)
         r = sensitivity_ideal(p)
-        w1 = kernels(p).w3.val  # the lossless kernel: w3 at T1 = T2 = 1
+        w1 = 0.5 * math.sinh(2.0 * p.g) * (1.0 - cmath.exp(-1j * p.phi))  # the lossless kernel
         assert r.mean_n == pytest.approx(abs(w1) ** 2 * (1 + p.beta**2), rel=1e-12)
 
     def test_dark_fringe_raises(self):
@@ -127,7 +128,8 @@ def mp_delta_phi(mpmath, u, du, beta, m):
 
 class TestAgainstReferences:
     def test_laguerre_formulas_match_the_series_engine(self):
-        # the three-extraction moments of exp(B(w3)) and N_T's <Y(v1)>
+        # the three-extraction moments of exp(B(w3)) and N_T's <Y(v1)>, over the
+        # reference's own dual kernels and their d/dphi channel
         rng = np.random.default_rng(2026)
         for _ in range(500):
             p = Params(
@@ -158,8 +160,8 @@ class TestAgainstReferences:
                 T1=float(rng.uniform(0.5, 1.0)),
                 T2=float(rng.uniform(0.5, 1.0)),
             )
-            u = kernels(p).w3.abs2()
-            want = mp_delta_phi(mpmath, u.val.real, u.dph.real, p.beta, p.m)
+            u, du = kernels(p).thermal(p.T2)
+            want = mp_delta_phi(mpmath, u, du, p.beta, p.m)
             worst = max(worst, abs(sensitivity_lossy(p).delta_phi / want - 1.0))
         assert worst < 1e-14
 

@@ -1,5 +1,6 @@
 """Tests for the truncated-series / dual-number engine."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from su11.series import CDual, MultiSeries, factorial
 
 def w1_dual(g, phi):
     """Lossless output kernel (1/2) sinh(2g) (1 - e^{-i phi}) as a dual scalar."""
-    ph = CDual.variable(phi)
-    return 0.5 * math.sinh(2 * g) * (1.0 - (ph * (-1j)).exp())
+    scale, e_m = 0.5 * math.sinh(2 * g), cmath.exp(-1j * phi)
+    return CDual(scale * (1.0 - e_m), scale * 1j * e_m)
 
 
 def a1_terms(w1, beta):
@@ -54,11 +55,6 @@ class TestCDual:
             q = (a * b) / b
             assert q.val == pytest.approx(a.val, rel=1e-12)
             assert q.dph == pytest.approx(a.dph, rel=1e-12, abs=1e-12)
-
-    def test_exp_derivative(self):
-        x = CDual.variable(0.7)
-        e = (x * 2.0).exp()
-        assert e.dph == pytest.approx(2.0 * np.exp(1.4))
 
     def test_abs2_is_real_with_real_derivative(self):
         z = CDual(1.2 - 0.8j, 0.3 + 0.5j)
@@ -259,8 +255,9 @@ class TestPhiDerivativeChannel:
         for m in (0, 1, 2):
             for phi in (0.3, 0.8, 1.7):
                 def g_eval(ph_val, seed_derivative):
-                    ph = CDual.variable(ph_val) if seed_derivative else CDual(ph_val)
-                    w1 = 0.5 * math.sinh(2 * g) * (1.0 - (ph * (-1j)).exp())
+                    w1 = w1_dual(g, ph_val)
+                    if not seed_derivative:
+                        w1 = CDual(w1.val)
                     e = MultiSeries.from_terms((m + 2, m + 2), a1_terms(w1, beta)).exp()
                     return e.extract((m + 1, m + 1))
 
