@@ -17,7 +17,6 @@ from su11.sweeps import (
     parse_config,
     run_figure,
     run_sweep,
-    thread_cap,
     to_csv,
 )
 from su11.verify import run_verify
@@ -27,7 +26,6 @@ def _cmd_sweep(args) -> int:
     try:
         text = Path(args.config).read_text()
         specs = parse_config(text)
-        thread_cap()
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -62,7 +60,6 @@ def _write(path: Path, text: str) -> bool:
 def _cmd_figure(args) -> int:
     try:
         job = FigureJob(args.figure_id, args.output or f"{args.figure_id}.csv")
-        thread_cap()
         path = Path(job.output_path)
         # checked before the figure is computed, not after
         if path.is_dir():
@@ -97,7 +94,6 @@ def main(argv=None) -> int:
             "Phase sensitivity, QFI and metrological limits of an SU(1,1) "
             "interferometer with multiphoton output subtraction and photon loss."
         ),
-        epilog="Set SU11_THREADS to cap sweep parallelism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

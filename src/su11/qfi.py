@@ -31,7 +31,8 @@ from typing import Dict, Optional, Type
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError,
                          StationaryPointError, Su11Error)
 from su11.model import Params, kernels
-from su11.series import ROUNDOFF_REL_TOL, finite, normalizer, quiet_overflow, real_part
+from su11.series import (ROUNDOFF_REL_TOL, finite, normalizer, product_coefficient,
+                         quiet_overflow, real_part)
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,21 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     """Inner products of the loss-equivalent probe and its phase derivative.
 
     A vanishing probe normalizer raises ``vanished``.  All quantities are
-    extractions over the X-family polynomials times the norm generating
-    function; those that must be real are returned as floats.  The
-    derivative of the probe's normalization adds only a real multiple of the
-    probe itself to its derivative, which cancels identically in C_Q, so it
-    is omitted here.
+    (m, m) extractions of an X-family polynomial times the norm generating
+    function, each read as one coefficient sum (`product_coefficient`);
+    those that must be real are returned as floats.  The derivative of the
+    probe's normalization adds only a real multiple of the probe itself to
+    its derivative, which cancels identically in C_Q, so it is omitted here.
     """
     ks = kernels(p)
     m = p.m
     e5 = ks.exponent_x5().exp()
     xs = ks.x_polys()
 
-    def ext(series) -> complex:
-        return series.extract((m, m)).val
+    def ext(q) -> complex:
+        return product_coefficient(q, e5, (m, m))
 
-    norm_raw = normalizer(ext(e5), vanished, f"probe normalizer vanished at m={m}")
+    norm_raw = normalizer(e5.extract((m, m)).val, vanished, f"probe normalizer vanished at m={m}")
     n3sq = 1.0 / real_part(norm_raw, "probe norm extraction")
     sh2 = ks.sh2
     x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
@@ -88,13 +89,13 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     x6p2 = x6 + 2.0
     quad = x6 * x6 + x6 * 4.0 + 2.0
 
-    tt = n3sq * ext((x2 * x3 - x4) * e5)
-    t_bra = n3sq * ext(x3 * e5)  # <Psit|Psi>
-    t_ket = n3sq * ext(x2 * e5)  # <Psi|Psit>
-    n_mean = n3sq * sh2 * ext(x6p1 * e5)
-    var = n3sq * sh2 * sh2 * ext(quad * e5) + n_mean - n_mean * n_mean
-    n_bra = n3sq * sh2 * ext(x3 * x6p2 * e5)  # <Psit|n|Psi>
-    n_ket = n3sq * sh2 * ext(x2 * x6p2 * e5)  # <Psi|n|Psit>
+    tt = n3sq * ext(x2 * x3 - x4)
+    t_bra = n3sq * ext(x3)  # <Psit|Psi>
+    t_ket = n3sq * ext(x2)  # <Psi|Psit>
+    n_mean = n3sq * sh2 * ext(x6p1)
+    var = n3sq * sh2 * sh2 * ext(quad) + n_mean - n_mean * n_mean
+    n_bra = n3sq * sh2 * ext(x3 * x6p2)  # <Psit|n|Psi>
+    n_ket = n3sq * sh2 * ext(x2 * x6p2)  # <Psi|n|Psit>
     return {
         "tt": real_part(tt, "<Psit|Psit>", abs(tt)),
         "t_bra": t_bra,

@@ -22,7 +22,9 @@ mechanized with two ingredients:
   d exp(P)/dphi = (dP/dphi) exp(P).
 
 The QFI reads only the value channel: its phase derivative enters through
-the X2/X3 derivative insertions of `su11.model`.  The d/dphi channel serves
+the X2/X3 derivative insertions of `su11.model`, and it reads each
+polynomial-times-exponential coefficient with :func:`product_coefficient`,
+without forming the product.  The d/dphi channel serves
 the tests' series-engine reference of d<N>/dphi (``tests/references.py``).
 
 Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
@@ -273,6 +275,30 @@ class MultiSeries:
 
     def __repr__(self) -> str:
         return f"MultiSeries(caps={self.caps}, nonzero={self._nonzero_count()})"
+
+
+def product_coefficient(q: MultiSeries, e: MultiSeries, orders: Sequence[int]) -> complex:
+    """``(q * e).extract(orders).val`` without forming the product's box.
+
+    The product's coefficient at ``orders`` is sum_k q_k e_(orders - k) over
+    the nonzero terms k <= orders of ``q``; terms of ``q`` beyond ``orders``
+    cannot reach it and are skipped.  The value channel alone is read.
+    """
+    q._check_compatible(e)
+    orders = tuple(int(o) for o in orders)
+    if len(orders) != q.arity or any(o < 0 or o > c for o, c in zip(orders, q.caps)):
+        raise ValueError(f"orders {orders} do not fit caps {q.caps}")
+    window = q.val[tuple(slice(0, o + 1) for o in orders)]
+    ks = np.nonzero(window)
+    terms = window[ks] * e.val[tuple(o - k for o, k in zip(orders, ks))]
+    # numpy's products, summed in the product's own order, give its bits
+    acc = 0j
+    for term in terms.tolist():
+        acc += term
+    fac = 1.0
+    for o in orders:
+        fac *= factorial(o)
+    return acc * fac
 
 
 def _times(a, b):

@@ -1,7 +1,10 @@
 """Parameter sweeps, figure-data jobs, config parsing and CSV emission.
 
 Sweep configuration lives in flat ``key = value`` INI sections, one section
-per sweep.  CSV output is deterministic: stable row ordering,
+per sweep.  `evaluate_grid` evaluates every grid point in process, one after
+another: a closed-form point takes microseconds (sensitivity, limits) to
+about a millisecond (QFI), so there is no worker pool and no parallelism
+setting.  CSV output is deterministic: stable row ordering,
 17-significant-digit floats, and failed grid points carry an empty value
 cell plus a named error code instead of NaNs.
 """
@@ -11,7 +14,6 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -150,34 +152,8 @@ def _eval_task(task: Tuple[str, Params]) -> Tuple[str, str]:
         return "", _error_code(err)
 
 
-def thread_cap() -> int | None:
-    """The SU11_THREADS cap on sweep parallelism, or None when unset or empty."""
-    cap = os.environ.get("SU11_THREADS")
-    if not cap:
-        return None
-    try:
-        return int(cap)
-    except ValueError:
-        raise ValueError(f"SU11_THREADS must be an integer, got {cap!r}") from None
-
-
-def _worker_count(n_tasks: int) -> int:
-    workers = min(os.cpu_count() or 1, n_tasks)
-    cap = thread_cap()
-    if cap is not None:
-        workers = min(workers, max(1, cap))
-    return max(workers, 1)
-
-
 def evaluate_grid(tasks: List[Tuple[str, Params]]) -> List[Tuple[str, str]]:
-    """Evaluate tasks, in parallel when allowed; results keep task order."""
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_eval_task, tasks, chunksize=4))
-        except OSError:
-            pass  # restricted environments fall back to in-process evaluation
+    """Evaluate tasks in process, in task order."""
     return [_eval_task(t) for t in tasks]
 
 

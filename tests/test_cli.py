@@ -186,14 +186,6 @@ class TestRunSweep:
         _, rows = run_sweep(spec)
         assert rows[0][0] == format(1.0 / 3.0, ".17g")
 
-    def test_parallel_cap_respected(self, monkeypatch):
-        spec = parse_config(EXAMPLE_CONFIG)[0]
-        monkeypatch.setenv("SU11_THREADS", "1")
-        serial = to_csv(run_sweep(spec))
-        monkeypatch.setenv("SU11_THREADS", "2")
-        capped = to_csv(run_sweep(spec))
-        assert serial == capped
-
 
 class TestFigures:
     def test_unknown_figure_rejected(self):
@@ -286,17 +278,6 @@ class TestMain:
 
     def test_sweep_missing_file(self, tmp_path):
         assert main(["sweep", str(tmp_path / "absent.cfg")]) == 1
-
-    @pytest.mark.parametrize("command", ["figure", "sweep"])
-    def test_malformed_thread_cap_is_a_validation_error(self, command, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "sweeps.cfg"
-        cfg.write_text(EXAMPLE_CONFIG)
-        argv = ["figure", "fig3b"] if command == "figure" else ["sweep", str(cfg)]
-        monkeypatch.setenv("SU11_THREADS", "abc")
-        assert main(argv + ["-o", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: SU11_THREADS must be an integer, got 'abc'\n"
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_figure_output_is_an_error_before_computing(self, target, tmp_path, monkeypatch):
