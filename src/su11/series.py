@@ -263,41 +263,41 @@ class MultiSeries:
 
     def extract(self, orders: Sequence[int]) -> CDual:
         """Mixed partial derivative at the origin: coeffs[orders] * prod(orders_i!)."""
-        orders = tuple(int(o) for o in orders)
-        if len(orders) != self.arity:
-            raise ValueError(f"orders {orders} has wrong arity for caps {self.caps}")
-        if any(o < 0 or o > c for o, c in zip(orders, self.caps)):
-            raise ValueError(f"orders {orders} exceed caps {self.caps}")
-        fac = 1.0
-        for o in orders:
-            fac *= factorial(o)
+        orders, fac = _extraction(self.caps, orders)
         return CDual(self.val[orders] * fac, self.dph[orders] * fac)
 
     def __repr__(self) -> str:
         return f"MultiSeries(caps={self.caps}, nonzero={self._nonzero_count()})"
 
 
-def product_coefficient(q: MultiSeries, e: MultiSeries, orders: Sequence[int]) -> complex:
-    """``(q * e).extract(orders).val`` without forming the product's box.
-
-    The product's coefficient at ``orders`` is sum_k q_k e_(orders - k) over
-    the nonzero terms k <= orders of ``q``; terms of ``q`` beyond ``orders``
-    cannot reach it and are skipped.  The value channel alone is read.
-    """
-    q._check_compatible(e)
+def _extraction(caps: Tuple[int, ...], orders: Sequence[int]) -> Tuple[Index, float]:
+    """Checked extraction orders and their scale prod(orders_i!)."""
     orders = tuple(int(o) for o in orders)
-    if len(orders) != q.arity or any(o < 0 or o > c for o, c in zip(orders, q.caps)):
-        raise ValueError(f"orders {orders} do not fit caps {q.caps}")
-    window = q.val[tuple(slice(0, o + 1) for o in orders)]
-    ks = np.nonzero(window)
-    terms = window[ks] * e.val[tuple(o - k for o, k in zip(orders, ks))]
-    # numpy's products, summed in the product's own order, give its bits
-    acc = 0j
-    for term in terms.tolist():
-        acc += term
+    if len(orders) != len(caps):
+        raise ValueError(f"orders {orders} has wrong arity for caps {caps}")
+    if any(o < 0 or o > c for o, c in zip(orders, caps)):
+        raise ValueError(f"orders {orders} exceed caps {caps}")
     fac = 1.0
     for o in orders:
         fac *= factorial(o)
+    return orders, fac
+
+
+def product_coefficient(q: MultiSeries, e: MultiSeries, orders: Sequence[int]) -> complex:
+    """``(q * e).extract(orders).val`` without forming the product's box.
+
+    The value channel's sum of q_k e_(orders - k) over the nonzero k <= orders
+    of ``q``, in index order: the bits of ``q * e`` when ``q`` is the sparser
+    factor (as the QFI's polynomials are), and agreement to roundoff otherwise.
+    """
+    q._check_compatible(e)
+    orders, fac = _extraction(q.caps, orders)
+    window = q.val[tuple(slice(0, o + 1) for o in orders)]
+    ks = np.nonzero(window)
+    terms = window[ks] * e.val[tuple(o - k for o, k in zip(orders, ks))]
+    acc = 0j
+    for term in terms.tolist():  # plain adds: newer sum() compensates
+        acc += term
     return acc * fac
 
 

@@ -8,9 +8,10 @@ import pytest
 from su11 import qfi
 from su11.errors import DarkFringeError, NormalizationError
 from su11.fock import numeric_cq, numeric_qfi_pure
-from su11.model import Params
+from su11.model import Params, kernels
 from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal
+from su11.series import product_coefficient
 from su11.verify import alpha_scan
 
 # Fock-oracle QFI at g=1, beta=1, phi=0.4 (converged n_cut), frozen; the
@@ -168,6 +169,30 @@ class TestCqAlpha:
             cq_alpha(p, float(a)) for a in np.linspace(-1.5, 1.5, 301)
         )
         assert qfi_lossy(p).f == pytest.approx(scan, rel=1e-5)
+
+
+class TestInnerProductCoefficients:
+    def test_coefficient_sums_have_the_products_bits(self):
+        # the seven polynomials _loss_inner_products reads against exp(X5),
+        # each sparser than the exponential, so the sum runs in the product's order
+        rng = np.random.default_rng(23)
+        points = [Params(g=0.0, beta=1.0, phi=0.4, m=2, eta=0.7),
+                  Params(g=1.0, beta=0.0, phi=0.4, m=2, eta=0.7),
+                  Params(g=1.0, beta=1.0, phi=0.0, m=3, eta=1.0)]
+        for _ in range(60):
+            g, beta = rng.uniform(0.0, 3.0, size=2)
+            points.append(Params(g=float(g), beta=float(beta), phi=float(rng.uniform(-7.0, 7.0)),
+                                 eta=float(rng.uniform(0.05, 1.0)), m=int(rng.integers(0, 16))))
+        for p in points:
+            ks = kernels(p)
+            e5 = ks.exponent_x5().exp()
+            xs = ks.x_polys()
+            x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
+            polys = [x2 * x3 - x4, x3, x2, x6 + 1.0, x6 * x6 + x6 * 4.0 + 2.0,
+                     x3 * (x6 + 2.0), x2 * (x6 + 2.0)]
+            for q in polys:
+                got = product_coefficient(q, e5, (p.m, p.m))
+                assert got == (q * e5).extract((p.m, p.m)).val, p
 
 
 class TestLossyQfi:
