@@ -77,7 +77,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verify(args.level)
+    results = run_verify()
     for result in results:
         print(result.line())
     criteria = [r for r in results if not r.finding]
@@ -112,7 +112,6 @@ def main(argv=None) -> int:
     p_fig.set_defaults(func=_cmd_figure)
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")
-    p_verify.add_argument("--level", choices=("fast", "full"), default="fast")
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -30,7 +30,9 @@ share one block set per gain.  Every pipeline squeezes at the one gain p.g,
 so only the blocks of the latest gain are cached: a new gain drops the
 others, and a sweep along phi, beta or the transmittances reuses its blocks
 from point to point while a sweep along g, whose points share no gain, keeps
-no stale ones.  Bases hold no gain and stay.  The tests keep a sub-stepped
+no stale ones.  Bases hold no gain and stay.  Every cutoff ladder starts at
+DEFAULT_N_CUT, so it visits at most 16 cutoffs, and these bound both caches
+(see _TMS_BLOCK_CACHE) without any eviction.  The tests keep a sub-stepped
 Taylor exponential of the same generator as an independent cross-check of
 the blockwise propagator.
 
@@ -47,7 +49,8 @@ pipelines subtract with :func:`subtract_photons`, one scaled row slice,
 which also cross-checks that reweighting.
 
 Every reported oracle number goes through :func:`converged_value`, which
-recomputes at a larger cutoff and accepts only when the two agree.
+climbs one fixed cutoff ladder from DEFAULT_N_CUT and accepts only when a
+cutoff and the one LADDER_STEP above it agree.
 """
 
 from __future__ import annotations
@@ -199,61 +202,29 @@ def prepare_input(beta: float, n_cut: int) -> Ensemble:
 
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
-# one budget, in complex entries, bounds both caches (both hold real arrays,
-# and a real entry counts half) and counts only the diagonals actually
-# built.  The block cache holds one gain at a time (see _tms_blocks), so the
-# budget bounds that gain's blocks at every cutoff and phase, plus the bases.
-# Blocks are only three half-size real matrix products per diagonal away
-# from their basis, so they are evicted first (least recent first); a basis
-# holds the singular value decompositions and serves every gain and phase at
-# its cutoff, so bases go only once no blocks are left
-_TMS_CACHE_BUDGET = 1.2e7
+# each value holds real arrays per diagonal |n_a - n_b|, built on first use.
+# Every ladder starts at DEFAULT_N_CUT, so it visits at most 16 cutoffs; the
+# bases hold one value per cutoff, and the blocks one per cutoff and theta at
+# the latest gain (see _tms_blocks).  Every pipeline squeezes at theta = 0,
+# the mirror included, so the blocks hold one theta; with every diagonal of
+# all 16 cutoffs built, both caches together hold 6.19e6 complex entries
+# (99 MB).  Only tests squeeze at other thetas, at cutoffs of at most 70
 
 
-class _Diagonals(dict):
-    """One cache value: arrays per diagonal |n_a - n_b|, built on first use.
-
-    ``entries`` counts their size in complex entries.
-    """
-
-    entries = 0.0
-
-
-def _make_room(entries: float) -> None:
-    """Evict until a new cache value of this size fits the shared budget."""
-
-    def used() -> float:
-        caches = (_TMS_BLOCK_CACHE, _TMS_BASIS_CACHE)
-        return sum(value.entries for cache in caches for value in cache.values())
-
-    while used() + entries > _TMS_CACHE_BUDGET:
-        cache = _TMS_BLOCK_CACHE or _TMS_BASIS_CACHE
-        if not cache:
-            return
-        cache.pop(next(iter(cache)))  # evict least recent
-
-
-def _filled(cache: dict, key, ks: List[int], build) -> _Diagonals:
-    """cache[key], marked most recent, holding a value for every diagonal in ks.
+def _filled(cache: dict, key, ks: List[int], build) -> dict:
+    """cache[key], holding a value for every diagonal in ks.
 
     ``build(missing)`` yields the values of the diagonals not built yet, in
-    order; room is made for the whole value before it goes back in.
+    order.
     """
-    value = cache.pop(key, None)
-    if value is None:
-        value = _Diagonals()
+    value = cache.setdefault(key, {})
     missing = [k for k in ks if k not in value]
     if missing:
-        for k, arrays in zip(missing, build(missing)):
-            value[k] = arrays
-            parts = arrays if isinstance(arrays, tuple) else (arrays,)
-            value.entries += sum(a.nbytes for a in parts) / 16.0
-        _make_room(value.entries)
-    cache[key] = value
+        value.update(zip(missing, build(missing)))
     return value
 
 
-def _tms_basis(d: int, ks: List[int]) -> _Diagonals:
+def _tms_basis(d: int, ks: List[int]) -> dict:
     """Half-size singular value decompositions (sigma_k, U_k, W_k) for k in ks.
 
     On |n+k, n> (n = 0..s-1, s = d - k) the theta = 0 generator is g K_k,
@@ -287,7 +258,7 @@ def _tms_basis(d: int, ks: List[int]) -> _Diagonals:
     return _filled(_TMS_BASIS_CACHE, d, ks, build)
 
 
-def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> _Diagonals:
+def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> dict:
     """Real rotation blocks of exp(xi ab - xi* a†b†) for the diagonals k in ks.
 
     The generator conserves n_a - n_b, so it block-diagonalizes over the
@@ -594,19 +565,16 @@ def internal_ensemble(p: Params, n_cut: int) -> Ensemble:
 # -- convergence protocol ------------------------------------------------------
 
 
-def converged_value(
-    fn: Callable[[int], Sequence[float]],
-    n_cut: int = DEFAULT_N_CUT,
-    rtol: float = 1e-8,
-) -> np.ndarray:
+def converged_value(fn: Callable[[int], Sequence[float]], rtol: float = 1e-8) -> np.ndarray:
     """Accept fn(n) only when fn(n) and fn(n + LADDER_STEP) agree to rtol.
 
     Leakage failures and failed agreement both climb the cutoff ladder
     geometrically, to max(n + LADDER_STEP, int(n * LADDER_GROWTH)) (highly
-    squeezed corners need cutoffs well above the starting point).  Raises
-    ConvergenceError once the ladder passes MAX_N_CUT, read at call time.
+    squeezed corners need cutoffs well above the starting point).  Every
+    ladder starts at DEFAULT_N_CUT.  Raises ConvergenceError once the ladder
+    passes MAX_N_CUT, read at call time.
     """
-    n = n_cut
+    n = DEFAULT_N_CUT
     while n <= MAX_N_CUT:
         try:
             a = np.atleast_1d(np.asarray(fn(n), dtype=float))
@@ -630,7 +598,6 @@ def numeric_moments_multi(
     p: Params,
     m_list: Iterable[int],
     mode: str = "a",
-    n_cut: int = DEFAULT_N_CUT,
 ) -> dict:
     """Converged (delta_phi, mean, second) per subtraction order, sharing pipelines.
 
@@ -654,7 +621,7 @@ def numeric_moments_multi(
             rows.append((math.sqrt(max(var, 0.0)) / abs(dmean), mean, second))
         return np.asarray(rows).ravel()
 
-    flat = converged_value(run, n_cut)
+    flat = converged_value(run)
     rows = flat.reshape(len(m_list), 3)
     return {
         m: {"delta_phi": rows[i, 0], "mean": rows[i, 1], "second": rows[i, 2]}

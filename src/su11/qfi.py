@@ -111,22 +111,37 @@ def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
     """C_Q at a given Kraus placement, from precomputed inner products.
 
     Squares are products, which overflow to inf where a float power raises;
-    a result that overflowed is a NumericalError.
+    a result that overflowed is a NumericalError.  C_Q bounds a QFI from
+    above, yet on a dark fringe its terms cancel to roundoff, so a result
+    that is not positive, or whose estimated roundoff exceeds
+    ROUNDOFF_REL_TOL (the rule of :func:`_minimum`), is a NumericalError too.
     """
     a1 = 1.0 + alpha
     u = 1.0 - a1 * (1.0 - eta)
     tt, n_mean, var = d["tt"], d["n_mean"], d["var"]
     n2 = var + n_mean * n_mean
+    loss = a1 * a1 * eta * (1.0 - eta) * n_mean
     cross = 1j * u * (d["n_bra"] - d["n_ket"])
     z = abs(1j * d["t_bra"] + u * n_mean)
     cq = 4.0 * (
         tt
         + u * u * n2
-        + a1 * a1 * eta * (1.0 - eta) * n_mean
+        + loss
         + real_part(cross, "H2 cross term", abs(cross) + 1.0)
         - z * z
     )
-    return finite(cq, "C_Q")
+    finite(cq, "C_Q")
+    if not cq > 0.0:
+        raise NumericalError(f"C_Q must be positive, got {cq}")
+    # the magnitudes of the terms summed into C_Q, into Var(n) and into z, against C_Q
+    var_abs = abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
+    z_abs = abs(d["t_bra"]) + abs(u * n_mean)
+    scale = (abs(tt) + u * u * (var_abs + n_mean * n_mean) + abs(loss) + abs(cross)
+             + z_abs * z_abs)
+    roundoff = 4.0 * sys.float_info.epsilon * scale / cq
+    if roundoff > ROUNDOFF_REL_TOL:
+        raise NumericalError(f"C_Q {cq} is roundoff (estimated relative error {roundoff:.1e})")
+    return cq
 
 
 def cq_alpha(p: Params, alpha: float) -> float:

@@ -7,9 +7,6 @@ pinned here.
 
 A finding, a measured departure from a published claim, passes while it
 reproduces and fails once the claim starts to hold.
-
-``fast`` restricts the oracle grids (m <= 2, lower starting cutoff) for a
-sub-2-minute run; ``full`` runs everything.
 """
 
 from __future__ import annotations
@@ -43,31 +40,19 @@ class CriterionResult:
         return f"{flag}  {self.cid}  {self.description}  [{self.details}] ({self.seconds:.1f}s)"
 
 
-def _grid_sensitivity(level: str):
-    ms = [0, 1, 2, 3] if level == "full" else [0, 1, 2]
-    return (
-        ms,
-        [0.5, 1.0],
-        [0.5, 1.0],
-        [0.2, 0.4, 1.0],
-        [(1.0, 1.0), (0.8, 1.0), (1.0, 0.8)],
-    )
-
-
-def criterion_1_sensitivity_oracle(level: str) -> CriterionResult:
+def criterion_1_sensitivity_oracle() -> CriterionResult:
     """Analytic moments and delta_phi match the Fock oracle to 1e-6 relative,
-    with the full grid finishing inside the 10-minute budget."""
-    ms, gs, betas, phis, losses = _grid_sensitivity(level)
-    n_cut0 = 30 if level == "full" else 25
+    over m = 0..3, with the grid finishing inside the 10-minute budget."""
+    ms = [0, 1, 2, 3]
     start = time.perf_counter()
     worst = 0.0
     n_points = 0
-    for g in gs:
-        for beta in betas:
-            for phi in phis:
-                for t1, t2 in losses:
+    for g in (0.5, 1.0):
+        for beta in (0.5, 1.0):
+            for phi in (0.2, 0.4, 1.0):
+                for t1, t2 in ((1.0, 1.0), (0.8, 1.0), (1.0, 0.8)):
                     base = Params(g=g, beta=beta, phi=phi, T1=t1, T2=t2)
-                    oracle = fock.numeric_moments_multi(base, ms, n_cut=n_cut0)
+                    oracle = fock.numeric_moments_multi(base, ms)
                     for m in ms:
                         got = sensitivity_lossy(base.replace(m=m))
                         want = oracle[m]
@@ -87,7 +72,7 @@ def criterion_1_sensitivity_oracle(level: str) -> CriterionResult:
     )
 
 
-def criterion_2_qfi_oracle(level: str) -> CriterionResult:
+def criterion_2_qfi_oracle() -> CriterionResult:
     """Ideal QFI matches the oracle's exact-tangent QFI to 1e-5 relative."""
     ms = [0, 1, 2]
     worst = 0.0
@@ -164,7 +149,7 @@ def alpha_scan(p: Params) -> Tuple[float, float]:
     return golden_section(cq, lo + (i_min - 1) * step, lo + (i_min + 1) * step)
 
 
-def criterion_3_lossy_minimization(level: str) -> CriterionResult:
+def criterion_3_lossy_minimization() -> CriterionResult:
     """Closed-form lossy QFI equals the numeric alpha minimum (rel 1e-8);
     at eta = 1 both equal the ideal QFI (rel 1e-10).
 
@@ -192,7 +177,7 @@ def criterion_3_lossy_minimization(level: str) -> CriterionResult:
     )
 
 
-def criterion_4_reductions(level: str) -> CriterionResult:
+def criterion_4_reductions() -> CriterionResult:
     """No-loss reduction exact; N1 = 1 at m = 0; dark fringe errors, not NaNs."""
     problems = []
     for m in (0, 1, 3):
@@ -261,7 +246,7 @@ def c5_loss_placement_problems() -> List[str]:
     return problems
 
 
-def criterion_5_orderings(level: str) -> CriterionResult:
+def criterion_5_orderings() -> CriterionResult:
     """m-monotonicity orderings at g=1, beta=1, phi=0.4."""
     problems = c5_monotonicity_problems()
     return CriterionResult(
@@ -272,7 +257,7 @@ def criterion_5_orderings(level: str) -> CriterionResult:
     )
 
 
-def finding_1_loss_placement_reversal(level: str) -> CriterionResult:
+def finding_1_loss_placement_reversal() -> CriterionResult:
     """At phi = 0.4, internal loss is not strictly worse than external up to T = 0.95."""
     problems = c5_loss_placement_problems()
     return CriterionResult(
@@ -284,7 +269,7 @@ def finding_1_loss_placement_reversal(level: str) -> CriterionResult:
     )
 
 
-def criterion_6_sql_beating(level: str) -> CriterionResult:
+def criterion_6_sql_beating() -> CriterionResult:
     """At T = 0.6 some m in {1,2,3} beats the SQL."""
     t = 0.6
     smallest = None
@@ -301,7 +286,7 @@ def criterion_6_sql_beating(level: str) -> CriterionResult:
     )
 
 
-def criterion_7_bound_ordering(level: str) -> CriterionResult:
+def criterion_7_bound_ordering() -> CriterionResult:
     """delta_phi > QCRB with a positive gap at every ideal grid point."""
     min_gap = math.inf
     n_points = 0
@@ -321,7 +306,7 @@ def criterion_7_bound_ordering(level: str) -> CriterionResult:
     )
 
 
-def criterion_8_loss_severity(level: str) -> CriterionResult:
+def criterion_8_loss_severity() -> CriterionResult:
     """At eta = 0.7 a beta sub-range (g=1, m=0) loses > 50% of the QFI."""
     betas = np.linspace(0.5, 2.0, 16)
     hits = []
@@ -347,10 +332,10 @@ def d_mean_dphi_fd(p: Params) -> float:
     return (mean_at(p.phi + 1e-5) - mean_at(p.phi - 1e-5)) / 2e-5
 
 
-def criterion_9_numerical_hygiene(level: str) -> CriterionResult:
+def criterion_9_numerical_hygiene() -> CriterionResult:
     """The explicit d<N>/dphi = c1 u' matches central differences of <N> = c1 u
     (100 random points); oracle values pass the cutoff-agreement gate by construction."""
-    n_random = 100 if level == "full" else 25
+    n_random = 100
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(n_random):
@@ -387,7 +372,7 @@ def _strictly_decreasing(xs) -> bool:
     return all(a > b for a, b in zip(xs, xs[1:]))
 
 
-CRITERIA: List[Callable[[str], CriterionResult]] = [
+CRITERIA: List[Callable[[], CriterionResult]] = [
     criterion_1_sensitivity_oracle,
     criterion_2_qfi_oracle,
     criterion_3_lossy_minimization,
@@ -399,16 +384,14 @@ CRITERIA: List[Callable[[str], CriterionResult]] = [
     criterion_9_numerical_hygiene,
 ]
 
-FINDINGS: List[Callable[[str], CriterionResult]] = [finding_1_loss_placement_reversal]
+FINDINGS: List[Callable[[], CriterionResult]] = [finding_1_loss_placement_reversal]
 
 
-def run_verify(level: str = "full") -> List[CriterionResult]:
-    if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+def run_verify() -> List[CriterionResult]:
     results = []
     for criterion in CRITERIA + FINDINGS:
         start = time.perf_counter()
-        result = criterion(level)
+        result = criterion()
         result.seconds = time.perf_counter() - start
         results.append(result)
     return results

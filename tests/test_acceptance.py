@@ -1,21 +1,16 @@
 """Acceptance suite: one test per criterion, each printing its verdict line.
 
 These are the same criterion functions the ``su11 verify`` subcommand runs;
-``pytest -s tests/test_acceptance.py`` shows the measured numbers.  Set
-SU11_ACCEPTANCE_LEVEL=fast to shrink the oracle grids.
+``pytest -s tests/test_acceptance.py`` shows the measured numbers.
 """
-
-import os
 
 import pytest
 
 from su11 import verify
 
-LEVEL = os.environ.get("SU11_ACCEPTANCE_LEVEL", "full")
-
 
 def _run(criterion):
-    result = criterion(LEVEL)
+    result = criterion()
     print(result.line())
     assert result.passed, result.details
     return result
@@ -85,6 +80,6 @@ def test_mutation_flipped_thermal_slope_is_caught(monkeypatch):
         return u, -du
 
     monkeypatch.setattr(model.KernelSet, "thermal", flipped)
-    result = verify.criterion_9_numerical_hygiene("fast")
+    result = verify.criterion_9_numerical_hygiene()
     assert not result.passed
     assert "worst rel err 2.00e+00" in result.details

@@ -589,14 +589,19 @@ class TestNumericEstimators:
             return (1.0 + 0.1 * n,)
 
         with pytest.raises(ConvergenceError):
-            converged_value(fn, n_cut=30)
+            converged_value(fn)
         assert calls == [30, 35, 39, 44]
 
     def test_converged_value_accepts_stable_pair(self):
-        def fn(n):
-            return (2.0 + (0.5 if n < 40 else 0.0),)
+        calls = []
 
-        assert converged_value(fn, n_cut=40)[0] == 2.0
+        def fn(n):
+            calls.append(n)
+            return (2.0 + (0.5 if n < 35 else 0.0),)
+
+        # 30 and 35 disagree, so the ladder climbs once before it accepts
+        assert converged_value(fn)[0] == 2.0
+        assert calls == [30, 35, 39, 44]
 
     def test_block_propagator_matches_substepped_series(self):
         from su11.fock import _apply_tms_raw
@@ -709,29 +714,38 @@ class TestNumericEstimators:
         with pytest.raises(ZeroProbabilityError):
             numeric_moments_multi(p.replace(T1=1.0, T2=0.0), [1])
 
-    def test_caches_share_one_budget_over_a_gain_sweep(self, monkeypatch):
+    def test_caches_hold_only_the_ladder_cutoffs(self, monkeypatch):
         from su11 import fock
+        from su11.errors import ConvergenceError
 
         monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
         monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
-        # unbounded, the sweep's real blocks and bases of occupied diagonals
-        # grow to about 9e4 entries
-        monkeypatch.setattr(fock, "_TMS_CACHE_BUDGET", 5e4)
+        # every grid side n + 1 the ladder from DEFAULT_N_CUT can reach
+        ladder, n = set(), fock.DEFAULT_N_CUT
+        while n <= fock.MAX_N_CUT:
+            ladder.update((n + 1, n + fock.LADDER_STEP + 1))
+            n = max(n + fock.LADDER_STEP, int(n * fock.LADDER_GROWTH))
+        # the most the caches can hold: every diagonal of every ladder cutoff
+        # built, a real block of s * s and a basis of ((s + 1) // 2)^2 +
+        # (s // 2)^2 + s // 2 entries per diagonal of length s, at one gain and theta
+        worst = sum(
+            (s * s + ((s + 1) // 2) ** 2 + (s // 2) ** 2 + s // 2) / 2.0
+            for d in ladder
+            for s in range(1, d + 1)
+        )
+        assert len(ladder) == 16 and worst <= 6.19e6
 
-        def entries():
-            # only the diagonals built so far hold arrays, all of them real
-            blocks = sum(b.size / 2.0 for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
-            bases = sum(
-                (sigma.size + u.size + w.size) / 2.0
-                for v in fock._TMS_BASIS_CACHE.values()
-                for sigma, u, w in v.values()
-            )
-            return blocks + bases
-
-        seen = set()
-        for g in np.linspace(0.3, 0.9, 7):
-            fock.numeric_internal_photon_number(Params(g=g, beta=0.5, phi=0.4, m=1))
-            seen.update(fock._TMS_BASIS_CACHE)
-            assert entries() <= fock._TMS_CACHE_BUDGET
-        # the sweep outgrew the budget, so eviction reached the bases too
-        assert seen - set(fock._TMS_BASIS_CACHE)
+        # a ladder that climbs to the top and gives up, then a lossy point
+        with pytest.raises(ConvergenceError):
+            numeric_moments_multi(Params(g=1.0, beta=1.0, phi=2.0), [0], mode="b")
+        numeric_moments_multi(Params(g=0.5, beta=0.5, phi=0.4, T1=0.8), [0, 1])
+        assert set(fock._TMS_BASIS_CACHE) <= ladder
+        assert {key[2] for key in fock._TMS_BLOCK_CACHE} <= ladder
+        # only the diagonals built so far hold arrays, all of them real
+        blocks = sum(b.size / 2.0 for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
+        bases = sum(
+            (sigma.size + u.size + w.size) / 2.0
+            for v in fock._TMS_BASIS_CACHE.values()
+            for sigma, u, w in v.values()
+        )
+        assert blocks + bases <= worst

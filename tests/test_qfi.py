@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from su11 import qfi
-from su11.errors import DarkFringeError, NormalizationError
+from su11.errors import DarkFringeError, NormalizationError, NumericalError
 from su11.fock import numeric_cq, numeric_qfi_pure
 from su11.model import Params, kernels
 from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
@@ -156,6 +156,21 @@ class TestCqAlpha:
                 cq_alpha(p, alpha)
             with pytest.raises(ValueError, match="alpha must be finite"):
                 numeric_cq(p, alpha)
+
+    @pytest.mark.parametrize(
+        "p, alpha",
+        [
+            (Params(g=1.005, beta=2.009, phi=2.0 * math.pi, m=6, eta=1.0), 0.308),
+            (Params(g=1.698, beta=0.179, phi=2.0 * math.pi, m=1, eta=1.0), -0.300),
+        ],
+    )
+    def test_dark_fringe_roundoff_is_numerical(self, p, alpha):
+        # on the fringe the terms cancel to -8.6e17 and to 0.0, where qfi_ideal
+        # refuses the same inner products
+        with pytest.raises(NumericalError):
+            cq_alpha(p, alpha)
+        with pytest.raises(NumericalError):
+            qfi_ideal(p)
 
     def test_placements_differ_under_loss(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
