@@ -4,7 +4,7 @@ Closed-form calculators (Laguerre formulas, and a power-series engine for the
 QFI), an independent brute-force Fock-space oracle and a sweep/figure CLI.
 """
 
-from su11.limits import LimitsReport, internal_photon_number, limits
+from su11.limits import LimitsReport, internal_photon_number
 from su11.model import Params, kernels
 from su11.qfi import QfiReport, cq_alpha, qcrb, qfi_ideal, qfi_lossy
 from su11.sensitivity import (
@@ -28,5 +28,4 @@ __all__ = [
     "qcrb",
     "LimitsReport",
     "internal_photon_number",
-    "limits",
 ]

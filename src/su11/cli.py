@@ -58,9 +58,10 @@ def _write(path: Path, text: str) -> bool:
 
 
 def _cmd_figure(args) -> int:
+    output = args.output or f"{args.figure_id}.csv"
+    path = Path(output)
     try:
-        job = FigureJob(args.figure_id, args.output or f"{args.figure_id}.csv")
-        path = Path(job.output_path)
+        job = FigureJob(args.figure_id)
         # checked before the figure is computed, not after
         if path.is_dir():
             raise ValueError(f"output path {path} is a directory")
@@ -72,7 +73,7 @@ def _cmd_figure(args) -> int:
     table = run_figure(job)
     if not _write(path, to_csv(table)):
         return 1
-    print(job.output_path)
+    print(output)
     return 0
 
 

@@ -523,11 +523,10 @@ def equivalent_state(p: Params, n_cut: int) -> Ensemble:
     """Normalized equivalent-model state: N1 (S2† a^m S2) U_phi S1 |0, beta>.
 
     Its tangent is d/dphi of the unnormalized state, scaled by the same N1.
+    The pipeline up to S2 is `output_ensemble` at T1 = 1, where the loss
+    channel returns its input.
     """
-    st = prepare_input(p.beta, n_cut)
-    st = apply_tms(st, p.g, 0.0)
-    st = _seed_tangent(apply_phase(st, p.phi))
-    return apply_tms(subtract_photons(apply_tms(st, p.g, 0.0, mirror=True), p.m), p.g, 0.0)
+    return apply_tms(subtract_photons(output_ensemble(p.replace(T1=1.0), n_cut), p.m), p.g, 0.0)
 
 
 def loss_probe_state(p: Params, n_cut: int) -> Ensemble:

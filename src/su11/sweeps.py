@@ -1,12 +1,23 @@
 """Parameter sweeps, figure-data jobs, config parsing and CSV emission.
 
 Sweep configuration lives in flat ``key = value`` INI sections, one section
-per sweep.  `evaluate_grid` evaluates every grid point in process, one after
-another: a closed-form point takes microseconds (sensitivity, limits) to
-about a millisecond (QFI), so there is no worker pool and no parallelism
-setting.  CSV output is deterministic: stable row ordering,
-17-significant-digit floats, and failed grid points carry an empty value
-cell plus a named error code instead of NaNs.
+per sweep.  Sweeps and figures build their tables through one grid builder,
+`_table`: it lists every cell in task order (m, then axis value, then
+column) and hands them to `evaluate_grid` at once, which evaluates them in
+process, one after another.  A closed-form point takes microseconds
+(sensitivity, limits) to about a millisecond (QFI), so there is no worker
+pool and no parallelism setting.
+
+The figure table `FIGURES` is data: each job has an axis label, a grid
+``(lo, hi, n)``, its m values and its columns.  A column (`_col`) is a
+label, a quantity, the `Params` field that the axis value sets, and
+overrides of `_BASE` (g = beta = 1, phi = 0.4).  A sweep is the one-column
+case.  Only fig2 has its own builder, which shares one Fock-oracle cutoff
+ladder across m.
+
+CSV output is deterministic: stable row ordering, 17-significant-digit
+floats, and failed grid points carry an empty value cell plus a named error
+code instead of NaNs.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from su11 import fock
 from su11.errors import Su11Error
@@ -158,23 +169,31 @@ def evaluate_grid(tasks: List[Tuple[str, Params]]) -> List[Tuple[str, str]]:
 
 
 Table = Tuple[List[str], List[List[str]]]
+# (label, quantity, to_params(x, m)) of one table column
+Column = Tuple[str, str, Callable[[float, int], Params]]
+
+
+def _table(
+    xs: List[float], m_list: Tuple[int, ...], columns: Sequence[Column], header: List[str]
+) -> Table:
+    """Every cell in one grid, in task order (m, then axis value, then column).
+
+    A row holds the axis value, m, and a value and an error code per column.
+    """
+    tasks = [(q, to_params(x, m)) for m in m_list for x in xs for _, q, to_params in columns]
+    cells = iter(evaluate_grid(tasks))
+    rows = [
+        [format_float(x), str(m)] + [v for _ in columns for v in next(cells)]
+        for m in m_list
+        for x in xs
+    ]
+    return header, rows
 
 
 def run_sweep(spec: SweepSpec) -> Table:
     """One row per grid point per m: axis value, m, quantity value, error code."""
-    tasks = []
-    keys = []
-    for m in spec.m_list:
-        for x in spec.grid():
-            tasks.append((spec.quantity, spec.params_at(x, m)))
-            keys.append((x, m))
-    results = evaluate_grid(tasks)
-    header = [spec.axis, "m", spec.quantity, "error"]
-    rows = [
-        [format_float(x), str(m), value, code]
-        for (x, m), (value, code) in zip(keys, results)
-    ]
-    return header, rows
+    column = (spec.quantity, spec.quantity, spec.params_at)
+    return _table(spec.grid(), spec.m_list, [column], [spec.axis, "m", spec.quantity, "error"])
 
 
 def to_csv(table: Table) -> str:
@@ -190,7 +209,6 @@ def to_csv(table: Table) -> str:
 @dataclass(frozen=True)
 class FigureJob:
     figure_id: str
-    output_path: str = ""
 
     def __post_init__(self):
         if self.figure_id not in FIGURES:
@@ -204,9 +222,8 @@ class _FigureDef:
     axis: str
     grid: Tuple[float, float, int]
     m_list: Tuple[int, ...]
-    # each column: (label, quantity, mapping from axis value+m to Params)
-    columns: Tuple[Tuple[str, str, Callable[[float, int], Params]], ...]
-    builder: Callable[["_FigureDef"], "Table"] = None
+    columns: Tuple[Column, ...]
+    builder: Callable[["_FigureDef"], Table] = None
 
 
 def _lin(lo: float, hi: float, n: int) -> List[float]:
@@ -216,7 +233,13 @@ def _lin(lo: float, hi: float, n: int) -> List[float]:
 _BASE = dict(g=1.0, beta=1.0, phi=0.4)
 
 
-def _figure_header(fig: "_FigureDef") -> List[str]:
+def _col(label: str, quantity: str, param: str, **overrides) -> Column:
+    """A figure column: `Params` at `_BASE` with `overrides`, the axis value on `param`."""
+    fixed = {k: v for k, v in dict(_BASE, **overrides).items() if k != param}
+    return label, quantity, lambda x, m: Params(m=m, **{param: x}, **fixed)
+
+
+def _figure_header(fig: _FigureDef) -> List[str]:
     """Axis, m, then a value and an error column per declared column label."""
     header = [fig.axis, "m"]
     for label, _, _ in fig.columns:
@@ -224,7 +247,7 @@ def _figure_header(fig: "_FigureDef") -> List[str]:
     return header
 
 
-def _build_fig2(fig: "_FigureDef") -> "Table":
+def _build_fig2(fig: _FigureDef) -> Table:
     """Mode-a analytic plus mode-b oracle columns, sharing oracle pipelines.
 
     All m values reuse one pre-subtraction pipeline per phase point.  The
@@ -233,14 +256,13 @@ def _build_fig2(fig: "_FigureDef") -> "Table":
     pi), so once the ladder is exhausted every later phase point is marked
     unconverged without re-climbing.
     """
-    lo, hi, n = fig.grid
+    xs = _lin(*fig.grid)
     m_list = list(fig.m_list)
     rows_by_key = {}
     ladder_dead = False
-    for x in _lin(lo, hi, n):
+    for x in xs:
         p = Params(g=1.0, beta=1.0, phi=x)
-        oracle = {}
-        code_b = ""
+        oracle, code_b = {}, ""
         if ladder_dead:
             code_b = "Convergence"
         else:
@@ -251,133 +273,59 @@ def _build_fig2(fig: "_FigureDef") -> "Table":
                 code_b = _error_code(err)
                 ladder_dead = code_b == "Convergence"
         for m in m_list:
-            value_a, code_a = _eval_task(("delta_phi_ideal", p.replace(m=m)))
-            rows_by_key[(m, x)] = [
-                format_float(x),
-                str(m),
-                value_a,
-                code_a,
-                oracle.get(m, ""),
-                code_b,
-            ]
-    rows = [rows_by_key[(m, x)] for m in m_list for x in _lin(lo, hi, n)]
+            cell_a = _eval_task(("delta_phi_ideal", p.replace(m=m)))
+            rows_by_key[(m, x)] = [format_float(x), str(m), *cell_a, oracle.get(m, ""), code_b]
+    rows = [rows_by_key[(m, x)] for m in m_list for x in xs]
     return _figure_header(fig), rows
 
 
-def _figures() -> Dict[str, _FigureDef]:
-    figs: Dict[str, _FigureDef] = {}
+_M = (0, 1, 2, 3)
+_BETA_GRID = (0.0, 3.0, 61)
+_G_GRID = (0.0, 2.0, 41)
+_T_GRID = (0.4, 1.0, 61)
 
-    figs["fig2"] = _FigureDef(
-        axis="phi",
-        grid=(0.05, 3.10, 32),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("delta_phi_a", "delta_phi_ideal", lambda x, m: Params(g=1.0, beta=1.0, phi=x, m=m)),
-            ("delta_phi_b_oracle", "oracle_delta_phi_b", lambda x, m: Params(g=1.0, beta=1.0, phi=x, m=m)),
-        ),
-        builder=_build_fig2,
-    )
-    figs["fig3a"] = _FigureDef(
-        axis="beta",
-        grid=(0.0, 3.0, 61),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("delta_phi", "delta_phi_ideal", lambda x, m: Params(g=1.0, beta=x, phi=0.4, m=m)),
-        ),
-    )
-    figs["fig3b"] = _FigureDef(
-        axis="g",
-        grid=(0.0, 2.0, 41),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("delta_phi", "delta_phi_ideal", lambda x, m: Params(g=x, beta=1.0, phi=0.4, m=m)),
-        ),
-    )
-    figs["fig5"] = _FigureDef(
-        axis="T",
-        grid=(0.3, 1.0, 71),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("delta_phi_internal", "delta_phi_lossy", lambda x, m: Params(T1=x, T2=1.0, m=m, **_BASE)),
-            ("delta_phi_external", "delta_phi_lossy", lambda x, m: Params(T1=1.0, T2=x, m=m, **_BASE)),
-        ),
-    )
-    figs["fig7a"] = _FigureDef(
-        axis="beta",
-        grid=(0.0, 3.0, 61),
-        m_list=(0, 1, 2, 3),
-        columns=(("qfi", "qfi_ideal", lambda x, m: Params(g=1.0, beta=x, phi=0.4, m=m)),),
-    )
-    figs["fig7b"] = _FigureDef(
-        axis="g",
-        grid=(0.0, 2.0, 41),
-        m_list=(0, 1, 2, 3),
-        columns=(("qfi", "qfi_ideal", lambda x, m: Params(g=x, beta=1.0, phi=0.4, m=m)),),
-    )
-    figs["fig8a"] = _FigureDef(
-        axis="beta",
-        grid=(0.2, 3.0, 57),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("delta_phi", "delta_phi_ideal", lambda x, m: Params(g=1.0, beta=x, phi=0.4, m=m)),
-            ("qcrb", "qcrb", lambda x, m: Params(g=1.0, beta=x, phi=0.4, m=m)),
-        ),
-    )
-    figs["fig8b"] = _FigureDef(
-        axis="g",
-        grid=(0.1, 2.0, 39),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("delta_phi", "delta_phi_ideal", lambda x, m: Params(g=x, beta=1.0, phi=0.4, m=m)),
-            ("qcrb", "qcrb", lambda x, m: Params(g=x, beta=1.0, phi=0.4, m=m)),
-        ),
-    )
-    figs["fig10"] = _FigureDef(
-        axis="T",
-        grid=(0.4, 1.0, 61),
-        m_list=(0, 1, 2, 3),
-        columns=(("qfi_lossy", "qfi_lossy", lambda x, m: Params(eta=x, m=m, **_BASE)),),
-    )
-    figs["fig11a"] = _FigureDef(
-        axis="beta",
-        grid=(0.0, 3.0, 61),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("qfi_ideal", "qfi_ideal", lambda x, m: Params(g=1.0, beta=x, phi=0.4, m=m)),
-            ("qfi_lossy_T0.7", "qfi_lossy", lambda x, m: Params(g=1.0, beta=x, phi=0.4, eta=0.7, m=m)),
-        ),
-    )
-    figs["fig11b"] = _FigureDef(
-        axis="g",
-        grid=(0.0, 2.0, 41),
-        m_list=(0, 1, 2, 3),
-        columns=(
-            ("qfi_ideal", "qfi_ideal", lambda x, m: Params(g=x, beta=1.0, phi=0.4, m=m)),
-            ("qfi_lossy_T0.7", "qfi_lossy", lambda x, m: Params(g=x, beta=1.0, phi=0.4, eta=0.7, m=m)),
-        ),
-    )
-    figs["fig12"] = _FigureDef(
-        axis="T",
-        grid=(0.4, 1.0, 61),
-        m_list=(0, 1, 2, 3),
-        columns=(("n_t", "n_t", lambda x, m: Params(T1=x, T2=1.0, m=m, **_BASE)),),
-    )
-    for m_fixed, fid in ((0, "fig13a"), (1, "fig13b"), (2, "fig13c"), (3, "fig13d")):
-        figs[fid] = _FigureDef(
-            axis="T",
-            grid=(0.4, 1.0, 61),
-            m_list=(m_fixed,),
-            columns=(
-                ("delta_phi_lossy", "delta_phi_lossy", lambda x, m: Params(T1=x, T2=1.0, m=m, **_BASE)),
-                ("sql", "sql", lambda x, m: Params(T1=x, T2=1.0, m=m, **_BASE)),
-                ("hl", "hl", lambda x, m: Params(T1=x, T2=1.0, m=m, **_BASE)),
-                ("qcrb", "qcrb", lambda x, m: Params(eta=x, m=m, **_BASE)),
-            ),
-        )
-    return figs
-
-
-FIGURES = _figures()
+FIGURES: Dict[str, _FigureDef] = {
+    "fig2": _FigureDef("phi", (0.05, 3.10, 32), _M, (
+        _col("delta_phi_a", "delta_phi_ideal", "phi"),
+        _col("delta_phi_b_oracle", "oracle_delta_phi_b", "phi"),
+    ), builder=_build_fig2),
+    "fig3a": _FigureDef("beta", _BETA_GRID, _M, (_col("delta_phi", "delta_phi_ideal", "beta"),)),
+    "fig3b": _FigureDef("g", _G_GRID, _M, (_col("delta_phi", "delta_phi_ideal", "g"),)),
+    "fig5": _FigureDef("T", (0.3, 1.0, 71), _M, (
+        _col("delta_phi_internal", "delta_phi_lossy", "T1"),
+        _col("delta_phi_external", "delta_phi_lossy", "T2"),
+    )),
+    "fig7a": _FigureDef("beta", _BETA_GRID, _M, (_col("qfi", "qfi_ideal", "beta"),)),
+    "fig7b": _FigureDef("g", _G_GRID, _M, (_col("qfi", "qfi_ideal", "g"),)),
+    "fig8a": _FigureDef("beta", (0.2, 3.0, 57), _M, (
+        _col("delta_phi", "delta_phi_ideal", "beta"),
+        _col("qcrb", "qcrb", "beta"),
+    )),
+    "fig8b": _FigureDef("g", (0.1, 2.0, 39), _M, (
+        _col("delta_phi", "delta_phi_ideal", "g"),
+        _col("qcrb", "qcrb", "g"),
+    )),
+    "fig10": _FigureDef("T", _T_GRID, _M, (_col("qfi_lossy", "qfi_lossy", "eta"),)),
+    "fig11a": _FigureDef("beta", _BETA_GRID, _M, (
+        _col("qfi_ideal", "qfi_ideal", "beta"),
+        _col("qfi_lossy_T0.7", "qfi_lossy", "beta", eta=0.7),
+    )),
+    "fig11b": _FigureDef("g", _G_GRID, _M, (
+        _col("qfi_ideal", "qfi_ideal", "g"),
+        _col("qfi_lossy_T0.7", "qfi_lossy", "g", eta=0.7),
+    )),
+    "fig12": _FigureDef("T", _T_GRID, _M, (_col("n_t", "n_t", "T1"),)),
+}
+# fig13a..d: one curve family at each single m
+_FIG13_COLUMNS = (
+    _col("delta_phi_lossy", "delta_phi_lossy", "T1"),
+    _col("sql", "sql", "T1"),
+    _col("hl", "hl", "T1"),
+    _col("qcrb", "qcrb", "eta"),
+)
+FIGURES.update(
+    (f"fig13{c}", _FigureDef("T", _T_GRID, (m,), _FIG13_COLUMNS)) for m, c in zip(_M, "abcd")
+)
 
 
 def run_figure(job: FigureJob) -> Table:
@@ -385,21 +333,4 @@ def run_figure(job: FigureJob) -> Table:
     fig = FIGURES[job.figure_id]
     if fig.builder is not None:
         return fig.builder(fig)
-    lo, hi, n = fig.grid
-    xs = _lin(lo, hi, n)
-    tasks = []
-    for m in fig.m_list:
-        for x in xs:
-            for _, quantity, to_params in fig.columns:
-                tasks.append((quantity, to_params(x, m)))
-    results = evaluate_grid(tasks)
-    rows = []
-    it = iter(results)
-    for m in fig.m_list:
-        for x in xs:
-            row = [format_float(x), str(m)]
-            for _ in fig.columns:
-                value, code = next(it)
-                row.extend([value, code])
-            rows.append(row)
-    return _figure_header(fig), rows
+    return _table(_lin(*fig.grid), fig.m_list, fig.columns, _figure_header(fig))

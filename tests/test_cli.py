@@ -220,9 +220,7 @@ class TestFigures:
         labels = [c[0] for c in fig.columns]
         assert "delta_phi_b_oracle" in labels
 
-    @pytest.mark.parametrize(
-        "figure_id", ["fig2", "fig5", "fig7a", "fig7b", "fig11a", "fig11b", "fig13b"]
-    )
+    @pytest.mark.parametrize("figure_id", list(FIGURES))
     def test_matches_reference_table(self, figure_id):
         # the benchmark's rule: values to rel 1e-9, oracle columns (converged
         # to 1e-8 by the cutoff ladder) to rel 1e-7, error codes exact

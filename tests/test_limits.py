@@ -1,6 +1,7 @@
 """Tests for the internal photon number and SQL/HL benchmarks."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ class TestInternalPhotonNumber:
 
 
 class TestLimits:
+    def test_submodule_is_not_hidden_by_the_function(self):
+        # no package-level name may shadow the submodule
+        import su11.limits
+
+        assert isinstance(su11.limits, types.ModuleType)
+        assert su11.limits.limits is limits
+
     def test_unit_photon_number(self):
         # 2 sinh^2 g = 1 calibrates N_T to exactly one photon
         g = math.asinh(math.sqrt(0.5))
