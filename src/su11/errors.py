@@ -1,8 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise them.
 
 Numerical singularities are reported as typed errors, never as NaNs; the
 sweep runner turns them into named error codes in the CSV output.
+
+Each numerical rule is one check here, next to its tolerance: the dark
+fringe (:func:`normalizer`, which raises the caller's type), stationarity,
+and the NumericalError checks for an imaginary part, overflow, positivity
+and roundoff.
 """
+
+import math
+import sys
+from typing import Type
+
+import numpy as np
 
 
 class Su11Error(Exception):
@@ -35,3 +46,68 @@ class ConvergenceError(Su11Error):
 
 class NumericalError(Su11Error, ArithmeticError):
     """Roundoff or float overflow left a result non-finite or inconsistent."""
+
+
+# a normalizer extraction below this magnitude is treated as exactly zero
+DARK_FRINGE_FLOOR = 1e-300
+# relative imaginary residue tolerated on a quantity that must be real
+IMAG_TOL = 1e-10
+# estimated relative roundoff above which a calculator result is a NumericalError
+ROUNDOFF_REL_TOL = 1e-9
+# |d<N>/dphi| below this fraction of <N> is stationary, in closed form and oracle
+STATIONARY_REL_TOL = 1e-12
+
+
+def normalizer(z: complex, error: Type[Su11Error], message: str) -> complex:
+    """``z`` itself; a normalizer under DARK_FRINGE_FLOOR raises ``error(message)``."""
+    if abs(z) < DARK_FRINGE_FLOOR:
+        raise error(message)
+    return z
+
+
+def stationary(dmean: float, mean: float, where: str) -> float:
+    """``dmean`` itself; a d<N>/dphi of 0 or under STATIONARY_REL_TOL |<N>| is stationary."""
+    if dmean == 0.0 or abs(dmean) < STATIONARY_REL_TOL * abs(mean):
+        raise StationaryPointError(f"{where}: d<N>/dphi = {dmean:.3e} is stationary "
+                                   f"relative to <N> = {mean:.3e}")
+    return dmean
+
+
+def real_part(z: complex, what: str, scale: float = 1.0) -> float:
+    """Real part of ``z``, which must be real up to roundoff relative to ``scale``."""
+    if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real), scale):
+        raise NumericalError(f"{what} should be real, got {z!r}")
+    return z.real
+
+
+def finite(x: float, what: str) -> float:
+    """``x`` itself; a calculator result that overflowed is a NumericalError."""
+    if not math.isfinite(x):
+        raise NumericalError(f"{what} is {x} (float overflow)")
+    return x
+
+
+def positive(x: float, what: str) -> float:
+    """``x`` itself; a result that is not finite and > 0 is a NumericalError."""
+    if not 0.0 < x < math.inf:
+        raise NumericalError(f"{what} must be positive and finite, got {x}")
+    return x
+
+
+def roundoff(x: float, scale: float, what: str) -> float:
+    """``x`` itself; a sum ``x`` of terms of total magnitude ``scale`` is roundoff
+    when its estimated relative error 4 eps scale / x exceeds ROUNDOFF_REL_TOL."""
+    rel = 4.0 * sys.float_info.epsilon * scale / x
+    if rel > ROUNDOFF_REL_TOL:
+        raise NumericalError(f"{what} {x} is roundoff (estimated relative error {rel:.1e})")
+    return x
+
+
+def quiet_overflow(fn):
+    """``fn`` with numpy's overflow warnings off.
+
+    Overflow leaves inf or nan in the extractions, which :func:`finite` turns
+    into a NumericalError at the calculator's result; a warning would add
+    nothing.
+    """
+    return np.errstate(over="ignore", invalid="ignore")(fn)

@@ -60,14 +60,8 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from su11.errors import (
-    ConvergenceError,
-    LeakageError,
-    StationaryPointError,
-    ZeroProbabilityError,
-)
+from su11.errors import ConvergenceError, LeakageError, ZeroProbabilityError, stationary
 from su11.model import Params
-from su11.series import STATIONARY_REL_TOL
 
 DEFAULT_N_CUT = 30
 LADDER_STEP = 5
@@ -453,12 +447,15 @@ def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
     scale = np.prod(np.sqrt(np.arange(rows, dtype=float)[:, None] + np.arange(1, m + 1)), axis=1)
     out = np.zeros_like(ens.data)
     np.multiply(scale[:, None], ens.data[..., m:, :], out=out[..., :rows, :])
-    prob = Ensemble(out).trace()
-    # "zero probability" is judged relative to the incoming trace
-    if prob < ZERO_NORM_FLOOR * max(ens.trace(), 1e-300):
-        raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
-    out /= math.sqrt(prob)
+    out /= math.sqrt(_subtraction_probability(Ensemble(out).trace(), ens.trace(), m))
     return Ensemble(out)
+
+
+def _subtraction_probability(prob: float, total: float, m: int) -> float:
+    """``prob`` itself; under ZERO_NORM_FLOOR relative to the incoming ``total`` it is zero."""
+    if prob < ZERO_NORM_FLOOR * max(total, 1e-300):
+        raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
+    return prob
 
 
 def _check_mode(mode: str) -> None:
@@ -492,10 +489,7 @@ def subtracted_moments(
     else:
         k = n
         marg, dmarg = weight @ table, weight @ dtable
-    prob = float(marg.sum())
-    # judged relative to the trace, as in subtract_photons
-    if prob < ZERO_NORM_FLOOR * max(float(table.sum()), 1e-300):
-        raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
+    prob = _subtraction_probability(float(marg.sum()), float(table.sum()), m)
     mean = float(k @ marg) / prob
     second = float((k * k) @ marg) / prob
     dmean = (float(k @ dmarg) - mean * float(dmarg.sum())) / prob
@@ -613,10 +607,7 @@ def numeric_moments_multi(
         for m in m_list:
             _, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
             var = second - mean * mean
-            if abs(dmean) < STATIONARY_REL_TOL * abs(mean) or dmean == 0.0:
-                raise StationaryPointError(
-                    f"oracle: d<N>/dphi vanishes at phi={p.phi}, m={m}"
-                )
+            stationary(dmean, mean, f"oracle at phi={p.phi}, m={m}")
             rows.append((math.sqrt(max(var, 0.0)) / abs(dmean), mean, second))
         return np.asarray(rows).ravel()
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from su11.errors import NumericalError
+from su11.errors import finite, positive
 from su11.model import Params, kernels
-from su11.series import finite
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,5 @@ def internal_photon_number(p: Params) -> float:
 
 def limits(p: Params) -> LimitsReport:
     """SQL = N_T^(-1/2) and HL = N_T^(-1)."""
-    n_t = internal_photon_number(p)
-    if n_t <= 0.0:
-        raise NumericalError(f"internal photon number must be positive, got {n_t}")
+    n_t = positive(internal_photon_number(p), "internal photon number")
     return LimitsReport(n_t=n_t, sql=n_t**-0.5, hl=1.0 / n_t)

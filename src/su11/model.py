@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple
 
-from su11.errors import DarkFringeError, NumericalError
-from su11.series import CDual, MultiSeries, finite, normalizer
+from su11.errors import DarkFringeError, NumericalError, finite, normalizer
+from su11.series import CDual, MultiSeries
 
 # the largest order the extractions are held to mpmath references at
 MAX_SUBTRACTIONS = 15

@@ -24,15 +24,13 @@ C3 checks it against the alpha scan.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Type
 
-from su11.errors import (DarkFringeError, NormalizationError, NumericalError,
-                         StationaryPointError, Su11Error)
+from su11.errors import (DarkFringeError, NormalizationError, StationaryPointError, Su11Error,
+                         normalizer, positive, quiet_overflow, real_part, roundoff)
 from su11.model import Params, kernels
-from su11.series import (ROUNDOFF_REL_TOL, finite, normalizer, product_coefficient,
-                         quiet_overflow, real_part)
+from su11.series import product_coefficient
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,11 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     }
 
 
+def _var_abs(n_mean: float, var: float) -> float:
+    """The magnitude of the terms summed into Var(n) by `_loss_inner_products`."""
+    return abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
+
+
 def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
     """C_Q at a given Kraus placement, from precomputed inner products.
 
@@ -114,7 +117,8 @@ def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
     a result that overflowed is a NumericalError.  C_Q bounds a QFI from
     above, yet on a dark fringe its terms cancel to roundoff, so a result
     that is not positive, or whose estimated roundoff exceeds
-    ROUNDOFF_REL_TOL (the rule of :func:`_minimum`), is a NumericalError too.
+    ROUNDOFF_REL_TOL (`su11.errors.roundoff`, as in :func:`_minimum`), is a
+    NumericalError too.
     """
     a1 = 1.0 + alpha
     u = 1.0 - a1 * (1.0 - eta)
@@ -130,18 +134,12 @@ def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
         + real_part(cross, "H2 cross term", abs(cross) + 1.0)
         - z * z
     )
-    finite(cq, "C_Q")
-    if not cq > 0.0:
-        raise NumericalError(f"C_Q must be positive, got {cq}")
-    # the magnitudes of the terms summed into C_Q, into Var(n) and into z, against C_Q
-    var_abs = abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
+    positive(cq, "C_Q")
+    # the magnitudes of the terms summed into C_Q, into Var(n) and into z
     z_abs = abs(d["t_bra"]) + abs(u * n_mean)
-    scale = (abs(tt) + u * u * (var_abs + n_mean * n_mean) + abs(loss) + abs(cross)
-             + z_abs * z_abs)
-    roundoff = 4.0 * sys.float_info.epsilon * scale / cq
-    if roundoff > ROUNDOFF_REL_TOL:
-        raise NumericalError(f"C_Q {cq} is roundoff (estimated relative error {roundoff:.1e})")
-    return cq
+    scale = (abs(tt) + u * u * (_var_abs(n_mean, var) + n_mean * n_mean) + abs(loss)
+             + abs(cross) + z_abs * z_abs)
+    return roundoff(cq, scale, "C_Q")
 
 
 def cq_alpha(p: Params, alpha: float) -> float:
@@ -171,16 +169,13 @@ def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) 
     if denom <= 0.0:
         raise degenerate(f"degenerate minimization denominator {denom} (no photons in mode a?)")
     f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
-    if not 0.0 < f < math.inf:
-        raise NumericalError(f"QFI must be positive and finite, got {f}")
-    # the magnitudes of the terms summed into F and into Var(n), against F
+    positive(f, "QFI")
+    # the magnitudes of the terms summed into F and into Var(n)
     s_abs = abs(w_im) + abs(n_mean * y_im)
-    var_abs = abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
     scale = abs(tt) + abs(d["t_bra"]) ** 2 + (
-        eta * abs(n_mean) * (var_abs + 2.0 * s_abs) + (1.0 - eta) * s_abs * s_abs) / denom
-    roundoff = 4.0 * sys.float_info.epsilon * scale / f
-    if roundoff > ROUNDOFF_REL_TOL:
-        raise NumericalError(f"QFI {f} is roundoff (estimated relative error {roundoff:.1e})")
+        eta * abs(n_mean) * (_var_abs(n_mean, var) + 2.0 * s_abs)
+        + (1.0 - eta) * s_abs * s_abs) / denom
+    roundoff(f, scale, "QFI")
     alpha_star = (var - s) / denom - 1.0
     return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=d)
 

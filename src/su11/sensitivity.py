@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from su11.errors import NumericalError, StationaryPointError, Su11Error
+from su11.errors import NumericalError, Su11Error, finite, stationary
 from su11.model import Params, kernels
-from su11.series import STATIONARY_REL_TOL, finite
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,7 @@ def _error_propagation(p: Params) -> SensitivityReport:
     dmean = finite(c1 * du, "d<N>/dphi")
     var = spread * u * u + mean
     mean2 = finite(var + mean * mean, "<N^2>")
-    if dmean == 0.0 or abs(dmean) < STATIONARY_REL_TOL * abs(mean):
-        raise StationaryPointError(
-            f"d<N>/dphi = {dmean:.3e} is stationary relative to <N> = {mean:.3e}"
-        )
+    stationary(dmean, mean, "closed form")
     return SensitivityReport(
         delta_phi=math.sqrt(var) / abs(dmean),
         mean_n=mean,

@@ -29,36 +29,19 @@ the tests' series-engine reference of d<N>/dphi (``tests/references.py``).
 
 Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
 dummy variables), so dense storage wins over sparse maps.
-
-The calculators read physical quantities off their values with the checks
-at the end of this module.  :func:`normalizer` is the one dark-fringe test:
-a normalizer under DARK_FRINGE_FLOOR raises the caller's error type.  The
-others turn every numerical inconsistency (a spurious imaginary part, float
-overflow) into a typed NumericalError.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple, Type, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
-
-from su11.errors import NumericalError, Su11Error
 
 # Extraction scales a coefficient by orders_i! in double precision; the QFI
 # reads at most m! = 15!, and the guard stops callers far beyond it.  The
 # exponential itself uses no factorials: its recurrence divides by row indices.
 MAX_FACTORIAL_ORDER = 34
-
-# a normalizer extraction below this magnitude is treated as exactly zero
-DARK_FRINGE_FLOOR = 1e-300
-# relative imaginary residue tolerated on a quantity that must be real
-IMAG_TOL = 1e-10
-# estimated relative roundoff above which a calculator result is a NumericalError
-ROUNDOFF_REL_TOL = 1e-9
-# |d<N>/dphi| below this fraction of <N> is stationary, in closed form and oracle
-STATIONARY_REL_TOL = 1e-12
 
 Scalar = Union["CDual", complex, float, int]
 
@@ -341,36 +324,3 @@ def _exp_box(p: np.ndarray) -> np.ndarray:
         e[i] = acc / i
     return e
 
-
-# -- checks on extracted values ----------------------------------------------
-
-
-def normalizer(z: complex, error: Type[Su11Error], message: str) -> complex:
-    """``z`` itself; a normalizer under DARK_FRINGE_FLOOR raises ``error(message)``."""
-    if abs(z) < DARK_FRINGE_FLOOR:
-        raise error(message)
-    return z
-
-
-def real_part(z: complex, what: str, scale: float = 1.0) -> float:
-    """Real part of ``z``, which must be real up to roundoff relative to ``scale``."""
-    if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real), scale):
-        raise NumericalError(f"{what} should be real, got {z!r}")
-    return z.real
-
-
-def finite(x: float, what: str) -> float:
-    """``x`` itself; a calculator result that overflowed is a NumericalError."""
-    if not math.isfinite(x):
-        raise NumericalError(f"{what} is {x} (float overflow)")
-    return x
-
-
-def quiet_overflow(fn):
-    """``fn`` with numpy's overflow warnings off.
-
-    Overflow leaves inf or nan in the extractions, which :func:`finite` turns
-    into a NumericalError at the calculator's result; a warning would add
-    nothing.
-    """
-    return np.errstate(over="ignore", invalid="ignore")(fn)

@@ -11,9 +11,9 @@ pool and no parallelism setting.
 The figure table `FIGURES` is data: each job has an axis label, a grid
 ``(lo, hi, n)``, its m values and its columns.  A column (`_col`) is a
 label, a quantity, the `Params` field that the axis value sets, and
-overrides of `_BASE` (g = beta = 1, phi = 0.4).  A sweep is the one-column
-case.  Only fig2 has its own builder, which shares one Fock-oracle cutoff
-ladder across m.
+overrides of the `Params` defaults, the paper's working point (g = beta = 1,
+phi = 0.4).  A sweep is the one-column case.  Only fig2 has its own builder,
+which shares one Fock-oracle cutoff ladder across m.
 
 CSV output is deterministic: stable row ordering, 17-significant-digit
 floats, and failed grid points carry an empty value cell plus a named error
@@ -230,13 +230,9 @@ def _lin(lo: float, hi: float, n: int) -> List[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-_BASE = dict(g=1.0, beta=1.0, phi=0.4)
-
-
 def _col(label: str, quantity: str, param: str, **overrides) -> Column:
-    """A figure column: `Params` at `_BASE` with `overrides`, the axis value on `param`."""
-    fixed = {k: v for k, v in dict(_BASE, **overrides).items() if k != param}
-    return label, quantity, lambda x, m: Params(m=m, **{param: x}, **fixed)
+    """A figure column: `Params` with `overrides`, the axis value on `param`."""
+    return label, quantity, lambda x, m: Params(m=m, **{param: x}, **overrides)
 
 
 def _figure_header(fig: _FigureDef) -> List[str]:

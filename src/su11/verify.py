@@ -204,23 +204,20 @@ def criterion_4_reductions() -> CriterionResult:
 def c5_monotonicity_problems() -> List[str]:
     """m-monotonicity orderings at g=1, beta=1, phi=0.4."""
     problems = []
-    deltas = [sensitivity_ideal(Params(m=m, **_BASE)).delta_phi for m in range(4)]
+    deltas = [sensitivity_ideal(Params(m=m)).delta_phi for m in range(4)]
     if not _strictly_decreasing(deltas):
         problems.append("delta_phi not strictly decreasing in m")
-    deltas_09 = [
-        sensitivity_lossy(Params(T1=0.9, T2=1.0, m=m, **_BASE)).delta_phi
-        for m in range(4)
-    ]
+    deltas_09 = [sensitivity_lossy(Params(T1=0.9, T2=1.0, m=m)).delta_phi for m in range(4)]
     if not _strictly_decreasing(deltas_09):
         problems.append("delta_phi not strictly decreasing in m at T=0.9")
-    fs = [qfi_ideal(Params(m=m, **_BASE)).f for m in range(4)]
+    fs = [qfi_ideal(Params(m=m)).f for m in range(4)]
     if not _strictly_increasing(fs):
         problems.append("ideal QFI not strictly increasing in m")
-    fl = [qfi_lossy(Params(m=m, eta=0.7, **_BASE)).f for m in range(4)]
+    fl = [qfi_lossy(Params(m=m, eta=0.7)).f for m in range(4)]
     if not _strictly_increasing(fl):
         problems.append("lossy QFI not strictly increasing in m")
     for t in (0.4, 0.7, 1.0):
-        nts = [internal_photon_number(Params(T1=t, T2=1.0, m=m, **_BASE)) for m in range(4)]
+        nts = [internal_photon_number(Params(T1=t, T2=1.0, m=m)) for m in range(4)]
         if not _strictly_increasing(nts):
             problems.append(f"N_T not strictly increasing in m at T={t}")
     return problems
@@ -236,8 +233,8 @@ def c5_loss_placement_problems() -> List[str]:
     problems = []
     for m in range(4):
         for t in np.linspace(0.4, 0.95, 12):
-            internal = sensitivity_lossy(Params(T1=float(t), T2=1.0, m=m, **_BASE)).delta_phi
-            external = sensitivity_lossy(Params(T1=1.0, T2=float(t), m=m, **_BASE)).delta_phi
+            internal = sensitivity_lossy(Params(T1=float(t), T2=1.0, m=m)).delta_phi
+            external = sensitivity_lossy(Params(T1=1.0, T2=float(t), m=m)).delta_phi
             if not internal > external:
                 problems.append(
                     f"m={m}, T={t:.2f}: internal {internal:.7f} <= external {external:.7f}"
@@ -274,7 +271,7 @@ def criterion_6_sql_beating() -> CriterionResult:
     t = 0.6
     smallest = None
     for m in (1, 2, 3):
-        p = Params(T1=t, T2=1.0, m=m, **_BASE)
+        p = Params(T1=t, T2=1.0, m=m)
         if sensitivity_lossy(p).delta_phi < limits(p).sql:
             smallest = m
             break
@@ -359,9 +356,6 @@ def criterion_9_numerical_hygiene() -> CriterionResult:
         worst < 1e-6,
         f"{n_random} random points, worst rel err {worst:.2e}",
     )
-
-
-_BASE = dict(g=1.0, beta=1.0, phi=0.4)
 
 
 def _strictly_increasing(xs) -> bool:

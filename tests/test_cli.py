@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,17 @@ class TestMain:
         assert main(["sweep", str(cfg), "-o", str(tmp_path)]) == 0
         text = (tmp_path / "delta-vs-T.csv").read_text()
         assert text.count("\n") == 1 + 4 * 2  # header + rows
+
+    def test_readme_sweep_configs_run(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        configs = [b for b in re.findall(r"```\w*\n(.*?)```", readme, re.S) if b.startswith("[")]
+        assert configs, "README shows no sweep config"
+        for i, text in enumerate(configs):
+            cfg, out = tmp_path / f"readme{i}.cfg", tmp_path / f"out{i}"
+            cfg.write_text(text)
+            assert main(["sweep", str(cfg), "-o", str(out)]) == 0
+            sections = re.findall(r"^\[(.+)\]$", text, re.M)
+            assert sorted(p.name for p in out.iterdir()) == sorted(f"{s}.csv" for s in sections)
 
     def test_oracle_sweep_reaches_complete_internal_loss(self, tmp_path):
         from su11.limits import limits

@@ -3,6 +3,8 @@
 ``src/su11`` runs on numpy alone: the test-only packages (scipy, mpmath,
 hypothesis, pytest, pytest-benchmark) and the test helpers stay out of it, so
 an installed su11 never needs them and no cross-check leaks into production.
+The power-series engine `su11.series` serves the QFI alone: only `model` and
+`qfi` import it, so replacing it touches no other module.
 """
 
 import ast
@@ -15,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "su11").glob("*.py"))
 # top-level names; the test helpers import as ``references`` from tests/
 FORBIDDEN = {"scipy", "mpmath", "hypothesis", "pytest", "pytest_benchmark", "tests", "references"}
+SERIES_IMPORTERS = {"model.py", "qfi.py"}
 
 
 def imported_modules(tree: ast.AST):
@@ -26,6 +29,20 @@ def imported_modules(tree: ast.AST):
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             yield node.lineno, node.module.split(".")[0]
 
+
+def imports_series(tree: ast.AST) -> bool:
+    """Whether ``tree`` imports `su11.series` in any form, absolute or package-relative."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("su11." if node.level else "") + (node.module or "")
+            names = [base.rstrip(".")] + [f"{base.rstrip('.')}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "su11.series" or n.startswith("su11.series.") for n in names):
+            return True
+    return False
 
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"model.py", "sensitivity.py", "qfi.py", "limits.py"}
@@ -49,3 +66,21 @@ def test_test_only_packages_are_no_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = {re.split(r"[\s<>=!~;\[]", dep)[0].replace("-", "_") for dep in project["dependencies"]}
     assert not names & FORBIDDEN
+
+
+def test_only_model_and_qfi_import_the_series_engine():
+    importers = {p.name for p in SOURCES if imports_series(ast.parse(p.read_text()))}
+    assert importers == SERIES_IMPORTERS
+
+
+@pytest.mark.parametrize("source", [
+    "import su11.series", "from su11 import series", "from su11.series import CDual",
+    "from .series import CDual", "from . import series", "def f():\n    import su11.series",
+])
+def test_the_fan_in_rule_sees_every_import_form(source):
+    assert imports_series(ast.parse(source))
+
+
+def test_the_fan_in_rule_ignores_other_modules():
+    assert not imports_series(ast.parse("import su11\nfrom su11.errors import finite\n"
+                                        "from su11.model import Params\nimport series"))
