@@ -58,11 +58,11 @@ ROUNDOFF_REL_TOL = 1e-9
 STATIONARY_REL_TOL = 1e-12
 
 
-def normalizer(z: complex, error: Type[Su11Error], message: str) -> complex:
-    """``z`` itself; a normalizer under DARK_FRINGE_FLOOR raises ``error(message)``."""
-    if abs(z) < DARK_FRINGE_FLOOR:
+def normalizer(log_z: float, error: Type[Su11Error], message: str) -> float:
+    """``log_z`` itself; the log of a normalizer under DARK_FRINGE_FLOOR raises ``error(message)``."""
+    if log_z < math.log(DARK_FRINGE_FLOOR):
         raise error(message)
-    return z
+    return log_z
 
 
 def stationary(dmean: float, mean: float, where: str) -> float:

@@ -18,8 +18,13 @@ So the output moments (S = (1/2) sinh 2g sqrt(T2), T = T1) and the internal
 photon number (S = (1/2) sinh 2g, T = T1) are Laguerre values times powers
 of u, and phi enters only through u and its explicit derivative u'
 (:meth:`KernelSet.thermal`).  The QFI mixes derivative insertions over the
-kernel X1 (T = eta); it still extracts at (m, m) from `su11.series` series
-with the caps (m + 2, m + 2) of :attr:`KernelSet.caps`.
+kernel X1 (T = eta).  Over the scaled variables T = X1 t, S = X1* s its
+norm generating function exp(B(X1)) = exp(TS + beta (T + S)) is free of X1,
+so each extraction is a sum of explicit ratios of positive sums in beta
+(:meth:`KernelSet.probe_norm`) against the coefficients of `su11.series`
+polynomials in the (2, 2) box of :attr:`KernelSet.caps`
+(:meth:`KernelSet.x_polys`), and X1 enters only through the normalizer's
+|X1|^2m and the derivative weight kappa.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from su11.errors import DarkFringeError, NumericalError, finite, normalizer
 from su11.series import CDual, MultiSeries
@@ -84,21 +91,25 @@ class Params:
 
 
 class KernelSet:
-    """Thermal numbers, Laguerre values and the QFI series of one configuration.
+    """Thermal numbers, Laguerre values and the QFI sums of one configuration.
 
     :meth:`thermal` gives the thermal number u = |w|^2 and its d/dphi for the
     one-kernel quantities; :meth:`laguerre` and :meth:`subtraction` turn u into
     their subtraction factors.  ``sh2`` = sinh^2 g and ``ch2`` = cosh^2 g.  A
     gain whose sinh(2g) overflows raises NumericalError here.
 
-    :meth:`exponent_x5` and :meth:`x_polys` build the series of the extended
-    system's loss-equivalent probe over its kernel :attr:`X1`, which at
-    eta = 1 is the lossless probe, so they serve the ideal QFI as well.
+    :meth:`probe_norm` and :meth:`x_polys` give the extended system's
+    loss-equivalent probe over its kernel :attr:`X1`, which at eta = 1 is the
+    lossless probe, so they serve the ideal QFI as well.  The QFI reads X1
+    through :attr:`_fringe` alone; :attr:`X1` itself, with its d/dphi
+    channel, is the kernel the tests check that form against.
     """
+
+    # every X-family product has degree at most 2 in each scaled variable
+    caps = (2, 2)
 
     def __init__(self, p: Params):
         self.p = p
-        self.caps = (p.m + 2, p.m + 2)
         try:
             sh2g = finite(math.sinh(2.0 * p.g), "sinh(2g)")
         except OverflowError:
@@ -140,51 +151,93 @@ class KernelSet:
     def subtraction(self, u: float) -> Tuple[float, float, float]:
         """(N1, c1 - 1, D_m / L_m^2) at thermal number u, with N1 = (m! u^m L_m)^(-1/2).
 
-        A weight m! u^m L_m under DARK_FRINGE_FLOOR is a DarkFringeError, and one
-        that overflows a NumericalError.
+        The weight m! u^m L_m is tested in logs, so it never over- or
+        underflows: one under DARK_FRINGE_FLOOR is a DarkFringeError, and N1 is
+        finite at every other point (0 once the weight passes about 1e617).
         """
         m = self.p.m
         l_m, y, spread = self.laguerre()
-        weight = math.factorial(m) * l_m
-        # one factor of u at a time: the partial products move monotonically
-        # toward the weight, so none over- or underflows before it does
-        for _ in range(m):
-            weight *= u
-        normalizer(weight, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
-        return finite(weight, "subtraction normalizer") ** -0.5, y, spread
+        log_weight = math.log(math.factorial(m) * l_m) + _log_power(u, m)
+        normalizer(log_weight, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
+        return math.exp(-0.5 * log_weight), y, spread
 
-    def _bilinear(self, w: CDual) -> MultiSeries:
-        """B(w) = st |w|^2 + (t w + s w*) beta, with a constant term of exactly 0."""
-        b = self.p.beta
-        return MultiSeries.from_terms(
-            self.caps, [((1, 0), w * b), ((0, 1), w.conj() * b), ((1, 1), w.abs2())]
-        )
+    # -- extended-system probe at transmissivity eta ---------------------------
 
-    # -- extended-system series at transmissivity eta ------------------------
+    def probe_norm(self) -> Tuple[float, np.ndarray]:
+        """(log G, r): the probe's norm generating function exp(B(X1)) at (m, m).
 
-    def exponent_x5(self) -> MultiSeries:
-        """Norm exponent of the loss-equivalent probe."""
-        return self._bilinear(self.X1)
+        Over the scaled variables T = X1 t, S = X1* s, exp(B(X1)) =
+        exp(TS + beta (T + S)), whose T^p S^q coefficient is the positive sum
+        s(p, q) = sum_j beta^(p+q-2j) / (j! (p-j)! (q-j)!).  So the normalizer is
+        G = m!^2 |X1|^2m s(m, m), returned as its log, and a polynomial over
+        (T, S) extracts at (m, m) as G sum_ab q_ab r[a, b], with
+        r[a, b] = s(m - a, m - b) / s(m, m) for a, b <= min(m, 2).
+
+        beta is a dyadic rational num / den, so each s is an integer
+        polynomial in num^2 and den^2 over an integer, and each r[a, b] is
+        the correctly rounded quotient of two integers.  Nothing over- or
+        underflows before that one rounding, and the identities between the
+        ratios, which make the QFI's largest terms cancel next to a fringe,
+        are broken by no more than it.
+        """
+        m = self.p.m
+        try:
+            num, den = self.p.beta.as_integer_ratio()
+        except OverflowError:
+            raise NumericalError(f"beta = {self.p.beta} is not finite") from None
+        x, y = num * num, den * den
+        k = min(m, 2) + 1
+        r = np.empty((k, k))
+        for a, b, coeffs, divisor in _probe_coefficients(m):
+            acc, y_power = 0, 1
+            for c in coeffs:
+                acc = acc * x + c * y_power
+                y_power *= y
+            if a == b == 0:
+                s_mm, d_mm = acc, divisor
+            # beta^(b-a) s(m - a, m - b) / s(m, m) over a common denominator
+            r[a, b] = r[b, a] = (num ** (b - a) * den ** (a + b) * acc * d_mm) / (s_mm * divisor)
+        log_s = math.log(s_mm) - m * math.log(y) - math.log(d_mm)
+        u = (self._half_sh2g * self._half_sh2g) * self._fringe[0]  # |X1|^2
+        return 2.0 * math.lgamma(m + 1) + _log_power(u, m) + log_s, r
+
+    @cached_property
+    def _fringe(self) -> Tuple[float, complex]:
+        """(|D|^2, kappa) with D = X1* / ((1/2) sinh 2g) = 1 - sqrt(eta) e^{i phi}.
+
+        kappa = i (X1* - (1/2) sinh 2g) / X1* = -i sqrt(eta) e^{i phi} / D.  Both
+        are formed from 1 - sqrt(eta) = (1 - eta) / (1 + sqrt(eta)) and
+        1 - cos phi = 2 sin^2(phi / 2), which do not cancel next to a fringe.
+        """
+        root = math.sqrt(self.p.eta)
+        delta = (1.0 - self.p.eta) / (1.0 + root)
+        half = math.sin(0.5 * self.p.phi)
+        vers = 2.0 * half * half
+        dd = delta * delta + 2.0 * root * vers
+        # on a fringe (D = 0) kappa is infinite; only m = 0 gets past the
+        # normalizer there, and its (0, 0) extractions read no term kappa scales
+        kappa = root * complex(math.sin(self.p.phi), vers - delta) / dd if dd else 0j
+        return dd, kappa
 
     def x_polys(self) -> Dict[str, MultiSeries]:
-        """The X2, X3, X4, X6 polynomial factors over (t, s).
+        """The X2, X3, X4, X6 polynomial factors over the scaled variables (T, S) of :meth:`probe_norm`.
 
         X2 tags the phase derivative acting on the ket, X3 on the bra; X4 is
         the direct cross contraction between the two derivative insertions;
-        X6 = Y(X1) = B(X1) + beta^2.
+        X6 = Y(X1) = (beta + T)(beta + S).  Over (t, s) the derivative factors
+        carry X1* - (1/2) sinh 2g and its negated conjugate; each power of
+        X1 they carry cancels against the scaling, which leaves kappa of
+        :attr:`_fringe`: X2 = kappa S (beta + T), X3 = conj(X2 with T, S
+        swapped), X4 = -|kappa|^2 TS.
         """
         b = self.p.beta
-        X1 = self.X1
-        q2 = X1.conj() - self._half_sh2g
-        q3 = -q2.conj()  # (1/2) sinh 2g - X1
-        x2 = MultiSeries.from_terms(
-            self.caps, [((0, 1), q2 * (1j * b)), ((1, 1), q2 * X1 * 1j)]
-        )
-        x3 = MultiSeries.from_terms(
-            self.caps, [((1, 0), q3 * (1j * b)), ((1, 1), q3 * X1.conj() * 1j)]
-        )
-        x4 = MultiSeries.from_terms(self.caps, [((1, 1), q3 * q2)])
-        return {"X2": x2, "X3": x3, "X4": x4, "X6": self._bilinear(X1) + b * b}
+        kappa = self._fringe[1]
+        kbar = kappa.conjugate()
+        x2 = MultiSeries.from_terms(self.caps, [((0, 1), kappa * b), ((1, 1), kappa)])
+        x3 = MultiSeries.from_terms(self.caps, [((1, 0), kbar * b), ((1, 1), kbar)])
+        x4 = MultiSeries.from_terms(self.caps, [((1, 1), -(kappa * kbar).real)])
+        x6 = MultiSeries.from_terms(self.caps, [((0, 0), b * b), ((1, 0), b), ((0, 1), b), ((1, 1), 1.0)])
+        return {"X2": x2, "X3": x3, "X4": x4, "X6": x6}
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +259,28 @@ def _laguerre_coefficients(m: int) -> Tuple[Tuple[float, ...], ...]:
          for a, b in zip(product(m + 2, m), product(m + 1, m + 1))]
     return tuple(tuple(n / math.factorial(j) for j, n in reversed(list(enumerate(c))))
                  for c in (l_m, y, d[:-1]))
+
+
+@lru_cache(maxsize=None)
+def _probe_coefficients(m: int) -> Tuple[Tuple[int, int, Tuple[int, ...], int], ...]:
+    """(a, b, coefficients, divisor) of s(m - a, m - b) for a <= b <= min(m, 2), (0, 0) first.
+
+    With n = m - b and d = b - a, s(m - a, m - b) = beta^d sum_k x^k / ((n - k)! k! (k + d)!)
+    = beta^d sum_k C(n, k) (n + d)! / (k + d)! x^k / (n! (n + d)!): integer
+    coefficients, highest degree first, over the integer divisor n! (n + d)!.
+    """
+    return tuple(
+        (a, b, tuple(math.comb(m - b, k) * math.factorial(m - a) // math.factorial(k + b - a)
+                     for k in range(m - b, -1, -1)),
+         math.factorial(m - b) * math.factorial(m - a))
+        for b in range(min(m, 2) + 1) for a in range(b + 1))
+
+
+def _log_power(u: float, m: int) -> float:
+    """log(u^m), -inf at u = 0 < m and 0 at m = 0."""
+    if m == 0:
+        return 0.0
+    return m * math.log(u) if u > 0.0 else -math.inf
 
 
 def _positive_sum(coeffs: Sequence[float], x: float) -> float:

@@ -3,16 +3,19 @@
 Photon loss inside mode a makes the evolution non-unitary; the problem is
 purified into system + environment, where the loss channel's Kraus
 operators carry a free placement parameter alpha.  Every inner product of
-the purified state is an extraction over the loss-equivalent probe's norm
-generating function exp(X5) and the X-family polynomials, with the
-normalization derivative dropped (it cancels identically).  Minimizing the
-purified-state bound C_Q over alpha tightens it to F_L, which `qfi_lossy`
-returns in closed form.  At eta = 1 the environment decouples and F_L is the
-QFI of the lossless interferometer with m-photon output subtraction, so
-`qfi_ideal` is the same closed form at eta = 1.  The raw C_Q(alpha) stays
-public (`cq_alpha`): the numeric alpha scan in `su11.verify` (criterion C3)
-minimizes it as the independent check on the closed form, and the Fock
-oracle (C2) checks the ideal QFI.
+the purified state is an (m, m) extraction of an X-family polynomial times
+the loss-equivalent probe's norm generating function exp(B(X1)), with the
+normalization derivative dropped (it cancels identically).  Over the scaled
+variables of `su11.model.KernelSet.probe_norm` each extraction weighs the
+polynomial's coefficients with up to nine explicit ratios of positive sums
+in beta, so nothing is exponentiated and no power |X1|^2m is formed.
+Minimizing the purified-state bound C_Q over alpha tightens it to F_L,
+which `qfi_lossy` returns in closed form.  At eta = 1 the environment
+decouples and F_L is the QFI of the lossless interferometer with m-photon
+output subtraction, so `qfi_ideal` is the same closed form at eta = 1.  The
+raw C_Q(alpha) stays public (`cq_alpha`): the numeric alpha scan in
+`su11.verify` (criterion C3) minimizes it as the independent check on the
+closed form, and the Fock oracle (C2) checks the ideal QFI.
 
 Note on the closed form: the printed reference expression groups one term
 (i<Psit|n|Psi> - i<Psi|n|Psit>) outside the 4 eta <n> (...) factor; direct
@@ -27,10 +30,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Type
 
-from su11.errors import (DarkFringeError, NormalizationError, StationaryPointError, Su11Error,
-                         normalizer, positive, quiet_overflow, real_part, roundoff)
+from su11.errors import (DarkFringeError, NormalizationError, NumericalError, StationaryPointError,
+                         Su11Error, normalizer, positive, quiet_overflow, real_part, roundoff)
 from su11.model import Params, kernels
-from su11.series import product_coefficient
 
 
 @dataclass(frozen=True)
@@ -66,34 +68,36 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
 
     A vanishing probe normalizer raises ``vanished``.  All quantities are
     (m, m) extractions of an X-family polynomial times the norm generating
-    function, each read as one coefficient sum (`product_coefficient`);
-    those that must be real are returned as floats.  The derivative of the
-    probe's normalization adds only a real multiple of the probe itself to
-    its derivative, which cancels identically in C_Q, so it is omitted here.
+    function, each read as sum_ab q_ab r[a, b] over the polynomial's
+    coefficients q_ab and the ratios r of `KernelSet.probe_norm`, already
+    divided by the normalizer; those that must be real are returned as
+    floats.  The derivative of the probe's normalization adds only a real
+    multiple of the probe itself to its derivative, which cancels
+    identically in C_Q, so it is omitted here.
     """
     ks = kernels(p)
     m = p.m
-    e5 = ks.exponent_x5().exp()
-    xs = ks.x_polys()
+    log_norm, r = ks.probe_norm()
+    normalizer(log_norm, vanished, f"probe normalizer vanished at m={m}")
+    k = len(r)
 
     def ext(q) -> complex:
-        return product_coefficient(q, e5, (m, m))
+        return complex((q.val[:k, :k] * r).sum())
 
-    norm_raw = normalizer(e5.extract((m, m)).val, vanished, f"probe normalizer vanished at m={m}")
-    n3sq = 1.0 / real_part(norm_raw, "probe norm extraction")
+    xs = ks.x_polys()
     sh2 = ks.sh2
     x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
     x6p1 = x6 + 1.0
     x6p2 = x6 + 2.0
     quad = x6 * x6 + x6 * 4.0 + 2.0
 
-    tt = n3sq * ext(x2 * x3 - x4)
-    t_bra = n3sq * ext(x3)  # <Psit|Psi>
-    t_ket = n3sq * ext(x2)  # <Psi|Psit>
-    n_mean = n3sq * sh2 * ext(x6p1)
-    var = n3sq * sh2 * sh2 * ext(quad) + n_mean - n_mean * n_mean
-    n_bra = n3sq * sh2 * ext(x3 * x6p2)  # <Psit|n|Psi>
-    n_ket = n3sq * sh2 * ext(x2 * x6p2)  # <Psi|n|Psit>
+    tt = ext(x2 * x3 - x4)
+    t_bra = ext(x3)  # <Psit|Psi>
+    t_ket = ext(x2)  # <Psi|Psit>
+    n_mean = sh2 * ext(x6p1)
+    var = sh2 * sh2 * ext(quad) + n_mean - n_mean * n_mean
+    n_bra = sh2 * ext(x3 * x6p2)  # <Psit|n|Psi>
+    n_ket = sh2 * ext(x2 * x6p2)  # <Psi|n|Psit>
     return {
         "tt": real_part(tt, "<Psit|Psit>", abs(tt)),
         "t_bra": t_bra,
@@ -167,6 +171,8 @@ def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) 
     denom = (1.0 - eta) * var + eta * n_mean
     first = 4.0 * (tt - abs(d["t_bra"]) ** 2)
     if denom <= 0.0:
+        if var < 0.0:  # Var(n) >= 0: its cancelling terms left roundoff, not an empty mode
+            raise NumericalError(f"Var(n) = {var} is roundoff")
         raise degenerate(f"degenerate minimization denominator {denom} (no photons in mode a?)")
     f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
     positive(f, "QFI")

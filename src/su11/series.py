@@ -1,12 +1,12 @@
 """Truncated multivariate power series over phase-carrying dual scalars.
 
-The QFI (`su11.qfi`) evaluates expectation values of the form
+The model's expectation values are extractions of the form
 
     d^(k1+...+kn) / (dx1^k1 ... dxn^kn)  Q(x1..xn) exp(P(x1..xn)) |_{x=0}
 
 where P and Q are low-degree polynomials in a handful of dummy variables
-whose coefficients depend on the physical phase ``phi``.  Everything here is
-mechanized with two ingredients:
+whose coefficients depend on the physical phase ``phi``.  Two ingredients
+mechanize them:
 
 * :class:`CDual` -- a complex scalar carrying d/dphi in a second channel
   (first-order forward-mode differentiation), so phase derivatives of deep
@@ -21,14 +21,12 @@ mechanized with two ingredients:
   exponents, and takes the phase channel as one more product,
   d exp(P)/dphi = (dP/dphi) exp(P).
 
-The QFI reads only the value channel: its phase derivative enters through
-the X2/X3 derivative insertions of `su11.model`, and it reads each
-polynomial-times-exponential coefficient with :func:`product_coefficient`,
-without forming the product.  The d/dphi channel serves
-the tests' series-engine reference of d<N>/dphi (``tests/references.py``).
-
-Coefficient boxes are tiny (``(m+3)^2`` entries over the model's two
-dummy variables), so dense storage wins over sparse maps.
+In production only the QFI's X-family polynomials and their products live
+here, in a (2, 2) box (`su11.model.KernelSet.x_polys`): the exponential's
+coefficients are explicit sums (`su11.model.KernelSet.probe_norm`).  The
+exponential, extraction and d/dphi channel serve the tests' series-engine
+references (``tests/references.py``), which extract from whole boxes of
+``(m+3)^2`` entries, small enough that dense storage wins over sparse maps.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-# Extraction scales a coefficient by orders_i! in double precision; the QFI
-# reads at most m! = 15!, and the guard stops callers far beyond it.  The
+# Extraction scales a coefficient by orders_i! in double precision; the engine
+# references read at most (m + 2)! = 17!, and the guard stops callers far beyond it.  The
 # exponential itself uses no factorials: its recurrence divides by row indices.
 MAX_FACTORIAL_ORDER = 34
 
@@ -246,42 +244,18 @@ class MultiSeries:
 
     def extract(self, orders: Sequence[int]) -> CDual:
         """Mixed partial derivative at the origin: coeffs[orders] * prod(orders_i!)."""
-        orders, fac = _extraction(self.caps, orders)
+        orders = tuple(int(o) for o in orders)
+        if len(orders) != len(self.caps):
+            raise ValueError(f"orders {orders} has wrong arity for caps {self.caps}")
+        if any(o < 0 or o > c for o, c in zip(orders, self.caps)):
+            raise ValueError(f"orders {orders} exceed caps {self.caps}")
+        fac = 1.0
+        for o in orders:
+            fac *= factorial(o)
         return CDual(self.val[orders] * fac, self.dph[orders] * fac)
 
     def __repr__(self) -> str:
         return f"MultiSeries(caps={self.caps}, nonzero={self._nonzero_count()})"
-
-
-def _extraction(caps: Tuple[int, ...], orders: Sequence[int]) -> Tuple[Index, float]:
-    """Checked extraction orders and their scale prod(orders_i!)."""
-    orders = tuple(int(o) for o in orders)
-    if len(orders) != len(caps):
-        raise ValueError(f"orders {orders} has wrong arity for caps {caps}")
-    if any(o < 0 or o > c for o, c in zip(orders, caps)):
-        raise ValueError(f"orders {orders} exceed caps {caps}")
-    fac = 1.0
-    for o in orders:
-        fac *= factorial(o)
-    return orders, fac
-
-
-def product_coefficient(q: MultiSeries, e: MultiSeries, orders: Sequence[int]) -> complex:
-    """``(q * e).extract(orders).val`` without forming the product's box.
-
-    The value channel's sum of q_k e_(orders - k) over the nonzero k <= orders
-    of ``q``, in index order: the bits of ``q * e`` when ``q`` is the sparser
-    factor (as the QFI's polynomials are), and agreement to roundoff otherwise.
-    """
-    q._check_compatible(e)
-    orders, fac = _extraction(q.caps, orders)
-    window = q.val[tuple(slice(0, o + 1) for o in orders)]
-    ks = np.nonzero(window)
-    terms = window[ks] * e.val[tuple(o - k for o, k in zip(orders, ks))]
-    acc = 0j
-    for term in terms.tolist():  # plain adds: newer sum() compensates
-        acc += term
-    return acc * fac
 
 
 def _times(a, b):

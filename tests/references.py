@@ -13,7 +13,11 @@ term in arbitrary precision; and ``engine_sensitivity`` and
 ``engine_photon_number`` read the output moments and N_T off mixed-derivative
 extractions of exp(B(w)) with the series engine, over the complex dual kernel
 ``dual_kernel`` and its d/dphi channel, where ``su11.sensitivity`` and
-``su11.limits`` evaluate Laguerre polynomials of a real thermal number.
+``su11.limits`` evaluate Laguerre polynomials of a real thermal number; and
+``engine_loss_inner_products`` reads the QFI's inner products off whole-box
+extractions of exp(B(X1)) over the unscaled variables (t, s), where
+``su11.qfi`` weighs scaled polynomial coefficients with explicit ratios of
+positive sums.
 """
 
 from __future__ import annotations
@@ -187,3 +191,46 @@ def engine_photon_number(p: Params) -> float:
     e = b.exp()
     y_mean = ((b + p.beta**2) * e).extract((p.m, p.m)).val / e.extract((p.m, p.m)).val
     return (ch2 + p.T1 * sh2) * y_mean.real + (1.0 + p.T1) * sh2
+
+
+def probe_kernel(p: Params) -> CDual:
+    """X1 = (1/2) sinh 2g (1 - sqrt(eta) e^{-i phi}), the loss-equivalent probe's kernel."""
+    return dual_kernel(p.replace(T1=p.eta), 1.0)
+
+
+def engine_loss_inner_products(p: Params) -> dict:
+    """The QFI's inner products as whole-box extractions over (t, s), with the series engine.
+
+    Each is ext_(m,m)[q exp(B(X1))] / ext_(m,m)[exp(B(X1))] for an X-family
+    polynomial q over the unscaled variables: X2 = i q2 s (beta + t X1),
+    X3 = i q3 t (beta + s X1*), X4 = q3 q2 st and X6 = B(X1) + beta^2, with
+    q2 = X1* - (1/2) sinh 2g and q3 = -conj(q2).  Returned in the layout of
+    `su11.qfi._loss_inner_products`.
+    """
+    m, b = p.m, p.beta
+    x1 = probe_kernel(p)
+    bx = bilinear_exponent(p, x1)
+    caps = bx.caps
+    e = bx.exp()
+    norm = e.extract((m, m)).val
+    q2 = x1.conj() - 0.5 * math.sinh(2.0 * p.g)
+    q3 = -q2.conj()
+    x2 = MultiSeries.from_terms(caps, [((0, 1), q2 * (1j * b)), ((1, 1), q2 * x1 * 1j)])
+    x3 = MultiSeries.from_terms(caps, [((1, 0), q3 * (1j * b)), ((1, 1), q3 * x1.conj() * 1j)])
+    x4 = MultiSeries.from_terms(caps, [((1, 1), q3 * q2)])
+    x6 = bx + b * b
+
+    def ext(q: MultiSeries) -> complex:
+        return (q * e).extract((m, m)).val / norm
+
+    sh2 = math.sinh(p.g) ** 2
+    n_mean = sh2 * ext(x6 + 1.0).real
+    return {
+        "tt": ext(x2 * x3 - x4).real,
+        "t_bra": ext(x3),
+        "t_ket": ext(x2),
+        "n_mean": n_mean,
+        "var": sh2 * sh2 * ext(x6 * x6 + x6 * 4.0 + 2.0).real + n_mean - n_mean * n_mean,
+        "n_bra": sh2 * ext(x3 * (x6 + 2.0)),
+        "n_ket": sh2 * ext(x2 * (x6 + 2.0)),
+    }

@@ -120,13 +120,9 @@ class TestRunSweep:
     @pytest.mark.parametrize(
         "quantity,params",
         [
-            # float overflow: nan / inf / 0 used to reach the CSV.  delta_phi,
-            # n_t and qfi_ideal are still finite at g = 12 (test_sensitivity,
-            # test_limits, test_qfi); the normalizer N1 overflows at g = 12.5
-            ("delta_phi_lossy", dict(g=12.5, m=15)),
-            ("n_t", dict(g=12.5, m=15)),
-            ("sql", dict(g=12.5, m=15)),
-            ("qfi_ideal", dict(g=12.5, m=15)),
+            # float overflow past the large-g edge: Var(N) ~ u^2 and F ~ sinh^6 g
+            ("delta_phi_lossy", dict(g=90.0, m=15)),
+            ("qfi_ideal", dict(g=118.0, m=15)),
             # roundoff near phi = 2 pi k used to raise untyped errors
             ("qfi_ideal", dict(phi=1e-9, m=3)),
             ("qfi_ideal", dict(phi=2 * math.pi, m=1)),
@@ -143,13 +139,24 @@ class TestRunSweep:
             ("qfi_ideal", dict(g=1.61, beta=1.02, phi=2 * math.pi + 6e-8, m=6)),
             ("qfi_lossy", dict(eta=1.0 - 1e-9, phi=1e-8, m=1)),
         ],
-        ids=["dphi-g12", "nt-g12", "sql-g12", "qfi-g12", "qfi-phi1e-9", "qfi-2pi", "qcrb-2pi",
+        ids=["dphi-g90", "qfi-g118", "qfi-phi1e-9", "qfi-2pi", "qcrb-2pi",
              "qfi-pow-overflow",
              *[f"qfi-phi{phi}-m{m}" for phi in ("1e-8", "1e-7") for m in (1, 3, 8, 15)],
              "qfi-2pi+6e-8", "qfi-lossy-eta1-1e-9"],
     )
     def test_overflow_and_roundoff_cells_carry_numerical_code(self, quantity, params):
         assert _eval_task((quantity, Params(**params))) == ("", "Numerical")
+
+    @pytest.mark.parametrize(
+        "quantity", ["delta_phi_lossy", "n_t", "sql", "qfi_ideal"],
+        ids=["dphi-g12", "nt-g12", "sql-g12", "qfi-g12"],
+    )
+    def test_large_gain_cells_are_values(self, quantity):
+        # the subtraction weight and the QFI's normalizer are taken in logs, so
+        # nothing overflows at g = 12.5, m = 15 (values against mpmath:
+        # test_sensitivity, test_limits, test_qfi)
+        value, code = _eval_task((quantity, Params(g=12.5, m=15)))
+        assert code == "" and 0.0 < float(value) < math.inf
 
     def test_near_fringe_cells_hold_a_value_or_a_code(self):
         # seeded points within 1e-6 rad of the phi = 0 dark fringe at high m,

@@ -76,24 +76,27 @@ class TestInternalPhotonNumber:
         assert internal_photon_number(p) == pytest.approx(want, rel=1e-12)
 
     def test_finite_at_high_gain_and_order(self):
-        # |v1|^(2m) is near the double-precision limit at g = 12, m = 15
+        # |v1|^(2m) overflows a double from g = 12.5 at m = 15; N_T reads only c1
         mpmath = pytest.importorskip("mpmath")
         from references import laguerre_coefficient
 
-        g, beta, phi, T, m = 12.0, 1.0, 0.4, 1.0, 15
-        with mpmath.workdps(60):
-            sh, ch = mpmath.sinh(g), mpmath.cosh(g)
-            v1 = sh * ch * (1 - mpmath.sqrt(T) * mpmath.expj(-phi))
-            a, b, c = abs(v1) ** 2, beta * v1, beta * mpmath.conj(v1)
+        beta, phi, T, m = 1.0, 0.4, 1.0, 15
+        for g in (12.0, 12.5, 20.0, 40.0):
+            with mpmath.workdps(60):
+                sh, ch = mpmath.sinh(g), mpmath.cosh(g)
+                v1 = sh * ch * (1 - mpmath.sqrt(T) * mpmath.expj(-phi))
+                a, b, c = abs(v1) ** 2, beta * v1, beta * mpmath.conj(v1)
 
-            def coeff(i, j):
-                return laguerre_coefficient(a, b, c, i, j)
+                def coeff(i, j):
+                    return laguerre_coefficient(a, b, c, i, j)
 
-            # Y(v1) = beta^2 + b t + c s + a ts
-            y = beta**2 * coeff(m, m) + b * coeff(m - 1, m) + c * coeff(m, m - 1) + a * coeff(m - 1, m - 1)
-            want = (ch**2 + T * sh**2) * mpmath.re(y / coeff(m, m)) + (1 + T) * sh**2
-        got = internal_photon_number(Params(g=g, beta=beta, phi=phi, m=m, T1=T))
-        assert got == pytest.approx(float(want), rel=1e-9)
+                # Y(v1) = beta^2 + b t + c s + a ts
+                y = (beta**2 * coeff(m, m) + b * coeff(m - 1, m) + c * coeff(m, m - 1)
+                     + a * coeff(m - 1, m - 1))
+                want = (ch**2 + T * sh**2) * mpmath.re(y / coeff(m, m)) + (1 + T) * sh**2
+            got = limits(Params(g=g, beta=beta, phi=phi, m=m, T1=T))
+            assert got.n_t == pytest.approx(float(want), rel=1e-12), g
+            assert got.sql == pytest.approx(float(want**-0.5), rel=1e-12), g
 
     def test_dark_fringe_of_subtraction_normalizer(self):
         # T = 1, phi = 0 makes v1 vanish, so m >= 1 has no support

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from references import bilinear_exponent, dual_kernel
+from references import bilinear_exponent, dual_kernel, probe_kernel
 from su11.model import Params, _laguerre_coefficients, kernels
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
@@ -168,12 +168,16 @@ class TestExponentA:
         assert a.val[0, 1] == pytest.approx(w3.conjugate() * p.beta, rel=1e-15)
 
     def test_lossy_reduction_is_exact(self):
-        # without loss the output exponent is the probe's norm exponent at eta = 1
+        # without loss the output exponent is the probe's norm exponent at eta = 1,
+        # and the probe's normalizer is the output's subtraction weight m! u^m L_m
         p = Params(g=1.1, beta=0.8, phi=0.9, m=2, T1=1.0, T2=1.0, eta=1.0)
         output = bilinear_exponent(p, dual_kernel(p, p.T2))
-        probe = kernels(p).exponent_x5()
+        probe = bilinear_exponent(p, probe_kernel(p))
         assert np.array_equal(output.val, probe.val)
         assert np.array_equal(output.dph, probe.dph)
+        norm = math.exp(kernels(p).probe_norm()[0])
+        assert norm == pytest.approx(probe.exp().extract((p.m, p.m)).val.real, rel=1e-13)
+        assert norm == pytest.approx(sensitivity_ideal(p).norm ** -2, rel=1e-13)
 
 
 class TestInternalExponents:
@@ -236,10 +240,10 @@ class TestXSeries:
         assert np.allclose(x3.val, np.conj(x2.val.T))
 
     def test_x6_factorizes(self):
+        # X6 = (beta + T)(beta + S) over the scaled variables T = X1 t, S = X1* s
         p = Params(g=0.8, beta=1.2, phi=0.5, eta=0.9)
-        ks = kernels(p)
-        x6 = ks.x_polys()["X6"]
-        X1 = ks.X1.val
-        assert x6.val[0, 0] == pytest.approx(p.beta**2)
-        assert x6.val[1, 1] == pytest.approx(abs(X1) ** 2)
-        assert x6.val[1, 0] == pytest.approx(p.beta * X1)
+        x6 = kernels(p).x_polys()["X6"]
+        assert x6.val[0, 0] == p.beta**2
+        assert x6.val[1, 0] == x6.val[0, 1] == p.beta
+        assert x6.val[1, 1] == 1.0
+        assert np.count_nonzero(x6.val) == 4

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from references import engine_loss_inner_products, laguerre_coefficient
 from su11 import qfi
-from su11.errors import DarkFringeError, NormalizationError, NumericalError
+from su11.errors import (ROUNDOFF_REL_TOL, DarkFringeError, NormalizationError, NumericalError,
+                         Su11Error)
 from su11.fock import numeric_cq, numeric_qfi_pure
 from su11.model import Params, kernels
 from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal
-from su11.series import product_coefficient
 from su11.verify import alpha_scan
 
 # Fock-oracle QFI at g=1, beta=1, phi=0.4 (converged n_cut), frozen; the
@@ -119,11 +120,17 @@ class TestIdealQfi:
             qfi_ideal(Params(g=1.0, beta=1.0, phi=0.0, m=1))
 
     def test_finite_at_large_gain(self):
-        # the series still fits at g = 12, m = 15, where F grows like e^{4g}
+        # F grows like e^{4g}; no power |X1|^2m is formed, so m = 15 stays finite
+        # far past g = 12.5, where extracting at the raw scale overflowed
         f = qfi_ideal(Params(g=12.0, beta=1.0, phi=0.4, m=15)).f
         assert f == pytest.approx(3.986e21, rel=1e-3)
         below = qfi_ideal(Params(g=11.5, beta=1.0, phi=0.4, m=15)).f
         assert f == pytest.approx(math.e**2 * below, rel=1e-9)
+        mpmath = pytest.importorskip("mpmath")
+        for g in (12.5, 20.0, 40.0):
+            for eta in (1.0, 0.7):
+                p = Params(g=g, beta=1.0, phi=0.4, m=15, eta=eta)
+                assert qfi_lossy(p).f == pytest.approx(mp_qfi_lossy(mpmath, p), rel=1e-12), p
 
     def test_zero_gain_has_no_information(self):
         from su11.errors import StationaryPointError
@@ -186,28 +193,100 @@ class TestCqAlpha:
         assert qfi_lossy(p).f == pytest.approx(scan, rel=1e-5)
 
 
-class TestInnerProductCoefficients:
-    def test_coefficient_sums_have_the_products_bits(self):
-        # the seven polynomials _loss_inner_products reads against exp(X5),
-        # each sparser than the exponential, so the sum runs in the product's order
+def mp_qfi_lossy(mpmath, p: Params) -> float:
+    """qfi_lossy's F at 50 digits, from the unscaled polynomials over (t, s).
+
+    Every extraction is sum_ab q_ab c(m - a, m - b) / c(m, m), with c the
+    t^i s^j coefficient of exp(B(X1)) summed term by term; the minimum over
+    the Kraus placement is `qfi._minimum`'s formula.
+    """
+    with mpmath.workdps(50):
+        g, beta, phi, eta = (mpmath.mpf(v) for v in (p.g, p.beta, p.phi, p.eta))
+        m, h = p.m, mpmath.sinh(2 * g) / 2
+        x1 = h * (1 - mpmath.sqrt(eta) * mpmath.expj(-phi))
+        x1c = mpmath.conj(x1)
+        q2 = x1c - h
+        q3 = -mpmath.conj(q2)
+
+        def mul(a, b):
+            out = {}
+            for (i, j), u in a.items():
+                for (k, l), v in b.items():
+                    out[i + k, j + l] = out.get((i + k, j + l), 0) + u * v
+            return out
+
+        def plus(a, b):
+            return {k: a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)}
+
+        def coeff(i, j):
+            return laguerre_coefficient(abs(x1) ** 2, beta * x1, beta * x1c, i, j) if min(i, j) >= 0 else 0
+
+        def ext(q):
+            return sum(c * coeff(m - a, m - b) for (a, b), c in q.items()) / coeff(m, m)
+
+        x2 = {(0, 1): 1j * q2 * beta, (1, 1): 1j * q2 * x1}
+        x3 = {(1, 0): 1j * q3 * beta, (1, 1): 1j * q3 * x1c}
+        x6 = {(0, 0): beta**2, (1, 0): beta * x1, (0, 1): beta * x1c, (1, 1): abs(x1) ** 2}
+        sh2 = mpmath.sinh(g) ** 2
+        tt = mpmath.re(ext(plus(mul(x2, x3), {(1, 1): -q3 * q2})))
+        t_bra = ext(x3)
+        n = sh2 * mpmath.re(ext(plus(x6, {(0, 0): 1})))
+        quad = plus(plus(mul(x6, x6), {k: 4 * v for k, v in x6.items()}), {(0, 0): 2})
+        var = sh2**2 * mpmath.re(ext(quad)) + n - n * n
+        s = mpmath.im(sh2 * ext(mul(x3, plus(x6, {(0, 0): 2})))) - n * mpmath.im(t_bra)
+        denom = (1 - eta) * var + eta * n
+        f = 4 * (tt - abs(t_bra) ** 2) + 4 * (eta * n * (var - 2 * s) - (1 - eta) * s * s) / denom
+        return float(f)
+
+
+class TestInnerProducts:
+    def test_closed_forms_match_whole_box_engine_extractions(self):
+        # the engine extracts each unscaled polynomial product from exp(B(X1))
+        # itself, over the caps (m + 2, m + 2)
         rng = np.random.default_rng(23)
-        points = [Params(g=0.0, beta=1.0, phi=0.4, m=2, eta=0.7),
-                  Params(g=1.0, beta=0.0, phi=0.4, m=2, eta=0.7),
-                  Params(g=1.0, beta=1.0, phi=0.0, m=3, eta=1.0)]
-        for _ in range(60):
-            g, beta = rng.uniform(0.0, 3.0, size=2)
+        points = [Params(g=1.0, beta=0.0, phi=0.4, m=m, eta=eta) for m in (0, 1, 2, 15)
+                  for eta in (0.7, 1.0)]
+        for i in range(500):
+            g, beta = rng.uniform(0.05, 3.0, size=2)
             points.append(Params(g=float(g), beta=float(beta), phi=float(rng.uniform(-7.0, 7.0)),
-                                 eta=float(rng.uniform(0.05, 1.0)), m=int(rng.integers(0, 16))))
+                                 eta=1.0 if i % 2 else float(rng.uniform(0.05, 1.0)),
+                                 m=int(rng.integers(0, 16))))
         for p in points:
-            ks = kernels(p)
-            e5 = ks.exponent_x5().exp()
-            xs = ks.x_polys()
-            x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
-            polys = [x2 * x3 - x4, x3, x2, x6 + 1.0, x6 * x6 + x6 * 4.0 + 2.0,
-                     x3 * (x6 + 2.0), x2 * (x6 + 2.0)]
-            for q in polys:
-                got = product_coefficient(q, e5, (p.m, p.m))
-                assert got == (q * e5).extract((p.m, p.m)).val, p
+            got = qfi._loss_inner_products(p, NormalizationError)
+            for name, want in engine_loss_inner_products(p).items():
+                assert got[name] == pytest.approx(want, rel=1e-12), (name, p)
+
+    def test_qfi_is_as_accurate_as_the_engine(self, monkeypatch):
+        # next to a fringe F is a small difference of inner products that grow
+        # like 1/|X1|^2, so both routes lose digits there to a few roundings of
+        # the largest one; against 50 digits the closed form is the more
+        # accurate route at more points than not, with no larger median error
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        points = []
+        for i in range(240):
+            points.append(Params(
+                g=float(rng.uniform(0.05, 3.0)), beta=float(rng.uniform(0.0, 3.0)),
+                phi=float(rng.uniform(-math.pi, math.pi) if i % 2 else rng.uniform(-0.02, 0.02)),
+                m=int(rng.integers(0, 16)), eta=1.0 if i % 4 < 2 else float(rng.uniform(0.3, 1.0))))
+        closed, engine = [], []
+        for p in points:
+            want = mp_qfi_lossy(mpmath, p)
+            with monkeypatch.context() as patch:
+                try:
+                    got = qfi_lossy(p).f
+                    patch.setattr(qfi, "_loss_inner_products", lambda p, _: engine_loss_inner_products(p))
+                    reference = qfi_lossy(p).f
+                except Su11Error:
+                    continue
+            closed.append(abs(got / want - 1.0))
+            engine.append(abs(reference / want - 1.0))
+        closed, engine = np.array(closed), np.array(engine)
+        assert len(closed) >= 200
+        assert np.count_nonzero(closed < engine) >= np.count_nonzero(closed > engine)
+        assert np.median(closed) <= np.median(engine)
+        # every value the roundoff check lets through is good to its tolerance
+        assert closed.max() < ROUNDOFF_REL_TOL
 
 
 class TestLossyQfi:
@@ -309,3 +388,15 @@ class TestLossyQfi:
     def test_no_photons_raises(self):
         with pytest.raises(NormalizationError):
             qfi_lossy(Params(g=0.0, beta=0.0, phi=0.4, m=0, eta=0.7))
+
+    @pytest.mark.parametrize("p", [
+        Params(g=4.258140481618678, beta=1.7641726275161528e50, phi=-3.15877359495044, m=0,
+               eta=0.7554670055631749),
+        Params(g=0.08010009201189662, beta=10454801220.218904, phi=0.9928888067435135, m=14,
+               eta=0.11938837273217742),
+    ], ids=["beta1e50-m0", "beta1e10-m14"])
+    def test_negative_variance_is_roundoff_not_an_empty_mode(self, p):
+        # at huge beta, Var(n)'s beta^4 terms cancel to a negative remainder that
+        # drives the minimization denominator below zero; no photons are missing
+        with pytest.raises(NumericalError, match="Var"):
+            qfi_lossy(p)

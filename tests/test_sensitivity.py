@@ -166,17 +166,32 @@ class TestAgainstReferences:
         assert worst < 1e-14
 
     def test_finite_at_high_gain_and_order(self):
-        # the normalizer m! u^m L_m is near the double-precision limit at g = 12,
-        # m = 15; the three-extraction route overflowed at (m + 2, m + 2) here
+        # the weight m! u^m L_m overflows a double from g = 12.5 at m = 15, so it is
+        # tested in logs; the three-extraction route overflowed at (m + 2, m + 2)
         mpmath = pytest.importorskip("mpmath")
-        g, phi, m = 12.0, 0.4, 15
-        with mpmath.workdps(60):
-            shch2 = (mpmath.sinh(g) * mpmath.cosh(g)) ** 2
-            u = shch2 * (2 - 2 * mpmath.cos(phi))
-            du = shch2 * 2 * mpmath.sin(phi)
-            want = mp_delta_phi(mpmath, u, du, 1.0, m)
-        got = sensitivity_lossy(Params(g=g, beta=1.0, phi=phi, m=m)).delta_phi
-        assert got == pytest.approx(want, rel=1e-12)
+        phi, m = 0.4, 15
+        for g in (12.0, 12.5, 20.0, 40.0):
+            with mpmath.workdps(60):
+                shch2 = (mpmath.sinh(g) * mpmath.cosh(g)) ** 2
+                u = shch2 * (2 - 2 * mpmath.cos(phi))
+                du = shch2 * 2 * mpmath.sin(phi)
+                want = mp_delta_phi(mpmath, u, du, 1.0, m)
+                weight = mpmath.factorial(m) ** 2 * laguerre_coefficient(u, mpmath.sqrt(u), mpmath.sqrt(u), m, m)
+                norm = float(weight**-0.5)
+            got = sensitivity_lossy(Params(g=g, beta=1.0, phi=phi, m=m))
+            assert got.delta_phi == pytest.approx(want, rel=1e-12), g
+            # N1 = weight^(-1/2) is finite, and underflows to 0 past a weight of about 1e617
+            assert got.norm == pytest.approx(norm, rel=1e-12, abs=1e-300), g
+
+    def test_zero_beta_is_m_plus_one_repeated_trials(self):
+        # at beta = 0, L_n = 1, so c1 = D_m = m + 1 and delta_phi_m = delta_phi_0 / sqrt(m + 1)
+        for g, phi, t1, t2 in ((1.0, 0.4, 1.0, 1.0), (1.0, 0.4, 0.8, 0.9), (0.3, 2.0, 0.5, 1.0),
+                               (2.0, -1.0, 1.0, 0.6)):
+            p = Params(g=g, beta=0.0, phi=phi, T1=t1, T2=t2)
+            base = sensitivity_lossy(p).delta_phi
+            for m in range(16):
+                got = sensitivity_lossy(p.replace(m=m)).delta_phi
+                assert got == pytest.approx(base / math.sqrt(m + 1), rel=1e-12), (p, m)
 
 
 class TestDualChannel:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from references import laguerre_coefficient, taylor_exp
-from su11.series import CDual, MultiSeries, factorial, product_coefficient
+from su11.series import CDual, MultiSeries, factorial
 
 
 def w1_dual(g, phi):
@@ -247,35 +247,6 @@ class TestExtract:
     def test_factorial_guard(self):
         with pytest.raises(ValueError):
             factorial(35)
-
-
-class TestProductCoefficient:
-    @pytest.mark.parametrize("m", [0, 3, 15])
-    def test_matches_extraction_of_the_product(self, m):
-        rng = np.random.default_rng(41 + m)
-        caps = (m + 2, m + 2)
-        shape = (m + 3, m + 3)
-        # terms past (m, m) along either variable cannot reach the coefficient
-        beyond = [(m + 1, 0), (0, m + 2), (m + 2, m + 1), (m, m + 1)]
-        for _ in range(20):
-            inside = [tuple(int(i) for i in rng.integers(0, m + 1, size=2)) for _ in range(5)]
-            q = MultiSeries.from_terms(
-                caps, [(k, complex(*rng.normal(size=2))) for k in inside + beyond])
-            q.dph[:] = rng.normal(size=shape)
-            e = MultiSeries(caps, rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                            rng.normal(size=shape) + 0j)
-            got = product_coefficient(q, e, (m, m))
-            assert type(got) is complex
-            assert got == pytest.approx((q * e).extract((m, m)).val, rel=1e-13)
-
-    def test_rejects_orders_beyond_caps_and_mismatched_caps(self):
-        q = MultiSeries.constant((2, 2), 1.0)
-        with pytest.raises(ValueError):
-            product_coefficient(q, q, (3, 0))
-        with pytest.raises(ValueError):
-            product_coefficient(q, q, (1,))
-        with pytest.raises(ValueError):
-            product_coefficient(q, MultiSeries.constant((3, 3), 1.0), (1, 1))
 
 
 class TestPhiDerivativeChannel:

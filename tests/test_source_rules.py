@@ -3,8 +3,9 @@
 ``src/su11`` runs on numpy alone: the test-only packages (scipy, mpmath,
 hypothesis, pytest, pytest-benchmark) and the test helpers stay out of it, so
 an installed su11 never needs them and no cross-check leaks into production.
-The power-series engine `su11.series` serves the QFI alone: only `model` and
-`qfi` import it, so replacing it touches no other module.
+The power-series engine `su11.series` holds only the QFI's X-family
+polynomials in production: only `model` imports it, so replacing it touches
+no other module.
 """
 
 import ast
@@ -17,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "su11").glob("*.py"))
 # top-level names; the test helpers import as ``references`` from tests/
 FORBIDDEN = {"scipy", "mpmath", "hypothesis", "pytest", "pytest_benchmark", "tests", "references"}
-SERIES_IMPORTERS = {"model.py", "qfi.py"}
+SERIES_IMPORTERS = {"model.py"}
 
 
 def imported_modules(tree: ast.AST):
@@ -68,7 +69,7 @@ def test_test_only_packages_are_no_runtime_dependency():
     assert not names & FORBIDDEN
 
 
-def test_only_model_and_qfi_import_the_series_engine():
+def test_only_model_imports_the_series_engine():
     importers = {p.name for p in SOURCES if imports_series(ast.parse(p.read_text()))}
     assert importers == SERIES_IMPORTERS
 
