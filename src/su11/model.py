@@ -14,31 +14,33 @@ variables (t, s), which carry the subtraction order,
 for a phase-dependent kernel w = S (1 - sqrt(T) e^{-i phi}).  exp(B(w))
 generates a displaced thermal state of thermal number u = |w|^2, and its
 (n, n) extraction is n! u^n L_n(-beta^2), with L_n(-x) = sum_j C(n, j) x^j / j!.
-So the output moments (S = (1/2) sinh 2g sqrt(T2), T = T1) and the internal
-photon number (S = (1/2) sinh 2g, T = T1) are Laguerre values times powers
-of u, and phi enters only through u and its explicit derivative u'
-(:meth:`KernelSet.thermal`).  The QFI mixes derivative insertions over the
-kernel X1 (T = eta).  Over the scaled variables T = X1 t, S = X1* s its
-norm generating function exp(B(X1)) = exp(TS + beta (T + S)) is free of X1,
-so each extraction is a sum of explicit ratios of positive sums in beta
-(:meth:`KernelSet.probe_norm`) against the coefficients of `su11.series`
-polynomials in the (2, 2) box of :attr:`KernelSet.caps`
-(:meth:`KernelSet.x_polys`), and X1 enters only through the normalizer's
-|X1|^2m and the derivative weight kappa.
+So the subtraction weight m! u^m L_m (:meth:`KernelSet.log_weight`) and the
+photon number's mean c1 u and variance (D_m / L_m^2) u^2 + c1 u
+(:meth:`KernelSet.moments`) are Laguerre values times powers of u.  The output
+moments (S = (1/2) sinh 2g sqrt(T2), T = T1) and the internal photon number
+(S = (1/2) sinh 2g, T = T1) read them at u = |w|^2, so phi enters only through
+u and its explicit derivative u' (:meth:`KernelSet.thermal`).  The QFI's probe
+over the kernel X1 (T = eta) has its weight at u = |X1|^2 and its moments at
+u = sinh^2 g.  Its inner products mix derivative insertions over X1.  Over
+the scaled variables T = X1 t, S = X1* s its norm generating function
+exp(B(X1)) = exp(TS + beta (T + S)) is free of X1, so each extraction is a
+sum of explicit ratios of positive sums in beta (:meth:`KernelSet.probe_norm`)
+against the coefficients of `su11.series` polynomials in the (2, 2) box of
+:attr:`KernelSet.caps` (:meth:`KernelSet.x_polys`), and X1 enters only
+through |X1|^2 and the derivative weight kappa.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Type
 
 import numpy as np
 
-from su11.errors import DarkFringeError, NumericalError, finite, normalizer
-from su11.series import CDual, MultiSeries
+from su11.errors import DarkFringeError, NumericalError, Su11Error, finite, normalizer
+from su11.series import MultiSeries
 
 # the largest order the extractions are held to mpmath references at
 MAX_SUBTRACTIONS = 15
@@ -94,15 +96,18 @@ class KernelSet:
     """Thermal numbers, Laguerre values and the QFI sums of one configuration.
 
     :meth:`thermal` gives the thermal number u = |w|^2 and its d/dphi for the
-    one-kernel quantities; :meth:`laguerre` and :meth:`subtraction` turn u into
-    their subtraction factors.  ``sh2`` = sinh^2 g and ``ch2`` = cosh^2 g.  A
-    gain whose sinh(2g) overflows raises NumericalError here.
+    one-kernel quantities; :meth:`log_weight`, :meth:`subtraction` and
+    :meth:`moments` turn u into their subtraction factors.  ``laguerre`` holds
+    (L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from
+    non-negative terms, with c1 = (m + 1) L_(m+1) / L_m and
+    D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.  ``sh2`` = sinh^2 g
+    and ``ch2`` = cosh^2 g.  A gain whose sinh(2g) overflows raises
+    NumericalError here.
 
-    :meth:`probe_norm` and :meth:`x_polys` give the extended system's
-    loss-equivalent probe over its kernel :attr:`X1`, which at eta = 1 is the
-    lossless probe, so they serve the ideal QFI as well.  The QFI reads X1
-    through :attr:`_fringe` alone; :attr:`X1` itself, with its d/dphi
-    channel, is the kernel the tests check that form against.
+    :meth:`probe_thermal`, :meth:`probe_norm` and :meth:`x_polys` give the
+    extended system's loss-equivalent probe over its kernel X1, which at
+    eta = 1 is the lossless probe, so they serve the ideal QFI as well.  They
+    read X1 through :attr:`_fringe` alone.
     """
 
     # every X-family product has degree at most 2 in each scaled variable
@@ -118,6 +123,9 @@ class KernelSet:
         self.sh2 = math.sinh(p.g) ** 2
         self.ch2 = math.cosh(p.g) ** 2
         self._half_sh2g = 0.5 * sh2g
+        x = p.beta * p.beta
+        l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(p.m))
+        self.laguerre = (l_m, y / l_m, d / l_m / l_m)
 
     def thermal(self, t2: float) -> Tuple[float, float]:
         """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(T1) e^{-i phi}).
@@ -133,44 +141,49 @@ class KernelSet:
         q = cos_t1 * s
         return a * a + b * b, 2.0 * (b * a + q * b)
 
-    @cached_property
-    def X1(self) -> CDual:
-        """(1/2) sinh 2g (1 - sqrt(eta) e^{-i phi}) and its d/dphi, the extended-system kernel."""
-        e_m, sqrt_eta, half = cmath.exp(-1j * self.p.phi), math.sqrt(self.p.eta), self._half_sh2g
-        return CDual((1.0 - e_m * sqrt_eta) * half, (1j * e_m * sqrt_eta) * half)
+    def log_weight(self, u: float, vanished: Type[Su11Error]) -> float:
+        """log(m! u^m L_m), the weight of m subtractions at thermal number u.
 
-    def laguerre(self) -> Tuple[float, float, float]:
-        """(L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from non-negative terms.
-
-        c1 = (m + 1) L_(m+1) / L_m and D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.
+        Taken in logs, so it never over- or underflows; a weight under
+        DARK_FRINGE_FLOOR raises ``vanished``.
         """
-        x = self.p.beta * self.p.beta
-        l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(self.p.m))
-        return l_m, y / l_m, d / l_m / l_m
+        m = self.p.m
+        log_w = math.log(math.factorial(m) * self.laguerre[0]) + _log_power(u, m)
+        return normalizer(log_w, vanished, f"subtraction weight vanished at m={m} (dark fringe)")
 
     def subtraction(self, u: float) -> Tuple[float, float, float]:
         """(N1, c1 - 1, D_m / L_m^2) at thermal number u, with N1 = (m! u^m L_m)^(-1/2).
 
-        The weight m! u^m L_m is tested in logs, so it never over- or
-        underflows: one under DARK_FRINGE_FLOOR is a DarkFringeError, and N1 is
-        finite at every other point (0 once the weight passes about 1e617).
+        A vanishing weight is a DarkFringeError, and N1 is finite at every
+        other point (0 once the weight passes about 1e617).
         """
-        m = self.p.m
-        l_m, y, spread = self.laguerre()
-        log_weight = math.log(math.factorial(m) * l_m) + _log_power(u, m)
-        normalizer(log_weight, DarkFringeError, f"subtraction normalizer vanished at m={m} (dark fringe)")
-        return math.exp(-0.5 * log_weight), y, spread
+        _, y, spread = self.laguerre
+        return math.exp(-0.5 * self.log_weight(u, DarkFringeError)), y, spread
+
+    def moments(self, u: float) -> Tuple[float, float]:
+        """(<N>, Var N) = (c1 u, (D_m / L_m^2) u^2 + c1 u) after m subtractions at thermal number u.
+
+        Each is a sum of non-negative terms; either may overflow to inf.
+        """
+        _, y, spread = self.laguerre
+        mean = (1.0 + y) * u
+        return mean, spread * u * u + mean
 
     # -- extended-system probe at transmissivity eta ---------------------------
 
-    def probe_norm(self) -> Tuple[float, np.ndarray]:
-        """(log G, r): the probe's norm generating function exp(B(X1)) at (m, m).
+    def probe_thermal(self) -> float:
+        """|X1|^2 = ((1/2) sinh 2g)^2 |D|^2, the thermal number of the probe's kernel (:attr:`_fringe`)."""
+        return (self._half_sh2g * self._half_sh2g) * self._fringe[0]
+
+    def probe_norm(self) -> np.ndarray:
+        """r: the ratios that extract a polynomial against the probe's exp(B(X1)) at (m, m).
 
         Over the scaled variables T = X1 t, S = X1* s, exp(B(X1)) =
         exp(TS + beta (T + S)), whose T^p S^q coefficient is the positive sum
-        s(p, q) = sum_j beta^(p+q-2j) / (j! (p-j)! (q-j)!).  So the normalizer is
-        G = m!^2 |X1|^2m s(m, m), returned as its log, and a polynomial over
-        (T, S) extracts at (m, m) as G sum_ab q_ab r[a, b], with
+        s(p, q) = sum_j beta^(p+q-2j) / (j! (p-j)! (q-j)!).  So the normalizer
+        G = m!^2 |X1|^2m s(m, m) is the subtraction weight m! u^m L_m at
+        u = |X1|^2 (:meth:`log_weight`, :meth:`probe_thermal`), and a
+        polynomial over (T, S) extracts at (m, m) as G sum_ab q_ab r[a, b], with
         r[a, b] = s(m - a, m - b) / s(m, m) for a, b <= min(m, 2).
 
         beta is a dyadic rational num / den, so each s is an integer
@@ -197,9 +210,7 @@ class KernelSet:
                 s_mm, d_mm = acc, divisor
             # beta^(b-a) s(m - a, m - b) / s(m, m) over a common denominator
             r[a, b] = r[b, a] = (num ** (b - a) * den ** (a + b) * acc * d_mm) / (s_mm * divisor)
-        log_s = math.log(s_mm) - m * math.log(y) - math.log(d_mm)
-        u = (self._half_sh2g * self._half_sh2g) * self._fringe[0]  # |X1|^2
-        return 2.0 * math.lgamma(m + 1) + _log_power(u, m) + log_s, r
+        return r
 
     @cached_property
     def _fringe(self) -> Tuple[float, complex]:
@@ -215,7 +226,7 @@ class KernelSet:
         vers = 2.0 * half * half
         dd = delta * delta + 2.0 * root * vers
         # on a fringe (D = 0) kappa is infinite; only m = 0 gets past the
-        # normalizer there, and its (0, 0) extractions read no term kappa scales
+        # weight test there, and its (0, 0) extractions read no term kappa scales
         kappa = root * complex(math.sin(self.p.phi), vers - delta) / dd if dd else 0j
         return dd, kappa
 

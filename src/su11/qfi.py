@@ -12,10 +12,19 @@ in beta, so nothing is exponentiated and no power |X1|^2m is formed.
 Minimizing the purified-state bound C_Q over alpha tightens it to F_L,
 which `qfi_lossy` returns in closed form.  At eta = 1 the environment
 decouples and F_L is the QFI of the lossless interferometer with m-photon
-output subtraction, so `qfi_ideal` is the same closed form at eta = 1.  The
-raw C_Q(alpha) stays public (`cq_alpha`): the numeric alpha scan in
-`su11.verify` (criterion C3) minimizes it as the independent check on the
-closed form, and the Fock oracle (C2) checks the ideal QFI.
+output subtraction, so `qfi_ideal` is the same closed form at eta = 1.
+
+C_Q(alpha) itself is public (`cq_alpha`), and written without the inner
+products: its cross terms vanish identically, which leaves
+
+    C_Q = 4 [(1 - (1 + alpha)(1 - eta))^2 V + (1 + alpha)^2 eta (1 - eta) n]
+
+with the probe's photon-number mean n = c1 sinh^2 g and variance
+V = (D_m / L_m^2) sinh^4 g + n (`su11.model.KernelSet.moments` at
+u = sinh^2 g), so phi enters only through the probe's weight.  The numeric
+alpha scan in `su11.verify` (criterion C3) minimizes it, a check on the
+closed form that shares none of its inner products, and the Fock oracle
+(C2) checks the ideal QFI.
 
 Note on the closed form: the printed reference expression groups one term
 (i<Psit|n|Psi> - i<Psi|n|Psit>) outside the 4 eta <n> (...) factor; direct
@@ -31,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Type
 
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError, StationaryPointError,
-                         Su11Error, normalizer, positive, quiet_overflow, real_part, roundoff)
+                         Su11Error, positive, quiet_overflow, real_part, roundoff)
 from su11.model import Params, kernels
 
 
@@ -66,7 +75,7 @@ def qcrb(f: float, nu: int = 1) -> float:
 def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, complex]:
     """Inner products of the loss-equivalent probe and its phase derivative.
 
-    A vanishing probe normalizer raises ``vanished``.  All quantities are
+    A vanishing probe weight raises ``vanished``.  All quantities are
     (m, m) extractions of an X-family polynomial times the norm generating
     function, each read as sum_ab q_ab r[a, b] over the polynomial's
     coefficients q_ab and the ratios r of `KernelSet.probe_norm`, already
@@ -76,9 +85,8 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     identically in C_Q, so it is omitted here.
     """
     ks = kernels(p)
-    m = p.m
-    log_norm, r = ks.probe_norm()
-    normalizer(log_norm, vanished, f"probe normalizer vanished at m={m}")
+    r = ks.probe_norm()
+    ks.log_weight(ks.probe_thermal(), vanished)
     k = len(r)
 
     def ext(q) -> complex:
@@ -109,54 +117,27 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     }
 
 
-def _var_abs(n_mean: float, var: float) -> float:
-    """The magnitude of the terms summed into Var(n) by `_loss_inner_products`."""
-    return abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
-
-
-def _cq_from(d: Dict[str, complex], eta: float, alpha: float) -> float:
-    """C_Q at a given Kraus placement, from precomputed inner products.
-
-    Squares are products, which overflow to inf where a float power raises;
-    a result that overflowed is a NumericalError.  C_Q bounds a QFI from
-    above, yet on a dark fringe its terms cancel to roundoff, so a result
-    that is not positive, or whose estimated roundoff exceeds
-    ROUNDOFF_REL_TOL (`su11.errors.roundoff`, as in :func:`_minimum`), is a
-    NumericalError too.
-    """
-    a1 = 1.0 + alpha
-    u = 1.0 - a1 * (1.0 - eta)
-    tt, n_mean, var = d["tt"], d["n_mean"], d["var"]
-    n2 = var + n_mean * n_mean
-    loss = a1 * a1 * eta * (1.0 - eta) * n_mean
-    cross = 1j * u * (d["n_bra"] - d["n_ket"])
-    z = abs(1j * d["t_bra"] + u * n_mean)
-    cq = 4.0 * (
-        tt
-        + u * u * n2
-        + loss
-        + real_part(cross, "H2 cross term", abs(cross) + 1.0)
-        - z * z
-    )
-    positive(cq, "C_Q")
-    # the magnitudes of the terms summed into C_Q, into Var(n) and into z
-    z_abs = abs(d["t_bra"]) + abs(u * n_mean)
-    scale = (abs(tt) + u * u * (_var_abs(n_mean, var) + n_mean * n_mean) + abs(loss)
-             + abs(cross) + z_abs * z_abs)
-    return roundoff(cq, scale, "C_Q")
-
-
 def cq_alpha(p: Params, alpha: float) -> float:
-    """Purified-system bound C_Q at placement alpha (0: loss before the shifter, -1: after)."""
+    """Purified-system bound C_Q at placement alpha (0: loss before the shifter, -1: after).
+
+    The quadratic in alpha of the module docstring, a sum of non-negative
+    terms.  A vanishing probe weight is a NormalizationError; a C_Q that
+    overflows or is not positive (no photons in mode a) is a NumericalError.
+    """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return _cq_from(_loss_inner_products(p, NormalizationError), p.eta, alpha)
+    ks = kernels(p)
+    ks.log_weight(ks.probe_thermal(), NormalizationError)
+    n, var = ks.moments(ks.sh2)
+    a1 = 1.0 + alpha
+    u = 1.0 - a1 * (1.0 - p.eta)
+    return positive(4.0 * (u * u * var + a1 * a1 * p.eta * (1.0 - p.eta) * n), "C_Q")
 
 
 def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) -> QfiReport:
     """Analytic alpha-minimum of C_Q, its placement and the probe's inner products.
 
-    ``vanished`` is raised for a vanishing probe normalizer, ``degenerate``
+    ``vanished`` is raised for a vanishing probe weight, ``degenerate``
     for a vanishing minimization denominator (no photons in mode a).  Next to
     a dark fringe at eta -> 1 the inner products grow like 1/|X1|^2 and
     cancel; a result whose estimated roundoff exceeds ROUNDOFF_REL_TOL is a
@@ -176,10 +157,11 @@ def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) 
         raise degenerate(f"degenerate minimization denominator {denom} (no photons in mode a?)")
     f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
     positive(f, "QFI")
-    # the magnitudes of the terms summed into F and into Var(n)
+    # the magnitudes of the terms summed into F, into Var(n) and into s
     s_abs = abs(w_im) + abs(n_mean * y_im)
+    var_abs = abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
     scale = abs(tt) + abs(d["t_bra"]) ** 2 + (
-        eta * abs(n_mean) * (_var_abs(n_mean, var) + 2.0 * s_abs)
+        eta * abs(n_mean) * (var_abs + 2.0 * s_abs)
         + (1.0 - eta) * s_abs * s_abs) / denom
     roundoff(f, scale, "QFI")
     alpha_star = (var - s) / denom - 1.0

@@ -5,8 +5,8 @@ u = |w3|^2, w3 = (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}).
 After m subtractions, <N> = c1 u and d<N>/dphi = c1 u', with u and u' in
 explicit real arithmetic (`su11.model.KernelSet.thermal`; `su11.verify`
 checks u' against central differences of <N>), and Var(N) = S u^2 + c1 u
-with S = D_m / L_m^2 is a sum of non-negative terms (c1 and S:
-`su11.model.KernelSet.laguerre`).
+with S = D_m / L_m^2 is a sum of non-negative terms (<N> and Var(N):
+`su11.model.KernelSet.moments`).
 Error propagation gives  delta^2 phi = Var(N) / |d<N>/dphi|^2.
 
 The ideal variant is the lossy one at T1 = T2 = 1, so the no-loss
@@ -45,11 +45,10 @@ class SensitivityReport:
 def _error_propagation(p: Params) -> SensitivityReport:
     ks = kernels(p)
     u, du = ks.thermal(p.T2)
-    norm, y, spread = ks.subtraction(u)
-    c1 = 1.0 + y
-    mean = finite(c1 * u, "<N>")
-    dmean = finite(c1 * du, "d<N>/dphi")
-    var = spread * u * u + mean
+    norm, y, _ = ks.subtraction(u)
+    mean, var = ks.moments(u)
+    finite(mean, "<N>")
+    dmean = finite((1.0 + y) * du, "d<N>/dphi")
     mean2 = finite(var + mean * mean, "<N^2>")
     stationary(dmean, mean, "closed form")
     return SensitivityReport(
@@ -83,7 +82,7 @@ def optimal_phase(p: Params, interval: Tuple[float, float]) -> Tuple[float, floa
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"interval must be finite with lo <= hi, got {interval}")
     ks = kernels(p)
-    _, y, spread = ks.laguerre()
+    _, y, spread = ks.laguerre
     c1, k = 1.0 + y, ks.sh2 * (ks.ch2 * p.T2)  # sinh^2 g cosh^2 g = (1/4) sinh^2 2g
     a, b, d = 1.0 + p.T1, 2.0 * math.sqrt(p.T1), (1.0 - math.sqrt(p.T1)) ** 2
     big_p = spread * k * (a * a + b * b) + a * c1

@@ -14,15 +14,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 from su11 import fock
-from su11.errors import NormalizationError, NumericalError, Su11Error
+from su11.errors import NumericalError, Su11Error
 from su11.limits import internal_photon_number, limits
 from su11.model import Params
-from su11.qfi import _cq_from, _loss_inner_products, qfi_ideal, qfi_lossy
+from su11.qfi import cq_alpha, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
 
@@ -123,11 +124,7 @@ def alpha_scan(p: Params) -> Tuple[float, float]:
     widening the bracket while the minimum lands on an edge; golden-section
     then refines it.  A flat profile (eta = 1) short-circuits to alpha = 0.
     """
-    d = _loss_inner_products(p, NormalizationError)
-
-    def cq(alpha: float) -> float:
-        return _cq_from(d, p.eta, alpha)
-
+    cq = partial(cq_alpha, p)
     lo, hi = -2.0, 1.0
     n_grid = 41
     for _ in range(8):
@@ -153,9 +150,12 @@ def criterion_3_lossy_minimization() -> CriterionResult:
     """Closed-form lossy QFI equals the numeric alpha minimum (rel 1e-8);
     at eta = 1 both equal the ideal QFI (rel 1e-10).
 
-    The ideal QFI is the same closed form at eta = 1, so the unit-eta gap
-    compares the alpha scan's C_Q with that closed form; C2 (the oracle) is
-    the independent check of the ideal QFI.
+    The scan minimizes `cq_alpha`, C_Q written in the probe's Laguerre moments,
+    while `qfi_lossy` minimizes C_Q's inner products on the series engine, so
+    C3 checks the closed-form minimum and the identity that drops C_Q's cross
+    terms together.  The ideal QFI is the same closed form at eta = 1, so the
+    unit-eta gap compares the scan's 4 Var(n) with that closed form; C2 (the
+    oracle) is the independent check of the ideal QFI.
     """
     worst_min = 0.0
     worst_unit = 0.0
@@ -171,7 +171,7 @@ def criterion_3_lossy_minimization() -> CriterionResult:
     passed = worst_min < 1e-8 and worst_unit < 1e-10
     return CriterionResult(
         "C3",
-        "lossy-QFI closed form vs alpha scan (rel 1e-8; unit-eta 1e-10)",
+        "lossy-QFI closed form vs alpha scan of the Laguerre C_Q (rel 1e-8; unit-eta 1e-10)",
         passed,
         f"worst min-gap {worst_min:.2e}, worst unit-eta gap {worst_unit:.2e}",
     )

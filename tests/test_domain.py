@@ -52,7 +52,7 @@ def assert_cq_finite_or_typed(p: Params, alpha: float, typed=Su11Error) -> None:
     ids=lambda p: f"g{p.g:g}-beta{p.beta:g}-phi{p.phi:g}-m{p.m}",
 )
 def test_overflowing_cq_alpha_is_a_value_or_numerical(p):
-    # <n>^2 and |z|^2 overflow; float powers raised OverflowError or gave nan
+    # beta^(2m) overflows the Laguerre sums past m = 0, or Var(n) overflows: nan or inf
     assert_cq_finite_or_typed(p, 0.3, NumericalError)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from references import bilinear_exponent, dual_kernel, probe_kernel
+from su11.errors import DarkFringeError
 from su11.model import Params, _laguerre_coefficients, kernels
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
@@ -50,7 +51,8 @@ class TestKernels:
     """The thermal number u = |w|^2 of the one-kernel quantities and the QFI's kernel X1.
 
     Without loss every kernel is the lossless w1 = (1/2) sinh 2g (1 - e^{-i phi}):
-    the output kernel w3 at T1 = T2 = 1, the internal one v1 at T1 = 1 and X1 at eta = 1.
+    the output kernel w3 at T1 = T2 = 1, the internal one v1 at T1 = 1 and X1
+    (the reference ``probe_kernel``) at eta = 1.
 
     The real arithmetic of thermal performs the float operations of a complex dual
     kernel's abs2, so the two agree bit for bit.  Only the sign of a zero u' may
@@ -88,14 +90,15 @@ class TestKernels:
         ks = kernels(Params(g=1.3, phi=0.0, T2=0.6))
         assert ks.thermal(ks.p.T2) == (0.0, 0.0)
         assert ks.thermal(1.0) == (0.0, 0.0)
-        assert ks.X1.val == 0.0
+        assert probe_kernel(ks.p).val == 0.0
+        assert ks.probe_thermal() == 0.0
 
     def test_x1_at_unit_transmissivity_equals_w1(self):
         # bit for bit over seeded points, at T1 = T2 = eta = 1
         rng = np.random.default_rng(19)
         for _ in range(500):
             ks = kernels(Params(g=float(rng.uniform(0.0, 4.0)), phi=float(rng.uniform(-7.0, 7.0))))
-            u2 = ks.X1.abs2()
+            u2 = probe_kernel(ks.p).abs2()
             assert ks.thermal(1.0) == (u2.val.real, u2.dph.real)
 
     def test_thermal_is_the_reference_dual_kernel_bit_for_bit(self):
@@ -125,8 +128,8 @@ class TestKernels:
             for t2 in (T2, 1.0):
                 fd = (kp.thermal(t2)[0] - km.thermal(t2)[0]) / (2 * h)
                 assert ks.thermal(t2)[1] == pytest.approx(fd, rel=1e-6, abs=1e-9), t2
-            fd = (kp.X1.val - km.X1.val) / (2 * h)
-            assert ks.X1.dph == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            fd = (probe_kernel(kp.p).val - probe_kernel(km.p).val) / (2 * h)
+            assert probe_kernel(ks.p).dph == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_one_kernel_quantities_build_no_dual_kernel(self, monkeypatch):
         built = []
@@ -142,7 +145,7 @@ class TestKernels:
         sensitivity_lossy(p)
         LIMITS.limits(p)
         assert len(built) == 3
-        assert all("X1" not in vars(ks) for ks in built)
+        assert all("_fringe" not in vars(ks) for ks in built)
 
 
 class TestExponentA:
@@ -175,7 +178,8 @@ class TestExponentA:
         probe = bilinear_exponent(p, probe_kernel(p))
         assert np.array_equal(output.val, probe.val)
         assert np.array_equal(output.dph, probe.dph)
-        norm = math.exp(kernels(p).probe_norm()[0])
+        ks = kernels(p)
+        norm = math.exp(ks.log_weight(ks.probe_thermal(), DarkFringeError))
         assert norm == pytest.approx(probe.exp().extract((p.m, p.m)).val.real, rel=1e-13)
         assert norm == pytest.approx(sensitivity_ideal(p).norm ** -2, rel=1e-13)
 

@@ -151,10 +151,36 @@ class TestCqAlpha:
         for alpha in (-1.0, 0.0, 0.8):
             assert cq_alpha(p, alpha) == pytest.approx(f_ideal, rel=1e-12)
 
-    @pytest.mark.parametrize("m,alpha", [(0, 0.0), (0, -1.0), (1, 0.3)])
+    @pytest.mark.parametrize("m,alpha", [(0, 0.0), (0, -1.0), (1, 0.3), (0, -1.7), (2, 1.2)])
     def test_matches_kraus_oracle(self, m, alpha):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m, eta=0.7)
         assert cq_alpha(p, alpha) == pytest.approx(numeric_cq(p, alpha), rel=1e-5)
+
+    def test_is_the_phi_free_quadratic_of_the_probe_moments(self):
+        # C_Q = 4 [(1 - (1 + alpha)(1 - eta))^2 V + (1 + alpha)^2 eta (1 - eta) n] with
+        # n = c1 sinh^2 g and V = (D_m / L_m^2) sinh^4 g + n, from exact Laguerre sums
+        from fractions import Fraction
+
+        def lag(n, x):
+            return sum(Fraction(math.comb(n, j)) * x**j / math.factorial(j) for j in range(n + 1))
+
+        rng = np.random.default_rng(25)
+        for i in range(300):
+            g, beta = (float(v) for v in rng.uniform(0.05, 3.0, size=2))
+            m = int(rng.integers(0, 16))
+            eta = 1.0 if i % 2 else float(rng.uniform(0.05, 1.0))
+            alpha = float(rng.uniform(-2.0, 2.0))
+            p = Params(g=g, beta=beta, phi=float(rng.uniform(-math.pi, math.pi)), m=m, eta=eta)
+            x = Fraction(beta) ** 2
+            l0, l1, l2 = lag(m, x), lag(m + 1, x), lag(m + 2, x)
+            sh2 = math.sinh(g) ** 2
+            n = float((m + 1) * l1 / l0) * sh2
+            var = float(((m + 1) * (m + 2) * l2 * l0 - (m + 1) ** 2 * l1 * l1) / (l0 * l0)) * sh2 * sh2 + n
+            u = 1.0 - (1.0 + alpha) * (1.0 - eta)
+            want = 4.0 * (u * u * var + (1.0 + alpha) ** 2 * eta * (1.0 - eta) * n)
+            got = cq_alpha(p, alpha)
+            assert got == pytest.approx(want, rel=1e-12), p
+            assert cq_alpha(p.replace(phi=0.4), alpha) == got, p
 
     def test_rejects_non_finite_placement(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
@@ -172,10 +198,9 @@ class TestCqAlpha:
         ],
     )
     def test_dark_fringe_roundoff_is_numerical(self, p, alpha):
-        # on the fringe the terms cancel to -8.6e17 and to 0.0, where qfi_ideal
-        # refuses the same inner products
-        with pytest.raises(NumericalError):
-            cq_alpha(p, alpha)
+        # on the fringe qfi_ideal's inner products cancel to roundoff and it
+        # refuses them; C_Q has no cancelling terms, and phi does not enter it
+        assert cq_alpha(p, alpha) == pytest.approx(cq_alpha(p.replace(phi=0.4), alpha), rel=1e-12)
         with pytest.raises(NumericalError):
             qfi_ideal(p)
 
@@ -315,7 +340,7 @@ class TestLossyQfi:
             raise AssertionError("qfi_lossy evaluated C_Q(alpha)")
 
         monkeypatch.setattr(qfi, "_loss_inner_products", counted)
-        monkeypatch.setattr(qfi, "_cq_from", forbidden)
+        monkeypatch.setattr(qfi, "cq_alpha", forbidden)
         for eta in (0.7, 1.0):
             calls.clear()
             qfi_lossy(Params(g=1.0, beta=1.0, phi=0.4, m=1, eta=eta))

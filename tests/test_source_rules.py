@@ -5,7 +5,8 @@ hypothesis, pytest, pytest-benchmark) and the test helpers stay out of it, so
 an installed su11 never needs them and no cross-check leaks into production.
 The power-series engine `su11.series` holds only the QFI's X-family
 polynomials in production: only `model` imports it, so replacing it touches
-no other module.
+no other module.  No module imports an underscore name of another: what one
+module needs of another is its public surface.
 """
 
 import ast
@@ -44,6 +45,17 @@ def imports_series(tree: ast.AST) -> bool:
         if any(n == "su11.series" or n.startswith("su11.series.") for n in names):
             return True
     return False
+
+def private_imports(tree: ast.AST):
+    """(line, module, name) of every underscore name imported from `su11` or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (("su11." if node.level else "") + (node.module or "")).rstrip(".")
+            if module == "su11" or module.startswith("su11."):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        yield node.lineno, module, alias.name
+
 
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"model.py", "sensitivity.py", "qfi.py", "limits.py"}
@@ -85,3 +97,23 @@ def test_the_fan_in_rule_sees_every_import_form(source):
 def test_the_fan_in_rule_ignores_other_modules():
     assert not imports_series(ast.parse("import su11\nfrom su11.errors import finite\n"
                                         "from su11.model import Params\nimport series"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [f"{path.name}:{line} imports {name} from {module}" for line, module, name in private_imports(tree)]
+    assert not bad, "; ".join(bad)
+
+
+@pytest.mark.parametrize("source", [
+    "from su11.qfi import _cq_from", "from su11.qfi import qcrb, _minimum", "from .model import _fringe",
+    "from . import _x", "def f():\n    from su11.model import _log_power",
+])
+def test_the_private_import_rule_sees_every_form(source):
+    assert len(list(private_imports(ast.parse(source)))) == 1
+
+
+def test_the_private_import_rule_ignores_public_and_foreign_names():
+    assert not list(private_imports(ast.parse("from __future__ import annotations\nimport su11._x\n"
+                                              "from su11.qfi import cq_alpha\nfrom os import _exit\n")))
