@@ -21,7 +21,8 @@ moments (S = (1/2) sinh 2g sqrt(T2), T = T1) and the internal photon number
 (S = (1/2) sinh 2g, T = T1) read them at u = |w|^2, so phi enters only through
 u and its explicit derivative u' (:meth:`KernelSet.thermal`).  The QFI's probe
 over the kernel X1 (T = eta) has its weight at u = |X1|^2 and its moments at
-u = sinh^2 g.  Its inner products mix derivative insertions over X1.  Over
+u = sinh^2 g, which is all the ideal QFI 4 Var(n) reads.  The lossy QFI's
+inner products mix derivative insertions over X1.  Over
 the scaled variables T = X1 t, S = X1* s its norm generating function
 exp(B(X1)) = exp(TS + beta (T + S)) is free of X1, so each extraction is a
 sum of explicit ratios of positive sums in beta (:meth:`KernelSet.probe_norm`)
@@ -105,9 +106,10 @@ class KernelSet:
     NumericalError here.
 
     :meth:`probe_thermal`, :meth:`probe_norm` and :meth:`x_polys` give the
-    extended system's loss-equivalent probe over its kernel X1, which at
-    eta = 1 is the lossless probe, so they serve the ideal QFI as well.  They
-    read X1 through :attr:`_fringe` alone.
+    extended system's loss-equivalent probe over its kernel X1 for the lossy
+    QFI; the ideal QFI reads only the weight at :meth:`probe_thermal` (X1 at
+    eta = 1, the lossless probe) and :meth:`moments`.  They read X1 through
+    :attr:`_fringe` alone.
     """
 
     # every X-family product has degree at most 2 in each scaled variable

@@ -10,9 +10,7 @@ variables of `su11.model.KernelSet.probe_norm` each extraction weighs the
 polynomial's coefficients with up to nine explicit ratios of positive sums
 in beta, so nothing is exponentiated and no power |X1|^2m is formed.
 Minimizing the purified-state bound C_Q over alpha tightens it to F_L,
-which `qfi_lossy` returns in closed form.  At eta = 1 the environment
-decouples and F_L is the QFI of the lossless interferometer with m-photon
-output subtraction, so `qfi_ideal` is the same closed form at eta = 1.
+which `qfi_lossy` returns in closed form.
 
 C_Q(alpha) itself is public (`cq_alpha`), and written without the inner
 products: its cross terms vanish identically, which leaves
@@ -21,10 +19,13 @@ products: its cross terms vanish identically, which leaves
 
 with the probe's photon-number mean n = c1 sinh^2 g and variance
 V = (D_m / L_m^2) sinh^4 g + n (`su11.model.KernelSet.moments` at
-u = sinh^2 g), so phi enters only through the probe's weight.  The numeric
-alpha scan in `su11.verify` (criterion C3) minimizes it, a check on the
-closed form that shares none of its inner products, and the Fock oracle
-(C2) checks the ideal QFI.
+u = sinh^2 g), so phi enters only through the probe's weight.  At eta = 1
+the environment decouples, C_Q = 4 V at every placement, and that is the
+QFI of the lossless interferometer with m-photon output subtraction, which
+`qfi_ideal` returns.  The numeric alpha scan in `su11.verify` (criterion
+C3) minimizes C_Q, a check on `qfi_lossy`'s minimum that shares none of its
+inner products; C3 also holds `qfi_lossy` at eta = 1 to `qfi_ideal`, and
+the Fock oracle (C2) checks the ideal QFI.
 
 Note on the closed form: the printed reference expression groups one term
 (i<Psit|n|Psi> - i<Psi|n|Psit>) outside the 4 eta <n> (...) factor; direct
@@ -36,11 +37,11 @@ C3 checks it against the alpha scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Type
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError, StationaryPointError,
-                         Su11Error, positive, quiet_overflow, real_part, roundoff)
+                         finite, positive, quiet_overflow, real_part, roundoff)
 from su11.model import Params, kernels
 
 
@@ -50,7 +51,10 @@ class QfiReport:
 
     ``alpha_star`` is the closed-form Kraus placement minimizing the lossy
     bound (None for the ideal QFI; at eta = 1 every placement gives the same
-    bound); ``terms`` holds the inner products the value is built from.
+    bound).  ``terms`` holds what the value is built from: for `qfi_lossy`
+    the loss-equivalent probe's seven inner products (tt, t_bra, t_ket,
+    n_mean, var, n_bra, n_ket); for `qfi_ideal` the probe's photon-number
+    mean and variance (n_mean, var).
     """
 
     f: float
@@ -72,10 +76,10 @@ def qcrb(f: float, nu: int = 1) -> float:
 
 
 @quiet_overflow
-def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, complex]:
+def _loss_inner_products(p: Params) -> Dict[str, complex]:
     """Inner products of the loss-equivalent probe and its phase derivative.
 
-    A vanishing probe weight raises ``vanished``.  All quantities are
+    A vanishing probe weight raises NormalizationError.  All quantities are
     (m, m) extractions of an X-family polynomial times the norm generating
     function, each read as sum_ab q_ab r[a, b] over the polynomial's
     coefficients q_ab and the ratios r of `KernelSet.probe_norm`, already
@@ -86,7 +90,7 @@ def _loss_inner_products(p: Params, vanished: Type[Su11Error]) -> Dict[str, comp
     """
     ks = kernels(p)
     r = ks.probe_norm()
-    ks.log_weight(ks.probe_thermal(), vanished)
+    ks.log_weight(ks.probe_thermal(), NormalizationError)
     k = len(r)
 
     def ext(q) -> complex:
@@ -134,16 +138,16 @@ def cq_alpha(p: Params, alpha: float) -> float:
     return positive(4.0 * (u * u * var + a1 * a1 * p.eta * (1.0 - p.eta) * n), "C_Q")
 
 
-def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) -> QfiReport:
+def _minimum(p: Params) -> QfiReport:
     """Analytic alpha-minimum of C_Q, its placement and the probe's inner products.
 
-    ``vanished`` is raised for a vanishing probe weight, ``degenerate``
-    for a vanishing minimization denominator (no photons in mode a).  Next to
+    A vanishing probe weight or minimization denominator (no photons in
+    mode a) is a NormalizationError.  Next to
     a dark fringe at eta -> 1 the inner products grow like 1/|X1|^2 and
     cancel; a result whose estimated roundoff exceeds ROUNDOFF_REL_TOL is a
     NumericalError.
     """
-    d = _loss_inner_products(p, vanished)
+    d = _loss_inner_products(p)
     eta = p.eta
     tt, n_mean, var = d["tt"], d["n_mean"], d["var"]
     w_im = d["n_bra"].imag
@@ -154,7 +158,7 @@ def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) 
     if denom <= 0.0:
         if var < 0.0:  # Var(n) >= 0: its cancelling terms left roundoff, not an empty mode
             raise NumericalError(f"Var(n) = {var} is roundoff")
-        raise degenerate(f"degenerate minimization denominator {denom} (no photons in mode a?)")
+        raise NormalizationError(f"degenerate minimization denominator {denom} (no photons in mode a?)")
     f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
     positive(f, "QFI")
     # the magnitudes of the terms summed into F, into Var(n) and into s
@@ -171,11 +175,21 @@ def _minimum(p: Params, vanished: Type[Su11Error], degenerate: Type[Su11Error]) 
 def qfi_ideal(p: Params) -> QfiReport:
     """QFI of the lossless interferometer with m-photon output subtraction.
 
-    The extended-system bound at eta = 1, where it does not depend on the
-    Kraus placement; ``terms`` holds the probe's inner products.
+    F = 4 V, C_Q at eta = 1, where it does not depend on the Kraus
+    placement: four times the probe's photon-number variance, read with its
+    mean from `KernelSet.moments` at u = sinh^2 g.  A vanishing probe weight
+    is a DarkFringeError, a variance that overflows a NumericalError, and a
+    probe with no photons a StationaryPointError.  ``terms`` holds the mean
+    and the variance.
     """
-    r = _minimum(p.replace(eta=1.0), DarkFringeError, StationaryPointError)
-    return replace(r, alpha_star=None)
+    ks = kernels(p.replace(eta=1.0))
+    ks.log_weight(ks.probe_thermal(), DarkFringeError)
+    n_mean, var = ks.moments(ks.sh2)
+    finite(var, "Var(n)")
+    if n_mean == 0.0:
+        raise StationaryPointError("the probe holds no photons in mode a: F = 0")
+    f = positive(4.0 * var, "QFI")
+    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=None, terms={"n_mean": n_mean, "var": var})
 
 
 def qfi_lossy(p: Params) -> QfiReport:
@@ -184,4 +198,4 @@ def qfi_lossy(p: Params) -> QfiReport:
     Returns the analytic alpha-minimum of C_Q and its minimizing placement;
     ``terms`` holds the loss-equivalent probe's inner products.
     """
-    return _minimum(p, NormalizationError, NormalizationError)
+    return _minimum(p)

@@ -17,7 +17,9 @@ extractions of exp(B(w)) with the series engine, over the complex dual kernel
 ``engine_loss_inner_products`` reads the QFI's inner products off whole-box
 extractions of exp(B(X1)) over the unscaled variables (t, s), where
 ``su11.qfi`` weighs scaled polynomial coefficients with explicit ratios of
-positive sums.
+positive sums; ``mp_ideal_qfi`` evaluates the ideal QFI 4 Var(n) at 60 digits
+from Laguerre sums built term by term, where ``su11.model`` sums double
+Horner polynomials and takes their ratios once.
 """
 
 from __future__ import annotations
@@ -234,3 +236,23 @@ def engine_loss_inner_products(p: Params) -> dict:
         "n_bra": sh2 * ext(x3 * (x6 + 2.0)),
         "n_ket": sh2 * ext(x2 * (x6 + 2.0)),
     }
+
+
+def mp_ideal_qfi(mpmath, p: Params) -> float:
+    """The ideal QFI 4 V at 60 digits, V = (D_m / L_m^2) sinh^4 g + c1 sinh^2 g.
+
+    L_n = L_n(-beta^2) = sum_j C(n, j) beta^2j / j!, c1 = (m + 1) L_(m+1) / L_m and
+    D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2, at the exact double
+    g and beta; phi does not enter.
+    """
+    with mpmath.workdps(60):
+        m, x = p.m, mpmath.mpf(p.beta) ** 2
+
+        def lag(n):
+            return mpmath.fsum(mpmath.binomial(n, j) * x**j / mpmath.factorial(j) for j in range(n + 1))
+
+        l0, l1, l2 = lag(m), lag(m + 1), lag(m + 2)
+        sh2 = mpmath.sinh(mpmath.mpf(p.g)) ** 2
+        n = (m + 1) * l1 / l0 * sh2
+        var = ((m + 1) * (m + 2) * l2 * l0 - (m + 1) ** 2 * l1 * l1) / (l0 * l0) * sh2 * sh2 + n
+        return float(4 * var)

@@ -12,6 +12,7 @@ import pytest
 
 from su11.cli import main
 from su11.model import Params
+from su11.qfi import cq_alpha
 from su11.sweeps import (
     FIGURES,
     QUANTITIES,
@@ -24,7 +25,7 @@ from su11.sweeps import (
     to_csv,
 )
 from su11.verify import CriterionResult
-from references import serialize_config
+from references import mp_ideal_qfi, serialize_config
 
 EXAMPLE_CONFIG = """\
 [delta-vs-T]
@@ -145,7 +146,18 @@ class TestRunSweep:
              "qfi-2pi+6e-8", "qfi-lossy-eta1-1e-9"],
     )
     def test_overflow_and_roundoff_cells_carry_numerical_code(self, quantity, params):
-        assert _eval_task((quantity, Params(**params))) == ("", "Numerical")
+        # the qfi_ideal cells were refused like the others until qfi_ideal became
+        # 4 Var(n), which neither cancels near a fringe nor forms sinh^6 g: they
+        # now hold that value, the same as C_Q at eta = 1 and 60-digit 4 Var(n)
+        p = Params(**params)
+        value, code = _eval_task((quantity, p))
+        if quantity != "qfi_ideal":
+            assert (value, code) == ("", "Numerical")
+            return
+        assert code == "" and math.isfinite(float(value))
+        assert float(value) == pytest.approx(cq_alpha(p.replace(eta=1.0), 0.0), rel=1e-14)
+        mpmath = pytest.importorskip("mpmath")
+        assert float(value) == pytest.approx(mp_ideal_qfi(mpmath, p), rel=1e-12)
 
     @pytest.mark.parametrize(
         "quantity", ["delta_phi_lossy", "n_t", "sql", "qfi_ideal"],

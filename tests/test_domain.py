@@ -6,7 +6,7 @@ import pytest
 
 from su11.errors import NumericalError, Su11Error
 from su11.model import Params
-from su11.qfi import cq_alpha
+from su11.qfi import cq_alpha, qfi_ideal
 from su11.sensitivity import optimal_phase
 from su11.sweeps import _eval_task
 
@@ -54,6 +54,12 @@ def assert_cq_finite_or_typed(p: Params, alpha: float, typed=Su11Error) -> None:
 def test_overflowing_cq_alpha_is_a_value_or_numerical(p):
     # beta^(2m) overflows the Laguerre sums past m = 0, or Var(n) overflows: nan or inf
     assert_cq_finite_or_typed(p, 0.3, NumericalError)
+
+
+def test_tiny_gain_huge_beta_ideal_qfi_is_four_variances():
+    # at m = 0, Var(n) = (1 + 2 beta^2) sinh^4 g + (1 + beta^2) sinh^2 g = 1e160,
+    # while n^2 and the inner products' beta^4 terms overflow
+    assert qfi_ideal(Params(g=1e-12, beta=1e92, phi=0.4, m=0)).f == pytest.approx(4e160, rel=1e-12)
 
 
 def assert_optimum_finite_or_typed(p: Params, lo: float, hi: float, typed=Su11Error) -> None:

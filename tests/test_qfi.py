@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from references import engine_loss_inner_products, laguerre_coefficient
+from references import engine_loss_inner_products, laguerre_coefficient, mp_ideal_qfi
 from su11 import qfi
 from su11.errors import (ROUNDOFF_REL_TOL, DarkFringeError, NormalizationError, NumericalError,
-                         Su11Error)
+                         StationaryPointError, Su11Error)
 from su11.fock import numeric_cq, numeric_qfi_pure
 from su11.model import Params, kernels
 from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
@@ -133,10 +133,27 @@ class TestIdealQfi:
                 assert qfi_lossy(p).f == pytest.approx(mp_qfi_lossy(mpmath, p), rel=1e-12), p
 
     def test_zero_gain_has_no_information(self):
-        from su11.errors import StationaryPointError
-
         with pytest.raises(StationaryPointError):
             qfi_ideal(Params(g=0.0, beta=1.0, phi=0.4, m=0))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, 15])
+    def test_vacuum_seed_gains_m_plus_one_trials(self, m):
+        # at beta = 0, L_n = 1 and c1 = D_m = m + 1: F_m = 4 (m + 1) sinh^2 g cosh^2 g
+        for g in (0.5, 1.0):
+            want = 4.0 * (m + 1) * math.sinh(g) ** 2 * math.cosh(g) ** 2
+            assert qfi_ideal(Params(g=g, beta=0.0, phi=0.4, m=m)).f == pytest.approx(want, rel=1e-12)
+
+    def test_reads_the_probe_moments_only(self, monkeypatch):
+        # four times the variance, with no inner product and no minimization
+        def forbidden(*args):
+            raise AssertionError("qfi_ideal minimized C_Q's inner products")
+
+        monkeypatch.setattr(qfi, "_minimum", forbidden)
+        monkeypatch.setattr(qfi, "_loss_inner_products", forbidden)
+        r = qfi_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=3))
+        assert r.alpha_star is None
+        assert set(r.terms) == {"n_mean", "var"}
+        assert r.f == 4.0 * r.terms["var"]
 
     def test_qcrb_below_sensitivity(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0)
@@ -181,6 +198,8 @@ class TestCqAlpha:
             got = cq_alpha(p, alpha)
             assert got == pytest.approx(want, rel=1e-12), p
             assert cq_alpha(p.replace(phi=0.4), alpha) == got, p
+            if eta == 1.0:
+                assert qfi_ideal(p).f == pytest.approx(4.0 * var, rel=1e-12), p
 
     def test_rejects_non_finite_placement(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
@@ -198,11 +217,17 @@ class TestCqAlpha:
         ],
     )
     def test_dark_fringe_roundoff_is_numerical(self, p, alpha):
-        # on the fringe qfi_ideal's inner products cancel to roundoff and it
-        # refuses them; C_Q has no cancelling terms, and phi does not enter it
+        # on the fringe the probe's inner products cancel to roundoff, which
+        # qfi_lossy refuses as Numerical; C_Q has no cancelling terms, phi does
+        # not enter it, and qfi_ideal, its value at eta = 1, is a value there
         assert cq_alpha(p, alpha) == pytest.approx(cq_alpha(p.replace(phi=0.4), alpha), rel=1e-12)
         with pytest.raises(NumericalError):
-            qfi_ideal(p)
+            qfi_lossy(p)
+        f = qfi_ideal(p).f
+        assert math.isfinite(f)
+        assert f == pytest.approx(cq_alpha(p.replace(eta=1.0), 0.0), rel=1e-14)
+        mpmath = pytest.importorskip("mpmath")
+        assert f == pytest.approx(mp_ideal_qfi(mpmath, p), rel=1e-12)
 
     def test_placements_differ_under_loss(self):
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0, eta=0.7)
@@ -277,7 +302,7 @@ class TestInnerProducts:
                                  eta=1.0 if i % 2 else float(rng.uniform(0.05, 1.0)),
                                  m=int(rng.integers(0, 16))))
         for p in points:
-            got = qfi._loss_inner_products(p, NormalizationError)
+            got = qfi._loss_inner_products(p)
             for name, want in engine_loss_inner_products(p).items():
                 assert got[name] == pytest.approx(want, rel=1e-12), (name, p)
 
@@ -300,7 +325,7 @@ class TestInnerProducts:
             with monkeypatch.context() as patch:
                 try:
                     got = qfi_lossy(p).f
-                    patch.setattr(qfi, "_loss_inner_products", lambda p, _: engine_loss_inner_products(p))
+                    patch.setattr(qfi, "_loss_inner_products", engine_loss_inner_products)
                     reference = qfi_lossy(p).f
                 except Su11Error:
                     continue
@@ -332,9 +357,9 @@ class TestLossyQfi:
         calls = []
         inner_products = qfi._loss_inner_products
 
-        def counted(p, vanished):
+        def counted(p):
             calls.append(p)
-            return inner_products(p, vanished)
+            return inner_products(p)
 
         def forbidden(*args):
             raise AssertionError("qfi_lossy evaluated C_Q(alpha)")
