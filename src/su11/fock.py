@@ -1,52 +1,56 @@
 """Brute-force two-mode Fock-space simulator: ground truth at desk scale.
 
-States live on a truncated grid with per-mode cutoff ``n_cut``.  The
-internal loss channel expands pure states into Kraus branches, so the one
-state type, :class:`Ensemble`, holds weight-carrying pure branches on a
-leading branch axis, ``amps[branch, n_a, n_b]``; a pure state is an ensemble
-of one branch.  Unitaries act on every branch in one pass.
+States live on a truncated grid with per-mode cutoff ``n_cut``, d = n_cut +
+1 levels per mode.  Every pipeline starts from |0, beta>; the squeezers and
+the phase shifter conserve n_b - n_a, and loss, subtraction and b† only
+raise it, so the n_a > n_b half of the grid stays empty.  A state is
+therefore stored as the band of its rows kk = n_b - n_a >= 0, each holding
+the positions j = n_a < d - kk (:class:`Ensemble`).  The internal loss
+channel expands pure states into Kraus branches, so the one state type
+holds weight-carrying pure branches; a pure state is an ensemble of one
+branch.  Each row, across all branches and the phase tangent, is one
+contiguous (positions, columns) slab, so a unitary acts on every branch in
+one pass.
 
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
-generator, internal loss as the full Kraus set, each branch one scaled row
-slice of its input) so that it shares no algebra with the closed-form
-calculator it verifies.  The squeezer's generator splits into tridiagonal
-blocks along the grid diagonals n_a - n_b = k.  At theta = 0
-each block is the gain times a real antisymmetric matrix K_k that depends on
-the cutoff alone, so the block exp(g K_k) is a real rotation; K_k couples
-even to odd photon numbers only, so one half-size singular value
-decomposition of that coupling per occupied diagonal and cutoff serves every
-gain and phase.  Any other theta is a diagonal phase twist before and after
-the same real block, and a block acts as one real matrix product on the
-complex amplitudes viewed as (re, im) pairs.  A diagonal is occupied when it
-holds more than BRANCH_PRUNE_TOL of the state's weight; the squeezer acts on
-those only.  Every pipeline starts from |0, beta>, the squeezers and the
-phase shifter conserve n_a - n_b, and loss, subtraction and b† only lower
-it, so the n_a > n_b half of the grid stays empty and only the coherent
-tail, widened by loss, is occupied.  Bases and blocks, all real, are built
-per diagonal on first use.  The second squeezer, S(g e^{i pi}), is applied
-as (-1)^{n_a} S(g) (-1)^{n_a}, an exact sign twist, so the two squeezers
-share one block set per gain.  Every pipeline squeezes at the one gain p.g,
-so only the blocks of the latest gain are cached: a new gain drops the
-others, and a sweep along phi, beta or the transmittances reuses its blocks
-from point to point while a sweep along g, whose points share no gain, keeps
-no stale ones.  Bases hold no gain and stay.  Every cutoff ladder starts at
-DEFAULT_N_CUT, so it visits at most 16 cutoffs, and these bound both caches
-(see _TMS_BLOCK_CACHE) without any eviction.  The tests keep a sub-stepped
-Taylor exponential of the same generator as an independent cross-check of
-the blockwise propagator.
+generator, internal loss as the full Kraus set, each branch one scaled
+shift of its input) so that it shares no algebra with the closed-form
+calculator it verifies.  The squeezer's generator conserves kk, so it
+splits into tridiagonal blocks, one per row.  At theta = 0 each block is
+the gain times a real antisymmetric matrix K_k that depends on the cutoff
+alone, so the block exp(g K_k) is a real rotation; K_k couples even to odd
+photon numbers only, so one half-size singular value decomposition of that
+coupling per occupied row and cutoff serves every gain and phase.  Any
+other theta is a diagonal phase twist before and after the same real block,
+and a block acts as one real matrix product on its row's slab, the complex
+amplitudes viewed as (re, im) pairs.  A row is occupied when it holds more
+than BRANCH_PRUNE_TOL of the state's weight; the squeezer multiplies those
+only and trims the band after the last.  Bases and blocks, all real, are
+built per row on first use.  The second squeezer, S(g e^{i pi}), is
+(-1)^{n_a} S(g) (-1)^{n_a}, and that sign twist turns each real block into
+its transpose, so the two squeezers share one block set per gain.  Every
+pipeline squeezes at the one gain p.g, so only the blocks of the latest
+gain are cached: a new gain drops the others, and a sweep along phi, beta
+or the transmittances reuses its blocks from point to point while a sweep
+along g, whose points share no gain, keeps no stale ones.  Bases hold no
+gain and stay.  Every cutoff ladder starts at DEFAULT_N_CUT, so it visits
+at most 16 cutoffs, and these bound both caches (see _TMS_BLOCK_CACHE)
+without any eviction.  The tests keep a sub-stepped Taylor exponential of
+the same generator on the full grid as an independent cross-check of the
+blockwise propagator.
 
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
 every later element is linear and carries the tangent next to the state in
 the same pass.  The output loss T2 follows the last element, so it acts on
-the joint photon-number table P(n_a, n_b) and its phase derivative, all that
-subtraction and detection read, as the binomial thinning of n_a
+the joint photon-number table P(n_a, n_b) and its phase derivative, all
+that subtraction and detection read, as the binomial thinning of n_a
 (:func:`thin_tables`).  Subtraction is read from the thinned table: a^m
 takes |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every
 order m is a reweighting of one table.  The equivalent-model and internal
-pipelines subtract with :func:`subtract_photons`, one scaled row slice,
-which also cross-checks that reweighting.
+pipelines subtract with :func:`subtract_photons`, one scaled shift of the
+band, which also cross-checks that reweighting.
 
 Every reported oracle number goes through :func:`converged_value`, which
 climbs one fixed cutoff ladder from DEFAULT_N_CUT and accepts only when a
@@ -73,30 +77,11 @@ LEAKAGE_TOL = 1e-10
 # squared norm, relative to the (unit) input's, below which a lowered state is
 # empty: squared amplitudes carry ~1e-28 truncation-roundoff residue
 ZERO_NORM_FLOOR = 1e-24
-# ensemble branches, and squeezer diagonals n_a - n_b = k, below this
-# relative weight are dropped; the total dropped mass stays far below the
-# 1e-12 trace bookkeeping tolerance.  The squeezer conserves each diagonal's
-# weight, so it drops exactly what it would carry
+# ensemble branches, and squeezer rows kk = n_b - n_a, below this relative
+# weight are dropped; the total dropped mass stays far below the 1e-12 trace
+# bookkeeping tolerance.  The squeezer conserves each row's weight, so it
+# drops exactly what it would carry
 BRANCH_PRUNE_TOL = 1e-26
-
-
-# -- elementary operator actions on the last two axes ------------------------
-
-
-def lower_a(amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    d = amps.shape[-2]
-    r = np.sqrt(np.arange(1.0, d))
-    out[..., :-1, :] = r[:, None] * amps[..., 1:, :]
-    return out
-
-
-def raise_b(amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    d = amps.shape[-1]
-    r = np.sqrt(np.arange(1.0, d))
-    out[..., :, 1:] = r[None, :] * amps[..., :, :-1]
-    return out
 
 
 # -- the state container -----------------------------------------------------
@@ -105,12 +90,13 @@ def raise_b(amps: np.ndarray) -> np.ndarray:
 class Ensemble:
     """Weight-carrying pure branches of a two-mode state, optionally with their tangent.
 
-    ``amps`` has shape (branches, n_cut + 1, n_cut + 1), indexed
-    (branch, n_a, n_b); branch weights are the squared norms of the
+    ``data`` stores the band: ``data[kk, j, branch]`` is the amplitude of
+    |n_a, n_b> = |j, j + kk> (positions j >= n_cut + 1 - kk are zero), or
+    ``data[kk, j, 0 | 1, branch]`` for the amplitudes and their d/dphi, so
+    that a linear element acts on both in one pass and row kk is one
+    contiguous slab.  Branch weights are the squared norms of the
     unnormalized branch amplitudes, and a pure state is one branch.
-    ``data`` holds the amplitudes, or the amplitudes and their d/dphi
-    stacked in front of the branch axis, so that a linear element acts on
-    both in one pass; ``amps`` and ``tangent`` are views of it.
+    ``amps`` and ``tangent`` are (branch, kk, j) views.
     """
 
     __slots__ = ("data",)
@@ -122,32 +108,74 @@ class Ensemble:
 
     @property
     def n_cut(self) -> int:
-        return self.data.shape[-1] - 1
+        return self.data.shape[1] - 1
+
+    def band(self) -> Tuple[np.ndarray, np.ndarray | None]:
+        """(state, tangent) as (kk, j, branch) views; the tangent is None when not carried."""
+        if self.data.ndim == 3:
+            return self.data, None
+        return self.data[:, :, 0], self.data[:, :, 1]
 
     @property
     def amps(self) -> np.ndarray:
-        return self.data[0] if self.data.ndim == 4 else self.data
+        return np.moveaxis(self.band()[0], -1, 0)
 
     @property
     def tangent(self) -> np.ndarray | None:
-        return self.data[1] if self.data.ndim == 4 else None
+        t = self.band()[1]
+        return None if t is None else np.moveaxis(t, -1, 0)
 
     def trace(self) -> float:
         """Total weight of the branches."""
-        return float(np.vdot(self.amps, self.amps).real)
+        return float(np.sum(_weights(self.band()[0])))
+
+
+def _weights(v: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Re <v|t> per (kk, j) of band amplitudes, summed over the branches; <v|v> by default."""
+    x = v.view(np.float64)
+    return np.einsum("...c,...c->...", x, x if t is None else t.view(np.float64))
+
+
+def _on_grid(w: np.ndarray) -> np.ndarray:
+    """The (d, d) table over (n_a, n_b) of per-(kk, j) values w."""
+    rows, d = w.shape
+    kk, j = np.nonzero(np.arange(rows)[:, None] + np.arange(d) < d)
+    table = np.zeros((d, d))
+    table[j, j + kk] = w[kk, j]
+    return table
+
+
+def _column(c: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-position factors c[j], shaped to broadcast over band data of ndim axes."""
+    return c.reshape((-1,) + (1,) * (ndim - 2))
+
+
+def _lowered_into(out: np.ndarray, c: np.ndarray, src: np.ndarray, l: int) -> None:
+    """out[kk + l, j] = c[j] src[kk, j + l]: n_a lowered by l at fixed n_b.
+
+    ``c`` holds the d - l factors of positions j = 0..d - 1 - l; rows that
+    would land past the end of ``out`` hold no position with n_a >= l.
+    """
+    k = min(len(src), len(out) - l)
+    d = src.shape[1]
+    np.multiply(_column(c, src.ndim), src[:k, l:], out=out[l : l + k, : d - l])
+
+
+def _grown(data: np.ndarray, rows: int) -> np.ndarray:
+    """Zeros shaped like band data with len(data) + rows rows, at most one per n_b."""
+    return np.zeros((min(len(data) + rows, data.shape[1]),) + data.shape[1:], data.dtype)
 
 
 def _seed_tangent(x: Ensemble) -> Ensemble:
     """x with its phase tangent i a†a |x>: exact right after apply_phase."""
-    n_a = np.arange(x.n_cut + 1)[:, None]
-    return Ensemble(np.stack((x.amps, 1j * n_a * x.amps)))
+    v = x.band()[0]
+    return Ensemble(np.stack((v, 1j * _column(np.arange(x.n_cut + 1), v.ndim) * v), axis=2))
 
 
 def photon_tables(ens: Ensemble) -> Tuple[np.ndarray, np.ndarray]:
     """Joint photon-number table P(n_a, n_b) over the branches, and its d/dphi."""
-    v, t = ens.amps, ens.tangent
-    table = np.sum(v.real**2 + v.imag**2, axis=0)
-    return table, 2.0 * np.sum(v.real * t.real + v.imag * t.imag, axis=0)
+    v, t = ens.band()
+    return _on_grid(_weights(v)), _on_grid(2.0 * _weights(v, t))
 
 
 def thin_tables(table: np.ndarray, dtable: np.ndarray, T: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -172,18 +200,41 @@ def thin_tables(table: np.ndarray, dtable: np.ndarray, T: float) -> Tuple[np.nda
     return binom @ table, binom @ dtable
 
 
+# -- elementary operator actions on band data ---------------------------------
+
+
+def lower_a(data: np.ndarray) -> np.ndarray:
+    """a on band data: sqrt(j) |j, j + kk> -> |j - 1, j + kk>, one row up."""
+    out = _grown(data, 1)
+    _lowered_into(out, np.sqrt(np.arange(1.0, data.shape[1])), data, 1)
+    return out
+
+
+def raise_b(data: np.ndarray) -> np.ndarray:
+    """b† on band data: sqrt(n_b + 1) |j, n_b> -> |j, n_b + 1>, one row up; n_b = n_cut drops."""
+    out = _grown(data, 1)
+    rows, d = len(out) - 1, data.shape[1]
+    n_b = np.arange(1, rows + 1)[:, None] + np.arange(d)
+    scale = np.sqrt(np.where(n_b < d, n_b, 0.0))
+    out[1:] = scale.reshape(scale.shape + (1,) * (data.ndim - 2)) * data[:rows]
+    return out
+
+
 # -- preparation and pipeline elements ----------------------------------------
 
 
 def prepare_input(beta: float, n_cut: int) -> Ensemble:
-    """Vacuum in mode a, coherent |beta> in mode b, as a one-branch ensemble."""
+    """Vacuum in mode a, coherent |beta> in mode b, as a one-branch ensemble.
+
+    |0, n> is row kk = n at position 0, so the band holds every row.
+    """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     d = n_cut + 1
-    amps = np.zeros((d, d), complex)
+    amps = np.zeros((d, d, 1), complex)
     c = math.exp(-0.5 * beta * beta)
     for n in range(d):
-        amps[0, n] = c
+        amps[n, 0, 0] = c
         c = c * beta / math.sqrt(n + 1)
     tail = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
     if tail > 1e-14:
@@ -191,24 +242,26 @@ def prepare_input(beta: float, n_cut: int) -> Ensemble:
         raise LeakageError(
             f"n_cut={n_cut} leaves coherent tail mass {tail:.2e} > 1e-14 for beta={beta}"
         )
-    return Ensemble(amps[None])
+    return Ensemble(amps)
 
 
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
-# each value holds real arrays per diagonal |n_a - n_b|, built on first use.
+# each value holds real arrays per row kk = n_b - n_a, built on first use.
 # Every ladder starts at DEFAULT_N_CUT, so it visits at most 16 cutoffs; the
 # bases hold one value per cutoff, and the blocks one per cutoff and theta at
 # the latest gain (see _tms_blocks).  Every pipeline squeezes at theta = 0,
-# the mirror included, so the blocks hold one theta; with every diagonal of
-# all 16 cutoffs built, both caches together hold 6.19e6 complex entries
-# (99 MB).  Only tests squeeze at other thetas, at cutoffs of at most 70
+# the mirror included, so the blocks hold one theta.  With every row of all
+# 16 cutoffs built, both caches together would hold 1.24e7 float64 entries
+# (99 MB); only occupied rows are built, and fig2's ladders, which climb to
+# the cap at g = 1, leave 28.3 MB of blocks and 14.3 MB of bases over 13
+# cutoffs.  Only tests squeeze at other thetas, at cutoffs of at most 70
 
 
 def _filled(cache: dict, key, ks: List[int], build) -> dict:
-    """cache[key], holding a value for every diagonal in ks.
+    """cache[key], holding a value for every row in ks.
 
-    ``build(missing)`` yields the values of the diagonals not built yet, in
+    ``build(missing)`` yields the values of the rows not built yet, in
     order.
     """
     value = cache.setdefault(key, {})
@@ -219,10 +272,10 @@ def _filled(cache: dict, key, ks: List[int], build) -> dict:
 
 
 def _tms_basis(d: int, ks: List[int]) -> dict:
-    """Half-size singular value decompositions (sigma_k, U_k, W_k) for k in ks.
+    """Half-size singular value decompositions (sigma_k, U_k, W_k) for the rows k in ks.
 
-    On |n+k, n> (n = 0..s-1, s = d - k) the theta = 0 generator is g K_k,
-    with K_k real, antisymmetric and tridiagonal: +sqrt((n + k) n) at
+    On row k, |n, n+k> (n = 0..s-1, s = d - k), the theta = 0 generator is
+    g K_k, with K_k real, antisymmetric and tridiagonal: +sqrt((n + k) n) at
     (n - 1, n) and its negative at (n, n - 1).  It couples even n only to
     odd n, so in even/odd order K_k = [[0, C_k], [-C_k^T, 0]], where C_k,
     ((s + 1) // 2) x (s // 2), is lower bidiagonal: the even/odd coupling
@@ -230,8 +283,8 @@ def _tms_basis(d: int, ks: List[int]) -> dict:
     that the gauge D = diag((-i)^n) puts on it (D J_k D^-1 = i K_k).  With
     C_k = U_k diag(sigma_k) W_k^T (U_k square, so for odd s its last column
     spans the zero mode), the eigenvalues of J_k are +-sigma_k, plus 0 for
-    odd s.  C_k depends on the cutoff alone, so each occupied diagonal of
-    each cutoff is decomposed once, on first use, and serves every gain and
+    odd s.  C_k depends on the cutoff alone, so each occupied row of each
+    cutoff is decomposed once, on first use, and serves every gain and
     phase.
     """
 
@@ -253,13 +306,12 @@ def _tms_basis(d: int, ks: List[int]) -> dict:
 
 
 def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> dict:
-    """Real rotation blocks of exp(xi ab - xi* a†b†) for the diagonals k in ks.
+    """Real rotation blocks of exp(xi ab - xi* a†b†) for the rows k in ks.
 
-    The generator conserves n_a - n_b, so it block-diagonalizes over the
-    grid diagonals; by the a <-> b symmetry one block serves a diagonal and
-    its mirror.  On |n+k, n> (n = 0..d-1-k) the theta = 0 block is exp(g
-    K_k), a real orthogonal matrix (see :func:`_tms_basis`); in even/odd
-    order it is
+    The generator conserves n_b - n_a, so it block-diagonalizes over the
+    band's rows.  On row k, |n, n+k> (n = 0..d-1-k), the theta = 0 block is
+    exp(g K_k), a real orthogonal matrix (see :func:`_tms_basis`); in
+    even/odd order it is
 
         [[U cos U^T,  U sin W^T],
          [-W sin U^T, W cos W^T]],   cos, sin = cos(g sigma_k), sin(g sigma_k),
@@ -269,7 +321,7 @@ def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> dict:
     other theta is the diagonal twist E exp(g K_k) E^-1, E = diag(e^{-i n
     theta}), which :func:`_apply_tms_raw` applies to the state, so the
     blocks are real and the same at every theta.  Each block is built from
-    its diagonal's basis on first use.
+    its row's basis on first use.
 
     The cache keeps the blocks of one gain: every pipeline squeezes at a
     single gain, so blocks of any other gain are dropped before this gain's
@@ -299,57 +351,46 @@ def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> dict:
 
 
 def _apply_tms_raw(
-    amps: np.ndarray, g: float, theta: float, state: np.ndarray | None = None, mirror: bool = False
+    data: np.ndarray, g: float, theta: float, state: np.ndarray | None = None, mirror: bool = False
 ) -> np.ndarray:
-    """Exact exponential of the truncated two-mode-squeezing generator.
+    """Exact exponential of the truncated two-mode-squeezing generator on band data.
 
-    Every axis before the last two (tangent, branches) is folded into the
-    rows of one real matrix product per diagonal: the diagonal's entries of
-    all rows are gathered into a (length, rows) complex array, viewed as
-    (length, 2 rows) real (re, im) pairs, and rotated by the real block.
-    A state, a stack and a stack with its tangent take one path.  Only the
-    occupied diagonals are multiplied: those that hold more than
-    BRANCH_PRUNE_TOL of the weight of ``state`` (``amps`` itself by
-    default).  The squeezer conserves each diagonal's weight, so every other
-    diagonal is zero in the output.
+    ``data`` is (kk, j, ...) band data (see :class:`Ensemble`): row kk's
+    positions j < d - kk, with every later axis (tangent, branches) folded
+    into its columns, are one contiguous complex slab, viewed as real (re,
+    im) pairs and rotated by the row's real block in one matrix product.  A
+    state, a stack and a stack with its tangent take one path.  Only the
+    occupied rows are multiplied: those that hold more than BRANCH_PRUNE_TOL
+    of the weight of ``state`` (``data`` itself by default).  The squeezer
+    conserves each row's weight, so every other row is zero in the output,
+    which ends at the last occupied row.
 
-    A nonzero theta twists entry j of a diagonal by e^{i j theta} before the
-    block and entry i by e^{-i i theta} after it.  With ``mirror`` (see
-    :func:`apply_tms`) the twist also carries the exact sign (-1)^j, as n_a
-    steps by one along a diagonal, so the mirror at theta = 0 stays real.
+    A nonzero theta twists position j by e^{i j theta} before the block and
+    by e^{-i j theta} after it.  With ``mirror`` (see :func:`apply_tms`) the
+    block is transposed: (-1)^j r (-1)^j = r^T for the real rotation r of a
+    tridiagonal antisymmetric generator, so the mirror stays real.
     """
     if g == 0.0:
-        return amps.copy()
-    d = amps.shape[-1]
-    state = amps if state is None else state
-    n = np.arange(d)
-    weight = np.bincount(
-        (n[:, None] - n[None, :] + d - 1).ravel(),
-        weights=(state.real**2 + state.imag**2).reshape(-1, d * d).sum(axis=0),
-        minlength=2 * d - 1,
-    )
-    occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300))
-    occupied = (occupied - (d - 1)).tolist()
-    blocks = _tms_blocks(g, theta, d, sorted({abs(k) for k in occupied}))
-    twist = np.exp(1j * theta * n) if theta != 0.0 else None
-    if mirror:
-        sign = 1.0 - 2.0 * (n % 2)
-        twist = sign if twist is None else sign * twist
-    # on the grid flattened to d*d, diagonal k >= 0, |n+k, n>, is the stride
-    # d+1 run from k*d, and its mirror -k, |n, n+k>, the run from k
-    flat = amps.reshape(-1, d * d)
-    out = np.zeros_like(flat)
-    for k in occupied:
-        run = slice(k * d, d * d, d + 1) if k >= 0 else slice(-k, (d + k) * d, d + 1)
-        r = blocks[abs(k)]
-        x = np.ascontiguousarray(flat[:, run].T)
+        return data.copy()
+    data = np.ascontiguousarray(data)
+    state = data if state is None else state
+    d = data.shape[1]
+    weight = _weights(state).reshape(len(state), -1).sum(axis=1)
+    occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300)).tolist()
+    blocks = _tms_blocks(g, theta, d, occupied)
+    twist = np.exp(1j * theta * np.arange(d))[:, None] if theta != 0.0 else None
+    out = np.zeros((occupied[-1] + 1 if occupied else 1,) + data.shape[1:], data.dtype)
+    for kk in occupied:
+        s = d - kk
+        r = blocks[kk].T if mirror else blocks[kk]
+        x = data[kk, :s].reshape(s, -1)
+        y = out[kk, :s].reshape(s, -1)
         if twist is not None:
-            x *= twist[: len(r), None]
-        y = (r @ x.view(np.float64)).view(complex)
+            x = x * twist[:s]
+        np.matmul(r, x.view(np.float64), out=y.view(np.float64))
         if twist is not None:
-            y *= twist[: len(r), None].conj()
-        out[:, run] = y.T
-    return out.reshape(amps.shape)
+            y *= twist[:s].conj()
+    return out
 
 
 def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ensemble:
@@ -357,16 +398,17 @@ def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ense
 
     With ``mirror`` it is (-1)^{n_a} S (-1)^{n_a}, the squeezer at theta + pi
     (parity sends a to -a): the second squeezer, S(g e^{i pi}), is the mirror
-    at theta = 0, the exact sign twist (-1)^j on each diagonal around the
-    real blocks it shares with the first.  A carried tangent
-    goes through in the same pass; the occupied diagonals and leakage are
-    judged on the state alone.
+    at theta = 0, which transposes the real blocks it shares with the first.
+    A carried tangent goes through in the same pass; the occupied rows and
+    leakage are judged on the state alone.  The last two positions of each
+    row hold n_b = n_cut - 1 and n_cut, and with n_a <= n_b these are all of
+    the grid's top two Fock layers.
     """
-    out = Ensemble(_apply_tms_raw(x.data, g, theta, x.amps, mirror))
-    total = out.trace()
-    # mass with either mode in its top two Fock layers
-    top_a, top_b = out.amps[..., -2:, :], out.amps[..., :-2, -2:]
-    edge = float(np.sum(top_a.real**2 + top_a.imag**2) + np.sum(top_b.real**2 + top_b.imag**2))
+    out = Ensemble(_apply_tms_raw(x.data, g, theta, x.band()[0], mirror))
+    w = _weights(out.band()[0])
+    d = x.n_cut + 1
+    total = float(w.sum())
+    edge = float(w[np.arange(len(w))[:, None] + np.arange(d) >= d - 2].sum())
     if total > 0 and edge > LEAKAGE_TOL * total:
         raise LeakageError(f"top-layer mass {edge / total:.2e} after squeezer at n_cut={x.n_cut}")
     return out
@@ -374,20 +416,21 @@ def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ense
 
 def apply_phase(x: Ensemble, phi: float) -> Ensemble:
     """e^{i phi a†a} on mode a; a carried tangent gains i a†a of the result."""
-    n_a = np.arange(x.n_cut + 1)[:, None]
+    v, t = x.band()
+    n_a = _column(np.arange(x.n_cut + 1), v.ndim)
     ph = np.exp(1j * phi * n_a)
-    amps = x.amps * ph
-    if x.tangent is None:
+    amps = v * ph
+    if t is None:
         return Ensemble(amps)
-    return Ensemble(np.stack((amps, x.tangent * ph + 1j * n_a * amps)))
+    return Ensemble(np.stack((amps, t * ph + 1j * n_a * amps), axis=2))
 
 
 def _kraus_rows(T: float, d: int):
     """(l, c_l) over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l.
 
-    Row n of K_l x is c_l[n] times row n + l of x, with c_l[n] = sqrt(C(n +
-    l, l) (1 - T)^l T^n) for n = 0..d - 1 - l, carried from c_(l-1) by the
-    factor sqrt((1 - T) (n + l) / l).  Stops once the coefficients vanish.
+    K_l takes |n + l, n_b> to c_l[n] |n, n_b>, with c_l[n] = sqrt(C(n + l, l)
+    (1 - T)^l T^n) for n = 0..d - 1 - l, carried from c_(l-1) by the factor
+    sqrt((1 - T) (n + l) / l).  Stops once the coefficients vanish.
     """
     n = np.arange(d)
     c = T ** (0.5 * n)
@@ -402,33 +445,35 @@ def _kraus_rows(T: float, d: int):
 def apply_loss(x: Ensemble, T: float) -> Ensemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
-    T lies in [0, 1].  Trace is preserved (the channel is CPTP); branches of
-    negligible weight are pruned, each tangent branch with its state branch,
-    on the state's weight.  At T = 0 every photon of mode a is lost: T^{n/2}
-    is [1, 0, ...], so branch l holds row l of the input moved to n_a = 0.
-    At T = 1 the channel is the identity and the input is returned as it
-    is, not copied, so no element may write into its input.
+    T lies in [0, 1].  Branch l moves row kk to kk + l and position j to j -
+    l.  Trace is preserved (the channel is CPTP); branches of negligible
+    weight are pruned, each tangent branch with its state branch, on the
+    state's weight.  At T = 0 every photon of mode a is lost: T^{n/2} is [1,
+    0, ...], so branch l holds n_a = l moved to n_a = 0.  At T = 1 the
+    channel is the identity and the input is returned as it is, not copied,
+    so no element may write into its input.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
         return x
-    # the input's row weights give every branch's weight, so branches are
-    # kept before any is built
+    # the input's weights per n_a give every branch's weight, so branches
+    # are kept before any is built
     floor = BRANCH_PRUNE_TOL * max(x.trace(), 1e-300)
-    v = x.amps
-    rows = np.sum(v.real**2 + v.imag**2, axis=-1)
+    v = x.band()[0]
+    n_a = np.sum(v.real**2 + v.imag**2, axis=0)
     kept = []
     for l, c in _kraus_rows(T, x.n_cut + 1):
-        keep = rows[:, l:] @ (c * c) > floor
+        keep = (c * c) @ n_a[l:] > floor
         if keep.any():
             kept.append((l, c, keep))
-    shape = x.data.shape
-    out = np.zeros(shape[:-3] + (sum(int(k.sum()) for *_, k in kept),) + shape[-2:], x.data.dtype)
+    rows = min(len(x.data) + (kept[-1][0] if kept else 0), x.n_cut + 1)
+    branches = sum(int(k.sum()) for *_, k in kept)
+    out = np.zeros((rows,) + x.data.shape[1:-1] + (branches,), x.data.dtype)
     start = 0
     for l, c, keep in kept:
         stop = start + int(keep.sum())
-        np.multiply(c[:, None], x.data[..., keep, l:, :], out=out[..., start:stop, : c.size, :])
+        _lowered_into(out[..., start:stop], c, x.data[..., keep], l)
         start = stop
     return Ensemble(out)
 
@@ -436,17 +481,19 @@ def apply_loss(x: Ensemble, T: float) -> Ensemble:
 def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
     """Apply a^m to every branch and renormalize.
 
-    Row n of a^m |psi> is sqrt((n + 1) ... (n + m)) times row n + m of |psi>,
-    so a^m is one scaled row slice of the state and its tangent alike.  The
-    equivalent-model and internal pipelines subtract with it, and it
-    cross-checks the table reweighting of :func:`subtracted_moments`.
+    a^m takes |n + m, n_b> to sqrt((n + 1) ... (n + m)) |n, n_b>, so it is
+    one scaled shift of the band, m rows up and m positions down, for the
+    state and its tangent alike.  The equivalent-model and internal
+    pipelines subtract with it, and it cross-checks the table reweighting of
+    :func:`subtracted_moments`.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    rows = max(ens.n_cut + 1 - m, 0)
-    scale = np.prod(np.sqrt(np.arange(rows, dtype=float)[:, None] + np.arange(1, m + 1)), axis=1)
-    out = np.zeros_like(ens.data)
-    np.multiply(scale[:, None], ens.data[..., m:, :], out=out[..., :rows, :])
+    out = _grown(ens.data, m)
+    d = ens.n_cut + 1
+    if m < d:
+        scale = np.prod(np.sqrt(np.arange(d - m, dtype=float)[:, None] + np.arange(1, m + 1)), axis=1)
+        _lowered_into(out, scale, ens.data, m)
     out /= math.sqrt(_subtraction_probability(Ensemble(out).trace(), ens.trace(), m))
     return Ensemble(out)
 
@@ -466,8 +513,8 @@ def _check_mode(mode: str) -> None:
 def moments(ens: Ensemble, mode: str = "a") -> Tuple[float, float]:
     """(mean, second moment) of the photon number in the given mode."""
     _check_mode(mode)
-    axis_other = -1 if mode == "a" else -2
-    weights = np.sum(np.abs(ens.amps) ** 2, axis=(0, axis_other))
+    table = _on_grid(_weights(ens.band()[0]))
+    weights = table.sum(axis=1 if mode == "a" else 0)
     n = np.arange(weights.shape[0])
     return float(np.sum(n * weights)), float(np.sum(n * n * weights))
 
@@ -532,18 +579,18 @@ def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
     st = apply_tms(st, p.g, 0.0)
     ca = math.sqrt(p.eta) * math.cosh(p.g) * complex(math.cos(p.phi), math.sin(p.phi))
     cb = math.sinh(p.g)
-    data = np.stack((st.amps, np.zeros_like(st.amps)))
+    data = np.stack((st.data, np.zeros_like(st.data)), axis=2)
     for _ in range(p.m):
         low = lower_a(data)
         # d/dphi of the factor (ca a + cb b†) is i ca a
         data = ca * low + cb * raise_b(data)
-        data[1] += 1j * ca * low[0]
-    nrm = math.sqrt(float(np.sum(np.abs(data[0]) ** 2)))
+        data[:, :, 1] += 1j * ca * low[:, :, 0]
+    nrm = math.sqrt(Ensemble(data).trace())
     if nrm * nrm < ZERO_NORM_FLOOR:
         raise ZeroProbabilityError("loss-equivalent probe state has zero norm")
-    psi, dpsi = data / nrm
+    psi, dpsi = Ensemble(data / nrm).band()
     # the normalization's own derivative keeps <psi|psi> = 1
-    return Ensemble(np.stack((psi, dpsi - psi * np.vdot(psi, dpsi).real)))
+    return Ensemble(np.stack((psi, dpsi - psi * np.vdot(psi, dpsi).real), axis=2))
 
 
 def internal_ensemble(p: Params, n_cut: int) -> Ensemble:
@@ -632,7 +679,7 @@ def numeric_qfi_pure(p: Params) -> float:
 
     def run(n: int):
         st = equivalent_state(p, n)
-        v, t = st.amps, st.tangent
+        v, t = st.band()
         vv = np.vdot(v, v).real
         return (4.0 * (np.vdot(t, t).real / vv - abs(np.vdot(v, t)) ** 2 / vv**2),)
 
@@ -644,19 +691,20 @@ def _kraus_branch_states(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Every Kraus branch chi_l = Pi_l(phi) |psi> of the mode-a loss channel, with d/dphi.
 
-    d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.
+    d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.  Each is
+    band data (kk, j, branch), shifted as apply_loss shifts branch l.
     """
     d = psi.n_cut + 1
     n = np.arange(d)
     out = []
     for l, c in _kraus_rows(eta, d):
         s = c.size
-        rate = 1j * (n[:s] - alpha * l)[:, None]
+        rate = 1j * (n[:s] - alpha * l)
         # Pi_l |psi> and Pi_l |psi'>, then the phase rate's term
-        branch = np.zeros_like(psi.data)
-        np.multiply(c[:, None] * np.exp(phi * rate), psi.data[..., l:, :], out=branch[..., :s, :])
-        chi, dchi = branch
-        dchi[..., :s, :] += rate * chi[..., :s, :]
+        branch = _grown(psi.data, l)
+        _lowered_into(branch, c * np.exp(phi * rate), psi.data, l)
+        chi, dchi = Ensemble(branch).band()
+        dchi[:, :s] += _column(rate, chi.ndim) * chi[:, :s]
         out.append((chi, dchi))
     return out
 

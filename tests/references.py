@@ -2,9 +2,11 @@
 
 They share no algebra with the code they check: the Taylor squeezer builds
 exp(xi ab - xi* a†b†) from the operators themselves, not from the blockwise
-real rotations of ``su11.fock``; the loss channel builds every Kraus
+real rotations of ``su11.fock``, on the full (n_a, n_b) grid where
+``su11.fock`` stores only the band n_a <= n_b (``to_band`` and ``to_grid``
+convert between the two); the loss channel builds every Kraus
 branch from its binomial amplitudes and judges each on its own norm, where
-``su11.fock`` judges them from row weights before building any; and
+``su11.fock`` judges them from the input's weights per n_a before building any; and
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
 reads; ``taylor_exp`` sums the Taylor series of a truncated exponential out of
 whole-box products, where ``su11.series`` solves a row-by-row recurrence;
@@ -52,6 +54,40 @@ def _adag_bdag(amps: np.ndarray) -> np.ndarray:
     rb = np.sqrt(np.arange(1.0, db))
     out[..., 1:, 1:] = ra[:, None] * rb[None, :] * amps[..., :-1, :-1]
     return out
+
+
+def to_band(grid: np.ndarray) -> np.ndarray:
+    """(..., n_a, n_b) grid amplitudes as a (..., kk, j) band, kk = n_b - n_a and j = n_a.
+
+    The band holds the n_a <= n_b half only, so the other half must be empty.
+    """
+    d = grid.shape[-1]
+    assert not np.any(np.tril(grid, -1)), "the band holds no amplitude with n_a > n_b"
+    kk, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) < d)
+    band = np.zeros_like(grid)
+    band[..., kk, j] = grid[..., j, j + kk]
+    return band
+
+
+def to_grid(band: np.ndarray) -> np.ndarray:
+    """The (..., n_a, n_b) grid of a (..., kk, j) band; positions past n_b = d - 1 must be empty."""
+    rows, d = band.shape[-2:]
+    valid = np.add.outer(np.arange(rows), np.arange(d)) < d
+    assert not np.any(band[..., ~valid]), "band positions past the cutoff hold amplitude"
+    kk, j = np.nonzero(valid)
+    grid = np.zeros(band.shape[:-2] + (d, d), band.dtype)
+    grid[..., j, j + kk] = band[..., kk, j]
+    return grid
+
+
+def band_data(grid: np.ndarray) -> np.ndarray:
+    """``Ensemble`` data of (branch, n_a, n_b) grid amplitudes, or (2, branch, n_a, n_b) with tangent."""
+    return np.ascontiguousarray(np.moveaxis(to_band(grid), (-2, -1), (0, 1)))
+
+
+def grid_data(data: np.ndarray) -> np.ndarray:
+    """The (branch, n_a, n_b) or (2, branch, n_a, n_b) grid of ``Ensemble`` data."""
+    return to_grid(np.moveaxis(data, (0, 1), (-2, -1)))
 
 
 def apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:

@@ -240,6 +240,25 @@ class TestFigures:
         labels = [c[0] for c in fig.columns]
         assert "delta_phi_b_oracle" in labels
 
+    def test_fig2_skips_only_points_that_fail_alone(self):
+        # after its first Convergence, fig2 marks every later phase point
+        # unconverged without climbing; each of them must fail on its own
+        from su11 import fock
+        from su11.errors import ConvergenceError
+        from su11.sweeps import _lin, format_float
+
+        fig = FIGURES["fig2"]
+        _, rows = run_figure(FigureJob("fig2"))
+        xs = _lin(*fig.grid)
+        unconverged = {row[0] for row in rows if row[-1] == "Convergence"}
+        first = min(i for i, x in enumerate(xs) if format_float(x) in unconverged)
+        assert unconverged == {format_float(x) for x in xs[first:]}
+        skipped = xs[first + 1 :]
+        assert len(skipped) == 19 and skipped[0] == pytest.approx(1.33, abs=0.01)
+        for phi in skipped:
+            with pytest.raises(ConvergenceError):
+                fock.numeric_moments_multi(Params(g=1.0, beta=1.0, phi=phi), fig.m_list, mode="b")
+
     @pytest.mark.parametrize("figure_id", list(FIGURES))
     def test_matches_reference_table(self, figure_id):
         # the benchmark's rule: values to rel 1e-9, oracle columns (converged

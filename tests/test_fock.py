@@ -31,7 +31,7 @@ from su11.fock import (
 )
 from su11.model import Params, kernels
 from su11.sensitivity import sensitivity_ideal
-from references import apply_loss_branchwise, apply_tms_series
+from references import apply_loss_branchwise, apply_tms_series, band_data, grid_data
 
 
 def lowered(ens, m):
@@ -46,8 +46,20 @@ def tmsv(g, n_cut=50):
     return apply_tms(prepare_input(0.0, n_cut), g, 0.0)
 
 
+def grid_ensemble(amps, tangent=None):
+    """An ensemble of (branch, n_a, n_b) grid amplitudes, with their tangent if given."""
+    return Ensemble(band_data(amps if tangent is None else np.stack((amps, tangent))))
+
+
+def squeezed(grid, g, theta, mirror=False):
+    """The block propagator on (branch, n_a, n_b) grid data, or with a tangent in front, on the grid."""
+    from su11.fock import _apply_tms_raw
+
+    return grid_data(_apply_tms_raw(band_data(grid), g, theta, mirror=mirror))
+
+
 def held_blocks():
-    """Every squeezer block the cache holds, by key and diagonal."""
+    """Every squeezer block the cache holds, by key and row."""
     from su11 import fock
 
     return {(key, k): b for key, v in fock._TMS_BLOCK_CACHE.items() for k, b in v.items()}
@@ -118,7 +130,7 @@ class TestTwoModeSqueezer:
     def test_inverse_pair_restores_state(self):
         st = prepare_input(1.0, 70)
         out = apply_tms(apply_tms(st, 0.9, 0.0), 0.9, math.pi)
-        assert np.allclose(out.amps, st.amps, atol=1e-12)
+        assert np.allclose(grid_data(out.data), grid_data(st.data), atol=1e-12)
 
     def test_second_squeezer_is_parity_mirrored_theta_zero(self):
         from su11.fock import _seed_tangent
@@ -135,42 +147,83 @@ class TestTwoModeSqueezer:
             apply_tms(prepare_input(0.0, 8), 2.0, 0.0)
 
     @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi, 1.1])
-    def test_matches_series_with_mass_on_both_sides_of_the_diagonal(self, theta):
-        from su11.fock import _apply_tms_raw
+    def test_matches_series_on_band_states(self, theta):
+        # a pure state, a lossy branch stack and that stack with its tangent,
+        # squeezed and mirror-squeezed; the mirror is the squeezer at theta + pi
+        pure = grid_data(apply_tms(prepare_input(0.8, 40), 0.3, 0.0).data)
+        # the first three branches keep the series reference quick
+        stack = grid_data(apply_loss(Ensemble(band_data(pure)), 0.7).data)[:3]
+        assert stack.shape[0] == 3
+        n = np.arange(41)
+        with_tangent = np.stack((stack, 1j * n[:, None] * stack + 0.2 * stack.conj()))
+        for x in (pure, stack, with_tangent):
+            got = squeezed(x, 0.8, theta)
+            assert np.allclose(got, apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
+            got = squeezed(x, 0.8, theta, mirror=True)
+            want = apply_tms_series(x, 0.8, theta + math.pi)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-        amps = prepare_input(0.8, 40).amps[0]
-        both = amps + 0.5 * amps.T
-        stack = apply_loss(Ensemble(both[None]), 0.7).amps
-        assert stack.ndim == 3 and stack.shape[0] > 1
+    @pytest.mark.parametrize("theta", [0.0, 0.5 * math.pi, math.pi, 1.1])
+    def test_matches_series_with_mass_on_both_sides_of_the_diagonal(self, theta):
+        # the band holds n_a <= n_b only; a grid state with mass on both sides
+        # is its upper half plus the a <-> b swap of a band state, and the
+        # squeezer's generator is symmetric under the swap
+        amps = grid_data(prepare_input(0.8, 40).data)
+        both = amps + 0.5 * amps.swapaxes(-1, -2)
+        stack = apply_loss_branchwise(both, 0.7, BRANCH_PRUNE_TOL)
+        assert stack.shape[0] > 1
         n = np.arange(41)
         with_tangent = np.stack((stack, 1j * n[:, None] * stack + 0.2 * stack.conj()))
         for x in (both, stack, with_tangent):
             assert np.any(np.tril(x, -1)) and np.any(np.triu(x, 1))
-            got = _apply_tms_raw(x, 0.8, theta)
+            lower = np.tril(x, -1).swapaxes(-1, -2)
+            got = squeezed(np.triu(x), 0.8, theta) + squeezed(lower, 0.8, theta).swapaxes(-1, -2)
             assert np.allclose(got, apply_tms_series(x, 0.8, theta), rtol=0.0, atol=1e-12)
 
     def test_diagonal_below_prune_tolerance_comes_out_zero(self):
         from su11.fock import _apply_tms_raw
 
-        amps = prepare_input(0.8, 40).amps[0].copy()
-        # |n+3, n> holds 38 * 1e-30 of the unit weight, below the tolerance
-        amps[np.arange(3, 41), np.arange(38)] = 1e-15
-        assert 38e-30 < BRANCH_PRUNE_TOL
-        got = _apply_tms_raw(amps, 0.8, 0.0)
-        want = apply_tms_series(amps, 0.8, 0.0)
-        assert np.any(np.diagonal(want, -3))
-        assert not np.any(np.diagonal(got, -3))
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        data = prepare_input(0.8, 40).data.copy()
+        # row kk = 24, |n, n + 24>, holds 17 * 1e-30 of the unit weight plus
+        # its coherent amplitude of order 1e-14, below the tolerance
+        data[24, :17] = 1e-15
+        assert np.sum(np.abs(data[24]) ** 2) < BRANCH_PRUNE_TOL
+        got = _apply_tms_raw(data, 0.8, 0.0)
+        want = apply_tms_series(grid_data(data), 0.8, 0.0)
+        assert np.any(np.diagonal(want, 24, axis1=-2, axis2=-1))
+        # the band ends at the last row above the tolerance, before row 24
+        rows = np.sum(np.abs(data) ** 2, axis=(1, 2))
+        assert len(got) == np.flatnonzero(rows > BRANCH_PRUNE_TOL)[-1] + 1 < 24
+        assert np.allclose(grid_data(got), want, rtol=0.0, atol=1e-12)
+
+    def test_leakage_is_the_mass_in_the_grids_top_two_layers(self):
+        from su11.fock import LEAKAGE_TOL, _apply_tms_raw
+
+        st = prepare_input(0.5, 40)
+        leaked = []
+        # gain steps fine enough that some gain leaks through the top two
+        # layers but not through the top one
+        for g in np.linspace(0.7, 1.1, 81):
+            w = np.abs(grid_data(_apply_tms_raw(st.data, g, 0.0))) ** 2
+            edge = w[:, -2:, :].sum() + w[:, :-2, -2:].sum()
+            leaked.append(edge > LEAKAGE_TOL * w.sum())
+            if leaked[-1]:
+                with pytest.raises(LeakageError):
+                    apply_tms(st, g, 0.0)
+            else:
+                apply_tms(st, g, 0.0)
+        assert any(leaked) and not all(leaked)
 
     def test_occupied_diagonals_are_judged_on_the_state_alone(self):
         from su11.fock import _apply_tms_raw
 
-        v = prepare_input(0.8, 40).amps
-        # the tangent's mass on |n+2, n> sits where the state holds none
+        v = prepare_input(0.8, 40).data
+        # the tangent's mass on row kk = 35 sits where the state holds a
+        # weight of order 1e-48
         t = np.zeros_like(v)
-        t[0, np.arange(2, 41), np.arange(39)] = 1.0
-        out = apply_tms(Ensemble(np.stack((v, t))), 0.8, 0.0)
-        assert np.allclose(out.amps, _apply_tms_raw(v, 0.8, 0.0), rtol=0.0, atol=1e-15)
+        t[35, :6] = 1.0
+        out = apply_tms(Ensemble(np.stack((v, t), axis=2)), 0.8, 0.0)
+        assert np.allclose(out.band()[0], _apply_tms_raw(v, 0.8, 0.0), rtol=0.0, atol=1e-15)
         assert not np.any(out.tangent)
 
 
@@ -218,6 +271,7 @@ class TestEnsemble:
         from su11.fock import _seed_tangent
 
         st = prepare_input(0.8, 40)
+        # |0, n> is row n, so the input's band holds every row
         assert isinstance(st, Ensemble) and st.amps.shape == (1, 41, 41) and st.tangent is None
         pure = apply_tms(st, 0.4, 0.0)
         mixed = apply_loss(pure, 0.8)
@@ -235,7 +289,8 @@ class TestEnsemble:
             for element in elements:
                 out = element(x)
                 assert isinstance(out, Ensemble)
-                assert out.amps.ndim == 3 and out.amps.shape[1:] == (41, 41)
+                # rows kk = n_b - n_a <= 40, each with 41 positions n_a
+                assert out.amps.ndim == 3 and out.amps.shape[-1] == 41 and out.amps.shape[1] <= 41
                 assert (out.tangent is None) == (x.tangent is None)
                 if out.tangent is not None:
                     assert out.tangent.shape == out.amps.shape
@@ -249,15 +304,15 @@ class TestEnsemble:
     def test_one_branch_squeezes_as_it_does_inside_a_stack_with_a_tangent(self, theta):
         from su11.fock import _apply_tms_raw
 
-        v = apply_tms(prepare_input(0.8, 40), 0.3, 0.0).amps
-        n = np.arange(41)
-        # branches on the same diagonals as v, so the stack occupies what v does
-        stack = np.concatenate([v, 0.5 * v * np.exp(0.7j * n), 0.3 * v.conj()])
-        tangent = 1j * n[:, None] * stack + 0.2 * stack
-        together = apply_tms(Ensemble(np.stack((stack, tangent))), 0.5, theta)
+        v = apply_tms(prepare_input(0.8, 40), 0.3, 0.0).data
+        n = np.arange(41)[:, None]
+        # branches on the same rows as v, so the stack occupies what v does
+        stack = np.concatenate([v, 0.5 * v * np.exp(0.7j * n), 0.3 * v.conj()], axis=-1)
+        tangent = 1j * n * stack + 0.2 * stack
+        together = apply_tms(Ensemble(np.stack((stack, tangent), axis=2)), 0.5, theta)
         alone = apply_tms(Ensemble(v), 0.5, theta).amps
-        # the tangent's diagonals are judged on its state, as apply_tms judges them
-        tangent_alone = _apply_tms_raw(tangent[:1], 0.5, theta, v)
+        # the tangent's rows are judged on its state, as apply_tms judges them
+        tangent_alone = np.moveaxis(_apply_tms_raw(tangent[..., :1], 0.5, theta, v), -1, 0)
         assert np.allclose(together.amps[:1], alone, rtol=0.0, atol=1e-15)
         assert np.allclose(together.tangent[:1], tangent_alone, rtol=0.0, atol=1e-15)
 
@@ -302,7 +357,7 @@ class TestLoss:
     def test_commutes_with_ensemble_concatenation(self):
         a = tmsv(0.8, 45)
         b = apply_phase(tmsv(0.5, 45), 0.9)
-        stacked = Ensemble(np.concatenate([a.amps * 0.6, b.amps * 0.8], axis=0))
+        stacked = grid_ensemble(np.concatenate([grid_data(a.data) * 0.6, grid_data(b.data) * 0.8]))
         lost = apply_loss(stacked, 0.75)
         la, lb = apply_loss(a, 0.75), apply_loss(b, 0.75)
         want_mean = 0.36 * moments(la, "a")[0] + 0.64 * moments(lb, "a")[0]
@@ -312,21 +367,22 @@ class TestLoss:
     @pytest.mark.parametrize("T", [0.0, 0.3, 0.75])
     def test_matches_the_branchwise_kraus_expansion(self, T):
         ens = apply_phase(apply_loss(tmsv(0.8, 40), 0.6), 0.9)
-        got = apply_loss(ens, T).amps
-        want = apply_loss_branchwise(ens.amps, T, BRANCH_PRUNE_TOL)
+        got = grid_data(apply_loss(ens, T).data)
+        want = apply_loss_branchwise(grid_data(ens.data), T, BRANCH_PRUNE_TOL)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_keeps_branches_past_a_pruned_one(self):
-        # rows n_a = 0 and 100 only: at T = 0.5 the branches l = 1, 2 fall
-        # below the prune tolerance, and l = 3 onward rise above it again
+        # n_a = 0 and 100 only: at T = 0.5 the branches l = 1, 2 fall below
+        # the prune tolerance, and l = 3 onward rise above it again
         amps = np.zeros((1, 101, 101), complex)
-        amps[0, 0, 0] = amps[0, 100, 0] = math.sqrt(0.5)
-        got = apply_loss(Ensemble(amps), 0.5)
+        amps[0, 0, 100] = amps[0, 100, 100] = math.sqrt(0.5)
+        got = apply_loss(grid_ensemble(amps), 0.5)
         want = apply_loss_branchwise(amps, 0.5, BRANCH_PRUNE_TOL)
-        assert got.amps.shape == want.shape
-        assert np.allclose(got.amps, want, rtol=0.0, atol=1e-14)
-        assert not np.any(got.amps[1, 0])  # branch l = 3 holds row 100 moved to 97
+        grid = grid_data(got.data)
+        assert grid.shape == want.shape
+        assert np.allclose(grid, want, rtol=0.0, atol=1e-14)
+        assert not np.any(grid[1, 0])  # branch l = 3 holds n_a = 100 moved to 97
         assert got.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_transmittance_outside_unit_interval(self):
@@ -339,10 +395,11 @@ class TestLoss:
         # at T = 0, K_l = a^l / sqrt(l!) takes |l, n_b> to |0, n_b>
         st = tmsv(0.8, 40)
         ens = apply_loss(st, 0.0)
-        assert not np.any(ens.amps[:, 1:, :])
-        rows = st.amps[0]
+        grid = grid_data(ens.data)
+        assert not np.any(grid[:, 1:, :])
+        rows = grid_data(st.data)[0]
         kept = np.sum(np.abs(rows) ** 2, axis=1) > BRANCH_PRUNE_TOL
-        assert np.allclose(ens.amps[:, 0, :], rows[kept], rtol=1e-14, atol=0.0)
+        assert np.allclose(grid[:, 0, :], rows[kept], rtol=1e-14, atol=0.0)
         assert ens.trace() == pytest.approx(1.0, abs=1e-12)
         assert moments(ens, "a") == (0.0, 0.0)
         assert moments(ens, "b") == pytest.approx(moments(st, "b"), rel=1e-12)
@@ -351,9 +408,10 @@ class TestLoss:
         ens = apply_loss(tmsv(0.8, 40), 0.7)
         assert apply_loss(ens, 1.0) is ens
         # a pure state is a one-branch ensemble, returned as it is with its tangent
-        st = Ensemble(np.stack((tmsv(0.8, 40).amps, np.ones((1, 41, 41), complex))))
+        v = tmsv(0.8, 40).data
+        st = Ensemble(np.stack((v, np.ones_like(v)), axis=2))
         out = apply_loss(st, 1.0)
-        assert out is st and out.amps.shape == out.tangent.shape == (1, 41, 41)
+        assert out is st and out.amps.shape == out.tangent.shape == (1, len(v), 41)
 
     def test_elements_leave_their_input_unchanged(self):
         from su11.fock import _seed_tangent
@@ -374,16 +432,52 @@ class TestLoss:
             assert np.array_equal(ens.data, before)
 
     def test_prunes_tangent_with_its_state_on_the_state_weight(self):
-        v0 = tmsv(0.8, 40).amps[0]
-        v1 = apply_phase(tmsv(0.5, 40), 0.9).amps[0]
+        v0 = grid_data(tmsv(0.8, 40).data)[0]
+        v1 = grid_data(apply_phase(tmsv(0.5, 40), 0.9).data)[0]
         # pair 0: an ordinary state with a zero tangent; pair 1: a state far
         # below the prune tolerance with a large tangent
-        ens = Ensemble(np.stack((np.stack([v0, 1e-16 * v1]), np.stack([np.zeros_like(v0), v1]))))
+        ens = grid_ensemble(np.stack([v0, 1e-16 * v1]), np.stack([np.zeros_like(v0), v1]))
         lost = apply_loss(ens, 0.75)
-        want = apply_loss(Ensemble(v0[None]), 0.75)
+        want = apply_loss(grid_ensemble(v0[None]), 0.75)
         assert lost.amps.shape == lost.tangent.shape == want.amps.shape
         assert np.array_equal(lost.amps, want.amps)
         assert not np.any(lost.tangent)
+
+
+class TestTracerContract:
+    """What the benchmark's tracer (perfbench/tracer.py) reads of the oracle."""
+
+    def test_squeezer_calls_carry_the_block_cache_key(self, monkeypatch):
+        from su11 import fock
+
+        squeeze = fock.apply_tms
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = squeeze(*args, **kwargs)
+            # theta is positional, and the key is in the cache after the call
+            x, g, theta = args[:3]
+            key = (float(g), float(theta), x.amps.shape[-1])
+            calls.append((key, x.n_cut, key in fock._TMS_BLOCK_CACHE, out))
+            return out
+
+        monkeypatch.setattr(fock, "apply_tms", recording)
+        p = Params(g=0.4, beta=0.8, phi=0.4, m=1, T1=0.8, eta=0.8)
+        for pipeline in (output_ensemble, equivalent_state, loss_probe_state, internal_ensemble):
+            pipeline(p, 40)
+        # two squeezers in output_ensemble, three in equivalent_state and
+        # internal_ensemble, one in loss_probe_state
+        assert len(calls) == 9
+        for key, n_cut, cached, out in calls:
+            assert key[2] == n_cut + 1 == 41 and cached
+            assert out.amps.nbytes == out.amps.size * 16 > 0
+
+    @pytest.mark.parametrize("T", [0.0, 0.5, 0.9])
+    def test_loss_output_leads_with_its_kept_branches(self, T):
+        ens = apply_tms(prepare_input(0.8, 40), 0.6, 0.0)
+        out = apply_loss(ens, T)
+        assert out.amps.shape[0] == len(apply_loss_branchwise(grid_data(ens.data), T, BRANCH_PRUNE_TOL))
+        assert out.amps.nbytes == out.amps.size * 16 > 0
 
 
 def assert_close_to(got, want, rel):
@@ -420,11 +514,13 @@ class TestOutputLoss:
         kept = lost.amps.shape[0]
         assert kept > 1
         n = np.arange(41)[:, None]
+        lost_grid, lost_tangent = grid_data(lost.data)
         for l, (chi, dchi) in enumerate(branches[:kept]):
             rate = 1j * (n - alpha * l)
             ph = np.exp(phi * rate)
-            assert_close_to(chi, ph * lost.amps[l : l + 1], 1e-14)
-            assert_close_to(dchi, rate * chi + ph * lost.tangent[l : l + 1], 1e-14)
+            chi, dchi = grid_data(chi), grid_data(dchi)
+            assert_close_to(chi, ph * lost_grid[l : l + 1], 1e-14)
+            assert_close_to(dchi, rate * chi + ph * lost_tangent[l : l + 1], 1e-14)
         # the branches the channel prunes are the negligible ones
         for chi, _ in branches[kept:]:
             assert np.vdot(chi, chi).real <= BRANCH_PRUNE_TOL * psi.trace()
@@ -604,26 +700,15 @@ class TestNumericEstimators:
         assert calls == [30, 35, 39, 44]
 
     def test_block_propagator_matches_substepped_series(self):
-        from su11.fock import _apply_tms_raw
-
-        st = prepare_input(0.8, 40)
-        a = _apply_tms_raw(st.amps, 1.0, 0.0)
-        b = apply_tms_series(st.amps, 1.0, 0.0)
-        assert np.allclose(a, b, atol=1e-12)
-        a = _apply_tms_raw(st.amps, 0.7, math.pi)
-        b = apply_tms_series(st.amps, 0.7, math.pi)
-        assert np.allclose(a, b, atol=1e-12)
-        a = _apply_tms_raw(st.amps, 0.8, 1.1)
-        b = apply_tms_series(st.amps, 0.8, 1.1)
-        assert np.allclose(a, b, atol=1e-12)
+        st = grid_data(prepare_input(0.8, 40).data)
+        for g, theta in ((1.0, 0.0), (0.7, math.pi), (0.8, 1.1)):
+            assert np.allclose(squeezed(st, g, theta), apply_tms_series(st, g, theta), atol=1e-12)
 
     def test_block_propagator_matches_series_on_branch_stack(self):
-        from su11.fock import _apply_tms_raw
-
         st = apply_tms(prepare_input(0.8, 40), 0.6, 0.0)
-        stack = apply_loss(st, 0.7).amps
+        stack = grid_data(apply_loss(st, 0.7).data)
         assert stack.ndim == 3 and stack.shape[0] > 1
-        a = _apply_tms_raw(stack, 0.6, math.pi)
+        a = squeezed(stack, 0.6, math.pi)
         b = apply_tms_series(stack, 0.6, math.pi)
         assert np.allclose(a, b, atol=1e-12)
 
@@ -641,7 +726,7 @@ class TestNumericEstimators:
 
         monkeypatch.setattr(fock.np.linalg, "svd", counting_svd)
         st = prepare_input(0.5, 24)
-        # |0, n> holds e^{-beta^2} beta^{2n} / n! of the weight, on diagonal -n
+        # |0, n> holds e^{-beta^2} beta^{2n} / n! of the weight, on row n
         occupied = sum(
             math.exp(-0.25) * 0.25**n / math.factorial(n) > fock.BRANCH_PRUNE_TOL
             for n in range(25)
@@ -650,11 +735,11 @@ class TestNumericEstimators:
 
         def squeeze(g):
             for theta in (0.0, math.pi):
-                fock._apply_tms_raw(st.amps, g, theta)
+                fock._apply_tms_raw(st.data, g, theta)
             return set(fock._TMS_BLOCK_CACHE)
 
         squeeze(0.4)
-        # one half-size svd per occupied diagonal |k|, of length s = 25 - k,
+        # one half-size svd per occupied row k, of length s = 25 - k,
         # at this cutoff: its even/odd coupling is ((s + 1) // 2) x (s // 2)
         assert calls == [((26 - k) // 2, (25 - k) // 2) for k in range(occupied)]
         # the basis serves the next gain, whose blocks replace the last gain's
@@ -725,9 +810,9 @@ class TestNumericEstimators:
         while n <= fock.MAX_N_CUT:
             ladder.update((n + 1, n + fock.LADDER_STEP + 1))
             n = max(n + fock.LADDER_STEP, int(n * fock.LADDER_GROWTH))
-        # the most the caches can hold: every diagonal of every ladder cutoff
+        # the most the caches can hold: every row of every ladder cutoff
         # built, a real block of s * s and a basis of ((s + 1) // 2)^2 +
-        # (s // 2)^2 + s // 2 entries per diagonal of length s, at one gain and theta
+        # (s // 2)^2 + s // 2 entries per row of length s, at one gain and theta
         worst = sum(
             (s * s + ((s + 1) // 2) ** 2 + (s // 2) ** 2 + s // 2) / 2.0
             for d in ladder
@@ -741,7 +826,7 @@ class TestNumericEstimators:
         numeric_moments_multi(Params(g=0.5, beta=0.5, phi=0.4, T1=0.8), [0, 1])
         assert set(fock._TMS_BASIS_CACHE) <= ladder
         assert {key[2] for key in fock._TMS_BLOCK_CACHE} <= ladder
-        # only the diagonals built so far hold arrays, all of them real
+        # only the rows built so far hold arrays, all of them real
         blocks = sum(b.size / 2.0 for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
         bases = sum(
             (sigma.size + u.size + w.size) / 2.0
