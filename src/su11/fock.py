@@ -48,9 +48,11 @@ the joint photon-number table P(n_a, n_b) and its phase derivative, all
 that subtraction and detection read, as the binomial thinning of n_a
 (:func:`thin_tables`).  Subtraction is read from the thinned table: a^m
 takes |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every
-order m is a reweighting of one table.  The equivalent-model and internal
-pipelines subtract with :func:`subtract_photons`, one scaled shift of the
-band, which also cross-checks that reweighting.
+order m is a reweighting of one table.  The QFI and internal pipelines
+subtract with :func:`subtract_photons`, one scaled shift of the band, which
+also cross-checks that reweighting.  The QFI reads the subtracted output
+state itself: the paper's equivalent model follows the subtraction with the
+phase-free S2†, which leaves a pure state's QFI unchanged.
 
 Every reported oracle number goes through :func:`converged_value`, which
 climbs one fixed cutoff ladder from DEFAULT_N_CUT and accepts only when a
@@ -64,7 +66,7 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from su11.errors import ConvergenceError, LeakageError, ZeroProbabilityError, stationary
+from su11.errors import ConvergenceError, LeakageError, NumericalError, ZeroProbabilityError, stationary
 from su11.model import Params
 
 DEFAULT_N_CUT = 30
@@ -483,9 +485,9 @@ def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
 
     a^m takes |n + m, n_b> to sqrt((n + 1) ... (n + m)) |n, n_b>, so it is
     one scaled shift of the band, m rows up and m positions down, for the
-    state and its tangent alike.  The equivalent-model and internal
-    pipelines subtract with it, and it cross-checks the table reweighting of
-    :func:`subtracted_moments`.
+    state and its tangent alike.  :func:`numeric_qfi_pure` and
+    :func:`internal_ensemble` subtract with it, and it cross-checks the
+    table reweighting of :func:`subtracted_moments`.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
@@ -499,8 +501,8 @@ def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
 
 
 def _subtraction_probability(prob: float, total: float, m: int) -> float:
-    """``prob`` itself; under ZERO_NORM_FLOOR relative to the incoming ``total`` it is zero."""
-    if prob < ZERO_NORM_FLOOR * max(total, 1e-300):
+    """``prob`` itself; under ZERO_NORM_FLOOR relative to the incoming ``total``, or not positive, it is zero."""
+    if not prob > 0.0 or prob < ZERO_NORM_FLOOR * total:
         raise ZeroProbabilityError(f"subtraction of {m} photons has zero probability")
     return prob
 
@@ -546,6 +548,14 @@ def subtracted_moments(
 # -- pipelines ----------------------------------------------------------------
 
 
+def _squeezed_input(p: Params, n_cut: int) -> Ensemble:
+    """S1 |0, beta>, where every pipeline starts; an infinite g or beta, which
+    ``Params`` admits and which would leave a NaN grid, raises NumericalError."""
+    if not (math.isfinite(p.g) and math.isfinite(p.beta)):
+        raise NumericalError(f"the oracle needs a finite g and beta, got g = {p.g}, beta = {p.beta}")
+    return apply_tms(prepare_input(p.beta, n_cut), p.g, 0.0)
+
+
 def output_ensemble(p: Params, n_cut: int) -> Ensemble:
     """State after the second squeezer, before the output loss: S2 U_phi loss(T1) S1 |0, beta>.
 
@@ -553,21 +563,9 @@ def output_ensemble(p: Params, n_cut: int) -> Ensemble:
     output loss T2 is applied to this state's photon-number tables
     (:func:`thin_tables`).  It carries its exact phase tangent from U_phi on.
     """
-    st = prepare_input(p.beta, n_cut)
-    st = apply_tms(st, p.g, 0.0)
-    ens = apply_loss(st, p.T1)
+    ens = apply_loss(_squeezed_input(p, n_cut), p.T1)
     ens = _seed_tangent(apply_phase(ens, p.phi))
     return apply_tms(ens, p.g, 0.0, mirror=True)
-
-
-def equivalent_state(p: Params, n_cut: int) -> Ensemble:
-    """Normalized equivalent-model state: N1 (S2† a^m S2) U_phi S1 |0, beta>.
-
-    Its tangent is d/dphi of the unnormalized state, scaled by the same N1.
-    The pipeline up to S2 is `output_ensemble` at T1 = 1, where the loss
-    channel returns its input.
-    """
-    return apply_tms(subtract_photons(output_ensemble(p.replace(T1=1.0), n_cut), p.m), p.g, 0.0)
 
 
 def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
@@ -575,8 +573,7 @@ def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
 
     Its tangent is the exact d/dphi of the normalized probe.
     """
-    st = prepare_input(p.beta, n_cut)
-    st = apply_tms(st, p.g, 0.0)
+    st = _squeezed_input(p, n_cut)
     ca = math.sqrt(p.eta) * math.cosh(p.g) * complex(math.cos(p.phi), math.sin(p.phi))
     cb = math.sinh(p.g)
     data = np.stack((st.data, np.zeros_like(st.data)), axis=2)
@@ -595,9 +592,7 @@ def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
 
 def internal_ensemble(p: Params, n_cut: int) -> Ensemble:
     """Normalized internal state: N4 (S2† a^m S2) U_phi loss(T1) S1 |0, beta>."""
-    st = prepare_input(p.beta, n_cut)
-    st = apply_tms(st, p.g, 0.0)
-    ens = apply_loss(st, p.T1)
+    ens = apply_loss(_squeezed_input(p, n_cut), p.T1)
     ens = apply_phase(ens, p.phi)
     return apply_tms(subtract_photons(apply_tms(ens, p.g, 0.0, mirror=True), p.m), p.g, 0.0)
 
@@ -672,14 +667,16 @@ def numeric_sensitivity(p: Params, mode: str = "a") -> float:
 
 
 def numeric_qfi_pure(p: Params) -> float:
-    """QFI of the pure equivalent-model state from its exact phase tangent.
+    """QFI of the lossless output after m subtractions, from its exact phase tangent.
 
     F = 4 [<t|t>/<v|v> - |<v|t>|^2/<v|v>^2] for the state v and tangent t.
+    The paper's equivalent model applies the phase-free S2† after the
+    subtraction; a unitary that does not depend on phi leaves the QFI of a
+    pure state unchanged, so the state is read before it.
     """
 
     def run(n: int):
-        st = equivalent_state(p, n)
-        v, t = st.band()
+        v, t = subtract_photons(output_ensemble(p.replace(T1=1.0), n), p.m).band()
         vv = np.vdot(v, v).real
         return (4.0 * (np.vdot(t, t).real / vv - abs(np.vdot(v, t)) ** 2 / vv**2),)
 

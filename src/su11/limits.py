@@ -12,15 +12,15 @@ inserts T sh^2 (1 + Y(v1)) and mode b inserts sh^2 + ch^2 Y(v1), so
 Here v1 = (1/2) sinh 2g (1 - sqrt(T) e^{-i phi}).  exp(B(v1)) generates a
 displaced thermal state, and d_t d_s exp(B) = |v1|^2 (1 + Y(v1)) exp(B), so
 <Y(v1)> = c1 - 1 whatever phi is (`su11.model`); the thermal number |v1|^2,
-`KernelSet.thermal` at unit T2, enters only through the subtraction's
-normalizer.
+`KernelSet.thermal` at unit T2, enters only through the dark-fringe test of
+the subtraction weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from su11.errors import finite, positive
+from su11.errors import DarkFringeError, finite, positive
 from su11.model import Params, kernels
 
 
@@ -34,9 +34,8 @@ class LimitsReport:
 def internal_photon_number(p: Params) -> float:
     """<n_a + n_b> of the internal state, with m-photon subtraction folded in."""
     ks = kernels(p)
-    u, _ = ks.thermal(1.0)
-    _, y_mean, _ = ks.subtraction(u)
-    n_t = (ks.ch2 + p.T1 * ks.sh2) * y_mean + (1.0 + p.T1) * ks.sh2
+    ks.log_weight(ks.thermal(1.0)[0], DarkFringeError)
+    n_t = (ks.ch2 + p.T1 * ks.sh2) * ks.laguerre[1] + (1.0 + p.T1) * ks.sh2
     return finite(n_t, "internal photon number")
 
 

@@ -40,7 +40,7 @@ from typing import Dict, Sequence, Tuple, Type
 
 import numpy as np
 
-from su11.errors import DarkFringeError, NumericalError, Su11Error, finite, normalizer
+from su11.errors import NumericalError, Su11Error, finite, normalizer
 from su11.series import MultiSeries
 
 # the largest order the extractions are held to mpmath references at
@@ -97,8 +97,9 @@ class KernelSet:
     """Thermal numbers, Laguerre values and the QFI sums of one configuration.
 
     :meth:`thermal` gives the thermal number u = |w|^2 and its d/dphi for the
-    one-kernel quantities; :meth:`log_weight`, :meth:`subtraction` and
-    :meth:`moments` turn u into their subtraction factors.  ``laguerre`` holds
+    one-kernel quantities; :meth:`log_weight` tests the subtraction weight
+    at u for a dark fringe, and :meth:`moments` turns u into the photon
+    number's mean and variance.  ``laguerre`` holds
     (L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from
     non-negative terms, with c1 = (m + 1) L_(m+1) / L_m and
     D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.  ``sh2`` = sinh^2 g
@@ -152,15 +153,6 @@ class KernelSet:
         m = self.p.m
         log_w = math.log(math.factorial(m) * self.laguerre[0]) + _log_power(u, m)
         return normalizer(log_w, vanished, f"subtraction weight vanished at m={m} (dark fringe)")
-
-    def subtraction(self, u: float) -> Tuple[float, float, float]:
-        """(N1, c1 - 1, D_m / L_m^2) at thermal number u, with N1 = (m! u^m L_m)^(-1/2).
-
-        A vanishing weight is a DarkFringeError, and N1 is finite at every
-        other point (0 once the weight passes about 1e617).
-        """
-        _, y, spread = self.laguerre
-        return math.exp(-0.5 * self.log_weight(u, DarkFringeError)), y, spread
 
     def moments(self, u: float) -> Tuple[float, float]:
         """(<N>, Var N) = (c1 u, (D_m / L_m^2) u^2 + c1 u) after m subtractions at thermal number u.

@@ -27,35 +27,33 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from su11.errors import NumericalError, Su11Error, finite, stationary
+from su11.errors import DarkFringeError, NumericalError, Su11Error, finite, stationary
 from su11.model import Params, kernels
 
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Phase uncertainty plus the moments and normalization that produced it."""
+    """Phase uncertainty plus the moments that produced it."""
 
     delta_phi: float
     mean_n: float
-    mean_n2: float
-    norm: float
+    var_n: float
     d_mean_dphi: float
 
 
 def _error_propagation(p: Params) -> SensitivityReport:
     ks = kernels(p)
     u, du = ks.thermal(p.T2)
-    norm, y, _ = ks.subtraction(u)
+    ks.log_weight(u, DarkFringeError)
     mean, var = ks.moments(u)
     finite(mean, "<N>")
-    dmean = finite((1.0 + y) * du, "d<N>/dphi")
-    mean2 = finite(var + mean * mean, "<N^2>")
+    dmean = finite((1.0 + ks.laguerre[1]) * du, "d<N>/dphi")
+    finite(var, "Var(N)")
     stationary(dmean, mean, "closed form")
     return SensitivityReport(
         delta_phi=math.sqrt(var) / abs(dmean),
         mean_n=mean,
-        mean_n2=mean2,
-        norm=norm,
+        var_n=var,
         d_mean_dphi=dmean,
     )
 

@@ -198,24 +198,24 @@ def bilinear_exponent(p: Params, w: CDual) -> MultiSeries:
 
 
 def engine_sensitivity(p: Params) -> dict:
-    """The lossy sensitivity report's fields from three extractions of exp(B(w3)).
+    """The lossy sensitivity report's fields, and the subtraction weight, from three extractions of exp(B(w3)).
 
-    With G_k the (k, k) extraction, <N> = G_(m+1) / G_m and
-    <N^2> = (G_(m+1) + G_(m+2)) / G_m, phase derivatives from the dual channel,
-    and Var(N) = <N^2> - <N>^2, which cancels about <N>-fold.
+    With G_k the (k, k) extraction, G_m is the weight m! u^m L_m,
+    <N> = G_(m+1) / G_m and <N^2> = (G_(m+1) + G_(m+2)) / G_m, phase
+    derivatives from the dual channel, and Var(N) = <N^2> - <N>^2, which
+    cancels about <N>-fold.
     """
     m = p.m
     e = bilinear_exponent(p, dual_kernel(p, p.T2)).exp()
     gm, gm1, gm2 = (e.extract((k, k)) for k in (m, m + 1, m + 2))
     mean = gm1 / gm
-    mean2 = ((gm1 + gm2) / gm).val.real
-    var = mean2 - mean.val.real**2
+    var = ((gm1 + gm2) / gm).val.real - mean.val.real**2
     return {
         "delta_phi": math.sqrt(var) / abs(mean.dph.real),
         "mean_n": mean.val.real,
-        "mean_n2": mean2,
+        "var_n": var,
         "d_mean_dphi": mean.dph.real,
-        "norm": gm.val.real**-0.5,
+        "weight": gm.val.real,
     }
 
 

@@ -324,6 +324,22 @@ class TestMain:
             want = limits(Params(g=0.5, beta=0.5, phi=0.4, T1=float(t1), m=int(m))).n_t
             assert float(value) == pytest.approx(want, rel=1e-8)
 
+    def test_oracle_sweeps_with_an_infinite_input_carry_numerical_codes(self, tmp_path):
+        # an infinite beta aborted the sweep with a ZeroDivisionError, and an
+        # infinite g wrote N_T = 0, where the closed form writes Numerical
+        cfg = tmp_path / "sweeps.cfg"
+        cfg.write_text(
+            "[dphi-beta-inf]\nquantity = oracle_delta_phi_a\naxis = phi\nlo = 0.3\nhi = 0.5\n"
+            "points = 2\nm = 0,1\ng = 1.0\nbeta = inf\n\n"
+            "[nt-g-inf]\nquantity = oracle_n_t\naxis = phi\nlo = 0.3\nhi = 0.5\n"
+            "points = 2\nm = 0,1\ng = inf\nbeta = 1.0\n"
+        )
+        assert main(["sweep", str(cfg), "-o", str(tmp_path)]) == 0
+        for name in ("dphi-beta-inf", "nt-g-inf"):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            assert len(lines) == 1 + 2 * 2
+            assert all(line.endswith(",,Numerical") for line in lines[1:]), lines
+
     def test_sweep_missing_file(self, tmp_path):
         assert main(["sweep", str(tmp_path / "absent.cfg")]) == 1
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from su11 import fock
 from su11.errors import NumericalError, Su11Error
 from su11.model import Params
 from su11.qfi import cq_alpha, qfi_ideal
@@ -35,6 +36,27 @@ def test_overflowing_edges_are_values_or_numerical(p, quantity):
     value, code = _eval_task((quantity, p))
     assert code in ("", "Numerical")
     assert_finite_or_coded(value, code)
+
+
+ORACLE_ENTRY_POINTS = {
+    "numeric_moments_multi": lambda p: fock.numeric_moments_multi(p, [0, p.m]),
+    "numeric_sensitivity": fock.numeric_sensitivity,
+    "numeric_qfi_pure": fock.numeric_qfi_pure,
+    "numeric_cq": lambda p: fock.numeric_cq(p, 0.3),
+    "numeric_internal_photon_number": fock.numeric_internal_photon_number,
+}
+
+
+@pytest.mark.parametrize("entry", ORACLE_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "p", [Params(g=math.inf, m=1, T1=0.8, eta=0.8), Params(beta=math.inf, m=1, T1=0.8, eta=0.8)],
+    ids=["g_inf", "beta_inf"],
+)
+def test_oracle_refuses_infinite_inputs(p, entry):
+    # a NaN grid used to pass as an empty state: N_T came out 0, and subtracting
+    # from it divided by a zero probability
+    with pytest.raises(NumericalError, match="finite g and beta"):
+        ORACLE_ENTRY_POINTS[entry](p)
 
 
 def assert_cq_finite_or_typed(p: Params, alpha: float, typed=Su11Error) -> None:

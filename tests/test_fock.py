@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from su11.errors import LeakageError, ZeroProbabilityError
+from su11.errors import DarkFringeError, LeakageError, ZeroProbabilityError
 from su11.fock import (
     BRANCH_PRUNE_TOL,
     Ensemble,
@@ -14,7 +14,6 @@ from su11.fock import (
     apply_phase,
     apply_tms,
     converged_value,
-    equivalent_state,
     internal_ensemble,
     loss_probe_state,
     lower_a,
@@ -30,7 +29,6 @@ from su11.fock import (
     thin_tables,
 )
 from su11.model import Params, kernels
-from su11.sensitivity import sensitivity_ideal
 from references import apply_loss_branchwise, apply_tms_series, band_data, grid_data
 
 
@@ -296,7 +294,7 @@ class TestEnsemble:
                     assert out.tangent.shape == out.amps.shape
             assert _seed_tangent(x).tangent.shape == x.amps.shape
         p = Params(g=0.4, beta=0.8, phi=0.4, m=1, T1=0.8, T2=0.9, eta=0.8)
-        for pipeline in (output_ensemble, equivalent_state, loss_probe_state, internal_ensemble):
+        for pipeline in (output_ensemble, loss_probe_state, internal_ensemble):
             out = pipeline(p, 40)
             assert isinstance(out, Ensemble) and out.amps.ndim == 3
 
@@ -463,11 +461,10 @@ class TestTracerContract:
 
         monkeypatch.setattr(fock, "apply_tms", recording)
         p = Params(g=0.4, beta=0.8, phi=0.4, m=1, T1=0.8, eta=0.8)
-        for pipeline in (output_ensemble, equivalent_state, loss_probe_state, internal_ensemble):
+        for pipeline in (output_ensemble, loss_probe_state, internal_ensemble):
             pipeline(p, 40)
-        # two squeezers in output_ensemble, three in equivalent_state and
-        # internal_ensemble, one in loss_probe_state
-        assert len(calls) == 9
+        # two squeezers in output_ensemble, three in internal_ensemble, one in loss_probe_state
+        assert len(calls) == 6
         for key, n_cut, cached, out in calls:
             assert key[2] == n_cut + 1 == 41 and cached
             assert out.amps.nbytes == out.amps.size * 16 > 0
@@ -541,10 +538,11 @@ class TestSubtraction:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_success_probability_matches_generating_function(self, m):
         # the success probability of a^m on the normalized ideal output equals
-        # N1^-2 = m! u^m L_m, the 2m-fold extraction of exp(A1)
+        # the subtraction weight m! u^m L_m, the 2m-fold extraction of exp(A1)
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m)
         ens = output_ensemble(p, 70)
-        gm = sensitivity_ideal(p).norm ** -2
+        ks = kernels(p)
+        gm = math.exp(ks.log_weight(ks.thermal(1.0)[0], DarkFringeError))
         assert lowered(ens, m).trace() == pytest.approx(gm, rel=1e-8)
 
     @pytest.mark.parametrize("m", range(5))
@@ -600,7 +598,7 @@ class TestMoments:
         r = sensitivity_ideal(p)
         got = numeric_moments_multi(p, [0])[0]
         assert got["mean"] == pytest.approx(r.mean_n, rel=1e-8)
-        assert got["second"] == pytest.approx(r.mean_n2, rel=1e-8)
+        assert got["second"] == pytest.approx(r.var_n + r.mean_n * r.mean_n, rel=1e-8)
 
 
 class TestNumericEstimators:
@@ -631,7 +629,7 @@ class TestNumericEstimators:
         for m, got in numeric_moments_multi(p, [0, 1, 2, 3]).items():
             want = sensitivity_lossy(p.replace(m=m))
             assert got["mean"] == pytest.approx(want.mean_n, rel=1e-8)
-            assert got["second"] == pytest.approx(want.mean_n2, rel=1e-8)
+            assert got["second"] == pytest.approx(want.var_n + want.mean_n * want.mean_n, rel=1e-8)
             assert got["delta_phi"] == pytest.approx(want.delta_phi, rel=1e-8)
 
     def test_tangent_table_matches_central_difference(self):
@@ -668,10 +666,27 @@ class TestNumericEstimators:
         with pytest.raises(ValueError, match="mode"):
             moments(Ensemble(np.zeros((1, 6, 6), complex)), "c")
 
-    def test_equivalent_state_dark_fringe(self):
+    @pytest.mark.parametrize(
+        "g, beta, m",
+        [(g, beta, m) for m in (0, 1, 2) for g in (0.5, 1.0) for beta in (0.5, 1.0)] + [(0.5, 1.0, 3)],
+    )
+    def test_qfi_pure_is_unchanged_by_the_trailing_squeezer(self, g, beta, m):
+        # numeric_qfi_pure reads the subtracted output; the equivalent model's
+        # phase-free S2† after the subtraction is unitary and keeps the QFI
+        def qfi(ens):
+            v, t = ens.band()
+            vv = np.vdot(v, v).real
+            return 4.0 * (np.vdot(t, t).real / vv - abs(np.vdot(v, t)) ** 2 / vv**2)
+
+        p = Params(g=g, beta=beta, phi=0.4, m=m)
+        sub = subtract_photons(output_ensemble(p, 100), m)
+        assert qfi(sub) == pytest.approx(qfi(apply_tms(sub, g, 0.0)), rel=1e-9)
+
+    def test_qfi_pure_dark_fringe(self):
+        # at phi = 0 the second squeezer undoes the first, so mode a is empty
         p = Params(g=1.0, beta=1.0, phi=0.0, m=1)
         with pytest.raises(ZeroProbabilityError):
-            equivalent_state(p, 70)
+            numeric_qfi_pure(p)
 
     def test_converged_value_detects_stuck_ladder(self, monkeypatch):
         from su11 import fock

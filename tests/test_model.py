@@ -181,7 +181,7 @@ class TestExponentA:
         ks = kernels(p)
         norm = math.exp(ks.log_weight(ks.probe_thermal(), DarkFringeError))
         assert norm == pytest.approx(probe.exp().extract((p.m, p.m)).val.real, rel=1e-13)
-        assert norm == pytest.approx(sensitivity_ideal(p).norm ** -2, rel=1e-13)
+        assert norm == pytest.approx(math.exp(ks.log_weight(ks.thermal(p.T2)[0], DarkFringeError)), rel=1e-13)
 
 
 class TestInternalExponents:
@@ -198,15 +198,15 @@ class TestInternalExponents:
 
     def test_nt_exponent_is_the_lossless_output_exponent(self):
         # at T1 = 1, v1 equals w1, so the internal state's subtraction
-        # normalizer is the lossless output's N1, whatever T2 is
+        # weight is the lossless output's, whatever T2 is
         p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0, T2=0.6)
-        ks = kernels(p)
-        n1_internal, _, _ = ks.subtraction(ks.thermal(1.0)[0])
-        assert n1_internal == sensitivity_ideal(p).norm
+        ks, lossless = kernels(p), kernels(p.replace(T2=1.0))
+        internal = ks.log_weight(ks.thermal(1.0)[0], DarkFringeError)
+        assert internal == lossless.log_weight(lossless.thermal(1.0)[0], DarkFringeError)
 
 
 class TestLaguerre:
-    """The positive-coefficient polynomials behind KernelSet.subtraction."""
+    """The positive-coefficient polynomials behind KernelSet.laguerre."""
 
     @pytest.mark.parametrize("m", range(16))
     def test_coefficients_are_non_negative_and_match_the_definition(self, m):
@@ -228,10 +228,11 @@ class TestLaguerre:
                 assert got == pytest.approx(float(want), rel=1e-13)
 
     def test_unsubtracted_state_is_normalized_and_thermal_plus_coherent(self):
-        # m = 0: N1 = 1, c1 - 1 = beta^2 and D_0 = 1 + 2 beta^2, exactly
+        # m = 0: weight 1, c1 - 1 = beta^2 and D_0 = 1 + 2 beta^2, exactly
         ks = kernels(Params(g=1.0, beta=0.7, phi=0.4, m=0))
         x = 0.7 * 0.7
-        assert ks.subtraction(2.5) == (1.0, x, 1.0 + 2.0 * x)
+        assert ks.log_weight(2.5, DarkFringeError) == 0.0
+        assert ks.laguerre == (1.0, x, 1.0 + 2.0 * x)
 
 
 class TestXSeries:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from su11.errors import DarkFringeError, StationaryPointError, Su11Error
+from su11.errors import DarkFringeError, NumericalError, StationaryPointError, Su11Error
 from su11.fock import numeric_moments_multi
 from su11.limits import internal_photon_number
 from su11.model import Params, kernels
@@ -22,10 +22,6 @@ ORACLE_IDEAL_M1 = dict(delta_phi=0.196332454362, mean=1.81715253091, second=6.39
 
 
 class TestIdeal:
-    def test_m0_normalization_is_exactly_one(self):
-        r = sensitivity_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=0))
-        assert r.norm == 1.0
-
     def test_m0_mean_closed_form(self):
         p = Params(g=1.0, beta=0.7, phi=0.9, m=0)
         r = sensitivity_ideal(p)
@@ -51,7 +47,7 @@ class TestIdeal:
         r = sensitivity_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=1))
         assert r.delta_phi == pytest.approx(ORACLE_IDEAL_M1["delta_phi"], rel=1e-6)
         assert r.mean_n == pytest.approx(ORACLE_IDEAL_M1["mean"], rel=1e-6)
-        assert r.mean_n2 == pytest.approx(ORACLE_IDEAL_M1["second"], rel=1e-6)
+        assert r.var_n + r.mean_n**2 == pytest.approx(ORACLE_IDEAL_M1["second"], rel=1e-6)
 
     def test_monotone_improvement_in_beta_and_g(self):
         for m in range(4):
@@ -70,7 +66,7 @@ class TestIdeal:
         for m in range(4):
             for phi in np.linspace(0.1, 3.0, 12):
                 r = sensitivity_ideal(Params(g=1.0, beta=1.0, phi=float(phi), m=m))
-                assert r.mean_n2 - r.mean_n**2 >= -1e-10 * r.mean_n2
+                assert r.var_n >= 0.0
                 assert r.delta_phi > 0
 
 
@@ -92,7 +88,7 @@ class TestLossy:
         r = sensitivity_lossy(Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=0.8))
         assert r.delta_phi == pytest.approx(ORACLE_LOSSY_M2["delta_phi"], rel=1e-6)
         assert r.mean_n == pytest.approx(ORACLE_LOSSY_M2["mean"], rel=1e-6)
-        assert r.mean_n2 == pytest.approx(ORACLE_LOSSY_M2["second"], rel=1e-6)
+        assert r.var_n + r.mean_n**2 == pytest.approx(ORACLE_LOSSY_M2["second"], rel=1e-6)
 
     def test_oracle_equivalence_spot_checks(self):
         # the full grid runs in the acceptance suite; spot-check both loss
@@ -106,7 +102,7 @@ class TestLossy:
             want = numeric_moments_multi(p, [p.m])[p.m]
             assert got.delta_phi == pytest.approx(want["delta_phi"], rel=1e-6)
             assert got.mean_n == pytest.approx(want["mean"], rel=1e-6)
-            assert got.mean_n2 == pytest.approx(want["second"], rel=1e-6)
+            assert got.var_n + got.mean_n**2 == pytest.approx(want["second"], rel=1e-6)
 
 
 def mp_delta_phi(mpmath, u, du, beta, m):
@@ -126,6 +122,14 @@ def mp_delta_phi(mpmath, u, du, beta, m):
         return float(mpmath.sqrt(var) / abs(mean * du / u))
 
 
+def mp_lossless_delta_phi(mpmath, g, phi, m):
+    """delta_phi at 60 digits at T1 = T2 = 1 and beta = 1, and the thermal number u of its output."""
+    with mpmath.workdps(60):
+        shch2 = (mpmath.sinh(g) * mpmath.cosh(g)) ** 2
+        u = shch2 * (2 - 2 * mpmath.cos(phi))
+        return mp_delta_phi(mpmath, u, shch2 * 2 * mpmath.sin(phi), 1.0, m), u
+
+
 class TestAgainstReferences:
     def test_laguerre_formulas_match_the_series_engine(self):
         # the three-extraction moments of exp(B(w3)) and N_T's <Y(v1)>, over the
@@ -141,7 +145,11 @@ class TestAgainstReferences:
                 T2=float(rng.uniform(0.05, 1.0)),
             )
             got = sensitivity_lossy(p)
-            for name, want in engine_sensitivity(p).items():
+            engine = engine_sensitivity(p)
+            ks = kernels(p)
+            weight = math.exp(ks.log_weight(ks.thermal(p.T2)[0], DarkFringeError))
+            assert weight == pytest.approx(engine.pop("weight"), rel=1e-12), p
+            for name, want in engine.items():
                 assert getattr(got, name) == pytest.approx(want, rel=1e-12), (name, p)
             assert internal_photon_number(p) == pytest.approx(engine_photon_number(p), rel=1e-12)
 
@@ -171,17 +179,26 @@ class TestAgainstReferences:
         mpmath = pytest.importorskip("mpmath")
         phi, m = 0.4, 15
         for g in (12.0, 12.5, 20.0, 40.0):
+            want, u = mp_lossless_delta_phi(mpmath, g, phi, m)
             with mpmath.workdps(60):
-                shch2 = (mpmath.sinh(g) * mpmath.cosh(g)) ** 2
-                u = shch2 * (2 - 2 * mpmath.cos(phi))
-                du = shch2 * 2 * mpmath.sin(phi)
-                want = mp_delta_phi(mpmath, u, du, 1.0, m)
                 weight = mpmath.factorial(m) ** 2 * laguerre_coefficient(u, mpmath.sqrt(u), mpmath.sqrt(u), m, m)
-                norm = float(weight**-0.5)
-            got = sensitivity_lossy(Params(g=g, beta=1.0, phi=phi, m=m))
-            assert got.delta_phi == pytest.approx(want, rel=1e-12), g
-            # N1 = weight^(-1/2) is finite, and underflows to 0 past a weight of about 1e617
-            assert got.norm == pytest.approx(norm, rel=1e-12, abs=1e-300), g
+                log_weight = float(mpmath.log(weight))
+            p = Params(g=g, beta=1.0, phi=phi, m=m)
+            assert sensitivity_lossy(p).delta_phi == pytest.approx(want, rel=1e-12), g
+            # the weight, in logs past a double's range: a log gap of 1e-12 is rel 1e-12
+            ks = kernels(p)
+            assert ks.log_weight(ks.thermal(1.0)[0], DarkFringeError) == pytest.approx(log_weight, abs=1e-12), g
+
+    def test_refused_only_where_the_variance_overflows(self):
+        # <N^2> = Var(N) + <N>^2 overflows first, from g = 89.635 at m = 0 and
+        # g = 89.12 at m = 15; Var(N) stays finite to g = 89.741 and 89.488
+        mpmath = pytest.importorskip("mpmath")
+        for g, m in ((89.635, 0), (89.74, 0), (89.12, 15), (89.487, 15)):
+            want, _ = mp_lossless_delta_phi(mpmath, g, 0.4, m)
+            assert sensitivity_lossy(Params(g=g, beta=1.0, phi=0.4, m=m)).delta_phi == pytest.approx(want, rel=1e-12)
+        for g, m in ((89.742, 0), (89.488, 15)):
+            with pytest.raises(NumericalError, match="Var"):
+                sensitivity_lossy(Params(g=g, beta=1.0, phi=0.4, m=m))
 
     def test_zero_beta_is_m_plus_one_repeated_trials(self):
         # at beta = 0, L_n = 1, so c1 = D_m = m + 1 and delta_phi_m = delta_phi_0 / sqrt(m + 1)
