@@ -5,35 +5,40 @@ States live on a truncated grid with per-mode cutoff ``n_cut``, d = n_cut +
 the phase shifter conserve n_b - n_a, and loss, subtraction and b† only
 raise it, so the n_a > n_b half of the grid stays empty.  A state is
 therefore stored as the band of its rows kk = n_b - n_a >= 0, each holding
-the positions j = n_a < d - kk (:class:`Ensemble`).  The internal loss
-channel expands pure states into Kraus branches, so the one state type
-holds weight-carrying pure branches; a pure state is an ensemble of one
-branch.  Each row, across all branches and the phase tangent, is one
-contiguous (positions, columns) slab, so a unitary acts on every branch in
-one pass.
+the positions j = n_a < d - kk (:class:`Ensemble`).  Every element after
+the internal loss conserves kk or shifts every row by the same amount, and
+every readout (photon tables, moments, trace) is Fock-diagonal, so of a
+mixed state only each row's diagonal block rho_kk is ever read.  An
+ensemble therefore holds, per row, a set of columns whose outer products
+sum to rho_kk; a pure state is one column, which keeps its coherences
+across rows.  Each row, across its columns and the phase tangent, is one
+contiguous (positions, columns) slab, so a unitary acts on all of it in one
+pass.
 
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
-generator, internal loss as the full Kraus set, each branch one scaled
-shift of its input) so that it shares no algebra with the closed-form
-calculator it verifies.  The squeezer's generator conserves kk, so it
-splits into tridiagonal blocks, one per row.  At theta = 0 each block is
-the gain times a real antisymmetric matrix K_k that depends on the cutoff
-alone, so the block exp(g K_k) is a real rotation; K_k couples even to odd
-photon numbers only, so one half-size singular value decomposition of that
-coupling per occupied row and cutoff serves every gain and phase.  Any
-other theta is a diagonal phase twist before and after the same real block,
-and a block acts as one real matrix product on its row's slab, the complex
-amplitudes viewed as (re, im) pairs.  A row is occupied when it holds more
-than BRANCH_PRUNE_TOL of the state's weight; the squeezer multiplies those
-only and trims the band after the last.  Bases and blocks, all real, are
-built per row on first use.  The second squeezer, S(g e^{i pi}), is
-(-1)^{n_a} S(g) (-1)^{n_a}, and that sign twist turns each real block into
-its transpose, so the two squeezers share one block set per gain.  Every
-pipeline squeezes at the one gain p.g, so only the blocks of the latest
-gain are cached: a new gain drops the others, and a sweep along phi, beta
-or the transmittances reuses its blocks from point to point while a sweep
-along g, whose points share no gain, keeps no stale ones.  Bases hold no
+generator, internal loss as the full Kraus set, each image one scaled shift
+of a row) so that it shares no algebra with the closed-form calculator it
+verifies.  The squeezer's generator conserves kk, so it splits into
+tridiagonal blocks, one per row.  At theta = 0 each block is the gain times
+a real antisymmetric matrix K_k that depends on the cutoff alone, so the
+block exp(g K_k) is a real rotation; K_k couples even to odd photon numbers
+only, so one half-size singular value decomposition (sigma, U, W) of that
+coupling per occupied row and cutoff serves every gain and phase.  Per gain
+a block is only the 2 x 2 rotations (cos g sigma, sin g sigma) of the mode
+pairs, so a squeezer is U^T and W^T on each row's even and odd positions,
+the rotations, then U and W: a few stacked real products over every
+occupied row at once, the complex amplitudes viewed as (re, im) pairs.  Any
+other theta is a diagonal phase twist before and after.  A row is occupied
+when it holds more than BRANCH_PRUNE_TOL of the state's weight; the
+squeezer multiplies those only and trims the band after the last.  Each
+cutoff's bases live in zero-padded stacks, a row decomposed the first time
+it is occupied.  The second squeezer, S(g e^{i pi}), is (-1)^{n_a} S(g)
+(-1)^{n_a}, and that sign twist transposes each real block, which flips
+the sign of sin, so the two squeezers share one rotation set per gain.
+Every pipeline squeezes at the one gain p.g, so only the rotations of the
+latest gain are cached: a new gain drops the others, and a sweep along phi,
+beta or the transmittances reuses them from point to point.  Bases hold no
 gain and stay.  Every cutoff ladder starts at DEFAULT_N_CUT, so it visits
 at most 16 cutoffs, and these bound both caches (see _TMS_BLOCK_CACHE)
 without any eviction.  The tests keep a sub-stepped Taylor exponential of
@@ -79,26 +84,34 @@ LEAKAGE_TOL = 1e-10
 # squared norm, relative to the (unit) input's, below which a lowered state is
 # empty: squared amplitudes carry ~1e-28 truncation-roundoff residue
 ZERO_NORM_FLOOR = 1e-24
-# ensemble branches, and squeezer rows kk = n_b - n_a, below this relative
-# weight are dropped; the total dropped mass stays far below the 1e-12 trace
+# loss images, and squeezer rows kk = n_b - n_a, below this relative weight
+# are dropped; the total dropped mass stays far below the 1e-12 trace
 # bookkeeping tolerance.  The squeezer conserves each row's weight, so it
 # drops exactly what it would carry
 BRANCH_PRUNE_TOL = 1e-26
+# the squeezer multiplies this many rows per stacked product, each group
+# zero-padded only to its first (longest) row: padding every row to row 0's
+# length doubled a squeeze of a lossy ensemble at n_cut ~ 110-180
+TMS_ROWS_PER_PRODUCT = 8
 
 
 # -- the state container -----------------------------------------------------
 
 
 class Ensemble:
-    """Weight-carrying pure branches of a two-mode state, optionally with their tangent.
+    """A two-mode state as per-row column sets, optionally with their tangent.
 
-    ``data`` stores the band: ``data[kk, j, branch]`` is the amplitude of
-    |n_a, n_b> = |j, j + kk> (positions j >= n_cut + 1 - kk are zero), or
-    ``data[kk, j, 0 | 1, branch]`` for the amplitudes and their d/dphi, so
-    that a linear element acts on both in one pass and row kk is one
-    contiguous slab.  Branch weights are the squared norms of the
-    unnormalized branch amplitudes, and a pure state is one branch.
-    ``amps`` and ``tangent`` are (branch, kk, j) views.
+    ``data`` stores the band: ``data[kk, j, col]`` is the amplitude of
+    |n_a, n_b> = |j, j + kk> in column col (positions j >= n_cut + 1 - kk
+    are zero), or ``data[kk, j, 0 | 1, col]`` for the amplitudes and their
+    d/dphi, so that a linear element acts on both in one pass and row kk is
+    one contiguous slab.  The columns of row kk are unnormalized vectors
+    whose outer products sum to the state's diagonal block rho_kk, the
+    tangent's alike; a column of one row has nothing to do with the same
+    column of another.  A pure state is one column across all rows, and
+    :func:`apply_loss` fills the columns of a lossy one row by row, so the
+    ensemble is as wide as the most columns any row holds.  The trace is the
+    total squared norm.  ``amps`` and ``tangent`` are (col, kk, j) views.
     """
 
     __slots__ = ("data",)
@@ -113,7 +126,7 @@ class Ensemble:
         return self.data.shape[1] - 1
 
     def band(self) -> Tuple[np.ndarray, np.ndarray | None]:
-        """(state, tangent) as (kk, j, branch) views; the tangent is None when not carried."""
+        """(state, tangent) as (kk, j, col) views; the tangent is None when not carried."""
         if self.data.ndim == 3:
             return self.data, None
         return self.data[:, :, 0], self.data[:, :, 1]
@@ -128,12 +141,12 @@ class Ensemble:
         return None if t is None else np.moveaxis(t, -1, 0)
 
     def trace(self) -> float:
-        """Total weight of the branches."""
+        """Total weight of every row's columns."""
         return float(np.sum(_weights(self.band()[0])))
 
 
 def _weights(v: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Re <v|t> per (kk, j) of band amplitudes, summed over the branches; <v|v> by default."""
+    """Re <v|t> per (kk, j) of band amplitudes, summed over the columns; <v|v> by default."""
     x = v.view(np.float64)
     return np.einsum("...c,...c->...", x, x if t is None else t.view(np.float64))
 
@@ -175,7 +188,7 @@ def _seed_tangent(x: Ensemble) -> Ensemble:
 
 
 def photon_tables(ens: Ensemble) -> Tuple[np.ndarray, np.ndarray]:
-    """Joint photon-number table P(n_a, n_b) over the branches, and its d/dphi."""
+    """Joint photon-number table P(n_a, n_b) over the columns, and its d/dphi."""
     v, t = ens.band()
     return _on_grid(_weights(v)), _on_grid(2.0 * _weights(v, t))
 
@@ -226,12 +239,12 @@ def raise_b(data: np.ndarray) -> np.ndarray:
 
 
 def prepare_input(beta: float, n_cut: int) -> Ensemble:
-    """Vacuum in mode a, coherent |beta> in mode b, as a one-branch ensemble.
+    """Vacuum in mode a, coherent |beta> in mode b, as a one-column ensemble.
 
     |0, n> is row kk = n at position 0, so the band holds every row.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     d = n_cut + 1
     amps = np.zeros((d, d, 1), complex)
     c = math.exp(-0.5 * beta * beta)
@@ -249,32 +262,21 @@ def prepare_input(beta: float, n_cut: int) -> Ensemble:
 
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
-# each value holds real arrays per row kk = n_b - n_a, built on first use.
-# Every ladder starts at DEFAULT_N_CUT, so it visits at most 16 cutoffs; the
-# bases hold one value per cutoff, and the blocks one per cutoff and theta at
-# the latest gain (see _tms_blocks).  Every pipeline squeezes at theta = 0,
-# the mirror included, so the blocks hold one theta.  With every row of all
-# 16 cutoffs built, both caches together would hold 1.24e7 float64 entries
-# (99 MB); only occupied rows are built, and fig2's ladders, which climb to
-# the cap at g = 1, leave 28.3 MB of blocks and 14.3 MB of bases over 13
-# cutoffs.  Only tests squeeze at other thetas, at cutoffs of at most 70
+# a basis holds zero-padded (sigma, U, W) stacks over the rows k < d - 1 of
+# one cutoff, each row decomposed the first time it is occupied; a block
+# holds (cos, sin) stacks at one (gain, theta, cutoff), for the latest gain
+# only (see _tms_blocks).  Every ladder starts at DEFAULT_N_CUT, so it visits
+# at most 16 cutoffs, and nothing is evicted.  With every row of all 16 built,
+# at one gain and theta, both caches together would hold 1.24e7 float64
+# entries (99 MB).  The stacks are allocated zeroed, which on Linux leaves the
+# rows never built without resident pages: fig2's ladders, which climb to the
+# cap at g = 1, allocate 96 MB of bases over 13 cutoffs but build 26 rows of
+# each, 17.5 MB, and leave 1.3 MB of blocks.  Only tests squeeze at a nonzero
+# theta, at cutoffs of at most 70
 
 
-def _filled(cache: dict, key, ks: List[int], build) -> dict:
-    """cache[key], holding a value for every row in ks.
-
-    ``build(missing)`` yields the values of the rows not built yet, in
-    order.
-    """
-    value = cache.setdefault(key, {})
-    missing = [k for k in ks if k not in value]
-    if missing:
-        value.update(zip(missing, build(missing)))
-    return value
-
-
-def _tms_basis(d: int, ks: List[int]) -> dict:
-    """Half-size singular value decompositions (sigma_k, U_k, W_k) for the rows k in ks.
+def _tms_basis(d: int, ks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacks (sigma, U, W) of half-size singular value decompositions, with the rows k in ks built.
 
     On row k, |n, n+k> (n = 0..s-1, s = d - k), the theta = 0 generator is
     g K_k, with K_k real, antisymmetric and tridiagonal: +sqrt((n + k) n) at
@@ -285,71 +287,76 @@ def _tms_basis(d: int, ks: List[int]) -> dict:
     that the gauge D = diag((-i)^n) puts on it (D J_k D^-1 = i K_k).  With
     C_k = U_k diag(sigma_k) W_k^T (U_k square, so for odd s its last column
     spans the zero mode), the eigenvalues of J_k are +-sigma_k, plus 0 for
-    odd s.  C_k depends on the cutoff alone, so each occupied row of each
-    cutoff is decomposed once, on first use, and serves every gain and
-    phase.
+    odd s.  C_k depends on the cutoff alone, so each row of each cutoff is
+    decomposed once, the first time it is occupied, and serves every gain
+    and phase.
+
+    Row k is stored zero-padded at index k of (d - 1, d // 2) sigma, (d - 1,
+    (d + 1) // 2, (d + 1) // 2) U and (d - 1, d // 2, d // 2) W stacks; the
+    fourth array marks the rows built.  Row d - 1, |0, n_cut> alone, has
+    nothing to couple to and no entry.
     """
+    basis = _TMS_BASIS_CACHE.get(d)
+    if basis is None:
+        rows, e, o = d - 1, (d + 1) // 2, d // 2
+        basis = (
+            np.zeros((rows, o)), np.zeros((rows, e, e)), np.zeros((rows, o, o)), np.zeros(rows, bool)
+        )
+        _TMS_BASIS_CACHE[d] = basis
+    sigma, u, w, built = basis
+    for k in ks:
+        if built[k]:
+            continue
+        s = d - k
+        n = np.arange(1, s)
+        c = np.sqrt((n + k) * n)
+        # C_k[i, i] = c_{2i+1} and C_k[i+1, i] = -c_{2i+2}, with c_n at c[n - 1]
+        coupling = np.zeros(((s + 1) // 2, s // 2))
+        i = np.arange(s // 2)
+        coupling[i, i] = c[0::2]
+        i = i[: (s - 1) // 2]
+        coupling[i + 1, i] = -c[1::2]
+        uk, sk, wkt = np.linalg.svd(coupling)
+        e, o = len(uk), len(sk)
+        sigma[k, :o], u[k, :e, :e], w[k, :o, :o] = sk, uk, wkt.T
+        built[k] = True
+    return basis
 
-    def build(missing):
-        for k in missing:
-            s = d - k
-            n = np.arange(1, s)
-            c = np.sqrt((n + k) * n)
-            # C_k[i, i] = c_{2i+1} and C_k[i+1, i] = -c_{2i+2}, with c_n at c[n - 1]
-            coupling = np.zeros(((s + 1) // 2, s // 2))
-            i = np.arange(s // 2)
-            coupling[i, i] = c[0::2]
-            i = i[: (s - 1) // 2]
-            coupling[i + 1, i] = -c[1::2]
-            u, sigma, wt = np.linalg.svd(coupling)
-            yield sigma, u, wt.T
 
-    return _filled(_TMS_BASIS_CACHE, d, ks, build)
+def _tms_blocks(
+    g: float, theta: float, d: int, ks: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cos, sin) of g sigma over the basis stacks, with the rows k in ks built, and the rows they hold.
 
-
-def _tms_blocks(g: float, theta: float, d: int, ks: List[int]) -> dict:
-    """Real rotation blocks of exp(xi ab - xi* a†b†) for the rows k in ks.
-
-    The generator conserves n_b - n_a, so it block-diagonalizes over the
-    band's rows.  On row k, |n, n+k> (n = 0..d-1-k), the theta = 0 block is
-    exp(g K_k), a real orthogonal matrix (see :func:`_tms_basis`); in
-    even/odd order it is
+    In even/odd order the theta = 0 block of row k is exp(g K_k) (see
+    :func:`_tms_basis`),
 
         [[U cos U^T,  U sin W^T],
          [-W sin U^T, W cos W^T]],   cos, sin = cos(g sigma_k), sin(g sigma_k),
 
     with cos = 1 on the zero mode of odd s: the exact exponential of the
-    truncated generator, matching the sub-stepped series to roundoff.  Any
-    other theta is the diagonal twist E exp(g K_k) E^-1, E = diag(e^{-i n
-    theta}), which :func:`_apply_tms_raw` applies to the state, so the
-    blocks are real and the same at every theta.  Each block is built from
-    its row's basis on first use.
+    truncated generator.  Per gain it is only the 2 x 2 rotations (cos, sin)
+    of the pairs of modes sigma_k couples; :func:`_apply_tms_raw` applies
+    U^T and W^T, rotates and applies U and W.  Any other theta is the
+    diagonal twist E exp(g K_k) E^-1, E = diag(e^{-i n theta}), applied to
+    the state, so the blocks are the same at every theta.  A zero-padded
+    sigma gives cos 1 and sin 0, which leaves the padding and the zero modes
+    in place.
 
     The cache keeps the blocks of one gain: every pipeline squeezes at a
     single gain, so blocks of any other gain are dropped before this gain's
-    are looked up.  Returning to a dropped gain rebuilds its blocks from the
-    cached bases, without a new decomposition.
+    are looked up.  Returning to a dropped gain recomputes its blocks from
+    the cached bases, without a new decomposition.
     """
-
-    def build(missing):
-        basis = _tms_basis(d, missing)
-        for k in missing:
-            sigma, u, w = basis[k]
-            s = d - k
-            cos, sin = np.cos(g * sigma), np.sin(g * sigma)
-            # for odd s the even half also holds the zero mode, left in place
-            cos_even = np.append(cos, np.ones(len(u) - sigma.size))
-            r = np.empty((s, s))
-            r[0::2, 0::2] = (u * cos_even) @ u.T
-            r[0::2, 1::2] = (u[:, : sigma.size] * sin) @ w.T
-            r[1::2, 0::2] = -r[0::2, 1::2].T
-            r[1::2, 1::2] = (w * cos) @ w.T
-            yield r
-
     g = float(g)
     for key in [key for key in _TMS_BLOCK_CACHE if key[0] != g]:
         del _TMS_BLOCK_CACHE[key]
-    return _filled(_TMS_BLOCK_CACHE, (g, float(theta), int(d)), ks, build)
+    key = (g, float(theta), int(d))
+    blocks = _TMS_BLOCK_CACHE.get(key)
+    if blocks is None or not blocks[2][ks].all():
+        sigma, _, _, built = _tms_basis(d, ks)
+        blocks = _TMS_BLOCK_CACHE[key] = (np.cos(g * sigma), np.sin(g * sigma), built.copy())
+    return blocks
 
 
 def _apply_tms_raw(
@@ -358,19 +365,22 @@ def _apply_tms_raw(
     """Exact exponential of the truncated two-mode-squeezing generator on band data.
 
     ``data`` is (kk, j, ...) band data (see :class:`Ensemble`): row kk's
-    positions j < d - kk, with every later axis (tangent, branches) folded
+    positions j < d - kk, with every later axis (tangent, columns) folded
     into its columns, are one contiguous complex slab, viewed as real (re,
-    im) pairs and rotated by the row's real block in one matrix product.  A
-    state, a stack and a stack with its tangent take one path.  Only the
-    occupied rows are multiplied: those that hold more than BRANCH_PRUNE_TOL
-    of the weight of ``state`` (``data`` itself by default).  The squeezer
-    conserves each row's weight, so every other row is zero in the output,
-    which ends at the last occupied row.
+    im) pairs.  The occupied rows are squeezed together, TMS_ROWS_PER_PRODUCT
+    rows to a stacked product over the basis stacks: U^T on the even
+    positions and W^T on the odd ones, the rotations of :func:`_tms_blocks`,
+    then U and W.  A state, a stack and a stack with its tangent take one
+    path.  A row is occupied when it holds more than BRANCH_PRUNE_TOL of the
+    weight of ``state`` (``data`` itself by default); the squeezer conserves
+    each row's weight, so every other row is zero in the output, which ends
+    at the last occupied row.  Weights that are not finite raise
+    NumericalError.
 
-    A nonzero theta twists position j by e^{i j theta} before the block and
-    by e^{-i j theta} after it.  With ``mirror`` (see :func:`apply_tms`) the
-    block is transposed: (-1)^j r (-1)^j = r^T for the real rotation r of a
-    tridiagonal antisymmetric generator, so the mirror stays real.
+    A nonzero theta twists position j by e^{i j theta} before the blocks and
+    by e^{-i j theta} after them.  With ``mirror`` (see :func:`apply_tms`)
+    each block is transposed, which flips the sign of sin: (-1)^j r (-1)^j =
+    r^T for the real rotation r of a tridiagonal antisymmetric generator.
     """
     if g == 0.0:
         return data.copy()
@@ -378,25 +388,46 @@ def _apply_tms_raw(
     state = data if state is None else state
     d = data.shape[1]
     weight = _weights(state).reshape(len(state), -1).sum(axis=1)
-    occupied = np.flatnonzero(weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300)).tolist()
-    blocks = _tms_blocks(g, theta, d, occupied)
-    twist = np.exp(1j * theta * np.arange(d))[:, None] if theta != 0.0 else None
-    out = np.zeros((occupied[-1] + 1 if occupied else 1,) + data.shape[1:], data.dtype)
-    for kk in occupied:
-        s = d - kk
-        r = blocks[kk].T if mirror else blocks[kk]
-        x = data[kk, :s].reshape(s, -1)
-        y = out[kk, :s].reshape(s, -1)
-        if twist is not None:
-            x = x * twist[:s]
-        np.matmul(r, x.view(np.float64), out=y.view(np.float64))
-        if twist is not None:
-            y *= twist[:s].conj()
+    if not np.all(np.isfinite(weight)):
+        raise NumericalError(f"squeezer input at n_cut={d - 1} holds non-finite amplitudes")
+    occupied = weight > BRANCH_PRUNE_TOL * max(weight.sum(), 1e-300)
+    held = np.flatnonzero(occupied)
+    first, rows = (held[0], held[-1] + 1) if held.size else (0, 1)
+    out = np.zeros((rows,) + data.shape[1:], data.dtype)
+    x = data[:rows]
+    if theta != 0.0:
+        x = x * _column(np.exp(1j * theta * np.arange(d)), x.ndim)
+    # row d - 1, |0, n_cut>, has nothing to couple to and is left in place
+    coupled = min(rows, d - 1)
+    cos, sin, _ = _tms_blocks(g, theta, d, np.flatnonzero(occupied[:coupled]))
+    _, u, w, _ = _TMS_BASIS_CACHE[d]
+    cos, sin = cos[:, :, None], (-sin if mirror else sin)[:, :, None]
+    xr = x.reshape(rows, d, -1).view(np.float64)
+    yr = out.reshape(rows, d, -1).view(np.float64)
+    for top in range(first, coupled, TMS_ROWS_PER_PRODUCT):
+        # no row after top is longer: row top's sizes bound the group's
+        g_rows = slice(top, min(top + TMS_ROWS_PER_PRODUCT, coupled))
+        e, o = (d - top + 1) // 2, (d - top) // 2
+        ug, wg, c, sn = u[g_rows, :e, :e], w[g_rows, :o, :o], cos[g_rows, :o], sin[g_rows, :o]
+        a = np.matmul(ug.transpose(0, 2, 1), xr[g_rows, 0 : 2 * e : 2])
+        b = np.matmul(wg.transpose(0, 2, 1), xr[g_rows, 1 : 2 * o : 2])
+        # rotate each pair of modes in place: (a, b) -> (c a + sn b, c b - sn a)
+        paired, turned = a[:, :o], sn * b
+        b *= c
+        b -= sn * paired
+        paired *= c
+        paired += turned
+        np.matmul(ug, a, out=yr[g_rows, 0 : 2 * e : 2])
+        np.matmul(wg, b, out=yr[g_rows, 1 : 2 * o : 2])
+    yr[coupled:] = xr[coupled:]
+    out[~occupied[:rows]] = 0.0
+    if theta != 0.0:
+        out *= _column(np.exp(-1j * theta * np.arange(d)), out.ndim)
     return out
 
 
 def apply_tms(x: Ensemble, g: float, theta: float, mirror: bool = False) -> Ensemble:
-    """Two-mode squeezer on every branch.
+    """Two-mode squeezer on every column.
 
     With ``mirror`` it is (-1)^{n_a} S (-1)^{n_a}, the squeezer at theta + pi
     (parity sends a to -a): the second squeezer, S(g e^{i pi}), is the mirror
@@ -427,61 +458,70 @@ def apply_phase(x: Ensemble, phi: float) -> Ensemble:
     return Ensemble(np.stack((amps, t * ph + 1j * n_a * amps), axis=2))
 
 
-def _kraus_rows(T: float, d: int):
-    """(l, c_l) over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l.
+def _kraus_coefficients(T: float, d: int) -> np.ndarray:
+    """c[l, n] over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l.
 
-    K_l takes |n + l, n_b> to c_l[n] |n, n_b>, with c_l[n] = sqrt(C(n + l, l)
-    (1 - T)^l T^n) for n = 0..d - 1 - l, carried from c_(l-1) by the factor
-    sqrt((1 - T) (n + l) / l).  Stops once the coefficients vanish.
+    K_l takes |n + l, n_b> to c[l, n] |n, n_b>, with c[l, n] = sqrt(C(n + l,
+    l) (1 - T)^l T^n) for n = 0..d - 1 - l and zero past it: one cumulative
+    product over l of the factors sqrt((1 - T) (n + l) / l), from T^{n/2}
+    at l = 0.  The table ends before the first order whose coefficients all
+    vanish.
     """
     n = np.arange(d)
-    c = T ** (0.5 * n)
-    for l in range(d):
-        if l > 0:
-            c = c[:-1] * np.sqrt((1.0 - T) * (n[: d - l] + l) / l)
-            if not c.any():
-                return
-        yield l, c
+    l = np.arange(1, d)[:, None]
+    c = np.cumprod(np.vstack((T ** (0.5 * n), np.sqrt((1.0 - T) * (n + l) / l))), axis=0)
+    c[np.add.outer(np.arange(d), n) >= d] = 0.0
+    vanished = np.flatnonzero(~c.any(axis=1))
+    return c[: vanished[0]] if vanished.size else c
 
 
 def apply_loss(x: Ensemble, T: float) -> Ensemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
-    T lies in [0, 1].  Branch l moves row kk to kk + l and position j to j -
-    l.  Trace is preserved (the channel is CPTP); branches of negligible
-    weight are pruned, each tangent branch with its state branch, on the
-    state's weight.  At T = 0 every photon of mode a is lost: T^{n/2} is [1,
-    0, ...], so branch l holds n_a = l moved to n_a = 0.  At T = 1 the
-    channel is the identity and the input is returned as it is, not copied,
-    so no element may write into its input.
+    T lies in [0, 1].  K_l moves row kk to kk + l and position j to j - l,
+    so each column of row kk has one image row per order l, and each image
+    row is written into the next free column of its output row, in order of
+    l and then of the input column: the output is as wide as the most images
+    any row holds (see :class:`Ensemble`).  Trace is preserved (the channel
+    is CPTP); image rows of negligible weight are pruned, each tangent with
+    its state, on the state's weight.  At T = 0 every photon of mode a is
+    lost: T^{n/2} is [1, 0, ...], so order l holds n_a = l moved to n_a = 0.
+    At T = 1 the channel is the identity and the input is returned as it
+    is, not copied, so no element may write into its input.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
         return x
-    # the input's weights per n_a give every branch's weight, so branches
-    # are kept before any is built
-    floor = BRANCH_PRUNE_TOL * max(x.trace(), 1e-300)
+    d = x.n_cut + 1
+    c = _kraus_coefficients(T, d)
     v = x.band()[0]
-    n_a = np.sum(v.real**2 + v.imag**2, axis=0)
-    kept = []
-    for l, c in _kraus_rows(T, x.n_cut + 1):
-        keep = (c * c) @ n_a[l:] > floor
-        if keep.any():
-            kept.append((l, c, keep))
-    rows = min(len(x.data) + (kept[-1][0] if kept else 0), x.n_cut + 1)
-    branches = sum(int(k.sum()) for *_, k in kept)
-    out = np.zeros((rows,) + x.data.shape[1:-1] + (branches,), x.data.dtype)
-    start = 0
-    for l, c, keep in kept:
-        stop = start + int(keep.sum())
-        _lowered_into(out[..., start:stop], c, x.data[..., keep], l)
-        start = stop
+    # the weight of every image row, (order, input row, column), before any
+    # is built: row l of ``shifted`` holds c[l, j]^2 at n_a = j + l
+    ls, js = np.nonzero(c)
+    shifted = np.zeros((len(c), d))
+    shifted[ls, ls + js] = c[ls, js] ** 2
+    weight = np.moveaxis(shifted @ (v.real**2 + v.imag**2), 1, 0)
+    orders, src, cols = np.nonzero(weight > BRANCH_PRUNE_TOL * max(x.trace(), 1e-300))
+    dest = orders + src
+    # images land in (order, input row, column) order; each takes the next
+    # free column of its output row
+    per_row = np.bincount(dest, minlength=1)
+    first = np.cumsum(per_row) - per_row
+    rank = np.empty_like(dest)
+    rank[np.argsort(dest, kind="stable")] = np.arange(len(dest))
+    slot = rank - first[dest]
+    out = np.zeros((len(per_row),) + x.data.shape[1:-1] + (per_row.max(),), x.data.dtype)
+    bounds = np.searchsorted(orders, np.arange(len(c) + 1))
+    for l in np.flatnonzero(np.diff(bounds)):
+        i = slice(bounds[l], bounds[l + 1])
+        image = _column(c[l, : d - l], x.data.ndim - 1) * x.data[src[i], l:, ..., cols[i]]
+        out[dest[i], : d - l, ..., slot[i]] = image
     return Ensemble(out)
 
 
 def subtract_photons(ens: Ensemble, m: int) -> Ensemble:
-    """Apply a^m to every branch and renormalize.
+    """Apply a^m to every column and renormalize.
 
     a^m takes |n + m, n_b> to sqrt((n + 1) ... (n + m)) |n, n_b>, so it is
     one scaled shift of the band, m rows up and m positions down, for the
@@ -689,13 +729,15 @@ def _kraus_branch_states(
     """Every Kraus branch chi_l = Pi_l(phi) |psi> of the mode-a loss channel, with d/dphi.
 
     d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.  Each is
-    band data (kk, j, branch), shifted as apply_loss shifts branch l.
+    band data (kk, j, 1) of a pure ``psi``, K_l moving row kk to kk + l and
+    position j to j - l.
     """
     d = psi.n_cut + 1
     n = np.arange(d)
     out = []
-    for l, c in _kraus_rows(eta, d):
-        s = c.size
+    for l, c in enumerate(_kraus_coefficients(eta, d)):
+        s = d - l
+        c = c[:s]
         rate = 1j * (n[:s] - alpha * l)
         # Pi_l |psi> and Pi_l |psi'>, then the phase rate's term
         branch = _grown(psi.data, l)
@@ -730,9 +772,8 @@ def numeric_internal_photon_number(p: Params) -> float:
     """Converged <n_a + n_b> of the internal state."""
 
     def run(n: int):
-        ens = internal_ensemble(p, n)
-        mean_a, _ = moments(ens, "a")
-        mean_b, _ = moments(ens, "b")
-        return (mean_a + mean_b,)
+        w = _weights(internal_ensemble(p, n).band()[0])
+        kk, j = np.indices(w.shape)
+        return (float(np.sum((kk + 2 * j) * w)),)
 
     return float(converged_value(run)[0])

@@ -117,21 +117,34 @@ def apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
     return acc
 
 
-def apply_loss_branchwise(amps: np.ndarray, T: float, prune_tol: float) -> np.ndarray:
+def apply_loss_branchwise(
+    amps: np.ndarray, T: float, prune_tol: float, tangent: np.ndarray | None = None
+):
     """Mode-a loss on (branches, d, d) amplitudes, one Kraus branch at a time.
 
     Row n of K_l |psi> is sqrt(C(n + l, l) (1 - T)^l T^n) times row n + l of
     |psi>.  Branches at or below prune_tol of the input trace are dropped.
+    With a ``tangent`` of the same shape, it goes through the same branches,
+    kept on the state's norm, and the pair is returned.
     """
     d = amps.shape[-1]
     floor = prune_tol * float(np.sum(np.abs(amps) ** 2))
-    kept = []
+    kept, kept_tangent = [], []
     for l in range(d):
         k = np.zeros_like(amps)
+        kt = np.zeros_like(amps)
         for n in range(d - l):
-            k[:, n, :] = math.sqrt(math.comb(n + l, l) * (1.0 - T) ** l * T**n) * amps[:, n + l, :]
-        kept.extend(b for b in k if np.sum(np.abs(b) ** 2) > floor)
-    return np.array(kept)
+            c = math.sqrt(math.comb(n + l, l) * (1.0 - T) ** l * T**n)
+            k[:, n, :] = c * amps[:, n + l, :]
+            if tangent is not None:
+                kt[:, n, :] = c * tangent[:, n + l, :]
+        for b, bt in zip(k, kt):
+            if np.sum(np.abs(b) ** 2) > floor:
+                kept.append(b)
+                kept_tangent.append(bt)
+    if tangent is None:
+        return np.array(kept)
+    return np.array(kept), np.array(kept_tangent)
 
 
 def serialize_config(specs: Sequence[SweepSpec]) -> str:

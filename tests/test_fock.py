@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from su11.errors import DarkFringeError, LeakageError, ZeroProbabilityError
+from su11.errors import DarkFringeError, LeakageError, NumericalError, ZeroProbabilityError
 from su11.fock import (
     BRANCH_PRUNE_TOL,
     Ensemble,
@@ -57,16 +57,43 @@ def squeezed(grid, g, theta, mirror=False):
 
 
 def held_blocks():
-    """Every squeezer block the cache holds, by key and row."""
+    """The squeezer block cache's (cos, sin, rows held) arrays, by key."""
     from su11 import fock
 
-    return {(key, k): b for key, v in fock._TMS_BLOCK_CACHE.items() for k, b in v.items()}
+    return dict(fock._TMS_BLOCK_CACHE)
 
 
 def same_blocks(held):
     """Whether the cache holds exactly these block arrays, none rebuilt."""
     now = held_blocks()
-    return now.keys() == held.keys() and all(now[i] is b for i, b in held.items())
+    return now.keys() == held.keys() and all(
+        a is b for key in held for a, b in zip(now[key], held[key])
+    )
+
+
+def row_grams(data):
+    """Per band row kk, the column sums of x x† and, with a tangent t, of x t†, as (d, d, d) arrays.
+
+    Every element after the loss conserves or uniformly shifts kk, and every
+    readout is Fock-diagonal, so these are all of an ensemble the oracle reads.
+    """
+    d = data.shape[1]
+    v, t = Ensemble(data).band()
+    grams = [np.einsum("kic,kjc->kij", v, u.conj()) for u in ((v,) if t is None else (v, t))]
+    return [np.concatenate((g, np.zeros((d - len(g), d, d), g.dtype))) for g in grams]
+
+
+def rotation_block(basis, blocks, d, k):
+    """Row k's full real block exp(g K_k) in even/odd order, from the cached stacks."""
+    sigma, u, w, _ = basis
+    cos, sin, _ = blocks
+    s = d - k
+    e, o = (s + 1) // 2, s // 2
+    u, w, c, sn = u[k, :e, :e], w[k, :o, :o], cos[k, :o], sin[k, :o]
+    return np.block([
+        [(u * np.append(c, np.ones(e - o))) @ u.T, (u[:, :o] * sn) @ w.T],
+        [-(w * sn) @ u[:, :o].T, (w * c) @ w.T],
+    ])
 
 
 class TestPrepareInput:
@@ -95,6 +122,12 @@ class TestPrepareInput:
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
             prepare_input(-0.5, 30)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_rejects_non_finite_beta(self, beta):
+        # exp(-inf) * inf would fill every row past the first with NaN
+        with pytest.raises(ValueError, match="beta"):
+            prepare_input(beta, 30)
 
     def test_large_beta_oracle_cell_converges(self):
         # n_cut = 30 truncates the beta = 3 coherent tail; the ladder must climb
@@ -212,6 +245,33 @@ class TestTwoModeSqueezer:
                 apply_tms(st, g, 0.0)
         assert any(leaked) and not all(leaked)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.1])
+    def test_unoccupied_row_between_occupied_ones_comes_out_zero(self, theta):
+        from su11.fock import _apply_tms_raw
+
+        full = prepare_input(0.8, 40).data
+        # every row's block is built first, then row kk = 5 falls below the
+        # tolerance while rows on both sides of it stay occupied
+        _apply_tms_raw(full, 0.8, theta)
+        gap = full.copy()
+        gap[5, 0] = 1e-15
+        rows = np.sum(np.abs(gap) ** 2, axis=(1, 2))
+        assert rows[5] < BRANCH_PRUNE_TOL < min(rows[4], rows[6])
+        got = _apply_tms_raw(gap, 0.8, theta)
+        assert len(got) > 6 and not np.any(got[5])
+        want = gap.copy()
+        want[5] = 0.0
+        want = apply_tms_series(grid_data(want), 0.8, theta)
+        assert np.allclose(grid_data(got), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_is_a_numerical_error(self, bad):
+        # not dropped as unoccupied rows, which would leave a zero band
+        data = prepare_input(0.8, 30).data.copy()
+        data[3:, 0] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            apply_tms(Ensemble(data), 0.5, 0.0)
+
     def test_occupied_diagonals_are_judged_on_the_state_alone(self):
         from su11.fock import _apply_tms_raw
 
@@ -233,25 +293,39 @@ class TestSqueezerBlocks:
         monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
         for d in (41, 42, 121):
             for theta in (0.0, 1.1):
-                fock._tms_blocks(0.8, theta, d, list(range(d)))
+                fock._tms_blocks(0.8, theta, d, np.arange(d - 1))
         held = held_blocks()
-        assert {len(b) for b in held.values()} == set(range(1, 122))
-        for r in held.values():
-            assert r.dtype == np.float64
-            assert np.allclose(r @ r.T, np.eye(len(r)), rtol=0.0, atol=1e-13)
+        assert set(held) == {(0.8, theta, d) for d in (41, 42, 121) for theta in (0.0, 1.1)}
+        sizes = set()
+        for (_, _, d), blocks in held.items():
+            cos, sin, rows = blocks
+            assert rows.all() and cos.dtype == sin.dtype == np.float64
+            assert np.allclose(cos**2 + sin**2, 1.0, rtol=0.0, atol=1e-15)
+            for k in range(d - 1):
+                r = rotation_block(fock._TMS_BASIS_CACHE[d], blocks, d, k)
+                sizes.add(len(r))
+                assert np.allclose(r @ r.T, np.eye(len(r)), rtol=0.0, atol=1e-13)
+        # every row length but 1: the row of |0, n_cut> alone has no block
+        assert sizes == set(range(2, 122))
         for basis in fock._TMS_BASIS_CACHE.values():
-            assert all(a.dtype == np.float64 for arrays in basis.values() for a in arrays)
+            assert all(a.dtype == np.float64 for a in basis[:3])
 
     @pytest.mark.parametrize("d", [24, 25, 41])
     def test_half_size_spectrum_matches_the_generator(self, d, monkeypatch):
         from su11 import fock
 
         monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
-        basis = fock._tms_basis(d, list(range(d)))
-        for k in range(d):
-            sigma, u, w = basis[k]
+        sigmas, us, ws, built = fock._tms_basis(d, range(d - 1))
+        assert len(built) == d - 1 and built.all()
+        for k in range(d - 1):
             s = d - k
-            assert u.shape == ((s + 1) // 2,) * 2 and w.shape == (s // 2,) * 2
+            e, o = (s + 1) // 2, s // 2
+            # row k fills the top-left of its zero-padded slots
+            assert not sigmas[k, o:].any() and not us[k, e:].any() and not us[k, :, e:].any()
+            assert not ws[k, o:].any() and not ws[k, :, o:].any()
+            sigma, u, w = sigmas[k, :o], us[k, :e, :e], ws[k, :o, :o]
+            assert np.allclose(u.T @ u, np.eye(e), rtol=0.0, atol=1e-13)
+            assert np.allclose(w.T @ w, np.eye(o), rtol=0.0, atol=1e-13)
             n = np.arange(1, s)
             j = np.diag(np.sqrt((n + k) * n), 1)
             # the full-size J_k through eigvalsh is the independent reference
@@ -364,23 +438,35 @@ class TestLoss:
 
     @pytest.mark.parametrize("T", [0.0, 0.3, 0.75])
     def test_matches_the_branchwise_kraus_expansion(self, T):
-        ens = apply_phase(apply_loss(tmsv(0.8, 40), 0.6), 0.9)
-        got = grid_data(apply_loss(ens, T).data)
-        want = apply_loss_branchwise(grid_data(ens.data), T, BRANCH_PRUNE_TOL)
-        assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        # per row, the sums over the columns of x x† and x t†: a one-column
+        # pure state and a three-column lossy stack, each with its tangent
+        from su11.fock import _seed_tangent
+
+        pure = apply_tms(prepare_input(0.8, 40), 0.6, 0.0)
+        stack = apply_phase(apply_loss(pure, 0.6), 0.9)
+        stack = Ensemble(stack.data[..., :3])
+        assert pure.amps.shape[0] == 1 and np.all(np.any(stack.amps, axis=(1, 2)))
+        for ens in (_seed_tangent(pure), _seed_tangent(stack)):
+            got = apply_loss(ens, T)
+            grid, tangent = grid_data(ens.data)
+            want = apply_loss_branchwise(grid, T, BRANCH_PRUNE_TOL, tangent)
+            # row-compact: narrower than the branch count
+            assert 1 < got.amps.shape[0] < len(want[0])
+            for g, w in zip(row_grams(got.data), row_grams(band_data(np.stack(want)))):
+                assert np.allclose(g, w, rtol=0.0, atol=1e-14)
 
     def test_keeps_branches_past_a_pruned_one(self):
-        # n_a = 0 and 100 only: at T = 0.5 the branches l = 1, 2 fall below
+        # n_a = 0 and 100 only: at T = 0.5 the orders l = 1, 2 fall below
         # the prune tolerance, and l = 3 onward rise above it again
         amps = np.zeros((1, 101, 101), complex)
         amps[0, 0, 100] = amps[0, 100, 100] = math.sqrt(0.5)
         got = apply_loss(grid_ensemble(amps), 0.5)
         want = apply_loss_branchwise(amps, 0.5, BRANCH_PRUNE_TOL)
-        grid = grid_data(got.data)
-        assert grid.shape == want.shape
-        assert np.allclose(grid, want, rtol=0.0, atol=1e-14)
-        assert not np.any(grid[1, 0])  # branch l = 3 holds n_a = 100 moved to 97
+        (gram,) = row_grams(got.data)
+        assert np.allclose(gram, row_grams(band_data(want))[0], rtol=0.0, atol=1e-14)
+        # order 3 holds n_a = 100 moved to 97, on row kk = 3; rows 1 and 2 stay empty
+        assert gram[3, 97, 97] == pytest.approx(0.5 * math.comb(100, 3) * 0.5**100, rel=1e-12)
+        assert not np.any(gram[1:3])
         assert got.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_transmittance_outside_unit_interval(self):
@@ -390,14 +476,16 @@ class TestLoss:
                 apply_loss(st, T)
 
     def test_complete_loss_moves_each_row_to_mode_a_vacuum(self):
-        # at T = 0, K_l = a^l / sqrt(l!) takes |l, n_b> to |0, n_b>
-        st = tmsv(0.8, 40)
+        # at T = 0, K_l = a^l / sqrt(l!) takes |l, n_b> to |0, n_b>, so row
+        # kk holds position 0 alone, with the input's weight at n_b = kk, less
+        # the images pruned, at most one per order below the tolerance each
+        st = apply_tms(prepare_input(0.8, 40), 0.8, 0.0)
         ens = apply_loss(st, 0.0)
-        grid = grid_data(ens.data)
-        assert not np.any(grid[:, 1:, :])
-        rows = grid_data(st.data)[0]
-        kept = np.sum(np.abs(rows) ** 2, axis=1) > BRANCH_PRUNE_TOL
-        assert np.allclose(grid[:, 0, :], rows[kept], rtol=1e-14, atol=0.0)
+        assert ens.amps.shape[0] > 1
+        assert not np.any(ens.data[:, 1:])
+        got = np.sum(np.abs(ens.data[:, 0]) ** 2, axis=-1)
+        want = np.sum(np.abs(grid_data(st.data)[0]) ** 2, axis=0)[: len(got)]
+        assert np.allclose(got, want, rtol=1e-14, atol=41 * BRANCH_PRUNE_TOL)
         assert ens.trace() == pytest.approx(1.0, abs=1e-12)
         assert moments(ens, "a") == (0.0, 0.0)
         assert moments(ens, "b") == pytest.approx(moments(st, "b"), rel=1e-12)
@@ -471,9 +559,16 @@ class TestTracerContract:
 
     @pytest.mark.parametrize("T", [0.0, 0.5, 0.9])
     def test_loss_output_leads_with_its_kept_branches(self, T):
+        # the leading axis of amps is the width, the most image rows any
+        # output row holds; each row fills its columns from the first
         ens = apply_tms(prepare_input(0.8, 40), 0.6, 0.0)
         out = apply_loss(ens, T)
-        assert out.amps.shape[0] == len(apply_loss_branchwise(grid_data(ens.data), T, BRANCH_PRUNE_TOL))
+        filled = np.any(out.data, axis=1)
+        held = filled.sum(axis=-1)
+        assert np.array_equal(filled, np.arange(filled.shape[-1]) < held[:, None])
+        assert out.amps.shape[0] == held.max() <= len(ens.data)
+        # never wider than the branchwise expansion, which keeps one column per order
+        assert held.max() <= len(apply_loss_branchwise(grid_data(ens.data), T, BRANCH_PRUNE_TOL))
         assert out.amps.nbytes == out.amps.size * 16 > 0
 
 
@@ -508,19 +603,20 @@ class TestOutputLoss:
         psi = loss_probe_state(Params(g=0.5, beta=1.0, phi=0.4, m=1, eta=eta), 40)
         lost = apply_loss(psi, eta)
         branches = _kraus_branch_states(psi, eta, alpha, phi)
-        kept = lost.amps.shape[0]
-        assert kept > 1
+        assert len(branches) > 1
         n = np.arange(41)[:, None]
-        lost_grid, lost_tangent = grid_data(lost.data)
-        for l, (chi, dchi) in enumerate(branches[:kept]):
+        # each branch and tangent with its phase undone: K_l psi and K_l psi'
+        images = np.zeros((41, 41, 2, len(branches)), complex)
+        for l, (chi, dchi) in enumerate(branches):
             rate = 1j * (n - alpha * l)
             ph = np.exp(phi * rate)
-            chi, dchi = grid_data(chi), grid_data(dchi)
-            assert_close_to(chi, ph * lost_grid[l : l + 1], 1e-14)
-            assert_close_to(dchi, rate * chi + ph * lost_tangent[l : l + 1], 1e-14)
-        # the branches the channel prunes are the negligible ones
-        for chi, _ in branches[kept:]:
-            assert np.vdot(chi, chi).real <= BRANCH_PRUNE_TOL * psi.trace()
+            images[: len(chi), :, 0, l : l + 1] = chi / ph
+            images[: len(chi), :, 1, l : l + 1] = (dchi - rate * chi) / ph
+        for got, want in zip(row_grams(lost.data), row_grams(images)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        # the branches hold the whole trace: the channel is trace-preserving
+        total = sum(np.vdot(chi, chi).real for chi, _ in branches)
+        assert total == pytest.approx(psi.trace(), rel=1e-12)
 
 
 class TestSubtraction:
@@ -550,7 +646,8 @@ class TestSubtraction:
         # a branch stack with its tangent, subtracted in one scaled slice
         from su11.fock import _seed_tangent
 
-        ens = _seed_tangent(apply_phase(apply_loss(tmsv(0.6, 40), 0.7), 0.4))
+        ens = apply_loss(apply_tms(prepare_input(0.8, 40), 0.6, 0.0), 0.7)
+        ens = _seed_tangent(apply_phase(ens, 0.4))
         assert ens.amps.shape[0] > 1
         want = lowered(ens, m)
         got = subtract_photons(ens, m)
@@ -825,13 +922,12 @@ class TestNumericEstimators:
         while n <= fock.MAX_N_CUT:
             ladder.update((n + 1, n + fock.LADDER_STEP + 1))
             n = max(n + fock.LADDER_STEP, int(n * fock.LADDER_GROWTH))
-        # the most the caches can hold: every row of every ladder cutoff
-        # built, a real block of s * s and a basis of ((s + 1) // 2)^2 +
-        # (s // 2)^2 + s // 2 entries per row of length s, at one gain and theta
+        # the most the caches can hold: every row k < d - 1 of every ladder
+        # cutoff, zero-padded to row 0's sizes, a basis of ((d + 1) // 2)^2 +
+        # (d // 2)^2 + d // 2 entries and (cos, sin) of 2 * (d // 2) entries
+        # per row, at one gain and theta
         worst = sum(
-            (s * s + ((s + 1) // 2) ** 2 + (s // 2) ** 2 + s // 2) / 2.0
-            for d in ladder
-            for s in range(1, d + 1)
+            (d - 1) * (((d + 1) // 2) ** 2 + (d // 2) ** 2 + 3 * (d // 2)) / 2.0 for d in ladder
         )
         assert len(ladder) == 16 and worst <= 6.19e6
 
@@ -841,11 +937,12 @@ class TestNumericEstimators:
         numeric_moments_multi(Params(g=0.5, beta=0.5, phi=0.4, T1=0.8), [0, 1])
         assert set(fock._TMS_BASIS_CACHE) <= ladder
         assert {key[2] for key in fock._TMS_BLOCK_CACHE} <= ladder
-        # only the rows built so far hold arrays, all of them real
-        blocks = sum(b.size / 2.0 for v in fock._TMS_BLOCK_CACHE.values() for b in v.values())
+        # the stacks are real, and only the rows built so far hold entries
+        blocks = sum((cos.size + sin.size) / 2.0 for cos, sin, _ in fock._TMS_BLOCK_CACHE.values())
         bases = sum(
-            (sigma.size + u.size + w.size) / 2.0
-            for v in fock._TMS_BASIS_CACHE.values()
-            for sigma, u, w in v.values()
+            (sigma.size + u.size + w.size) / 2.0 for sigma, u, w, _ in fock._TMS_BASIS_CACHE.values()
         )
         assert blocks + bases <= worst
+        for sigma, u, w, built in fock._TMS_BASIS_CACHE.values():
+            assert 0 < built.sum() < len(built)
+            assert not sigma[~built].any() and not u[~built].any() and not w[~built].any()

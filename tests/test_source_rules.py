@@ -6,7 +6,9 @@ an installed su11 never needs them and no cross-check leaks into production.
 The power-series engine `su11.series` holds only the QFI's X-family
 polynomials in production: only `model` imports it, so replacing it touches
 no other module.  No module imports an underscore name of another: what one
-module needs of another is its public surface.
+module needs of another is its public surface.  The Fock oracle imports from
+`su11` only `errors` and `model`, so it can never reach the closed-form
+algebra it cross-checks.
 """
 
 import ast
@@ -20,6 +22,7 @@ SOURCES = sorted((ROOT / "src" / "su11").glob("*.py"))
 # top-level names; the test helpers import as ``references`` from tests/
 FORBIDDEN = {"scipy", "mpmath", "hypothesis", "pytest", "pytest_benchmark", "tests", "references"}
 SERIES_IMPORTERS = {"model.py"}
+FOCK_IMPORTS = {"errors", "model"}
 
 
 def imported_modules(tree: ast.AST):
@@ -45,6 +48,26 @@ def imports_series(tree: ast.AST) -> bool:
         if any(n == "su11.series" or n.startswith("su11.series.") for n in names):
             return True
     return False
+
+def su11_modules(tree: ast.AST):
+    """(line, module) of every `su11` module that ``tree`` imports from, absolute or package-relative.
+
+    ``from su11 import x`` and ``from . import x`` name the module x; the
+    package itself counts as "su11".
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "su11":
+                    yield node.lineno, ".".join(alias.name.split(".")[1:2]) or "su11"
+        elif isinstance(node, ast.ImportFrom):
+            module = (("su11." if node.level else "") + (node.module or "")).rstrip(".")
+            if module == "su11":
+                for alias in node.names:
+                    yield node.lineno, alias.name
+            elif module.startswith("su11."):
+                yield node.lineno, module.split(".")[1]
+
 
 def private_imports(tree: ast.AST):
     """(line, module, name) of every underscore name imported from `su11` or one of its modules."""
@@ -117,3 +140,19 @@ def test_the_private_import_rule_sees_every_form(source):
 def test_the_private_import_rule_ignores_public_and_foreign_names():
     assert not list(private_imports(ast.parse("from __future__ import annotations\nimport su11._x\n"
                                               "from su11.qfi import cq_alpha\nfrom os import _exit\n")))
+
+
+def test_the_oracle_imports_only_errors_and_model():
+    path = ROOT / "src" / "su11" / "fock.py"
+    imported = {name for _, name in su11_modules(ast.parse(path.read_text()))}
+    assert imported and imported <= FOCK_IMPORTS, sorted(imported - FOCK_IMPORTS)
+
+
+@pytest.mark.parametrize("source, module", [
+    ("import su11.qfi", "qfi"), ("from su11 import sensitivity", "sensitivity"),
+    ("from su11.limits import limits", "limits"), ("from .series import CDual", "series"),
+    ("from . import sweeps", "sweeps"), ("import su11", "su11"),
+    ("def f():\n    from su11.qfi import qfi_ideal", "qfi"),
+])
+def test_the_oracle_import_rule_sees_every_form(source, module):
+    assert [name for _, name in su11_modules(ast.parse(source))] == [module]
