@@ -24,26 +24,34 @@ tridiagonal blocks, one per row.  At theta = 0 each block is the gain times
 a real antisymmetric matrix K_k that depends on the cutoff alone, so the
 block exp(g K_k) is a real rotation; K_k couples even to odd photon numbers
 only, so one half-size singular value decomposition (sigma, U, W) of that
-coupling per occupied row and cutoff serves every gain and phase.  Per gain
-a block is only the 2 x 2 rotations (cos g sigma, sin g sigma) of the mode
-pairs, so a squeezer is U^T and W^T on each row's even and odd positions,
-the rotations, then U and W: a few stacked real products over every
-occupied row at once, the complex amplitudes viewed as (re, im) pairs.  Any
-other theta is a diagonal phase twist before and after.  A row is occupied
-when it holds more than BRANCH_PRUNE_TOL of the state's weight; the
-squeezer multiplies those only and trims the band after the last.  Each
-cutoff's bases live in zero-padded stacks, a row decomposed the first time
-it is occupied.  The second squeezer, S(g e^{i pi}), is (-1)^{n_a} S(g)
-(-1)^{n_a}, and that sign twist transposes each real block, which flips
-the sign of sin, so the two squeezers share one rotation set per gain.
-Every pipeline squeezes at the one gain p.g, so only the rotations of the
-latest gain are cached: a new gain drops the others, and a sweep along phi,
-beta or the transmittances reuses them from point to point.  Bases hold no
-gain and stay.  Every cutoff ladder starts at DEFAULT_N_CUT, so it visits
-at most 16 cutoffs, and these bound both caches (see _TMS_BLOCK_CACHE)
-without any eviction.  The tests keep a sub-stepped Taylor exponential of
-the same generator on the full grid as an independent cross-check of the
-blockwise propagator.
+coupling per occupied row and cutoff serves every gain and phase.  LAPACK
+gives only the singular values; U and W are the even and odd components of
+the eigenvectors of the Jacobi matrix behind K_k, its orthogonal
+polynomials at each sigma, which one three-term recurrence builds for every
+row of a call at once (see _tms_basis).  Per gain a block is only the 2 x 2
+rotations (cos g sigma, sin g sigma) of the mode pairs, so a squeezer is
+U^T and W^T on each row's even and odd positions, the rotations, then U and
+W: a few stacked real products over every occupied row at once, the
+complex amplitudes viewed as (re, im) pairs.  Any other theta is a diagonal
+phase twist before and after.  A row is occupied when it holds more than
+BRANCH_PRUNE_TOL of the state's weight; the squeezer multiplies those only
+and trims the band after the last.  Each cutoff's bases live in zero-padded
+stacks, a row built the first time it is occupied.  The second squeezer,
+S(g e^{i pi}), is (-1)^{n_a} S(g) (-1)^{n_a}, and that sign twist
+transposes each real block, which flips the sign of sin, so the two
+squeezers share one rotation set per gain.  Every pipeline squeezes at the
+one gain p.g, so only the rotations of the latest gain are cached: a new
+gain drops the others, and a sweep along phi, beta or the transmittances
+reuses them from point to point.  Bases hold no gain and stay.  Every
+pipeline also starts from S1 |0, beta>, which depends on (g, beta, n_cut)
+alone, so it is cached per cutoff for the latest (g, beta) and a sweep
+along phi or the transmittances squeezes its input once per cutoff.  Every
+cutoff ladder starts at DEFAULT_N_CUT, so it visits at most 16 cutoffs,
+and these bound all three caches (see _TMS_BLOCK_CACHE and _INPUT_CACHE),
+which evict nothing but another gain's or beta's entries.  The tests keep a
+sub-stepped Taylor exponential of the same generator on the full grid as
+an independent cross-check of the blockwise propagator, and LAPACK's dense
+SVD with vectors as a reference for the bases.
 
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
@@ -263,33 +271,46 @@ def prepare_input(beta: float, n_cut: int) -> Ensemble:
 _TMS_BLOCK_CACHE: dict = {}
 _TMS_BASIS_CACHE: dict = {}
 # a basis holds zero-padded (sigma, U, W) stacks over the rows k < d - 1 of
-# one cutoff, each row decomposed the first time it is occupied; a block
-# holds (cos, sin) stacks at one (gain, theta, cutoff), for the latest gain
-# only (see _tms_blocks).  Every ladder starts at DEFAULT_N_CUT, so it visits
-# at most 16 cutoffs, and nothing is evicted.  With every row of all 16 built,
+# one cutoff, each row built the first time it is occupied; a block holds
+# (cos, sin) stacks at one (gain, theta, cutoff), for the latest gain only
+# (see _tms_blocks).  Every ladder starts at DEFAULT_N_CUT, so it visits at
+# most 16 cutoffs, and nothing is evicted.  With every row of all 16 built,
 # at one gain and theta, both caches together would hold 1.24e7 float64
 # entries (99 MB).  The stacks are allocated zeroed, which on Linux leaves the
 # rows never built without resident pages: fig2's ladders, which climb to the
 # cap at g = 1, allocate 96 MB of bases over 13 cutoffs but build 26 rows of
-# each, 17.5 MB, and leave 1.3 MB of blocks.  Only tests squeeze at a nonzero
-# theta, at cutoffs of at most 70
+# each, 17.5 MB, and leave 1.3 MB of blocks and 0.5 MB of squeezed inputs
+# (_INPUT_CACHE).  Only tests squeeze at a nonzero theta, at cutoffs of at
+# most 70
 
 
 def _tms_basis(d: int, ks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacks (sigma, U, W) of half-size singular value decompositions, with the rows k in ks built.
 
     On row k, |n, n+k> (n = 0..s-1, s = d - k), the theta = 0 generator is
-    g K_k, with K_k real, antisymmetric and tridiagonal: +sqrt((n + k) n) at
-    (n - 1, n) and its negative at (n, n - 1).  It couples even n only to
-    odd n, so in even/odd order K_k = [[0, C_k], [-C_k^T, 0]], where C_k,
-    ((s + 1) // 2) x (s // 2), is lower bidiagonal: the even/odd coupling
-    of the real symmetric J_k of sqrt((n + k) n), with the signs (-1)^(i+j)
+    g K_k, with K_k real, antisymmetric and tridiagonal: +c_n = sqrt((n + k)
+    n) at (n - 1, n) and its negative at (n, n - 1).  It couples even n only
+    to odd n, so in even/odd order K_k = [[0, C_k], [-C_k^T, 0]], where C_k,
+    ((s + 1) // 2) x (s // 2), is lower bidiagonal: the even/odd coupling of
+    the real symmetric Jacobi matrix J_k of the c_n, with the signs (-1)^(i+j)
     that the gauge D = diag((-i)^n) puts on it (D J_k D^-1 = i K_k).  With
     C_k = U_k diag(sigma_k) W_k^T (U_k square, so for odd s its last column
     spans the zero mode), the eigenvalues of J_k are +-sigma_k, plus 0 for
-    odd s.  C_k depends on the cutoff alone, so each row of each cutoff is
-    decomposed once, the first time it is occupied, and serves every gain
-    and phase.
+    odd s.
+
+    LAPACK gives sigma_k only, one call per row.  The vectors are J_k's
+    eigenvectors: at an eigenvalue lam, component n is J_k's n-th orthogonal
+    polynomial (Meixner-Pollaczek) at lam, v_0 = 1, v_1 = lam / c_1 and
+    v_{n+1} = (lam v_n - c_n v_{n-1}) / c_{n+1} (Golub & Welsch, Math. Comp.
+    23, 221 (1969)).  The recurrence climbs from n = 0, where the solution
+    grows, so it is stable.  It runs for every row of the call and every
+    sigma (and 0 for odd s) at once, one position per step, each row
+    dropping out at its length, and rescales the live rows as they grow
+    (unscaled, they reach 1e121 at d = 189).  U's columns are the even
+    components times (-1)^i, W's the odd ones times (-1)^j, each normalized;
+    the zero mode is U's last column.  C_k depends on the cutoff alone, so
+    each row of each cutoff is built once, the first time it is occupied,
+    and serves every gain and phase.
 
     Row k is stored zero-padded at index k of (d - 1, d // 2) sigma, (d - 1,
     (d + 1) // 2, (d + 1) // 2) U and (d - 1, d // 2, d // 2) W stacks; the
@@ -304,22 +325,58 @@ def _tms_basis(d: int, ks: Iterable[int]) -> Tuple[np.ndarray, np.ndarray, np.nd
         )
         _TMS_BASIS_CACHE[d] = basis
     sigma, u, w, built = basis
-    for k in ks:
-        if built[k]:
-            continue
-        s = d - k
-        n = np.arange(1, s)
-        c = np.sqrt((n + k) * n)
-        # C_k[i, i] = c_{2i+1} and C_k[i+1, i] = -c_{2i+2}, with c_n at c[n - 1]
-        coupling = np.zeros(((s + 1) // 2, s // 2))
-        i = np.arange(s // 2)
-        coupling[i, i] = c[0::2]
-        i = i[: (s - 1) // 2]
-        coupling[i + 1, i] = -c[1::2]
-        uk, sk, wkt = np.linalg.svd(coupling)
-        e, o = len(uk), len(sk)
-        sigma[k, :o], u[k, :e, :e], w[k, :o, :o] = sk, uk, wkt.T
-        built[k] = True
+    todo = np.zeros(len(built), bool)
+    todo[np.fromiter(ks, int)] = True
+    ks = np.flatnonzero(todo & ~built)
+    if not ks.size:
+        return basis
+    s = d - ks
+    e, o = (s[0] + 1) // 2, s[0] // 2
+    n = np.arange(s[0])[:, None]
+    # c[n, r] = c_n of row ks[r]; rows are in order of falling length s
+    c = np.sqrt(n * (n + ks))
+    lam = np.zeros((len(ks), e))
+    for r, (k, sk) in enumerate(zip(ks, s)):
+        # C_k[i, i] = c_{2i+1} and C_k[i+1, i] = -c_{2i+2}
+        coupling = np.zeros(((sk + 1) // 2, sk // 2))
+        i = np.arange(sk // 2)
+        coupling[i, i] = c[1:sk:2, r]
+        i = i[: (sk - 1) // 2]
+        coupling[i + 1, i] = -c[2:sk:2, r]
+        sigma[k, : sk // 2] = lam[r, : sk // 2] = np.linalg.svd(coupling, compute_uv=False)
+    # x_n = (-1)^(n // 2) v_n, the gauge signs of U and W folded in, obeys
+    # x_n = (c_{n-1} x_{n-2} -+ lam x_{n-1}) / c_n, minus for even n; even n
+    # go to even[n // 2] and odd n to odd[n // 2], as (rows, eigenvalues)
+    # arrays.  The rows still live at position n, s > n, are a prefix
+    live = np.count_nonzero(s > n, axis=1).tolist()
+    c = c[:, :, None]
+    signed_lam = (-lam, lam)
+    even, odd = np.zeros((e, len(ks), e)), np.zeros((o, len(ks), e))
+    even[0] = 1.0
+    prev, cur, term = None, even[0], np.empty_like(lam)
+    for n in range(1, s[0]):
+        r = live[n]
+        x = (odd if n % 2 else even)[n // 2, :r]
+        np.multiply(signed_lam[n % 2][:r], cur[:r], out=x)
+        if n > 1:
+            np.multiply(c[n - 1, :r], prev[:r], out=term[:r])
+            x += term[:r]
+        x /= c[n, :r]
+        prev, cur = cur, x
+        # a step grows a pair (x_{n-1}, x_n) at most (2 d + 1)-fold, so 8
+        # steps keep it under 1e122: rescale each live column to 1
+        if n % 8 == 0 and np.abs(x).max() > 1e100:
+            top = np.maximum(np.maximum(np.abs(x), np.abs(prev[:r])), 1.0)
+            even[:, :r] /= top
+            odd[:, :r] /= top
+    # normalized, and zero in the columns past each row's own e and o
+    cols = np.arange(e)
+    for x, size in ((even, (s + 1) // 2), (odd, s // 2)):
+        scale = np.zeros(x.shape[1:])
+        np.divide(1.0, np.sqrt(np.einsum("nrc,nrc->rc", x, x)), out=scale, where=cols < size[:, None])
+        x *= scale
+    u[ks, :e, :e], w[ks, :o, :o] = even.transpose(1, 0, 2), odd[:, :, :o].transpose(1, 0, 2)
+    built[ks] = True
     return basis
 
 
@@ -588,12 +645,40 @@ def subtracted_moments(
 # -- pipelines ----------------------------------------------------------------
 
 
+_INPUT_CACHE: dict = {}
+# S1 |0, beta> per (g, beta, n_cut), for the latest (g, beta) only: a
+# read-only Ensemble, or the message of the LeakageError its construction
+# raised (a cached exception would keep its traceback's frames alive).  Like
+# the blocks, it holds at most the 16 ladder cutoffs, each at most d x d
+# complex entries: 2.8 MB in all
+
+
 def _squeezed_input(p: Params, n_cut: int) -> Ensemble:
     """S1 |0, beta>, where every pipeline starts; an infinite g or beta, which
-    ``Params`` admits and which would leave a NaN grid, raises NumericalError."""
+    ``Params`` admits and which would leave a NaN grid, raises NumericalError.
+
+    It depends on (g, beta, n_cut) alone, so it is built once per cutoff for
+    the latest (g, beta), and a sweep along phi or the transmittances reuses
+    it from point to point; a new (g, beta) drops the others.  A cutoff that
+    leaks raises the same LeakageError each time.
+    """
     if not (math.isfinite(p.g) and math.isfinite(p.beta)):
         raise NumericalError(f"the oracle needs a finite g and beta, got g = {p.g}, beta = {p.beta}")
-    return apply_tms(prepare_input(p.beta, n_cut), p.g, 0.0)
+    g, beta = float(p.g), float(p.beta)
+    for key in [key for key in _INPUT_CACHE if key[:2] != (g, beta)]:
+        del _INPUT_CACHE[key]
+    key = (g, beta, n_cut)
+    if key not in _INPUT_CACHE:
+        try:
+            st = apply_tms(prepare_input(beta, n_cut), g, 0.0)
+            st.data.flags.writeable = False
+            _INPUT_CACHE[key] = st
+        except LeakageError as exc:
+            _INPUT_CACHE[key] = str(exc)
+    st = _INPUT_CACHE[key]
+    if isinstance(st, str):
+        raise LeakageError(st)
+    return st
 
 
 def output_ensemble(p: Params, n_cut: int) -> Ensemble:

@@ -4,7 +4,9 @@ They share no algebra with the code they check: the Taylor squeezer builds
 exp(xi ab - xi* a†b†) from the operators themselves, not from the blockwise
 real rotations of ``su11.fock``, on the full (n_a, n_b) grid where
 ``su11.fock`` stores only the band n_a <= n_b (``to_band`` and ``to_grid``
-convert between the two); the loss channel builds every Kraus
+convert between the two); ``tms_basis_dense`` takes a squeezer row's
+singular vectors from LAPACK, where ``su11.fock`` climbs the orthogonal
+polynomials' three-term recurrence; the loss channel builds every Kraus
 branch from its binomial amplitudes and judges each on its own norm, where
 ``su11.fock`` judges them from the input's weights per n_a before building any; and
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
@@ -115,6 +117,27 @@ def apply_tms_series(amps: np.ndarray, g: float, theta: float) -> np.ndarray:
             raise RuntimeError("two-mode squeezer series did not terminate")
         acc = out
     return acc
+
+
+def tms_basis_dense(d: int, k: int):
+    """Row k's (sigma, U, W) at grid side d, from LAPACK's dense SVD with vectors.
+
+    C_k is the even/odd coupling of the theta = 0 squeezer generator on
+    |n, n + k> (n = 0..s-1, s = d - k): C_k[i, i] = sqrt((2i + 1 + k) (2i +
+    1)) and C_k[i + 1, i] = -sqrt((2i + 2 + k) (2i + 2)), ((s + 1) // 2) x
+    (s // 2), so that C_k = U diag(sigma) W^T with U square.  The vectors
+    come from LAPACK, where ``su11.fock`` takes only sigma from it and
+    climbs the three-term recurrence of J_k for the vectors.
+    """
+    s = d - k
+    e, o = (s + 1) // 2, s // 2
+    coupling = np.zeros((e, o))
+    i = np.arange(o)
+    coupling[i, i] = np.sqrt((2 * i + 1 + k) * (2 * i + 1.0))
+    i = i[: (s - 1) // 2]
+    coupling[i + 1, i] = -np.sqrt((2 * i + 2 + k) * (2 * i + 2.0))
+    u, sigma, wt = np.linalg.svd(coupling)
+    return sigma, u, wt.T
 
 
 def apply_loss_branchwise(

@@ -29,7 +29,7 @@ from su11.fock import (
     thin_tables,
 )
 from su11.model import Params, kernels
-from references import apply_loss_branchwise, apply_tms_series, band_data, grid_data
+from references import apply_loss_branchwise, apply_tms_series, band_data, grid_data, tms_basis_dense
 
 
 def lowered(ens, m):
@@ -54,6 +54,14 @@ def squeezed(grid, g, theta, mirror=False):
     from su11.fock import _apply_tms_raw
 
     return grid_data(_apply_tms_raw(band_data(grid), g, theta, mirror=mirror))
+
+
+def cold_caches(monkeypatch):
+    """Empty the oracle's squeezer bases, blocks and squeezed inputs for one test."""
+    from su11 import fock
+
+    for name in ("_TMS_BASIS_CACHE", "_TMS_BLOCK_CACHE", "_INPUT_CACHE"):
+        monkeypatch.setattr(fock, name, {})
 
 
 def held_blocks():
@@ -83,17 +91,22 @@ def row_grams(data):
     return [np.concatenate((g, np.zeros((d - len(g), d, d), g.dtype))) for g in grams]
 
 
-def rotation_block(basis, blocks, d, k):
-    """Row k's full real block exp(g K_k) in even/odd order, from the cached stacks."""
-    sigma, u, w, _ = basis
-    cos, sin, _ = blocks
-    s = d - k
-    e, o = (s + 1) // 2, s // 2
-    u, w, c, sn = u[k, :e, :e], w[k, :o, :o], cos[k, :o], sin[k, :o]
+def rotation(u, w, c, sn):
+    """A row's full real block exp(g K_k) in even/odd order, from its U, W and (cos, sin) of g sigma."""
+    e, o = len(u), len(w)
     return np.block([
         [(u * np.append(c, np.ones(e - o))) @ u.T, (u[:, :o] * sn) @ w.T],
         [-(w * sn) @ u[:, :o].T, (w * c) @ w.T],
     ])
+
+
+def rotation_block(basis, blocks, d, k):
+    """Row k's full real block exp(g K_k) in even/odd order, from the cached stacks."""
+    _, u, w, _ = basis
+    cos, sin, _ = blocks
+    s = d - k
+    e, o = (s + 1) // 2, s // 2
+    return rotation(u[k, :e, :e], w[k, :o, :o], cos[k, :o], sin[k, :o])
 
 
 class TestPrepareInput:
@@ -289,8 +302,7 @@ class TestSqueezerBlocks:
     def test_cached_blocks_are_real_rotations(self, monkeypatch):
         from su11 import fock
 
-        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         for d in (41, 42, 121):
             for theta in (0.0, 1.1):
                 fock._tms_blocks(0.8, theta, d, np.arange(d - 1))
@@ -314,7 +326,7 @@ class TestSqueezerBlocks:
     def test_half_size_spectrum_matches_the_generator(self, d, monkeypatch):
         from su11 import fock
 
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         sigmas, us, ws, built = fock._tms_basis(d, range(d - 1))
         assert len(built) == d - 1 and built.all()
         for k in range(d - 1):
@@ -332,6 +344,43 @@ class TestSqueezerBlocks:
             want = np.linalg.eigvalsh(j + j.T)
             got = np.sort(np.concatenate((sigma, -sigma, np.zeros(s % 2))))
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [24, 25, 41, 90, 147, 189])
+    def test_bases_match_the_dense_reference(self, d, monkeypatch):
+        # sigma from LAPACK's values alone and U, W from the recurrence,
+        # against the dense SVD with vectors: the rotations exp(g K_k) agree
+        # (the vectors themselves may differ by a sign per mode pair)
+        from su11 import fock
+
+        cold_caches(monkeypatch)
+        sigmas, us, ws, _ = fock._tms_basis(d, range(d - 1))
+        for k in range(d - 1):
+            s = d - k
+            e, o = (s + 1) // 2, s // 2
+            sigma, u, w = sigmas[k, :o], us[k, :e, :e], ws[k, :o, :o]
+            want_sigma, want_u, want_w = tms_basis_dense(d, k)
+            assert np.allclose(sigma, want_sigma, rtol=0.0, atol=1e-12)
+            assert np.allclose(u.T @ u, np.eye(e), rtol=0.0, atol=1e-13)
+            assert np.allclose(w.T @ w, np.eye(o), rtol=0.0, atol=1e-13)
+            for g in (0.3, 1.0):
+                got = rotation(u, w, np.cos(g * sigma), np.sin(g * sigma))
+                want = rotation(want_u, want_w, np.cos(g * want_sigma), np.sin(g * want_sigma))
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_every_row_of_a_large_cutoff_builds_without_overflow(self, monkeypatch):
+        # unscaled, the recurrence's components reach 1e168 at d = 260
+        from su11 import fock
+
+        cold_caches(monkeypatch)
+        d = 260
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sigma, u, w, built = fock._tms_basis(d, range(d - 1))
+        assert built.all() and all(np.all(np.isfinite(x)) for x in (sigma, u, w))
+        # row k's first (s + 1) // 2 columns of U and s // 2 of W are unit vectors
+        s = d - np.arange(d - 1)[:, None]
+        for x, size in ((u, (s + 1) // 2), (w, s // 2)):
+            norms = np.sqrt(np.einsum("kij,kij->kj", x, x))
+            assert np.allclose(norms, np.arange(x.shape[2]) < size, rtol=0.0, atol=1e-13)
 
 
 class TestEnsemble:
@@ -547,12 +596,15 @@ class TestTracerContract:
             calls.append((key, x.n_cut, key in fock._TMS_BLOCK_CACHE, out))
             return out
 
+        cold_caches(monkeypatch)
         monkeypatch.setattr(fock, "apply_tms", recording)
         p = Params(g=0.4, beta=0.8, phi=0.4, m=1, T1=0.8, eta=0.8)
         for pipeline in (output_ensemble, loss_probe_state, internal_ensemble):
             pipeline(p, 40)
-        # two squeezers in output_ensemble, three in internal_ensemble, one in loss_probe_state
-        assert len(calls) == 6
+        # S1 and S2 in output_ensemble, S2 and the trailing squeezer in
+        # internal_ensemble: S1 |0, beta> is squeezed once, then read from
+        # the input cache by loss_probe_state and internal_ensemble
+        assert len(calls) == 4
         for key, n_cut, cached, out in calls:
             assert key[2] == n_cut + 1 == 41 and cached
             assert out.amps.nbytes == out.amps.size * 16 > 0
@@ -745,8 +797,7 @@ class TestNumericEstimators:
     def test_pipelines_build_only_theta_zero_blocks(self, monkeypatch):
         from su11 import fock
 
-        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         numeric_moments_multi(Params(g=0.5, beta=0.5, phi=0.4, T1=0.8), [0, 1])
         assert fock._TMS_BLOCK_CACHE
         assert all(theta == 0.0 for _, theta, _ in fock._TMS_BLOCK_CACHE)
@@ -827,8 +878,7 @@ class TestNumericEstimators:
     def test_one_eigendecomposition_per_diagonal_and_cutoff(self, monkeypatch):
         from su11 import fock
 
-        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         calls = []
         svd = fock.np.linalg.svd
 
@@ -869,8 +919,7 @@ class TestNumericEstimators:
     def test_gain_sweep_keeps_only_the_last_gains_blocks(self, monkeypatch):
         from su11 import fock
 
-        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         cutoffs = set()
         for g in (0.3, 0.4, 0.5):
             fock.numeric_internal_photon_number(Params(g=g, beta=0.5, phi=0.4, T1=0.9, m=1))
@@ -884,8 +933,7 @@ class TestNumericEstimators:
     def test_phase_sweep_reuses_one_gains_blocks(self, monkeypatch):
         from su11 import fock
 
-        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         points = [Params(g=0.5, beta=0.5, phi=phi, T1=0.9, m=1) for phi in (0.3, 0.35, 0.4)]
         values = [fock.numeric_internal_photon_number(points[0])]
         first = held_blocks()
@@ -893,8 +941,7 @@ class TestNumericEstimators:
             values.append(fock.numeric_internal_photon_number(p))
             assert same_blocks(first)
         for p, value in zip(points, values):
-            monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-            monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+            cold_caches(monkeypatch)
             assert fock.numeric_internal_photon_number(p) == value
 
     def test_complete_loss_keeps_typed_outcomes(self):
@@ -915,8 +962,7 @@ class TestNumericEstimators:
         from su11 import fock
         from su11.errors import ConvergenceError
 
-        monkeypatch.setattr(fock, "_TMS_BLOCK_CACHE", {})
-        monkeypatch.setattr(fock, "_TMS_BASIS_CACHE", {})
+        cold_caches(monkeypatch)
         # every grid side n + 1 the ladder from DEFAULT_N_CUT can reach
         ladder, n = set(), fock.DEFAULT_N_CUT
         while n <= fock.MAX_N_CUT:
@@ -931,10 +977,20 @@ class TestNumericEstimators:
         )
         assert len(ladder) == 16 and worst <= 6.19e6
 
-        # a ladder that climbs to the top and gives up, then a lossy point
+        # a ladder that climbs to the top and gives up: the input cache holds
+        # S1 |0, beta> at every cutoff it visited, at most d x d entries each,
+        # or the message of its leak
         with pytest.raises(ConvergenceError):
             numeric_moments_multi(Params(g=1.0, beta=1.0, phi=2.0), [0], mode="b")
+        inputs = fock._INPUT_CACHE
+        assert 1 < len(inputs) <= 16 and {n_cut + 1 for _, _, n_cut in inputs} <= ladder
+        assert {key[:2] for key in inputs} == {(1.0, 1.0)}
+        for (_, _, n_cut), st in inputs.items():
+            assert isinstance(st, str) or st.data.size <= (n_cut + 1) ** 2
+        # then a lossy point, whose (g, beta) replaces the others
         numeric_moments_multi(Params(g=0.5, beta=0.5, phi=0.4, T1=0.8), [0, 1])
+        assert 0 < len(inputs) < 16 and {key[:2] for key in inputs} == {(0.5, 0.5)}
+        assert {n_cut + 1 for _, _, n_cut in inputs} <= ladder
         assert set(fock._TMS_BASIS_CACHE) <= ladder
         assert {key[2] for key in fock._TMS_BLOCK_CACHE} <= ladder
         # the stacks are real, and only the rows built so far hold entries
@@ -946,3 +1002,78 @@ class TestNumericEstimators:
         for sigma, u, w, built in fock._TMS_BASIS_CACHE.values():
             assert 0 < built.sum() < len(built)
             assert not sigma[~built].any() and not u[~built].any() and not w[~built].any()
+
+
+class TestInputCache:
+    """S1 |0, beta>, built once per cutoff for the latest (g, beta)."""
+
+    def test_phase_sweep_squeezes_each_cutoffs_input_once(self, monkeypatch):
+        from su11 import fock
+
+        cold_caches(monkeypatch)
+        prepared = []
+        prepare = fock.prepare_input
+
+        def counting(beta, n_cut):
+            prepared.append(n_cut)
+            return prepare(beta, n_cut)
+
+        monkeypatch.setattr(fock, "prepare_input", counting)
+        for phi in (0.3, 0.35, 0.4):
+            numeric_moments_multi(Params(g=0.5, beta=0.5, phi=phi, T1=0.8), [0, 1])
+            numeric_qfi_pure(Params(g=0.5, beta=0.5, phi=phi, m=1))
+            numeric_internal_photon_number(Params(g=0.5, beta=0.5, phi=phi, T1=0.9, m=1))
+        assert len(prepared) == len(set(prepared)) > 1
+        assert set(prepared) == {n_cut for _, _, n_cut in fock._INPUT_CACHE}
+
+    def test_entries_are_read_only(self, monkeypatch):
+        from su11 import fock
+
+        cold_caches(monkeypatch)
+        p = Params(g=0.5, beta=0.5, phi=0.4, T1=0.8)
+        numeric_moments_multi(p, [0, 1])
+        assert fock._INPUT_CACHE
+        for st in fock._INPUT_CACHE.values():
+            assert isinstance(st, Ensemble) and not st.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                st.data[0, 0, 0] = 1.0
+        # every pipeline starts from the cached state itself
+        assert fock._squeezed_input(p, 30) is fock._INPUT_CACHE[(0.5, 0.5, 30)]
+
+    @pytest.mark.parametrize("g, beta", [(1.0, 1.0), (0.3, 4.0)])
+    def test_a_cached_leak_raises_the_same_message(self, g, beta, monkeypatch):
+        # (1, 1) leaks in the squeezer at n_cut = 10, (0.3, 4) already in
+        # the coherent input's tail
+        from su11 import fock
+
+        cold_caches(monkeypatch)
+        p = Params(g=g, beta=beta, phi=0.4)
+        with pytest.raises(LeakageError) as first:
+            fock._squeezed_input(p, 10)
+        assert fock._INPUT_CACHE == {(g, beta, 10): str(first.value)}
+
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("the cached leak was built again")
+
+        monkeypatch.setattr(fock, "prepare_input", no_pipeline)
+        monkeypatch.setattr(fock, "apply_tms", no_pipeline)
+        with pytest.raises(LeakageError) as again:
+            fock._squeezed_input(p, 10)
+        assert str(again.value) == str(first.value)
+
+    def test_a_new_gain_or_beta_evicts_the_old_entries(self, monkeypatch):
+        from su11 import fock
+
+        cold_caches(monkeypatch)
+        p = Params(g=0.5, beta=0.5, phi=0.4)
+        for n_cut in (30, 35):
+            fock._squeezed_input(p, n_cut)
+        assert set(fock._INPUT_CACHE) == {(0.5, 0.5, 30), (0.5, 0.5, 35)}
+        for q in (p.replace(g=0.6), p.replace(g=0.6, beta=0.7)):
+            fock._squeezed_input(q, 30)
+            assert set(fock._INPUT_CACHE) == {(q.g, q.beta, 30)}
+        # phi, m and the transmittances leave the entries in place
+        held = fock._INPUT_CACHE[(0.6, 0.7, 30)]
+        fock._squeezed_input(q.replace(phi=1.0, m=2, T1=0.5, T2=0.5, eta=0.5), 35)
+        assert set(fock._INPUT_CACHE) == {(0.6, 0.7, 30), (0.6, 0.7, 35)}
+        assert fock._INPUT_CACHE[(0.6, 0.7, 30)] is held
