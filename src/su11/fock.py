@@ -53,6 +53,12 @@ sub-stepped Taylor exponential of the same generator on the full grid as
 an independent cross-check of the blockwise propagator, and LAPACK's dense
 SVD with vectors as a reference for the bases.
 
+The binomial loss law, the probability w[l, n] that loss takes l of n
+photons, is one table (:func:`_loss_weights`), and every loss site reads
+it: :func:`apply_loss` weighs and scales its Kraus images by it,
+:func:`thin_tables` thins the photon-number tables by it, and
+:func:`numeric_cq` sums the Kraus branches of the loss on its probe with it.
+
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
 every later element is linear and carries the tangent next to the state in
@@ -75,7 +81,7 @@ cutoff and the one LADDER_STEP above it agree.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -206,20 +212,20 @@ def thin_tables(table: np.ndarray, dtable: np.ndarray, T: float) -> Tuple[np.nda
 
     Loss thins n_a binomially, P'(k, n_b) = sum_n C(n, k) T^k (1 - T)^(n - k)
     P(n, n_b), as photon_tables reads it after apply_loss; the d/dphi table
-    alike.  The matrix is built by Pascal's rule, from nonnegative terms
-    only.  At T = 1 the tables are returned as they are.
+    alike.  The matrix is the loss table of :func:`_loss_weights` with each
+    column shifted to the survivors, binom[n - l, n] = w[l, n].  At T = 1
+    the tables are returned as they are.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
         return table, dtable
     d = table.shape[0]
-    # column n is the distribution of the k survivors of n photons
+    w = _loss_weights(T, d)
+    # column n is the distribution of the n - l survivors of n photons
+    ls, ns = np.nonzero(w)
     binom = np.zeros((d, d))
-    binom[0, 0] = 1.0
-    for n in range(1, d):
-        binom[: n + 1, n] = (1.0 - T) * binom[: n + 1, n - 1]
-        binom[1 : n + 1, n] += T * binom[:n, n - 1]
+    binom[ns - ls, ns] = w[ls, ns]
     return binom @ table, binom @ dtable
 
 
@@ -515,27 +521,31 @@ def apply_phase(x: Ensemble, phi: float) -> Ensemble:
     return Ensemble(np.stack((amps, t * ph + 1j * n_a * amps), axis=2))
 
 
-def _kraus_coefficients(T: float, d: int) -> np.ndarray:
-    """c[l, n] over mode-a loss's Kraus set K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l.
+def _loss_weights(T: float, d: int) -> np.ndarray:
+    """w[l, n] = C(n, l) (1 - T)^l T^(n - l): the probability that mode-a loss takes l of n photons.
 
-    K_l takes |n + l, n_b> to c[l, n] |n, n_b>, with c[l, n] = sqrt(C(n + l,
-    l) (1 - T)^l T^n) for n = 0..d - 1 - l and zero past it: one cumulative
-    product over l of the factors sqrt((1 - T) (n + l) / l), from T^{n/2}
-    at l = 0.  The table ends before the first order whose coefficients all
-    vanish.
+    The one loss table, (d, d) and zero for n < l, read by
+    :func:`apply_loss`, :func:`thin_tables` and :func:`numeric_cq`.  The
+    Kraus operator K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l takes |n + l, n_b>
+    to c[l, n] |n, n_b>, with c[l, n] = sqrt(C(n + l, l) (1 - T)^l T^n) one
+    cumulative product over l of the nonnegative factors sqrt((1 - T) (n +
+    l) / l), from T^{n/2} at l = 0, and w[l, n + l] = c[l, n]^2.
     """
     n = np.arange(d)
     l = np.arange(1, d)[:, None]
     c = np.cumprod(np.vstack((T ** (0.5 * n), np.sqrt((1.0 - T) * (n + l) / l))), axis=0)
-    c[np.add.outer(np.arange(d), n) >= d] = 0.0
-    vanished = np.flatnonzero(~c.any(axis=1))
-    return c[: vanished[0]] if vanished.size else c
+    # rows of d + 1 read back as rows of d move row l of c^2 l places right;
+    # its positions past n = d - 1 wrap below the diagonal, which triu clears
+    skewed = np.zeros((d, d + 1))
+    np.square(c, out=skewed[:, :d])
+    return np.triu(skewed.ravel()[: d * d].reshape(d, d))
 
 
 def apply_loss(x: Ensemble, T: float) -> Ensemble:
     """Photon loss on mode a: expand into the full Kraus set K_l ~ T^{n/2} a^l.
 
     T lies in [0, 1].  K_l moves row kk to kk + l and position j to j - l,
+    scaled by the square root of the loss table (:func:`_loss_weights`),
     so each column of row kk has one image row per order l, and each image
     row is written into the next free column of its output row, in order of
     l and then of the input column: the output is as wide as the most images
@@ -551,14 +561,10 @@ def apply_loss(x: Ensemble, T: float) -> Ensemble:
     if T == 1.0:
         return x
     d = x.n_cut + 1
-    c = _kraus_coefficients(T, d)
+    w = _loss_weights(T, d)
     v = x.band()[0]
-    # the weight of every image row, (order, input row, column), before any
-    # is built: row l of ``shifted`` holds c[l, j]^2 at n_a = j + l
-    ls, js = np.nonzero(c)
-    shifted = np.zeros((len(c), d))
-    shifted[ls, ls + js] = c[ls, js] ** 2
-    weight = np.moveaxis(shifted @ (v.real**2 + v.imag**2), 1, 0)
+    # the weight of every image row, (order, input row, column), before any is built
+    weight = np.moveaxis(w @ (v.real**2 + v.imag**2), 1, 0)
     orders, src, cols = np.nonzero(weight > BRANCH_PRUNE_TOL * max(x.trace(), 1e-300))
     dest = orders + src
     # images land in (order, input row, column) order; each takes the next
@@ -569,10 +575,10 @@ def apply_loss(x: Ensemble, T: float) -> Ensemble:
     rank[np.argsort(dest, kind="stable")] = np.arange(len(dest))
     slot = rank - first[dest]
     out = np.zeros((len(per_row),) + x.data.shape[1:-1] + (per_row.max(),), x.data.dtype)
-    bounds = np.searchsorted(orders, np.arange(len(c) + 1))
+    bounds = np.searchsorted(orders, np.arange(len(w) + 1))
     for l in np.flatnonzero(np.diff(bounds)):
         i = slice(bounds[l], bounds[l + 1])
-        image = _column(c[l, : d - l], x.data.ndim - 1) * x.data[src[i], l:, ..., cols[i]]
+        image = _column(np.sqrt(w[l, l:]), x.data.ndim - 1) * x.data[src[i], l:, ..., cols[i]]
         out[dest[i], : d - l, ..., slot[i]] = image
     return Ensemble(out)
 
@@ -808,47 +814,36 @@ def numeric_qfi_pure(p: Params) -> float:
     return float(converged_value(run)[0])
 
 
-def _kraus_branch_states(
-    psi: Ensemble, eta: float, alpha: float, phi: float
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Every Kraus branch chi_l = Pi_l(phi) |psi> of the mode-a loss channel, with d/dphi.
-
-    d/dphi Pi_l |psi> = i (n - alpha l) Pi_l |psi> + Pi_l |psi'>.  Each is
-    band data (kk, j, 1) of a pure ``psi``, K_l moving row kk to kk + l and
-    position j to j - l.
-    """
-    d = psi.n_cut + 1
-    n = np.arange(d)
-    out = []
-    for l, c in enumerate(_kraus_coefficients(eta, d)):
-        s = d - l
-        c = c[:s]
-        rate = 1j * (n[:s] - alpha * l)
-        # Pi_l |psi> and Pi_l |psi'>, then the phase rate's term
-        branch = _grown(psi.data, l)
-        _lowered_into(branch, c * np.exp(phi * rate), psi.data, l)
-        chi, dchi = Ensemble(branch).band()
-        dchi[:, :s] += _column(rate, chi.ndim) * chi[:, :s]
-        out.append((chi, dchi))
-    return out
-
-
 def numeric_cq(p: Params, alpha: float) -> float:
     """Extended-system QFI upper bound C_Q at Kraus placement alpha, end to end.
 
-    Builds chi_l(phi) = Pi_l(phi) |Psi(phi)> and its exact phase derivative on
-    the Fock grid, and assembles 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].
+    The Kraus branches chi_l(phi) = e^{i phi (n_a - alpha l)} K_l |Psi(phi)>
+    of the mode-a loss on the probe, with their exact phase derivatives,
+    give 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].  K_l scales source
+    position J = n_a + l by c[l, J - l], so with the loss table w[l, J] of
+    :func:`_loss_weights`, the rate r = J - (1 + alpha) l and the probe's
+    sums over rows and the column A(J) = sum |Psi'|^2, B(J) = sum Psi'* Psi
+    and C(J) = sum |Psi|^2, the branch sums are sum w (A - 2 r Im B + r^2 C)
+    and sum w (B - i r C); the phase e^{i phi r} cancels in both.  A C_Q
+    that is not finite, as at a huge alpha, is a NumericalError.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
 
     def run(n: int):
-        t_dd = 0.0
-        t_dc = 0j
-        for chi, dchi in _kraus_branch_states(loss_probe_state(p, n), p.eta, alpha, p.phi):
-            t_dd += float(np.vdot(dchi, dchi).real)
-            t_dc += np.vdot(dchi, chi)
-        return (4.0 * (t_dd - abs(t_dc) ** 2),)
+        psi, dpsi = loss_probe_state(p, n).band()
+        a, c = _weights(dpsi).sum(axis=0), _weights(psi).sum(axis=0)
+        b = np.einsum("kjc,kjc->j", dpsi.conj(), psi)
+        w = _loss_weights(p.eta, n + 1)
+        l = np.arange(len(w))[:, None]
+        rate = np.arange(n + 1) - l - alpha * l
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_dd = np.sum(w * (a - 2.0 * rate * b.imag + rate * rate * c))
+            t_dc = np.sum(w * (b - 1j * rate * c))
+            cq = float(4.0 * (t_dd - (t_dc.real**2 + t_dc.imag**2)))
+        if not math.isfinite(cq):
+            raise NumericalError(f"C_Q must be finite, got {cq} at alpha = {alpha}")
+        return (cq,)
 
     return float(converged_value(run, rtol=1e-7)[0])
 

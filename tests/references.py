@@ -8,7 +8,10 @@ convert between the two); ``tms_basis_dense`` takes a squeezer row's
 singular vectors from LAPACK, where ``su11.fock`` climbs the orthogonal
 polynomials' three-term recurrence; the loss channel builds every Kraus
 branch from its binomial amplitudes and judges each on its own norm, where
-``su11.fock`` judges them from the input's weights per n_a before building any; and
+``su11.fock`` judges them from the input's weights per n_a before building any;
+``cq_branchwise`` builds every Kraus branch of the loss on a probe, with its
+phase and tangent, and sums C_Q branch by branch, where ``su11.fock.numeric_cq``
+builds no branch and weighs per-position sums of the probe by its loss table;
 ``serialize_config`` writes the config text that ``su11.sweeps.parse_config``
 reads; ``taylor_exp`` sums the Taylor series of a truncated exponential out of
 whole-box products, where ``su11.series`` solves a row-by-row recurrence;
@@ -168,6 +171,32 @@ def apply_loss_branchwise(
     if tangent is None:
         return np.array(kept)
     return np.array(kept), np.array(kept_tangent)
+
+
+def cq_branchwise(amps: np.ndarray, tangent: np.ndarray, T: float, alpha: float, phi: float):
+    """(C_Q, sum_l <chi_l|chi_l>) over mode-a loss's Kraus branches, one branch at a time.
+
+    ``amps`` and ``tangent`` are a pure probe's (1, d, d) grid amplitudes
+    and their d/dphi.  Branch l is chi_l = e^{i phi (n - alpha l)} K_l psi,
+    with row n of K_l psi sqrt(C(n + l, l) (1 - T)^l T^n) times row n + l of
+    psi, as in ``apply_loss_branchwise``, and its tangent is e^{i phi (n -
+    alpha l)} (K_l psi' + i (n - alpha l) K_l psi).  C_Q = 4 [sum <chi'|chi'>
+    - |sum <chi'|chi>|^2].
+    """
+    d = amps.shape[-1]
+    dd, dc, trace = 0.0, 0j, 0.0
+    for l in range(d):
+        chi = np.zeros_like(amps)
+        dchi = np.zeros_like(amps)
+        for n in range(d - l):
+            rate = n - alpha * l
+            c = math.sqrt(math.comb(n + l, l) * (1.0 - T) ** l * T**n) * cmath.exp(1j * phi * rate)
+            chi[:, n, :] = c * amps[:, n + l, :]
+            dchi[:, n, :] = c * (tangent[:, n + l, :] + 1j * rate * amps[:, n + l, :])
+        dd += np.vdot(dchi, dchi).real
+        dc += np.vdot(dchi, chi)
+        trace += np.vdot(chi, chi).real
+    return 4.0 * (dd - abs(dc) ** 2), trace
 
 
 def serialize_config(specs: Sequence[SweepSpec]) -> str:

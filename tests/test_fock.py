@@ -9,7 +9,6 @@ from su11.errors import DarkFringeError, LeakageError, NumericalError, ZeroProba
 from su11.fock import (
     BRANCH_PRUNE_TOL,
     Ensemble,
-    _kraus_branch_states,
     apply_loss,
     apply_phase,
     apply_tms,
@@ -29,7 +28,8 @@ from su11.fock import (
     thin_tables,
 )
 from su11.model import Params, kernels
-from references import apply_loss_branchwise, apply_tms_series, band_data, grid_data, tms_basis_dense
+from references import (apply_loss_branchwise, apply_tms_series, band_data, cq_branchwise, grid_data,
+                        tms_basis_dense)
 
 
 def lowered(ens, m):
@@ -648,26 +648,41 @@ class TestOutputLoss:
             with pytest.raises(ValueError, match="transmittance"):
                 thin_tables(table, dtable, T)
 
-    def test_branch_states_are_the_loss_channels_branches(self):
-        # chi_l = e^{i phi (n - alpha l)} K_l psi, and its tangent adds the
-        # phase rate's term to K_l psi'
-        eta, alpha, phi = 0.7, 0.3, 0.9
-        psi = loss_probe_state(Params(g=0.5, beta=1.0, phi=0.4, m=1, eta=eta), 40)
-        lost = apply_loss(psi, eta)
-        branches = _kraus_branch_states(psi, eta, alpha, phi)
-        assert len(branches) > 1
-        n = np.arange(41)[:, None]
-        # each branch and tangent with its phase undone: K_l psi and K_l psi'
-        images = np.zeros((41, 41, 2, len(branches)), complex)
-        for l, (chi, dchi) in enumerate(branches):
-            rate = 1j * (n - alpha * l)
-            ph = np.exp(phi * rate)
-            images[: len(chi), :, 0, l : l + 1] = chi / ph
-            images[: len(chi), :, 1, l : l + 1] = (dchi - rate * chi) / ph
-        for got, want in zip(row_grams(lost.data), row_grams(images)):
-            assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+    @pytest.mark.parametrize("T", [0.0, 1e-9, 0.3, 0.8, 1.0 - 1e-12])
+    @pytest.mark.parametrize("d", [31, 110, 189])
+    def test_thinned_identity_is_the_binomial_law(self, T, d):
+        # column n holds C(n, k) T^k (1 - T)^(n - k) over the k survivors,
+        # each as (C x) x with x = sqrt(T^k (1 - T)^(n - k)): T^k alone goes
+        # subnormal, and loses digits, where the term is still a normal float
+        want = np.zeros((d, d))
+        for n in range(d):
+            for k in range(n + 1):
+                x = T ** (0.5 * k) * (1.0 - T) ** (0.5 * (n - k))
+                want[k, n] = math.comb(n, k) * x * x
+        table, dtable = thin_tables(np.eye(d), np.eye(d), T)
+        for got in (table, dtable):
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+            assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "m, eta, alpha",
+        [(0, 0.7, -1.0), (1, 0.7, "star"), (3, 0.05, 0.3), (3, 0.5, "star"), (2, 0.9, -1.7)],
+    )
+    def test_cq_is_the_branchwise_kraus_sum(self, m, eta, alpha, monkeypatch):
+        # numeric_cq's per-position sums against every branch chi_l = e^{i phi
+        # (n - alpha l)} K_l psi built on its own; the ladder is started at 45,
+        # so that numeric_cq reads the cutoff 50 the reference is built at
+        from su11 import fock
+        from su11.qfi import qfi_lossy
+
+        p = Params(g=0.5, beta=1.0, phi=0.4, m=m, eta=eta)
+        if alpha == "star":
+            alpha = qfi_lossy(p).alpha_star
+        psi = loss_probe_state(p, 50)
+        want, total = cq_branchwise(*grid_data(psi.data), eta, alpha, p.phi)
+        monkeypatch.setattr(fock, "DEFAULT_N_CUT", 45)
+        assert fock.numeric_cq(p, alpha) == pytest.approx(want, rel=1e-12)
         # the branches hold the whole trace: the channel is trace-preserving
-        total = sum(np.vdot(chi, chi).real for chi, _ in branches)
         assert total == pytest.approx(psi.trace(), rel=1e-12)
 
 

@@ -209,6 +209,17 @@ class TestCqAlpha:
             with pytest.raises(ValueError, match="alpha must be finite"):
                 numeric_cq(p, alpha)
 
+    def test_huge_placement_is_numerical(self):
+        # C_Q grows like alpha^2: past |alpha| ~ 1e154 both forms overflow, and the
+        # oracle stops at its first cutoff instead of climbing the ladder
+        p = Params(g=1.0, beta=1.0, phi=0.4, m=1, eta=0.7)
+        for alpha in (1e155, -1e155, 1e200):
+            with pytest.raises(NumericalError, match="C_Q must be positive and finite"):
+                cq_alpha(p, alpha)
+            with pytest.raises(NumericalError, match="C_Q must be finite"):
+                numeric_cq(p, alpha)
+        assert numeric_cq(p, 1e150) == pytest.approx(cq_alpha(p, 1e150), rel=1e-10)
+
     @pytest.mark.parametrize(
         "p, alpha",
         [
