@@ -85,7 +85,8 @@ from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from su11.errors import ConvergenceError, LeakageError, NumericalError, ZeroProbabilityError, stationary
+from su11.errors import (ConvergenceError, LeakageError, NumericalError, ZeroProbabilityError, positive,
+                         stationary)
 from su11.model import Params
 
 DEFAULT_N_CUT = 30
@@ -824,8 +825,8 @@ def numeric_cq(p: Params, alpha: float) -> float:
     :func:`_loss_weights`, the rate r = J - (1 + alpha) l and the probe's
     sums over rows and the column A(J) = sum |Psi'|^2, B(J) = sum Psi'* Psi
     and C(J) = sum |Psi|^2, the branch sums are sum w (A - 2 r Im B + r^2 C)
-    and sum w (B - i r C); the phase e^{i phi r} cancels in both.  A C_Q
-    that is not finite, as at a huge alpha, is a NumericalError.
+    and sum w (B - i r C); the phase e^{i phi r} cancels in both.  A C_Q not positive and
+    finite (a huge alpha, or no photons in mode a) is a NumericalError at the first cutoff.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
@@ -841,9 +842,7 @@ def numeric_cq(p: Params, alpha: float) -> float:
             t_dd = np.sum(w * (a - 2.0 * rate * b.imag + rate * rate * c))
             t_dc = np.sum(w * (b - 1j * rate * c))
             cq = float(4.0 * (t_dd - (t_dc.real**2 + t_dc.imag**2)))
-        if not math.isfinite(cq):
-            raise NumericalError(f"C_Q must be finite, got {cq} at alpha = {alpha}")
-        return (cq,)
+        return (positive(cq, "C_Q"),)
 
     return float(converged_value(run, rtol=1e-7)[0])
 

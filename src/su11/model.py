@@ -34,7 +34,7 @@ through |X1|^2 and the derivative weight kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple, Type
 
@@ -88,8 +88,6 @@ class Params:
             raise ValueError(f"nu must be a positive integer, got {self.nu}")
 
     def replace(self, **kw) -> "Params":
-        from dataclasses import replace
-
         return replace(self, **kw)
 
 
@@ -110,7 +108,7 @@ class KernelSet:
     extended system's loss-equivalent probe over its kernel X1 for the lossy
     QFI; the ideal QFI reads only the weight at :meth:`probe_thermal` (X1 at
     eta = 1, the lossless probe) and :meth:`moments`.  They read X1 through
-    :attr:`_fringe` alone.
+    :func:`kernel_modulus` alone.
     """
 
     # every X-family product has degree at most 2 in each scaled variable
@@ -133,16 +131,11 @@ class KernelSet:
     def thermal(self, t2: float) -> Tuple[float, float]:
         """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(T1) e^{-i phi}).
 
-        S = (1/2) sinh 2g sqrt(t2).  With w = a + i b and dw/dphi = b + i q,
-        u = a^2 + b^2 and u' = 2 (b a + q b), in real arithmetic.
+        S = (1/2) sinh 2g sqrt(t2); u = |S (1 - sqrt(T1) e^{i phi})|^2 (:func:`kernel_modulus`) and
+        u' = S (S 2 sqrt(T1) sin phi), so an overflowing S^2 meets a zero factor as 0, not inf * 0.
         """
-        s = self._half_sh2g * math.sqrt(t2)
-        sq_t1 = math.sqrt(self.p.T1)
-        cos_t1 = math.cos(self.p.phi) * sq_t1
-        a = (1.0 - cos_t1) * s
-        b = (math.sin(self.p.phi) * sq_t1) * s
-        q = cos_t1 * s
-        return a * a + b * b, 2.0 * (b * a + q * b)
+        p, s = self.p, self._half_sh2g * math.sqrt(t2)
+        return kernel_modulus(p.T1, p.phi, s)[2], s * (s * (2.0 * math.sqrt(p.T1) * math.sin(p.phi)))
 
     def log_weight(self, u: float, vanished: Type[Su11Error]) -> float:
         """log(m! u^m L_m), the weight of m subtractions at thermal number u.
@@ -166,8 +159,8 @@ class KernelSet:
     # -- extended-system probe at transmissivity eta ---------------------------
 
     def probe_thermal(self) -> float:
-        """|X1|^2 = ((1/2) sinh 2g)^2 |D|^2, the thermal number of the probe's kernel (:attr:`_fringe`)."""
-        return (self._half_sh2g * self._half_sh2g) * self._fringe[0]
+        """|X1|^2 = ((1/2) sinh 2g)^2 |D|^2 (:attr:`_kappa`), formed as :meth:`thermal` forms u."""
+        return kernel_modulus(self.p.eta, self.p.phi, self._half_sh2g)[2]
 
     def probe_norm(self) -> np.ndarray:
         """r: the ratios that extract a polynomial against the probe's exp(B(X1)) at (m, m).
@@ -207,22 +200,17 @@ class KernelSet:
         return r
 
     @cached_property
-    def _fringe(self) -> Tuple[float, complex]:
-        """(|D|^2, kappa) with D = X1* / ((1/2) sinh 2g) = 1 - sqrt(eta) e^{i phi}.
+    def _kappa(self) -> complex:
+        """kappa = i (X1* - (1/2) sinh 2g) / X1* = -i sqrt(eta) e^{i phi} / D, D = 1 - sqrt(eta) e^{i phi}.
 
-        kappa = i (X1* - (1/2) sinh 2g) / X1* = -i sqrt(eta) e^{i phi} / D.  Both
-        are formed from 1 - sqrt(eta) = (1 - eta) / (1 + sqrt(eta)) and
-        1 - cos phi = 2 sin^2(phi / 2), which do not cancel next to a fringe.
+        D = X1* / ((1/2) sinh 2g); 1 - sqrt(eta), 1 - cos phi and |D|^2 come
+        from :func:`kernel_modulus`.
         """
         root = math.sqrt(self.p.eta)
-        delta = (1.0 - self.p.eta) / (1.0 + root)
-        half = math.sin(0.5 * self.p.phi)
-        vers = 2.0 * half * half
-        dd = delta * delta + 2.0 * root * vers
+        delta, vers, dd = kernel_modulus(self.p.eta, self.p.phi, 1.0)
         # on a fringe (D = 0) kappa is infinite; only m = 0 gets past the
         # weight test there, and its (0, 0) extractions read no term kappa scales
-        kappa = root * complex(math.sin(self.p.phi), vers - delta) / dd if dd else 0j
-        return dd, kappa
+        return root * complex(math.sin(self.p.phi), vers - delta) / dd if dd else 0j
 
     def x_polys(self) -> Dict[str, MultiSeries]:
         """The X2, X3, X4, X6 polynomial factors over the scaled variables (T, S) of :meth:`probe_norm`.
@@ -231,12 +219,12 @@ class KernelSet:
         the direct cross contraction between the two derivative insertions;
         X6 = Y(X1) = (beta + T)(beta + S).  Over (t, s) the derivative factors
         carry X1* - (1/2) sinh 2g and its negated conjugate; each power of
-        X1 they carry cancels against the scaling, which leaves kappa of
-        :attr:`_fringe`: X2 = kappa S (beta + T), X3 = conj(X2 with T, S
+        X1 they carry cancels against the scaling, which leaves
+        :attr:`_kappa`: X2 = kappa S (beta + T), X3 = conj(X2 with T, S
         swapped), X4 = -|kappa|^2 TS.
         """
         b = self.p.beta
-        kappa = self._fringe[1]
+        kappa = self._kappa
         kbar = kappa.conjugate()
         x2 = MultiSeries.from_terms(self.caps, [((0, 1), kappa * b), ((1, 1), kappa)])
         x3 = MultiSeries.from_terms(self.caps, [((1, 0), kbar * b), ((1, 1), kbar)])
@@ -279,6 +267,16 @@ def _probe_coefficients(m: int) -> Tuple[Tuple[int, int, Tuple[int, ...], int], 
                      for k in range(m - b, -1, -1)),
          math.factorial(m - b) * math.factorial(m - a))
         for b in range(min(m, 2) + 1) for a in range(b + 1))
+
+
+def kernel_modulus(t: float, phi: float, scale: float) -> Tuple[float, float, float]:
+    """(1 - sqrt(t), 1 - cos phi, |scale (1 - sqrt(t) e^{i phi})|^2) from (1 - t) / (1 + sqrt(t)) and
+    2 sin^2(phi / 2), which do not cancel next to a fringe; each term is scaled before it is squared."""
+    root = math.sqrt(t)
+    delta = (1.0 - t) / (1.0 + root)
+    half = math.sin(0.5 * phi)
+    a, b = scale * delta, scale * half
+    return delta, 2.0 * half * half, a * a + 2.0 * root * (2.0 * b * b)
 
 
 def _log_power(u: float, m: int) -> float:

@@ -133,8 +133,9 @@ def cq_alpha(p: Params, alpha: float) -> float:
     ks = kernels(p)
     ks.log_weight(ks.probe_thermal(), NormalizationError)
     n, var = ks.moments(ks.sh2)
-    a1 = 1.0 + alpha
-    u = 1.0 - a1 * (1.0 - p.eta)
+    # u = 1 - (1 + alpha)(1 - eta) = eta - alpha (1 - eta) in exact dyadic ratios, rounded once
+    (e, e_den), (a, a_den), a1 = p.eta.as_integer_ratio(), alpha.as_integer_ratio(), 1.0 + alpha
+    u = (e * a_den - a * (e_den - e)) / (e_den * a_den)
     return positive(4.0 * (u * u * var + a1 * a1 * p.eta * (1.0 - p.eta) * n), "C_Q")
 
 

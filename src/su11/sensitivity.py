@@ -15,10 +15,11 @@ reduction is bit-for-bit.
 The optimum over phi is exact.  With c = cos phi, u = K v, v = a - b c, a = 1 + T1,
 b = 2 sqrt(T1) and K = (1/4) sinh^2 2g T2, delta^2 phi = N(c) / (c1^2 b^2 (1 - c^2)),
 N = S v^2 + (c1 / K) v.  The c^3 terms of the stationarity cubic N'(c)(1 - c^2) + 2c N(c)
-cancel, which leaves (times K) q c^2 - 2P c + q, P = SK (a^2 + b^2) + a c1.  Its roots are
-reciprocal, and P - q = d (SK d + c1) >= 0 with d = (1 - sqrt T1)^2, so one root c* lies in
-[-1, 1]: 1 - c* = (e + r) / (1 + r), e = (P - q) / P, r = sqrt(e (2 - e)).  It is the minimum
-over a period, as delta_phi diverges at c = +-1, except at T1 = 1, where c* = 1 is the fringe.
+cancel, which leaves (times K) q c^2 - 2P c + q, P = SK (a^2 + b^2) + a c1.  Its roots are reciprocal,
+and P - q = d (SK d + c1) >= 0 with d = (1 - sqrt T1)^2, the kernel modulus at phi = 0, which
+`su11.model.kernel_modulus` forms without cancelling as T1 -> 1.  So one root c* lies in [-1, 1]:
+1 - c* = (e + r) / (1 + r), e = (P - q) / P, r = sqrt(e (2 - e)).  It is the minimum over a period,
+as delta_phi diverges at c = +-1, except at T1 = 1, where c* = 1 is the fringe.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from su11.errors import DarkFringeError, NumericalError, Su11Error, finite, stationary
-from su11.model import Params, kernels
+from su11.model import Params, kernel_modulus, kernels
 
 
 @dataclass(frozen=True)
@@ -82,15 +83,15 @@ def optimal_phase(p: Params, interval: Tuple[float, float]) -> Tuple[float, floa
     ks = kernels(p)
     _, y, spread = ks.laguerre
     c1, k = 1.0 + y, ks.sh2 * (ks.ch2 * p.T2)  # sinh^2 g cosh^2 g = (1/4) sinh^2 2g
-    a, b, d = 1.0 + p.T1, 2.0 * math.sqrt(p.T1), (1.0 - math.sqrt(p.T1)) ** 2
+    a, b, d = 1.0 + p.T1, 2.0 * math.sqrt(p.T1), kernel_modulus(p.T1, 0.0, 1.0)[2]
     big_p = spread * k * (a * a + b * b) + a * c1
     e = d * (spread * k * d + c1) / big_p
     if not (math.isfinite(big_p) and math.isfinite(e)):
         raise NumericalError(f"optimal-phase coefficients not finite at g = {p.g}, beta = {p.beta}")
-    r = math.sqrt(e * (2.0 - e))
+    tau, r = 2.0 * math.pi, math.sqrt(e * (2.0 - e))
     theta = 2.0 * math.asin(math.sqrt((e + r) / (2.0 + 2.0 * r)))  # acos c*, exactly 0 at T1 = 1
-    # +-theta, each moved by its 2 pi k into [lo, lo + 2 pi)
-    shifted = sorted({lo + (x - lo) % (2.0 * math.pi) for x in (theta, -theta)})
+    # +-theta, each moved by its 2 pi k into [lo, lo + 2 pi); one already there is kept as it is
+    shifted = sorted({x if lo <= x < lo + tau else lo + (x - lo) % tau for x in (theta, -theta)})
     stationary = [x for x in shifted if x <= hi]
     candidates = []
     if p.T1 == 1.0:  # theta = 0: fringes carry the limit, infinite where g = 0 or T2 = 0

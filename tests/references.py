@@ -24,9 +24,12 @@ extractions of exp(B(w)) with the series engine, over the complex dual kernel
 ``engine_loss_inner_products`` reads the QFI's inner products off whole-box
 extractions of exp(B(X1)) over the unscaled variables (t, s), where
 ``su11.qfi`` weighs scaled polynomial coefficients with explicit ratios of
-positive sums; ``mp_ideal_qfi`` evaluates the ideal QFI 4 Var(n) at 60 digits
-from Laguerre sums built term by term, where ``su11.model`` sums double
-Horner polynomials and takes their ratios once.
+positive sums; ``mp_ideal_qfi``, ``mp_cq_alpha``, ``mp_delta_phi``,
+``mp_optimal_phase`` and ``mp_internal_photon_number`` evaluate the closed
+forms at 60 digits or more, at the exact doubles they are given, from
+Laguerre sums built term by term and from the complex kernel itself, where
+``su11.model`` sums double Horner polynomials, takes their ratios once and
+forms the kernel modulus from its cancellation-free terms.
 """
 
 from __future__ import annotations
@@ -246,7 +249,9 @@ def laguerre_coefficient(a, b, c, i: int, j: int):
 def dual_kernel(p: Params, t2: float) -> CDual:
     """w = (1/2) sinh 2g sqrt(t2) (1 - sqrt(T1) e^{-i phi}) and its d/dphi, as a complex dual.
 
-    The output kernel w3 at t2 = T2 and the internal kernel v1 at t2 = 1.
+    The output kernel w3 at t2 = T2 and the internal kernel v1 at t2 = 1.  1 - sqrt(T1) e^{-i phi}
+    cancels next to a fringe (sqrt(T1) cos phi -> 1), where ``su11.model.kernel_modulus`` does
+    not, so its |w|^2 is close to ``KernelSet.thermal``'s only away from one.
     """
     scale = 0.5 * math.sinh(2.0 * p.g) * math.sqrt(t2)
     e_m = cmath.exp(-1j * p.phi)
@@ -297,7 +302,10 @@ def engine_photon_number(p: Params) -> float:
 
 
 def probe_kernel(p: Params) -> CDual:
-    """X1 = (1/2) sinh 2g (1 - sqrt(eta) e^{-i phi}), the loss-equivalent probe's kernel."""
+    """X1 = (1/2) sinh 2g (1 - sqrt(eta) e^{-i phi}), the loss-equivalent probe's kernel.
+
+    It cancels next to a fringe as ``dual_kernel`` does.
+    """
     return dual_kernel(p.replace(T1=p.eta), 1.0)
 
 
@@ -339,21 +347,93 @@ def engine_loss_inner_products(p: Params) -> dict:
     }
 
 
-def mp_ideal_qfi(mpmath, p: Params) -> float:
-    """The ideal QFI 4 V at 60 digits, V = (D_m / L_m^2) sinh^4 g + c1 sinh^2 g.
+def _mp_laguerre(mpmath, p: Params):
+    """(c1 - 1, D_m / L_m^2) as mpmath numbers, at the working precision of the caller.
 
     L_n = L_n(-beta^2) = sum_j C(n, j) beta^2j / j!, c1 = (m + 1) L_(m+1) / L_m and
-    D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2, at the exact double
-    g and beta; phi does not enter.
+    D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2, at the exact double beta.
+    c1 - 1 is summed term by term, as at m = 0 it is beta^2, which 1 + beta^2 - 1
+    would lose at a tiny beta.
+    """
+    m, x = p.m, mpmath.mpf(p.beta) ** 2
+
+    def lag(n, coefficient=mpmath.binomial):
+        return mpmath.fsum(coefficient(n, j) * x**j / mpmath.factorial(j) for j in range(n + 1))
+
+    l0, l1, l2 = lag(m), lag(m + 1), lag(m + 2)
+    # (m + 1) L_(m+1) - L_m, whose coefficients are non-negative
+    y = lag(m + 1, lambda n, j: n * mpmath.binomial(n, j) - mpmath.binomial(n - 1, j)) / l0
+    return y, ((m + 1) * (m + 2) * l2 * l0 - (m + 1) ** 2 * l1 * l1) / (l0 * l0)
+
+
+def _mp_probe_moments(mpmath, p: Params):
+    """(n, V) = (c1 sinh^2 g, (D_m / L_m^2) sinh^4 g + n), the probe's photon-number mean and variance."""
+    y, spread = _mp_laguerre(mpmath, p)
+    sh2 = mpmath.sinh(mpmath.mpf(p.g)) ** 2
+    n = (1 + y) * sh2
+    return n, spread * sh2 * sh2 + n
+
+
+def mp_ideal_qfi(mpmath, p: Params) -> float:
+    """The ideal QFI 4 V at 60 digits, at the exact double g and beta; phi does not enter."""
+    with mpmath.workdps(60):
+        return float(4 * _mp_probe_moments(mpmath, p)[1])
+
+
+def mp_cq_alpha(mpmath, p: Params, alpha: float) -> float:
+    """C_Q = 4 [(1 - (1 + alpha)(1 - eta))^2 V + (1 + alpha)^2 eta (1 - eta) n] at 60 digits."""
+    with mpmath.workdps(60):
+        n, v = _mp_probe_moments(mpmath, p)
+        a1, eta = 1 + mpmath.mpf(alpha), mpmath.mpf(p.eta)
+        return float(4 * ((1 - a1 * (1 - eta)) ** 2 * v + a1 * a1 * eta * (1 - eta) * n))
+
+
+def mp_delta_phi(mpmath, p: Params) -> float:
+    """delta_phi = sqrt(Var N) / |c1 u'| at 60 digits, from the complex kernel at the exact doubles.
+
+    u = |w3|^2 with w3 = (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}), u' = sinh^2 2g T2
+    sqrt(T1) sin phi / 2, <N> = c1 u and Var N = (D_m / L_m^2) u^2 + c1 u.  The modulus
+    cancels next to a fringe as the double ``dual_kernel`` does, but 60 digits leave
+    more than 25 of them at |phi| and 1 - T1 down to 1e-15.
     """
     with mpmath.workdps(60):
-        m, x = p.m, mpmath.mpf(p.beta) ** 2
+        g, phi, t1, t2 = (mpmath.mpf(v) for v in (p.g, p.phi, p.T1, p.T2))
+        s2 = mpmath.sinh(2 * g) ** 2 / 4 * t2
+        u = s2 * abs(1 - mpmath.sqrt(t1) * mpmath.expj(-phi)) ** 2
+        du = 2 * s2 * mpmath.sqrt(t1) * mpmath.sin(phi)
+        y, spread = _mp_laguerre(mpmath, p)
+        return float(mpmath.sqrt(spread * u * u + (1 + y) * u) / abs((1 + y) * du))
 
-        def lag(n):
-            return mpmath.fsum(mpmath.binomial(n, j) * x**j / mpmath.factorial(j) for j in range(n + 1))
 
-        l0, l1, l2 = lag(m), lag(m + 1), lag(m + 2)
-        sh2 = mpmath.sinh(mpmath.mpf(p.g)) ** 2
-        n = (m + 1) * l1 / l0 * sh2
-        var = ((m + 1) * (m + 2) * l2 * l0 - (m + 1) ** 2 * l1 * l1) / (l0 * l0) * sh2 * sh2 + n
-        return float(4 * var)
+def mp_optimal_phase(mpmath, p: Params) -> float:
+    """phi* = acos c* in [0, pi/2], c* = (P - sqrt(P^2 - q^2)) / q, at 60 digits or more.
+
+    The stationarity condition of delta^2 phi over c = cos phi, with a = 1 + T1,
+    b = 2 sqrt(T1), A = (D_m / L_m^2) sinh^2 2g T2 / 4, P = A (a^2 + b^2) + a c1
+    and q = b (2 A a + c1), is the quadratic q c^2 - 2 P c + q = 0, solved here
+    as it stands.  P^2 - q^2 cancels as T1 -> 1, the more the larger A, so the
+    precision doubles until 30 digits of it survive; at T1 = 1, P = q and c* = 1.
+    """
+    if p.T1 == 1.0:
+        return 0.0
+    dps = 60
+    while True:
+        with mpmath.workdps(dps):
+            y, spread = _mp_laguerre(mpmath, p)
+            c1, t1 = 1 + y, mpmath.mpf(p.T1)
+            a, b = 1 + t1, 2 * mpmath.sqrt(t1)
+            big_a = spread * mpmath.sinh(2 * mpmath.mpf(p.g)) ** 2 / 4 * p.T2
+            big_p, q = big_a * (a * a + b * b) + a * c1, b * (2 * big_a * a + c1)
+            gap = big_p**2 - q**2
+            if gap > big_p**2 * mpmath.mpf(10) ** (30 - dps):
+                return float(mpmath.acos((big_p - mpmath.sqrt(gap)) / q))
+        dps *= 2
+
+
+def mp_internal_photon_number(mpmath, p: Params) -> float:
+    """N_T = (cosh^2 g + T1 sinh^2 g)(c1 - 1) + (1 + T1) sinh^2 g at 60 digits."""
+    with mpmath.workdps(60):
+        y, _ = _mp_laguerre(mpmath, p)
+        g, t1 = mpmath.mpf(p.g), mpmath.mpf(p.T1)
+        sh2, ch2 = mpmath.sinh(g) ** 2, mpmath.cosh(g) ** 2
+        return float((ch2 + t1 * sh2) * y + (1 + t1) * sh2)

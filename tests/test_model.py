@@ -54,10 +54,9 @@ class TestKernels:
     the output kernel w3 at T1 = T2 = 1, the internal one v1 at T1 = 1 and X1
     (the reference ``probe_kernel``) at eta = 1.
 
-    The real arithmetic of thermal performs the float operations of a complex dual
-    kernel's abs2, so the two agree bit for bit.  Only the sign of a zero u' may
-    differ (complex products add signed zero terms), which == ignores; a zero u'
-    is a stationary point either way."""
+    The references ``dual_kernel`` and ``probe_kernel`` cancel next to a fringe, so
+    they are held to thermal only off it; next to it, test_accuracy holds the
+    calculators to 60-digit references."""
 
     def test_w1_vanishes_at_zero_phase(self):
         ks = kernels(Params(g=1.0, phi=0.0))
@@ -93,26 +92,30 @@ class TestKernels:
         assert probe_kernel(ks.p).val == 0.0
         assert ks.probe_thermal() == 0.0
 
-    def test_x1_at_unit_transmissivity_equals_w1(self):
-        # bit for bit over seeded points, at T1 = T2 = eta = 1
-        rng = np.random.default_rng(19)
-        for _ in range(500):
-            ks = kernels(Params(g=float(rng.uniform(0.0, 4.0)), phi=float(rng.uniform(-7.0, 7.0))))
-            u2 = probe_kernel(ks.p).abs2()
-            assert ks.thermal(1.0) == (u2.val.real, u2.dph.real)
-
-    def test_thermal_is_the_reference_dual_kernel_bit_for_bit(self):
+    def test_w1_is_the_probe_thermal_number_at_unit_transmissivity_bit_for_bit(self):
+        # thermal and probe_thermal read one modulus rule, so at T1 = eta and unit
+        # T2 they are the same float; their accuracy is held to mpmath in test_accuracy
         rng = np.random.default_rng(20)
         for i in range(1000):
-            p = Params(
-                g=float(rng.uniform(0.0, 4.0)),
-                phi=float(rng.uniform(-7.0, 7.0)) if i % 10 else float(rng.choice([0.0, math.pi])),
-                T1=float(rng.uniform(0.0, 1.0)) if i % 7 else float(rng.choice([0.0, 1.0])),
-                T2=float(rng.uniform(0.0, 1.0)) if i % 5 else float(rng.choice([0.0, 1.0])),
-            )
-            for t2 in (p.T2, 1.0):
-                u2 = dual_kernel(p, t2).abs2()
-                assert kernels(p).thermal(t2) == (u2.val.real, u2.dph.real), (p, t2)
+            near = i % 2 == 0  # half next to a fringe
+            t = 1.0 - 10.0 ** rng.uniform(-15.0, -2.0) if near else rng.uniform(1e-3, 1.0)
+            sign = rng.choice([-1.0, 1.0])
+            phi = sign * 10.0 ** rng.uniform(-15.0, -1.0) if near else rng.uniform(-7.0, 7.0)
+            p = Params(g=float(rng.uniform(0.0, 4.0)), phi=float(phi), T1=float(t), eta=float(t))
+            assert kernels(p).thermal(1.0)[0] == kernels(p).probe_thermal(), p
+
+    def test_overflowing_gain_next_to_the_fringe(self):
+        # S^2 overflows at g = 300: on the fringe u and u' are 0, not inf * 0 = nan, and
+        # at phi = 1e-300, where phi^2 underflows, u = (S phi)^2 and u' = 2 S (S phi)
+        s = 0.5 * math.sinh(600.0)
+        ks = kernels(Params(g=300.0, phi=0.0, T1=1.0))
+        assert ks.thermal(1.0) == (0.0, 0.0)
+        assert ks.probe_thermal() == 0.0
+        ks = kernels(Params(g=300.0, phi=1e-300, T1=1.0))
+        u, du = ks.thermal(1.0)
+        assert u == pytest.approx((s * 1e-300) ** 2, rel=1e-15)
+        assert du == pytest.approx(2.0 * s * (s * 1e-300), rel=1e-15)
+        assert ks.probe_thermal() == u
 
     def test_dphi_channels_match_finite_differences(self):
         h = 1e-6
@@ -145,7 +148,7 @@ class TestKernels:
         sensitivity_lossy(p)
         LIMITS.limits(p)
         assert len(built) == 3
-        assert all("_fringe" not in vars(ks) for ks in built)
+        assert all("_kappa" not in vars(ks) for ks in built)
 
 
 class TestExponentA:

@@ -214,11 +214,18 @@ class TestCqAlpha:
         # oracle stops at its first cutoff instead of climbing the ladder
         p = Params(g=1.0, beta=1.0, phi=0.4, m=1, eta=0.7)
         for alpha in (1e155, -1e155, 1e200):
-            with pytest.raises(NumericalError, match="C_Q must be positive and finite"):
-                cq_alpha(p, alpha)
-            with pytest.raises(NumericalError, match="C_Q must be finite"):
-                numeric_cq(p, alpha)
+            for cq in (cq_alpha, numeric_cq):
+                with pytest.raises(NumericalError, match="C_Q must be positive and finite"):
+                    cq(p, alpha)
         assert numeric_cq(p, 1e150) == pytest.approx(cq_alpha(p, 1e150), rel=1e-10)
+
+    def test_empty_probe_is_numerical(self):
+        # at g = 0 mode a holds no photons and C_Q = 0: both forms refuse it with one
+        # rule, the oracle at its first cutoff
+        p = Params(g=0.0, beta=1.0, phi=0.4, m=0, eta=0.7)
+        for cq in (cq_alpha, numeric_cq):
+            with pytest.raises(NumericalError, match="C_Q must be positive and finite, got 0.0"):
+                cq(p, 0.3)
 
     @pytest.mark.parametrize(
         "p, alpha",
