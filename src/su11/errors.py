@@ -9,11 +9,10 @@ and the NumericalError checks for an imaginary part, overflow, positivity
 and roundoff.
 """
 
+import functools
 import math
 import sys
 from typing import Type
-
-import numpy as np
 
 
 class Su11Error(Exception):
@@ -108,6 +107,15 @@ def quiet_overflow(fn):
 
     Overflow leaves inf or nan in the extractions, which :func:`finite` turns
     into a NumericalError at the calculator's result; a warning would add
-    nothing.
+    nothing.  numpy is imported when ``fn`` is called, not here, so that a
+    package which wraps ``fn`` at import loads no numpy until it runs.
     """
-    return np.errstate(over="ignore", invalid="ignore")(fn)
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet

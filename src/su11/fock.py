@@ -56,7 +56,7 @@ SVD with vectors as a reference for the bases.
 The binomial loss law, the probability w[l, n] that loss takes l of n
 photons, is one table (:func:`_loss_weights`), and every loss site reads
 it: :func:`apply_loss` weighs and scales its Kraus images by it,
-:func:`thin_tables` thins the photon-number tables by it, and
+:func:`thinning` shifts it into the thinning matrix of the output loss, and
 :func:`numeric_cq` sums the Kraus branches of the loss on its probe with it.
 
 Phase derivatives are exact: the phase shifter is the only element that
@@ -65,9 +65,12 @@ every later element is linear and carries the tangent next to the state in
 the same pass.  The output loss T2 follows the last element, so it acts on
 the joint photon-number table P(n_a, n_b) and its phase derivative, all
 that subtraction and detection read, as the binomial thinning of n_a
-(:func:`thin_tables`).  Subtraction is read from the thinned table: a^m
+(:func:`thinning`).  Subtraction is read from the thinned table: a^m
 takes |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every
-order m is a reweighting of one table.  The QFI and internal pipelines
+order m is a reweighting of one table.  Every reading reduces the table
+to a vector at once, so the thinning, built once per cutoff, acts on
+vectors only: on the n_a marginal for mode a, and on the falling-factorial
+row for mode b (:func:`subtracted_moments`).  The QFI and internal pipelines
 subtract with :func:`subtract_photons`, one scaled shift of the band, which
 also cross-checks that reweighting.  The QFI reads the subtracted output
 state itself: the paper's equivalent model follows the subtraction with the
@@ -208,26 +211,26 @@ def photon_tables(ens: Ensemble) -> Tuple[np.ndarray, np.ndarray]:
     return _on_grid(_weights(v)), _on_grid(2.0 * _weights(v, t))
 
 
-def thin_tables(table: np.ndarray, dtable: np.ndarray, T: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The tables of photon_tables after mode-a loss of transmittance T.
+def thinning(T: float, d: int) -> np.ndarray | None:
+    """The (d, d) matrix of mode-a loss of transmittance T on n_a, or None at T = 1.
 
-    Loss thins n_a binomially, P'(k, n_b) = sum_n C(n, k) T^k (1 - T)^(n - k)
-    P(n, n_b), as photon_tables reads it after apply_loss; the d/dphi table
-    alike.  The matrix is the loss table of :func:`_loss_weights` with each
-    column shifted to the survivors, binom[n - l, n] = w[l, n].  At T = 1
-    the tables are returned as they are.
+    Loss thins n_a binomially: binom[k, n] = C(n, k) T^k (1 - T)^(n - k),
+    so the table photon_tables reads after apply_loss is binom @ P, and its
+    d/dphi table alike.  The matrix is the loss table of
+    :func:`_loss_weights` with each column shifted to the survivors,
+    binom[n - l, n] = w[l, n].  At T = 1 it would be the identity, and
+    :func:`subtracted_moments` reads the tables as they are.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
-        return table, dtable
-    d = table.shape[0]
+        return None
     w = _loss_weights(T, d)
     # column n is the distribution of the n - l survivors of n photons
     ls, ns = np.nonzero(w)
     binom = np.zeros((d, d))
     binom[ns - ls, ns] = w[ls, ns]
-    return binom @ table, binom @ dtable
+    return binom
 
 
 # -- elementary operator actions on band data ---------------------------------
@@ -526,7 +529,7 @@ def _loss_weights(T: float, d: int) -> np.ndarray:
     """w[l, n] = C(n, l) (1 - T)^l T^(n - l): the probability that mode-a loss takes l of n photons.
 
     The one loss table, (d, d) and zero for n < l, read by
-    :func:`apply_loss`, :func:`thin_tables` and :func:`numeric_cq`.  The
+    :func:`apply_loss`, :func:`thinning` and :func:`numeric_cq`.  The
     Kraus operator K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l takes |n + l, n_b>
     to c[l, n] |n, n_b>, with c[l, n] = sqrt(C(n + l, l) (1 - T)^l T^n) one
     cumulative product over l of the nonnegative factors sqrt((1 - T) (n +
@@ -626,21 +629,30 @@ def moments(ens: Ensemble, mode: str = "a") -> Tuple[float, float]:
 
 
 def subtracted_moments(
-    table: np.ndarray, dtable: np.ndarray, m: int, mode: str
+    table: np.ndarray, dtable: np.ndarray, m: int, mode: str, binom: np.ndarray | None = None
 ) -> Tuple[float, float, float, float]:
-    """(probability, mean, second moment, d mean/dphi) after a^m, from the tables.
+    """(probability, mean, second moment, d mean/dphi) after a^m, from the tables thinned by ``binom``.
 
     a^m takes |n_a, n_b> to |n_a - m, n_b> with amplitude factor
     sqrt(n_a!/(n_a - m)!), so the subtracted state's photon-number table is
     the falling factorial n_a!/(n_a - m)! times P, shifted down by m in n_a.
+    The output loss ``binom`` (:func:`thinning`, None for none) acts on n_a
+    alone, so it thins the n_a marginal for mode a, and for mode b it turns
+    the falling-factorial row into weight @ binom: the thinned table
+    binom @ P is never formed.
     """
     n = np.arange(table.shape[0], dtype=float)
     weight = np.prod(n[:, None] - np.arange(m)[None, :], axis=1)
     if mode == "a":
         k = n - m
-        marg, dmarg = weight * table.sum(axis=1), weight * dtable.sum(axis=1)
+        marg, dmarg = table.sum(axis=1), dtable.sum(axis=1)
+        if binom is not None:
+            marg, dmarg = binom @ marg, binom @ dmarg
+        marg, dmarg = weight * marg, weight * dmarg
     else:
         k = n
+        if binom is not None:
+            weight = weight @ binom
         marg, dmarg = weight @ table, weight @ dtable
     prob = _subtraction_probability(float(marg.sum()), float(table.sum()), m)
     mean = float(k @ marg) / prob
@@ -693,7 +705,7 @@ def output_ensemble(p: Params, n_cut: int) -> Ensemble:
 
     The internal loss T1 is a full Kraus set, since S2 follows it; the
     output loss T2 is applied to this state's photon-number tables
-    (:func:`thin_tables`).  It carries its exact phase tangent from U_phi on.
+    (:func:`thinning`).  It carries its exact phase tangent from U_phi on.
     """
     ens = apply_loss(_squeezed_input(p, n_cut), p.T1)
     ens = _seed_tangent(apply_phase(ens, p.phi))
@@ -769,17 +781,18 @@ def numeric_moments_multi(
     """Converged (delta_phi, mean, second) per subtraction order, sharing pipelines.
 
     Each cutoff runs the output pipeline once, with its exact phase tangent,
-    thins its joint photon-number table and derivative by the output loss,
-    and reads every m from them.
+    builds the output loss's thinning once, and reads every m from the
+    joint photon-number table and its derivative thinned by it.
     """
     _check_mode(mode)
     m_list = list(m_list)
 
     def run(n: int):
-        table, dtable = thin_tables(*photon_tables(output_ensemble(p, n)), p.T2)
+        table, dtable = photon_tables(output_ensemble(p, n))
+        binom = thinning(p.T2, n + 1)
         rows = []
         for m in m_list:
-            _, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
+            _, mean, second, dmean = subtracted_moments(table, dtable, m, mode, binom)
             var = second - mean * mean
             stationary(dmean, mean, f"oracle at phi={p.phi}, m={m}")
             rows.append((math.sqrt(max(var, 0.0)) / abs(dmean), mean, second))

@@ -28,7 +28,9 @@ exp(B(X1)) = exp(TS + beta (T + S)) is free of X1, so each extraction is a
 sum of explicit ratios of positive sums in beta (:meth:`KernelSet.probe_norm`)
 against the coefficients of `su11.series` polynomials in the (2, 2) box of
 :attr:`KernelSet.caps` (:meth:`KernelSet.x_polys`), and X1 enters only
-through |X1|^2 and the derivative weight kappa.
+through |X1|^2 and the derivative weight kappa.  Those two methods import
+numpy and `su11.series` when called, so every other quantity runs on `math`
+alone and importing the package loads neither.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Dict, Sequence, Tuple, Type
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Type
 
 from su11.errors import NumericalError, Su11Error, finite, normalizer
-from su11.series import MultiSeries
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from su11.series import MultiSeries
 
 # the largest order the extractions are held to mpmath references at
 MAX_SUBTRACTIONS = 15
@@ -180,6 +184,8 @@ class KernelSet:
         ratios, which make the QFI's largest terms cancel next to a fringe,
         are broken by no more than it.
         """
+        import numpy as np
+
         m = self.p.m
         try:
             num, den = self.p.beta.as_integer_ratio()
@@ -223,6 +229,8 @@ class KernelSet:
         :attr:`_kappa`: X2 = kappa S (beta + T), X3 = conj(X2 with T, S
         swapped), X4 = -|kappa|^2 TS.
         """
+        from su11.series import MultiSeries
+
         b = self.p.beta
         kappa = self._kappa
         kbar = kappa.conjugate()

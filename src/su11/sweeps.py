@@ -28,12 +28,18 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from su11 import fock
 from su11.errors import Su11Error
 from su11.limits import limits
 from su11.model import Params
 from su11.qfi import qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
+
+
+def _oracle():
+    """The Fock oracle, imported on first use: it loads numpy, which no closed form needs."""
+    from su11 import fock
+
+    return fock
 
 
 QUANTITIES: Dict[str, Callable[[Params], float]] = {
@@ -46,10 +52,10 @@ QUANTITIES: Dict[str, Callable[[Params], float]] = {
     "sql": lambda p: limits(p).sql,
     "hl": lambda p: limits(p).hl,
     "n_t": lambda p: limits(p).n_t,
-    "oracle_delta_phi_a": lambda p: fock.numeric_sensitivity(p, "a"),
-    "oracle_delta_phi_b": lambda p: fock.numeric_sensitivity(p, "b"),
-    "oracle_qfi": fock.numeric_qfi_pure,
-    "oracle_n_t": fock.numeric_internal_photon_number,
+    "oracle_delta_phi_a": lambda p: _oracle().numeric_sensitivity(p, "a"),
+    "oracle_delta_phi_b": lambda p: _oracle().numeric_sensitivity(p, "b"),
+    "oracle_qfi": lambda p: _oracle().numeric_qfi_pure(p),
+    "oracle_n_t": lambda p: _oracle().numeric_internal_photon_number(p),
 }
 
 AXES = ("g", "beta", "phi", "T1", "T2", "eta")
@@ -264,7 +270,7 @@ def _build_fig2(fig: _FigureDef) -> Table:
             code_b = "Convergence"
         else:
             try:
-                res = fock.numeric_moments_multi(p, m_list, mode="b")
+                res = _oracle().numeric_moments_multi(p, m_list, mode="b")
                 oracle = {m: format_float(res[m]["delta_phi"]) for m in m_list}
             except Su11Error as err:
                 code_b = _error_code(err)

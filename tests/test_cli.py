@@ -463,7 +463,7 @@ class TestMain:
             CriterionResult("C1", "a criterion", criterion_passes, ""),
             CriterionResult("F1", "a finding", finding_reproduces, "", finding=True),
         ]
-        monkeypatch.setattr("su11.cli.run_verify", lambda: results)
+        monkeypatch.setattr("su11.verify.run_verify", lambda: results)
         assert main(["verify"]) == code
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("FINDING  F1  " if finding_reproduces else "FAIL  F1  ")

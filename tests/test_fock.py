@@ -25,7 +25,7 @@ from su11.fock import (
     prepare_input,
     subtract_photons,
     subtracted_moments,
-    thin_tables,
+    thinning,
 )
 from su11.model import Params, kernels
 from references import (apply_loss_branchwise, apply_tms_series, band_data, cq_branchwise, grid_data,
@@ -38,6 +38,18 @@ def lowered(ens, m):
     for _ in range(m):
         data = lower_a(data)
     return Ensemble(data)
+
+
+def literal_moments(ens, m, mode):
+    """(probability, mean, second moment, d mean/dphi) of a^m applied to the state itself."""
+    sub = subtract_photons(ens, m)
+    mean, second = moments(sub, mode)
+    # d<n>/dphi of the literally lowered state and tangent
+    table, dtable = photon_tables(sub)
+    axis = 1 if mode == "a" else 0
+    k = np.arange(table.shape[0])
+    marg, dmarg = table.sum(axis=axis), dtable.sum(axis=axis)
+    return lowered(ens, m).trace(), mean, second, (k @ dmarg - mean * dmarg.sum()) / marg.sum()
 
 
 def tmsv(g, n_cut=50):
@@ -635,34 +647,60 @@ class TestOutputLoss:
         # output loss on the counts equals the literal channel on the branches
         ens = output_ensemble(Params(g=0.8, beta=1.0, phi=0.4, T1=0.8), 50)
         assert ens.amps.shape[0] > 1
-        table, dtable = thin_tables(*photon_tables(ens), T)
+        binom = thinning(T, 51)
+        table, dtable = photon_tables(ens)
         want, dwant = photon_tables(apply_loss(ens, T))
-        assert_close_to(table, want, 1e-13)
-        assert_close_to(dtable, dwant, 1e-13)
+        assert_close_to(binom @ table, want, 1e-13)
+        assert_close_to(binom @ dtable, dwant, 1e-13)
 
     def test_unit_transmittance_returns_the_tables(self):
-        table, dtable = np.ones((4, 4)), np.zeros((4, 4))
-        got = thin_tables(table, dtable, 1.0)
-        assert got[0] is table and got[1] is dtable
+        # no thinning at T = 1: the moments read the tables as they are,
+        # exactly as through the identity
+        assert thinning(1.0, 71) is None
+        tables = photon_tables(output_ensemble(Params(g=1.0, beta=1.0, phi=0.4, T1=0.8), 70))
+        for mode in ("a", "b"):
+            for m in range(4):
+                assert (subtracted_moments(*tables, m, mode, None)
+                        == subtracted_moments(*tables, m, mode, np.eye(71)))
         for T in (-0.1, 1.1):
             with pytest.raises(ValueError, match="transmittance"):
-                thin_tables(table, dtable, T)
+                thinning(T, 4)
 
     @pytest.mark.parametrize("T", [0.0, 1e-9, 0.3, 0.8, 1.0 - 1e-12])
     @pytest.mark.parametrize("d", [31, 110, 189])
     def test_thinned_identity_is_the_binomial_law(self, T, d):
-        # column n holds C(n, k) T^k (1 - T)^(n - k) over the k survivors,
-        # each as (C x) x with x = sqrt(T^k (1 - T)^(n - k)): T^k alone goes
-        # subnormal, and loses digits, where the term is still a normal float
+        # the thinned identity is the thinning itself: column n holds
+        # C(n, k) T^k (1 - T)^(n - k) over the k survivors, each as (C x) x
+        # with x = sqrt(T^k (1 - T)^(n - k)): T^k alone goes subnormal, and
+        # loses digits, where the term is still a normal float
         want = np.zeros((d, d))
         for n in range(d):
             for k in range(n + 1):
                 x = T ** (0.5 * k) * (1.0 - T) ** (0.5 * (n - k))
                 want[k, n] = math.comb(n, k) * x * x
-        table, dtable = thin_tables(np.eye(d), np.eye(d), T)
-        for got in (table, dtable):
-            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-            assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
+        got = thinning(T, d)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(got.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("T", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("mode", ["a", "b"])
+    def test_thinned_subtraction_matches_the_literal_route(self, T, mode):
+        # the moments read through the thinning (mode a: the thinned n_a
+        # marginal; mode b: the thinned falling-factorial row) against the
+        # channel and a^m applied to the state itself
+        ens = output_ensemble(Params(g=1.0, beta=1.0, phi=0.4, T1=0.8), 70)
+        assert ens.amps.shape[0] > 1
+        tables, binom, lossy = photon_tables(ens), thinning(T, 71), apply_loss(ens, T)
+        for m in range(4):
+            if T == 0.0 and m > 0:
+                # the loss took every photon of mode a: both routes find none to subtract
+                with pytest.raises(ZeroProbabilityError):
+                    subtracted_moments(*tables, m, mode, binom)
+                with pytest.raises(ZeroProbabilityError):
+                    subtract_photons(lossy, m)
+                continue
+            got = subtracted_moments(*tables, m, mode, binom)
+            assert got == pytest.approx(literal_moments(lossy, m, mode), rel=1e-12)
 
     @pytest.mark.parametrize(
         "m, eta, alpha",
@@ -727,19 +765,8 @@ class TestSubtraction:
         assert ens.amps.shape[0] > 1
         table, dtable = photon_tables(ens)
         for m in range(4):
-            prob, mean, second, dmean = subtracted_moments(table, dtable, m, mode)
-            sub = subtract_photons(ens, m)
-            want_mean, want_second = moments(sub, mode)
-            # d<n>/dphi of the literally lowered state and tangent
-            sub_table, sub_dtable = photon_tables(sub)
-            axis = 1 if mode == "a" else 0
-            k = np.arange(71)
-            marg, dmarg = sub_table.sum(axis=axis), sub_dtable.sum(axis=axis)
-            want_dmean = (k @ dmarg - want_mean * dmarg.sum()) / marg.sum()
-            assert prob == pytest.approx(lowered(ens, m).trace(), rel=1e-12)
-            assert mean == pytest.approx(want_mean, rel=1e-12)
-            assert second == pytest.approx(want_second, rel=1e-12)
-            assert dmean == pytest.approx(want_dmean, rel=1e-12)
+            got = subtracted_moments(table, dtable, m, mode)
+            assert got == pytest.approx(literal_moments(ens, m, mode), rel=1e-12)
 
 
 class TestMoments:
@@ -801,7 +828,8 @@ class TestNumericEstimators:
         h = 1e-4
 
         def tables(q):
-            return thin_tables(*photon_tables(output_ensemble(q, 50)), q.T2)
+            binom = thinning(q.T2, 51)
+            return [binom @ t for t in photon_tables(output_ensemble(q, 50))]
 
         _, dtable = tables(p)
         hi, _ = tables(p.replace(phi=p.phi + h))

@@ -3,6 +3,9 @@
 ``src/su11`` runs on numpy alone: the test-only packages (scipy, mpmath,
 hypothesis, pytest, pytest-benchmark) and the test helpers stay out of it, so
 an installed su11 never needs them and no cross-check leaks into production.
+Importing the package and its CLI loads no numpy, and neither does any
+closed form but `qfi_lossy`: numpy, the series engine, the oracle and
+`verify` load on first use.
 The power-series engine `su11.series` holds only the QFI's X-family
 polynomials in production: only `model` imports it, so replacing it touches
 no other module.  No module imports an underscore name of another: what one
@@ -12,7 +15,10 @@ algebra it cross-checks.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +29,35 @@ SOURCES = sorted((ROOT / "src" / "su11").glob("*.py"))
 FORBIDDEN = {"scipy", "mpmath", "hypothesis", "pytest", "pytest_benchmark", "tests", "references"}
 SERIES_IMPORTERS = {"model.py"}
 FOCK_IMPORTS = {"errors", "model"}
+# numpy and the modules that need it, loaded on first use only
+LAZY_MODULES = ("numpy", "su11.series", "su11.fock", "su11.verify")
+# in a fresh interpreter: every numpy-free calculator once and two analytic
+# figure jobs, then qfi_lossy; prints which of argv's modules each left loaded
+COLD_START = """
+import sys
+import su11, su11.cli, su11.sweeps
+from su11 import (Params, cq_alpha, internal_photon_number, optimal_phase, qfi_ideal, qfi_lossy,
+                  sensitivity_ideal, sensitivity_lossy)
+from su11.limits import limits
+from su11.sweeps import FigureJob, run_figure
+
+def loaded():
+    print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
+
+p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=0.8, T2=0.9, eta=0.7)
+sensitivity_ideal(p)
+sensitivity_lossy(p)
+optimal_phase(p, (0.0, 3.1))
+qfi_ideal(p)
+cq_alpha(p, -0.5)
+limits(p)
+internal_photon_number(p)
+for fid in ("fig5", "fig12"):
+    run_figure(FigureJob(fid))
+loaded()
+qfi_lossy(p)
+loaded()
+"""
 
 
 def imported_modules(tree: ast.AST):
@@ -156,3 +191,14 @@ def test_the_oracle_imports_only_errors_and_model():
 ])
 def test_the_oracle_import_rule_sees_every_form(source, module):
     assert [name for _, name in su11_modules(ast.parse(source))] == [module]
+
+
+def test_the_closed_forms_load_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", COLD_START, *LAZY_MODULES],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    closed_forms, lossy_qfi = run.stdout.split("\n")[:2]
+    assert closed_forms == ""
+    # the series engine of qfi_lossy still loads numpy, so the probe sees an import
+    assert lossy_qfi.split() == ["numpy", "su11.series"]
