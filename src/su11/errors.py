@@ -9,7 +9,6 @@ and the NumericalError checks for an imaginary part, overflow, positivity
 and roundoff.
 """
 
-import functools
 import math
 import sys
 from typing import Type
@@ -101,21 +100,3 @@ def roundoff(x: float, scale: float, what: str) -> float:
         raise NumericalError(f"{what} {x} is roundoff (estimated relative error {rel:.1e})")
     return x
 
-
-def quiet_overflow(fn):
-    """``fn`` with numpy's overflow warnings off.
-
-    Overflow leaves inf or nan in the extractions, which :func:`finite` turns
-    into a NumericalError at the calculator's result; a warning would add
-    nothing.  numpy is imported when ``fn`` is called, not here, so that a
-    package which wraps ``fn`` at import loads no numpy until it runs.
-    """
-
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    return quiet

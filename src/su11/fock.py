@@ -13,7 +13,8 @@ ensemble therefore holds, per row, a set of columns whose outer products
 sum to rho_kk; a pure state is one column, which keeps its coherences
 across rows.  Each row, across its columns and the phase tangent, is one
 contiguous (positions, columns) slab, so a unitary acts on all of it in one
-pass.
+pass.  One diagonal shift maps the band back to the (n_a, n_b) grid
+(:func:`_sheared`).
 
 The simulator deliberately implements each pipeline element literally (the
 two-mode squeezer as the exact exponential of the truncated sparse
@@ -53,28 +54,30 @@ sub-stepped Taylor exponential of the same generator on the full grid as
 an independent cross-check of the blockwise propagator, and LAPACK's dense
 SVD with vectors as a reference for the bases.
 
-The binomial loss law, the probability w[l, n] that loss takes l of n
-photons, is one table (:func:`_loss_weights`), and every loss site reads
-it: :func:`apply_loss` weighs and scales its Kraus images by it,
-:func:`thinning` shifts it into the thinning matrix of the output loss, and
-:func:`numeric_cq` sums the Kraus branches of the loss on its probe with it.
+The binomial loss law is one table, the squared Kraus amplitudes c^2
+(:func:`_kraus_squares`), and every loss site reads it through that shift:
+sheared, it is the loss table (:func:`_loss_weights`) by which
+:func:`apply_loss` weighs and scales its Kraus images and :func:`numeric_cq`
+sums the Kraus branches on its probe; transposed and sheared, it is the
+thinning matrix of the output loss (:func:`thinning`).
 
 Phase derivatives are exact: the phase shifter is the only element that
 depends on phi, so right after it the state's tangent is i a†a |state>, and
 every later element is linear and carries the tangent next to the state in
-the same pass.  The output loss T2 follows the last element, so it acts on
-the joint photon-number table P(n_a, n_b) and its phase derivative, all
-that subtraction and detection read, as the binomial thinning of n_a
-(:func:`thinning`).  Subtraction is read from the thinned table: a^m
-takes |n_a, n_b> to |n_a - m, n_b> with weight n_a!/(n_a - m)!, so every
-order m is a reweighting of one table.  Every reading reduces the table
-to a vector at once, so the thinning, built once per cutoff, acts on
-vectors only: on the n_a marginal for mode a, and on the falling-factorial
-row for mode b (:func:`subtracted_moments`).  The QFI and internal pipelines
-subtract with :func:`subtract_photons`, one scaled shift of the band, which
-also cross-checks that reweighting.  The QFI reads the subtracted output
-state itself: the paper's equivalent model follows the subtraction with the
-phase-free S2†, which leaves a pure state's QFI unchanged.
+the same pass.  A normalization divides both by the norm, so every state
+carries its raw tangent: the normalized state's differs from it by a real
+multiple of the state, which neither QFI readout sees.  The output loss T2
+follows the last element, so it acts on the joint photon-number table
+P(n_a, n_b) and its phase derivative, all that subtraction and detection
+read, as the binomial thinning of n_a (:func:`thinning`).  Subtraction is
+read from the thinned table: a^m takes |n_a, n_b> to |n_a - m, n_b> with
+weight n_a!/(n_a - m)!, so every order m is a reweighting of one table,
+which :func:`subtracted_moments` reduces to a vector before it thins it.
+The QFI and internal pipelines subtract with :func:`subtract_photons`, one
+scaled shift of the band, which also cross-checks that reweighting.  The
+QFI reads the subtracted output state itself: the paper's equivalent model
+follows the subtraction with the phase-free S2†, which leaves a pure
+state's QFI unchanged.
 
 Every reported oracle number goes through :func:`converged_value`, which
 climbs one fixed cutoff ladder from DEFAULT_N_CUT and accepts only when a
@@ -169,13 +172,16 @@ def _weights(v: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("...c,...c->...", x, x if t is None else t.view(np.float64))
 
 
-def _on_grid(w: np.ndarray) -> np.ndarray:
-    """The (d, d) table over (n_a, n_b) of per-(kk, j) values w."""
-    rows, d = w.shape
-    kk, j = np.nonzero(np.arange(rows)[:, None] + np.arange(d) < d)
-    table = np.zeros((d, d))
-    table[j, j + kk] = w[kk, j]
-    return table
+def _sheared(a: np.ndarray) -> np.ndarray:
+    """The (d, d) grid out[i, i + k] = a[i, k] of a (d, <= d) array, without the entries i + k >= d.
+
+    Rows of d + 1 read back as rows of d move row i of ``a`` i places right;
+    what passes column d - 1 wraps below the diagonal, which triu clears.
+    """
+    d, k = a.shape
+    skewed = np.zeros((d, d + 1))
+    skewed[:, :k] = a
+    return np.triu(skewed.ravel()[: d * d].reshape(d, d))
 
 
 def _column(c: np.ndarray, ndim: int) -> np.ndarray:
@@ -206,9 +212,14 @@ def _seed_tangent(x: Ensemble) -> Ensemble:
 
 
 def photon_tables(ens: Ensemble) -> Tuple[np.ndarray, np.ndarray]:
-    """Joint photon-number table P(n_a, n_b) over the columns, and its d/dphi."""
+    """Joint photon-number table P(n_a, n_b) over the columns, and its d/dphi; ValueError without a tangent.
+
+    Each shears a per-(kk, j) band sum onto the grid: <v|v> of the state v, 2 Re <v|t> of its tangent t.
+    """
     v, t = ens.band()
-    return _on_grid(_weights(v)), _on_grid(2.0 * _weights(v, t))
+    if t is None:
+        raise ValueError("photon_tables needs an ensemble that carries its phase tangent")
+    return _sheared(_weights(v).T), _sheared(2.0 * _weights(v, t).T)
 
 
 def thinning(T: float, d: int) -> np.ndarray | None:
@@ -218,19 +229,15 @@ def thinning(T: float, d: int) -> np.ndarray | None:
     so the table photon_tables reads after apply_loss is binom @ P, and its
     d/dphi table alike.  The matrix is the loss table of
     :func:`_loss_weights` with each column shifted to the survivors,
-    binom[n - l, n] = w[l, n].  At T = 1 it would be the identity, and
+    binom[n - l, n] = w[l, n], so it reads :func:`_kraus_squares` transposed
+    and sheared.  At T = 1 it would be the identity, and
     :func:`subtracted_moments` reads the tables as they are.
     """
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {T}")
     if T == 1.0:
         return None
-    w = _loss_weights(T, d)
-    # column n is the distribution of the n - l survivors of n photons
-    ls, ns = np.nonzero(w)
-    binom = np.zeros((d, d))
-    binom[ns - ls, ns] = w[ls, ns]
-    return binom
+    return _sheared(_kraus_squares(T, d).T)
 
 
 # -- elementary operator actions on band data ---------------------------------
@@ -525,24 +532,20 @@ def apply_phase(x: Ensemble, phi: float) -> Ensemble:
     return Ensemble(np.stack((amps, t * ph + 1j * n_a * amps), axis=2))
 
 
+def _kraus_squares(T: float, d: int) -> np.ndarray:
+    """c[l, n]^2 = C(n + l, l) (1 - T)^l T^n: K_l ~ T^{n/2} a^l takes |n + l> to c[l, n] |n>, c one cumprod."""
+    n = np.arange(d)
+    l = np.arange(1, d)[:, None]
+    return np.square(np.cumprod(np.vstack((T ** (0.5 * n), np.sqrt((1.0 - T) * (n + l) / l))), axis=0))
+
+
 def _loss_weights(T: float, d: int) -> np.ndarray:
     """w[l, n] = C(n, l) (1 - T)^l T^(n - l): the probability that mode-a loss takes l of n photons.
 
-    The one loss table, (d, d) and zero for n < l, read by
-    :func:`apply_loss`, :func:`thinning` and :func:`numeric_cq`.  The
-    Kraus operator K_l = sqrt((1 - T)^l / l!) T^{n/2} a^l takes |n + l, n_b>
-    to c[l, n] |n, n_b>, with c[l, n] = sqrt(C(n + l, l) (1 - T)^l T^n) one
-    cumulative product over l of the nonnegative factors sqrt((1 - T) (n +
-    l) / l), from T^{n/2} at l = 0, and w[l, n + l] = c[l, n]^2.
+    (d, d) and zero for n < l, read by :func:`apply_loss` and
+    :func:`numeric_cq`: :func:`_kraus_squares` sheared, w[l, l + n] = c[l, n]^2.
     """
-    n = np.arange(d)
-    l = np.arange(1, d)[:, None]
-    c = np.cumprod(np.vstack((T ** (0.5 * n), np.sqrt((1.0 - T) * (n + l) / l))), axis=0)
-    # rows of d + 1 read back as rows of d move row l of c^2 l places right;
-    # its positions past n = d - 1 wrap below the diagonal, which triu clears
-    skewed = np.zeros((d, d + 1))
-    np.square(c, out=skewed[:, :d])
-    return np.triu(skewed.ravel()[: d * d].reshape(d, d))
+    return _sheared(_kraus_squares(T, d))
 
 
 def apply_loss(x: Ensemble, T: float) -> Ensemble:
@@ -622,9 +625,8 @@ def _check_mode(mode: str) -> None:
 def moments(ens: Ensemble, mode: str = "a") -> Tuple[float, float]:
     """(mean, second moment) of the photon number in the given mode."""
     _check_mode(mode)
-    table = _on_grid(_weights(ens.band()[0]))
-    weights = table.sum(axis=1 if mode == "a" else 0)
-    n = np.arange(weights.shape[0])
+    weights = _sheared(_weights(ens.band()[0]).T).sum(axis=1 if mode == "a" else 0)
+    n = np.arange(len(weights))
     return float(np.sum(n * weights)), float(np.sum(n * n * weights))
 
 
@@ -715,7 +717,9 @@ def output_ensemble(p: Params, n_cut: int) -> Ensemble:
 def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
     """Normalized extended-system probe: N3 (sqrt(eta) e^{i phi} cosh g a + sinh g b†)^m S1 |0, beta>.
 
-    Its tangent is the exact d/dphi of the normalized probe.
+    Its norm is judged, and its tangent scaled, as in :func:`subtract_photons`:
+    the tangent is the raw d/dphi over the norm, without the norm's own
+    derivative, a real multiple of the probe that C_Q does not see.
     """
     st = _squeezed_input(p, n_cut)
     ca = math.sqrt(p.eta) * math.cosh(p.g) * complex(math.cos(p.phi), math.sin(p.phi))
@@ -726,12 +730,7 @@ def loss_probe_state(p: Params, n_cut: int) -> Ensemble:
         # d/dphi of the factor (ca a + cb b†) is i ca a
         data = ca * low + cb * raise_b(data)
         data[:, :, 1] += 1j * ca * low[:, :, 0]
-    nrm = math.sqrt(Ensemble(data).trace())
-    if nrm * nrm < ZERO_NORM_FLOOR:
-        raise ZeroProbabilityError("loss-equivalent probe state has zero norm")
-    psi, dpsi = Ensemble(data / nrm).band()
-    # the normalization's own derivative keeps <psi|psi> = 1
-    return Ensemble(np.stack((psi, dpsi - psi * np.vdot(psi, dpsi).real), axis=2))
+    return Ensemble(data / math.sqrt(_subtraction_probability(Ensemble(data).trace(), st.trace(), p.m)))
 
 
 def internal_ensemble(p: Params, n_cut: int) -> Ensemble:
@@ -831,15 +830,15 @@ def numeric_qfi_pure(p: Params) -> float:
 def numeric_cq(p: Params, alpha: float) -> float:
     """Extended-system QFI upper bound C_Q at Kraus placement alpha, end to end.
 
-    The Kraus branches chi_l(phi) = e^{i phi (n_a - alpha l)} K_l |Psi(phi)>
-    of the mode-a loss on the probe, with their exact phase derivatives,
-    give 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].  K_l scales source
-    position J = n_a + l by c[l, J - l], so with the loss table w[l, J] of
-    :func:`_loss_weights`, the rate r = J - (1 + alpha) l and the probe's
-    sums over rows and the column A(J) = sum |Psi'|^2, B(J) = sum Psi'* Psi
-    and C(J) = sum |Psi|^2, the branch sums are sum w (A - 2 r Im B + r^2 C)
-    and sum w (B - i r C); the phase e^{i phi r} cancels in both.  A C_Q not positive and
-    finite (a huge alpha, or no photons in mode a) is a NumericalError at the first cutoff.
+    It reads the probe Psi of :func:`loss_probe_state` with its raw tangent Psi', and the
+    loss table w[l, J] of :func:`_loss_weights`.  The Kraus branches chi_l = e^{i phi (n_a
+    - alpha l)} K_l |Psi> and their tangents give 4 [sum <chi'|chi'> - |sum <chi'|chi>|^2].
+    K_l scales source position J = n_a + l by c[l, J - l], so with the rate r = J - (1 +
+    alpha) l and the per-position sums A(J) = sum |Psi'|^2, B(J) = sum Psi'* Psi and C(J) =
+    sum |Psi|^2, the branch sums are sum w (A - 2 r Im B + r^2 C) and sum w (B - i r C); the
+    phase e^{i phi r} cancels in both.  An empty probe is a ZeroProbabilityError, and a C_Q
+    not positive and finite (a huge alpha, or no photons in mode a) a NumericalError, both
+    at the first cutoff.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")

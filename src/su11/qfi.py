@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError, StationaryPointError,
-                         finite, positive, quiet_overflow, real_part, roundoff)
+                         finite, positive, real_part, roundoff)
 from su11.model import Params, kernels
 
 
@@ -75,7 +75,6 @@ def qcrb(f: float, nu: int = 1) -> float:
 # -- extended-system bound, lossy and at eta = 1 ------------------------------
 
 
-@quiet_overflow
 def _loss_inner_products(p: Params) -> Dict[str, complex]:
     """Inner products of the loss-equivalent probe and its phase derivative.
 
@@ -88,28 +87,34 @@ def _loss_inner_products(p: Params) -> Dict[str, complex]:
     multiple of the probe itself to its derivative, which cancels
     identically in C_Q, so it is omitted here.
     """
-    ks = kernels(p)
-    r = ks.probe_norm()
-    ks.log_weight(ks.probe_thermal(), NormalizationError)
-    k = len(r)
+    # overflow leaves inf or nan in the extractions, which `finite` turns into a
+    # NumericalError at the result, so numpy's warnings are off; numpy is
+    # imported here, on first use, so that the other closed forms never load it
+    import numpy as np
 
-    def ext(q) -> complex:
-        return complex((q.val[:k, :k] * r).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ks = kernels(p)
+        r = ks.probe_norm()
+        ks.log_weight(ks.probe_thermal(), NormalizationError)
+        k = len(r)
 
-    xs = ks.x_polys()
-    sh2 = ks.sh2
-    x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
-    x6p1 = x6 + 1.0
-    x6p2 = x6 + 2.0
-    quad = x6 * x6 + x6 * 4.0 + 2.0
+        def ext(q) -> complex:
+            return complex((q.val[:k, :k] * r).sum())
 
-    tt = ext(x2 * x3 - x4)
-    t_bra = ext(x3)  # <Psit|Psi>
-    t_ket = ext(x2)  # <Psi|Psit>
-    n_mean = sh2 * ext(x6p1)
-    var = sh2 * sh2 * ext(quad) + n_mean - n_mean * n_mean
-    n_bra = sh2 * ext(x3 * x6p2)  # <Psit|n|Psi>
-    n_ket = sh2 * ext(x2 * x6p2)  # <Psi|n|Psit>
+        xs = ks.x_polys()
+        sh2 = ks.sh2
+        x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
+        x6p1 = x6 + 1.0
+        x6p2 = x6 + 2.0
+        quad = x6 * x6 + x6 * 4.0 + 2.0
+
+        tt = ext(x2 * x3 - x4)
+        t_bra = ext(x3)  # <Psit|Psi>
+        t_ket = ext(x2)  # <Psi|Psit>
+        n_mean = sh2 * ext(x6p1)
+        var = sh2 * sh2 * ext(quad) + n_mean - n_mean * n_mean
+        n_bra = sh2 * ext(x3 * x6p2)  # <Psit|n|Psi>
+        n_ket = sh2 * ext(x2 * x6p2)  # <Psi|n|Psit>
     return {
         "tt": real_part(tt, "<Psit|Psit>", abs(tt)),
         "t_bra": t_bra,

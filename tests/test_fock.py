@@ -735,6 +735,8 @@ class TestSubtraction:
         st = prepare_input(1.0, 20)
         with pytest.raises(ZeroProbabilityError):
             subtract_photons(st, 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            subtract_photons(st, -1)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_success_probability_matches_generating_function(self, m):
@@ -773,6 +775,11 @@ class TestMoments:
     def test_vacuum(self):
         ens = prepare_input(0.0, 10)
         assert moments(ens, "a") == (0.0, 0.0)
+
+    def test_tables_need_a_tangent(self):
+        # without a tangent there is no d/dphi table: 2 <v|v> must not stand in for it
+        with pytest.raises(ValueError, match="tangent"):
+            photon_tables(prepare_input(1.0, 30))
 
     def test_ideal_pipeline_mean_matches_closed_form(self):
         # m = 0 output mean: |w1|^2 (1 + beta^2)

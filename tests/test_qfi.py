@@ -8,7 +8,7 @@ import pytest
 from references import engine_loss_inner_products, laguerre_coefficient, mp_ideal_qfi
 from su11 import qfi
 from su11.errors import (ROUNDOFF_REL_TOL, DarkFringeError, NormalizationError, NumericalError,
-                         StationaryPointError, Su11Error)
+                         StationaryPointError, Su11Error, ZeroProbabilityError)
 from su11.fock import numeric_cq, numeric_qfi_pure
 from su11.model import Params, kernels
 from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
@@ -80,6 +80,9 @@ class TestQcrb:
             qcrb(0.0)
         with pytest.raises(ValueError):
             qcrb(-1.0)
+        # and a non-positive number of trials
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            qcrb(1.0, nu=0)
 
 
 class TestIdealQfi:
@@ -226,6 +229,13 @@ class TestCqAlpha:
         for cq in (cq_alpha, numeric_cq):
             with pytest.raises(NumericalError, match="C_Q must be positive and finite, got 0.0"):
                 cq(p, 0.3)
+        # with a subtraction there is no probe at all: the oracle finds it empty,
+        # the closed form finds its weight vanished
+        p = p.replace(m=1)
+        with pytest.raises(ZeroProbabilityError):
+            numeric_cq(p, 0.3)
+        with pytest.raises(NormalizationError):
+            cq_alpha(p, 0.3)
 
     @pytest.mark.parametrize(
         "p, alpha",
