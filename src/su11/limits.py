@@ -34,7 +34,7 @@ class LimitsReport:
 def internal_photon_number(p: Params) -> float:
     """<n_a + n_b> of the internal state, with m-photon subtraction folded in."""
     ks = kernels(p)
-    ks.log_weight(ks.thermal(1.0)[0], DarkFringeError)
+    ks.log_weight(ks.thermal(p.T1, 1.0)[0], DarkFringeError)
     n_t = (ks.ch2 + p.T1 * ks.sh2) * ks.laguerre[1] + (1.0 + p.T1) * ks.sh2
     return finite(n_t, "internal photon number")
 

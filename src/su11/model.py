@@ -103,16 +103,17 @@ class KernelSet:
     at u for a dark fringe, and :meth:`moments` turns u into the photon
     number's mean and variance.  ``laguerre`` holds
     (L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from
-    non-negative terms, with c1 = (m + 1) L_(m+1) / L_m and
+    non-negative terms once per (beta, m) (:func:`_laguerre`), with
+    c1 = (m + 1) L_(m+1) / L_m and
     D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.  ``sh2`` = sinh^2 g
     and ``ch2`` = cosh^2 g.  A gain whose sinh(2g) overflows raises
     NumericalError here.
 
     :meth:`probe_thermal`, :meth:`probe_norm` and :meth:`x_polys` give the
     extended system's loss-equivalent probe over its kernel X1 for the lossy
-    QFI; the ideal QFI reads only the weight at :meth:`probe_thermal` (X1 at
-    eta = 1, the lossless probe) and :meth:`moments`.  They read X1 through
-    :func:`kernel_modulus` alone.
+    QFI; the ideal QFI reads only :meth:`moments` and the weight at X1 for
+    eta = 1, the lossless probe, whose |X1|^2 is :meth:`thermal`'s u at unit
+    transmittances.  They read X1 through :func:`kernel_modulus` alone.
     """
 
     # every X-family product has degree at most 2 in each scaled variable
@@ -128,18 +129,16 @@ class KernelSet:
         self.sh2 = math.sinh(p.g) ** 2
         self.ch2 = math.cosh(p.g) ** 2
         self._half_sh2g = 0.5 * sh2g
-        x = p.beta * p.beta
-        l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(p.m))
-        self.laguerre = (l_m, y / l_m, d / l_m / l_m)
+        self.laguerre, self._log_norm = _laguerre(p.beta, p.m)
 
-    def thermal(self, t2: float) -> Tuple[float, float]:
-        """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(T1) e^{-i phi}).
+    def thermal(self, t1: float, t2: float) -> Tuple[float, float]:
+        """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(t1) e^{-i phi}).
 
-        S = (1/2) sinh 2g sqrt(t2); u = |S (1 - sqrt(T1) e^{i phi})|^2 (:func:`kernel_modulus`) and
-        u' = S (S 2 sqrt(T1) sin phi), so an overflowing S^2 meets a zero factor as 0, not inf * 0.
+        S = (1/2) sinh 2g sqrt(t2); u = |S (1 - sqrt(t1) e^{i phi})|^2 (:func:`kernel_modulus`) and
+        u' = S (S 2 sqrt(t1) sin phi), so an overflowing S^2 meets a zero factor as 0, not inf * 0.
         """
-        p, s = self.p, self._half_sh2g * math.sqrt(t2)
-        return kernel_modulus(p.T1, p.phi, s)[2], s * (s * (2.0 * math.sqrt(p.T1) * math.sin(p.phi)))
+        s, phi = self._half_sh2g * math.sqrt(t2), self.p.phi
+        return kernel_modulus(t1, phi, s)[2], s * (s * (2.0 * math.sqrt(t1) * math.sin(phi)))
 
     def log_weight(self, u: float, vanished: Type[Su11Error]) -> float:
         """log(m! u^m L_m), the weight of m subtractions at thermal number u.
@@ -148,7 +147,7 @@ class KernelSet:
         DARK_FRINGE_FLOOR raises ``vanished``.
         """
         m = self.p.m
-        log_w = math.log(math.factorial(m) * self.laguerre[0]) + _log_power(u, m)
+        log_w = self._log_norm + _log_power(u, m)
         return normalizer(log_w, vanished, f"subtraction weight vanished at m={m} (dark fringe)")
 
     def moments(self, u: float) -> Tuple[float, float]:
@@ -239,6 +238,18 @@ class KernelSet:
         x4 = MultiSeries.from_terms(self.caps, [((1, 1), -(kappa * kbar).real)])
         x6 = MultiSeries.from_terms(self.caps, [((0, 0), b * b), ((1, 0), b), ((0, 1), b), ((1, 1), 1.0)])
         return {"X2": x2, "X3": x3, "X4": x4, "X6": x6}
+
+
+@lru_cache(maxsize=256)
+def _laguerre(beta: float, m: int) -> Tuple[Tuple[float, float, float], float]:
+    """((L_m, c1 - 1, D_m / L_m^2), log(m! L_m)) at L_n = L_n(-beta^2), for :class:`KernelSet`.
+
+    Each is a sum of the non-negative terms of :func:`_laguerre_coefficients`.  A figure column
+    along g, T or phi keeps one (beta, m), so the last 256 pairs are kept.
+    """
+    x = beta * beta
+    l_m, y, d = (_positive_sum(c, x) for c in _laguerre_coefficients(m))
+    return (l_m, y / l_m, d / l_m / l_m), math.log(math.factorial(m) * l_m)
 
 
 @lru_cache(maxsize=None)

@@ -188,8 +188,9 @@ def qfi_ideal(p: Params) -> QfiReport:
     probe with no photons a StationaryPointError.  ``terms`` holds the mean
     and the variance.
     """
-    ks = kernels(p.replace(eta=1.0))
-    ks.log_weight(ks.probe_thermal(), DarkFringeError)
+    ks = kernels(p)
+    # |X1|^2 at eta = 1 is the lossless kernel's thermal number
+    ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError)
     n_mean, var = ks.moments(ks.sh2)
     finite(var, "Var(n)")
     if n_mean == 0.0:

@@ -9,8 +9,8 @@ with S = D_m / L_m^2 is a sum of non-negative terms (<N> and Var(N):
 `su11.model.KernelSet.moments`).
 Error propagation gives  delta^2 phi = Var(N) / |d<N>/dphi|^2.
 
-The ideal variant is the lossy one at T1 = T2 = 1, so the no-loss
-reduction is bit-for-bit.
+The ideal variant is the lossy one with unit transmittances passed to
+`KernelSet.thermal`, so the no-loss reduction is bit-for-bit.
 
 The optimum over phi is exact.  With c = cos phi, u = K v, v = a - b c, a = 1 + T1,
 b = 2 sqrt(T1) and K = (1/4) sinh^2 2g T2, delta^2 phi = N(c) / (c1^2 b^2 (1 - c^2)),
@@ -42,9 +42,9 @@ class SensitivityReport:
     d_mean_dphi: float
 
 
-def _error_propagation(p: Params) -> SensitivityReport:
+def _error_propagation(p: Params, t1: float, t2: float) -> SensitivityReport:
     ks = kernels(p)
-    u, du = ks.thermal(p.T2)
+    u, du = ks.thermal(t1, t2)
     ks.log_weight(u, DarkFringeError)
     mean, var = ks.moments(u)
     finite(mean, "<N>")
@@ -61,12 +61,12 @@ def _error_propagation(p: Params) -> SensitivityReport:
 
 def sensitivity_ideal(p: Params) -> SensitivityReport:
     """Error-propagation sensitivity of the lossless interferometer."""
-    return _error_propagation(p.replace(T1=1.0, T2=1.0))
+    return _error_propagation(p, 1.0, 1.0)
 
 
 def sensitivity_lossy(p: Params) -> SensitivityReport:
     """Sensitivity with internal (T1) and external (T2) photon loss."""
-    return _error_propagation(p)
+    return _error_propagation(p, p.T1, p.T2)
 
 
 def optimal_phase(p: Params, interval: Tuple[float, float]) -> Tuple[float, float]:

@@ -75,8 +75,8 @@ def test_mutation_flipped_thermal_slope_is_caught(monkeypatch):
 
     original = model.KernelSet.thermal
 
-    def flipped(self, t2):
-        u, du = original(self, t2)
+    def flipped(self, t1, t2):
+        u, du = original(self, t1, t2)
         return u, -du
 
     monkeypatch.setattr(model.KernelSet, "thermal", flipped)

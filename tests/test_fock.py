@@ -745,7 +745,7 @@ class TestSubtraction:
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m)
         ens = output_ensemble(p, 70)
         ks = kernels(p)
-        gm = math.exp(ks.log_weight(ks.thermal(1.0)[0], DarkFringeError))
+        gm = math.exp(ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError))
         assert lowered(ens, m).trace() == pytest.approx(gm, rel=1e-8)
 
     @pytest.mark.parametrize("m", range(5))
@@ -786,7 +786,7 @@ class TestMoments:
         p = Params(g=1.0, beta=1.0, phi=0.4)
         ens = output_ensemble(p, 70)
         mean, _ = moments(ens, "a")
-        u, _ = kernels(p).thermal(1.0)  # |w1|^2 of the lossless kernel
+        u, _ = kernels(p).thermal(1.0, 1.0)  # |w1|^2 of the lossless kernel
         assert mean == pytest.approx(u * 2.0, rel=1e-9)
 
     def test_full_pipeline_moments_match_error_propagation_report(self):

@@ -9,7 +9,8 @@ import pytest
 
 from references import bilinear_exponent, dual_kernel, probe_kernel
 from su11.errors import DarkFringeError
-from su11.model import Params, _laguerre_coefficients, kernels
+from su11.model import Params, _laguerre, _laguerre_coefficients, kernels
+from su11.qfi import qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
 # su11 re-exports limits(), which hides the submodule of that name
@@ -60,19 +61,19 @@ class TestKernels:
 
     def test_w1_vanishes_at_zero_phase(self):
         ks = kernels(Params(g=1.0, phi=0.0))
-        assert ks.thermal(1.0)[0] == 0.0
+        assert ks.thermal(1.0, 1.0)[0] == 0.0
 
     def test_w1_at_pi_by_independent_evaluation(self):
         ks = kernels(Params(g=1.0, phi=math.pi))
         direct = 0.5 * math.sinh(2.0) * (1.0 - cmath.exp(-1j * math.pi))
-        u, _ = ks.thermal(1.0)
+        u, _ = ks.thermal(1.0, 1.0)
         assert u == pytest.approx(abs(direct) ** 2, rel=1e-15)
         assert u == pytest.approx(math.sinh(2.0) ** 2, rel=1e-12)
 
     def test_w3_reduces_to_w1_without_loss(self):
         # |w1|^2 = (1/2) sinh^2 2g (1 - cos phi), with d/dphi (1/2) sinh^2 2g sin phi
         g, phi = 0.8, 0.9
-        u, du = kernels(Params(g=g, phi=phi, T1=1.0, T2=1.0)).thermal(1.0)
+        u, du = kernels(Params(g=g, phi=phi, T1=1.0, T2=1.0)).thermal(1.0, 1.0)
         assert u == pytest.approx(0.5 * math.sinh(2 * g) ** 2 * (1.0 - math.cos(phi)), rel=1e-14)
         assert du == pytest.approx(0.5 * math.sinh(2 * g) ** 2 * math.sin(phi), rel=1e-14)
 
@@ -81,14 +82,14 @@ class TestKernels:
         # a_out = A a + B b^dagger, A = ch^2 e^{i phi} - sh^2, and |A|^2 - |B|^2 = 1
         for g in (0.3, 1.0, 1.7):
             for phi in (0.0, 0.4, 2.0):
-                u, _ = kernels(Params(g=g, phi=phi)).thermal(1.0)
+                u, _ = kernels(Params(g=g, phi=phi)).thermal(1.0, 1.0)
                 a = math.cosh(g) ** 2 * cmath.exp(1j * phi) - math.sinh(g) ** 2
                 assert abs(a) ** 2 - u == pytest.approx(1.0, rel=1e-13)
 
     def test_zero_phase_kernel_values(self):
         ks = kernels(Params(g=1.3, phi=0.0, T2=0.6))
-        assert ks.thermal(ks.p.T2) == (0.0, 0.0)
-        assert ks.thermal(1.0) == (0.0, 0.0)
+        assert ks.thermal(1.0, ks.p.T2) == (0.0, 0.0)
+        assert ks.thermal(1.0, 1.0) == (0.0, 0.0)
         assert probe_kernel(ks.p).val == 0.0
         assert ks.probe_thermal() == 0.0
 
@@ -102,17 +103,17 @@ class TestKernels:
             sign = rng.choice([-1.0, 1.0])
             phi = sign * 10.0 ** rng.uniform(-15.0, -1.0) if near else rng.uniform(-7.0, 7.0)
             p = Params(g=float(rng.uniform(0.0, 4.0)), phi=float(phi), T1=float(t), eta=float(t))
-            assert kernels(p).thermal(1.0)[0] == kernels(p).probe_thermal(), p
+            assert kernels(p).thermal(p.T1, 1.0)[0] == kernels(p).probe_thermal(), p
 
     def test_overflowing_gain_next_to_the_fringe(self):
         # S^2 overflows at g = 300: on the fringe u and u' are 0, not inf * 0 = nan, and
         # at phi = 1e-300, where phi^2 underflows, u = (S phi)^2 and u' = 2 S (S phi)
         s = 0.5 * math.sinh(600.0)
         ks = kernels(Params(g=300.0, phi=0.0, T1=1.0))
-        assert ks.thermal(1.0) == (0.0, 0.0)
+        assert ks.thermal(1.0, 1.0) == (0.0, 0.0)
         assert ks.probe_thermal() == 0.0
         ks = kernels(Params(g=300.0, phi=1e-300, T1=1.0))
-        u, du = ks.thermal(1.0)
+        u, du = ks.thermal(1.0, 1.0)
         assert u == pytest.approx((s * 1e-300) ** 2, rel=1e-15)
         assert du == pytest.approx(2.0 * s * (s * 1e-300), rel=1e-15)
         assert ks.probe_thermal() == u
@@ -129,8 +130,8 @@ class TestKernels:
             kp = kernels(Params(phi=phi + h, **base))
             km = kernels(Params(phi=phi - h, **base))
             for t2 in (T2, 1.0):
-                fd = (kp.thermal(t2)[0] - km.thermal(t2)[0]) / (2 * h)
-                assert ks.thermal(t2)[1] == pytest.approx(fd, rel=1e-6, abs=1e-9), t2
+                fd = (kp.thermal(T1, t2)[0] - km.thermal(T1, t2)[0]) / (2 * h)
+                assert ks.thermal(T1, t2)[1] == pytest.approx(fd, rel=1e-6, abs=1e-9), t2
             fd = (probe_kernel(kp.p).val - probe_kernel(km.p).val) / (2 * h)
             assert probe_kernel(ks.p).dph == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -169,7 +170,7 @@ class TestExponentA:
         p = Params(g=1.0, beta=1.0, phi=0.4, T1=0.8, T2=0.9)
         w3 = 0.5 * math.sinh(2.0) * math.sqrt(0.9) * (1.0 - math.sqrt(0.8) * cmath.exp(-0.4j))
         a = bilinear_exponent(p, dual_kernel(p, p.T2))
-        assert a.val[1, 1] == pytest.approx(kernels(p).thermal(p.T2)[0], rel=1e-15)
+        assert a.val[1, 1] == pytest.approx(kernels(p).thermal(p.T1, p.T2)[0], rel=1e-15)
         assert a.val[1, 0] == pytest.approx(w3 * p.beta, rel=1e-15)
         assert a.val[0, 1] == pytest.approx(w3.conjugate() * p.beta, rel=1e-15)
 
@@ -184,7 +185,7 @@ class TestExponentA:
         ks = kernels(p)
         norm = math.exp(ks.log_weight(ks.probe_thermal(), DarkFringeError))
         assert norm == pytest.approx(probe.exp().extract((p.m, p.m)).val.real, rel=1e-13)
-        assert norm == pytest.approx(math.exp(ks.log_weight(ks.thermal(p.T2)[0], DarkFringeError)), rel=1e-13)
+        assert norm == pytest.approx(math.exp(ks.log_weight(ks.thermal(p.T1, p.T2)[0], DarkFringeError)), rel=1e-13)
 
 
 class TestInternalExponents:
@@ -195,7 +196,7 @@ class TestInternalExponents:
         v1 = 0.5 * math.sinh(2.0) * (1.0 - math.sqrt(0.7) * cmath.exp(-0.4j))
         n1 = bilinear_exponent(p, dual_kernel(p, 1.0)).val
         assert n1.shape == (4, 4)
-        assert n1[1, 1] == pytest.approx(kernels(p).thermal(1.0)[0], rel=1e-15)
+        assert n1[1, 1] == pytest.approx(kernels(p).thermal(p.T1, 1.0)[0], rel=1e-15)
         assert n1[1, 1] == pytest.approx(abs(v1) ** 2, rel=1e-14)
         assert n1[1, 0] == pytest.approx(v1 * p.beta, rel=1e-15)
 
@@ -204,8 +205,8 @@ class TestInternalExponents:
         # weight is the lossless output's, whatever T2 is
         p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=1.0, T2=0.6)
         ks, lossless = kernels(p), kernels(p.replace(T2=1.0))
-        internal = ks.log_weight(ks.thermal(1.0)[0], DarkFringeError)
-        assert internal == lossless.log_weight(lossless.thermal(1.0)[0], DarkFringeError)
+        internal = ks.log_weight(ks.thermal(p.T1, 1.0)[0], DarkFringeError)
+        assert internal == lossless.log_weight(lossless.thermal(p.T1, 1.0)[0], DarkFringeError)
 
 
 class TestLaguerre:
@@ -236,6 +237,63 @@ class TestLaguerre:
         x = 0.7 * 0.7
         assert ks.log_weight(2.5, DarkFringeError) == 0.0
         assert ks.laguerre == (1.0, x, 1.0 + 2.0 * x)
+
+    def test_cached_values_are_the_direct_positive_sums_bit_for_bit(self):
+        # the (beta, m) cache keeps the sums each point used to recompute; from
+        # beta = 1e92 they overflow, and hex() tells the infs and nans apart too
+        def direct(beta, m):
+            x, sums = beta * beta, []
+            for coeffs in _laguerre_coefficients(m):
+                acc = 0.0
+                for c in coeffs:
+                    acc = acc * x + c
+                sums.append(acc)
+            l_m, y, d = sums
+            return (l_m, y / l_m, d / l_m / l_m), math.log(math.factorial(m) * l_m) + m * math.log(2.5)
+
+        rng = np.random.default_rng(35)
+        draws = [(float(10.0 ** rng.uniform(-3.0, 2.0)), int(rng.integers(0, 16))) for _ in range(300)]
+        edges = [(beta, m) for beta in (0.0, 1.0, 1e92) for m in (0, 1, 2, 15)]
+        for beta, m in draws + edges:
+            want, log_w = direct(beta, m)
+            for g in (0.5, 1.5):  # a miss or a hit, then a hit
+                ks = kernels(Params(g=g, beta=beta, m=m))
+                assert [v.hex() for v in ks.laguerre] == [v.hex() for v in want], (beta, m)
+                assert ks.log_weight(2.5, DarkFringeError).hex() == log_w.hex(), (beta, m)
+
+    def test_a_second_point_at_the_same_beta_and_m_is_a_cache_hit(self):
+        p = Params(g=0.7, beta=1.3, phi=0.4, m=15)
+        kernels(p)
+        before = _laguerre.cache_info()
+        kernels(Params(g=1.9, beta=1.3, phi=2.0, m=15, T1=0.5, T2=0.6, eta=0.7))
+        after = _laguerre.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.maxsize == 256
+
+    # outcomes of sensitivity_ideal, sensitivity_lossy, qfi_ideal, qfi_lossy and limits at
+    # T1 = 0.8, T2 = 0.9, eta = 0.8, as computed before the cache: "ok" or the error's class
+    OK, DARK, STAT, NUM = "ok", "DarkFringeError", "StationaryPointError", "NumericalError"
+    EDGES = {
+        (0.0, 0.4, 0): [OK] * 5, (0.0, 0.4, 15): [OK] * 5,
+        (0.0, 0.0, 0): [STAT, STAT, OK, OK, OK], (0.0, 0.0, 15): [DARK, STAT, DARK, OK, OK],
+        (1e92, 0.4, 0): [OK, OK, OK, NUM, OK], (1e92, 0.4, 1): [NUM] * 5,
+        (1e92, 0.0, 1): [DARK, NUM, DARK, NUM, NUM], (1e92, 0.4, 15): [NUM] * 5,
+    }
+
+    @pytest.mark.parametrize("beta, phi, m", sorted(EDGES))
+    def test_cached_edges_keep_their_typed_errors(self, beta, phi, m):
+        # at beta = 1e92 the sums overflow from m = 1; each outcome holds with the cache cold and warm
+        p = Params(g=1.0, beta=beta, phi=phi, m=m, T1=0.8, T2=0.9, eta=0.8)
+        _laguerre.cache_clear()
+        for _ in range(2):
+            got = []
+            for calc in (sensitivity_ideal, sensitivity_lossy, qfi_ideal, qfi_lossy, LIMITS.limits):
+                try:
+                    calc(p)
+                    got.append(self.OK)
+                except Exception as err:  # an untyped error fails the comparison
+                    got.append(type(err).__name__)
+            assert got == self.EDGES[beta, phi, m]
 
 
 class TestXSeries:

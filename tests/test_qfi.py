@@ -8,11 +8,11 @@ import pytest
 from references import engine_loss_inner_products, laguerre_coefficient, mp_ideal_qfi
 from su11 import qfi
 from su11.errors import (ROUNDOFF_REL_TOL, DarkFringeError, NormalizationError, NumericalError,
-                         StationaryPointError, Su11Error, ZeroProbabilityError)
+                         StationaryPointError, Su11Error, ZeroProbabilityError, finite, positive)
 from su11.fock import numeric_cq, numeric_qfi_pure
 from su11.model import Params, kernels
-from su11.qfi import cq_alpha, qcrb, qfi_ideal, qfi_lossy
-from su11.sensitivity import sensitivity_ideal
+from su11.qfi import QfiReport, cq_alpha, qcrb, qfi_ideal, qfi_lossy
+from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 from su11.verify import alpha_scan
 
 # Fock-oracle QFI at g=1, beta=1, phi=0.4 (converged n_cut), frozen; the
@@ -162,6 +162,54 @@ class TestIdealQfi:
         p = Params(g=1.0, beta=1.0, phi=0.4, m=0)
         r = qfi_ideal(p)
         assert r.qcrb < sensitivity_ideal(p).delta_phi
+
+
+class TestIdealPaths:
+    """The ideal calculators read unit transmittances without copying Params."""
+
+    @staticmethod
+    def old_qfi_ideal(p: Params) -> QfiReport:
+        # the eta = 1 copy's probe weight, moments and checks, as qfi_ideal read them
+        ks = kernels(p.replace(eta=1.0))
+        ks.log_weight(ks.probe_thermal(), DarkFringeError)
+        n_mean, var = ks.moments(ks.sh2)
+        finite(var, "Var(n)")
+        if n_mean == 0.0:
+            raise StationaryPointError("the probe holds no photons in mode a: F = 0")
+        f = positive(4.0 * var, "QFI")
+        return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=None, terms={"n_mean": n_mean, "var": var})
+
+    @staticmethod
+    def outcome(calc, p: Params) -> str:
+        # repr shows every bit of a finite float; a typed error shows as its class
+        try:
+            return repr(calc(p))
+        except Su11Error as err:
+            return type(err).__name__
+
+    def test_bit_for_bit_with_no_params_copy(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        points = [Params(g=1.0, beta=1.0, phi=0.0, m=1, T1=0.7, T2=0.6, eta=0.5),  # C4's dark fringe
+                  Params(g=1.0, beta=1.0, phi=0.0, m=0, T1=0.7), Params(g=0.0, beta=1.0, phi=0.4, m=0)]
+        for i in range(400):
+            near = i % 2 == 0  # half next to a fringe
+            phi = 10.0 ** rng.uniform(-15.0, -1.0) if near else rng.uniform(-7.0, 7.0)
+            points.append(Params(
+                g=float(10.0 ** rng.uniform(-3.0, 2.3)), beta=float(rng.choice([0.0, 1e92, rng.uniform(0.0, 5.0)])),
+                phi=float(phi), m=int(rng.integers(0, 16)), T1=float(rng.uniform(0.0, 1.0)),
+                T2=float(rng.uniform(0.0, 1.0)), eta=float(rng.uniform(0.01, 1.0)), nu=int(rng.integers(1, 5))))
+        want = [(self.outcome(lambda q: sensitivity_lossy(q.replace(T1=1.0, T2=1.0)), p),
+                 self.outcome(self.old_qfi_ideal, p)) for p in points]
+        assert want[0] == ("DarkFringeError", "DarkFringeError")
+        assert {"NumericalError", "StationaryPointError"} <= {code for pair in want for code in pair}
+
+        def forbidden(self, **kw):
+            raise AssertionError("an ideal calculator copied its Params")
+
+        monkeypatch.setattr(Params, "replace", forbidden)
+        for p, (sens, f) in zip(points, want):
+            assert self.outcome(sensitivity_ideal, p) == sens, p
+            assert self.outcome(qfi_ideal, p) == f, p
 
 
 class TestCqAlpha:

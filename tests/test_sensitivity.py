@@ -147,7 +147,7 @@ class TestAgainstReferences:
             got = sensitivity_lossy(p)
             engine = engine_sensitivity(p)
             ks = kernels(p)
-            weight = math.exp(ks.log_weight(ks.thermal(p.T2)[0], DarkFringeError))
+            weight = math.exp(ks.log_weight(ks.thermal(p.T1, p.T2)[0], DarkFringeError))
             assert weight == pytest.approx(engine.pop("weight"), rel=1e-12), p
             for name, want in engine.items():
                 assert getattr(got, name) == pytest.approx(want, rel=1e-12), (name, p)
@@ -168,7 +168,7 @@ class TestAgainstReferences:
                 T1=float(rng.uniform(0.5, 1.0)),
                 T2=float(rng.uniform(0.5, 1.0)),
             )
-            u, du = kernels(p).thermal(p.T2)
+            u, du = kernels(p).thermal(p.T1, p.T2)
             want = mp_delta_phi(mpmath, u, du, p.beta, p.m)
             worst = max(worst, abs(sensitivity_lossy(p).delta_phi / want - 1.0))
         assert worst < 1e-14
@@ -187,7 +187,7 @@ class TestAgainstReferences:
             assert sensitivity_lossy(p).delta_phi == pytest.approx(want, rel=1e-12), g
             # the weight, in logs past a double's range: a log gap of 1e-12 is rel 1e-12
             ks = kernels(p)
-            assert ks.log_weight(ks.thermal(1.0)[0], DarkFringeError) == pytest.approx(log_weight, abs=1e-12), g
+            assert ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError) == pytest.approx(log_weight, abs=1e-12), g
 
     def test_refused_only_where_the_variance_overflows(self):
         # <N^2> = Var(N) + <N>^2 overflows first, from g = 89.635 at m = 0 and
