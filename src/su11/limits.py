@@ -18,14 +18,13 @@ the subtraction weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from su11.errors import DarkFringeError, finite, positive
 from su11.model import Params, kernels
 
 
-@dataclass(frozen=True)
-class LimitsReport:
+class LimitsReport(NamedTuple):
     n_t: float
     sql: float
     hl: float

@@ -36,9 +36,8 @@ alone and importing the package loads neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, NamedTuple, Sequence, Tuple, Type
 
 from su11.errors import NumericalError, Su11Error, finite, normalizer
 
@@ -51,8 +50,20 @@ if TYPE_CHECKING:
 MAX_SUBTRACTIONS = 15
 
 
-@dataclass(frozen=True)
-class Params:
+# the fields of Params, in order: a NamedTuple may not define its own __new__,
+# so the validating one is on the subclass
+class _ParamFields(NamedTuple):
+    g: float
+    beta: float
+    phi: float
+    m: int
+    T1: float
+    T2: float
+    eta: float
+    nu: int
+
+
+class Params(_ParamFields):
     """Full interferometer configuration under the balance conditions.
 
     g      -- parametric gain of both amplifiers (g1 = g2 = g >= 0)
@@ -63,36 +74,36 @@ class Params:
     T2     -- external transmittance (loss after OPA2)
     eta    -- transmissivity of the loss channel in the extended-system QFI
     nu     -- number of repeated experiments entering the QCRB
+
+    An immutable record validated on construction; pickling and copying
+    construct it again, and so does :meth:`replace`.
     """
 
-    g: float = 1.0
-    beta: float = 1.0
-    phi: float = 0.4
-    m: int = 0
-    T1: float = 1.0
-    T2: float = 1.0
-    eta: float = 1.0
-    nu: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.g >= 0.0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        if not isinstance(self.m, int) or not 0 <= self.m <= MAX_SUBTRACTIONS:
-            raise ValueError(f"m must be an integer in [0, {MAX_SUBTRACTIONS}], got {self.m}")
-        for name, t in (("T1", self.T1), ("T2", self.T2)):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {t}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not isinstance(self.nu, int) or self.nu < 1:
-            raise ValueError(f"nu must be a positive integer, got {self.nu}")
+    def __new__(cls, g: float = 1.0, beta: float = 1.0, phi: float = 0.4, m: int = 0,
+                T1: float = 1.0, T2: float = 1.0, eta: float = 1.0, nu: int = 1) -> "Params":
+        if not g >= 0.0:
+            raise ValueError(f"g must be >= 0, got {g}")
+        if not beta >= 0.0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        if not isinstance(m, int) or not 0 <= m <= MAX_SUBTRACTIONS:
+            raise ValueError(f"m must be an integer in [0, {MAX_SUBTRACTIONS}], got {m}")
+        if not 0.0 <= T1 <= 1.0:
+            raise ValueError(f"T1 must lie in [0, 1], got {T1}")
+        if not 0.0 <= T2 <= 1.0:
+            raise ValueError(f"T2 must lie in [0, 1], got {T2}")
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {eta}")
+        if not isinstance(nu, int) or nu < 1:
+            raise ValueError(f"nu must be a positive integer, got {nu}")
+        return tuple.__new__(cls, (g, beta, phi, m, T1, T2, eta, nu))
 
     def replace(self, **kw) -> "Params":
-        return replace(self, **kw)
+        """A copy with the fields in ``kw`` changed, validated as a new Params is."""
+        return type(self)(**dict(zip(self._fields, self), **kw))
 
 
 class KernelSet:

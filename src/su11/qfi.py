@@ -37,16 +37,14 @@ C3 checks it against the alpha scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError, StationaryPointError,
                          finite, positive, real_part, roundoff)
 from su11.model import Params, kernels
 
 
-@dataclass(frozen=True)
-class QfiReport:
+class QfiReport(NamedTuple):
     """QFI value, the corresponding Cramer-Rao bound, and audit terms.
 
     ``alpha_star`` is the closed-form Kraus placement minimizing the lossy

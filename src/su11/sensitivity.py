@@ -25,15 +25,13 @@ as delta_phi diverges at c = +-1, except at T1 = 1, where c* = 1 is the fringe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from su11.errors import DarkFringeError, NumericalError, Su11Error, finite, stationary
 from su11.model import Params, kernel_modulus, kernels
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     """Phase uncertainty plus the moments that produced it."""
 
     delta_phi: float

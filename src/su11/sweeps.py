@@ -4,9 +4,9 @@ Sweep configuration lives in flat ``key = value`` INI sections, one section
 per sweep.  Sweeps and figures build their tables through one grid builder,
 `_table`: it lists every cell in task order (m, then axis value, then
 column) and hands them to `evaluate_grid` at once, which evaluates them in
-process, one after another.  A closed-form point takes microseconds
-(sensitivity, limits, about 12 us for qfi_ideal) to about 0.3 ms
-(qfi_lossy), so there is no worker pool and no parallelism setting.
+process, one after another.  A closed-form point takes about 3 us
+(sensitivity, qfi_ideal, limits) to about 0.3 ms (qfi_lossy), so there is
+no worker pool and no parallelism setting.
 
 The figure table `FIGURES` is data: each job has an axis label, a grid
 ``(lo, hi, n)``, its m values and its columns.  A column (`_col`) is a
@@ -22,11 +22,9 @@ code instead of NaNs.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from su11.errors import Su11Error
 from su11.limits import limits
@@ -62,38 +60,46 @@ AXES = ("g", "beta", "phi", "T1", "T2", "eta")
 _FIXED_KEYS = AXES + ("nu",)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One linear sweep of a named quantity along one parameter axis."""
-
+# the fields of SweepSpec, in order; its validating __new__ is on the subclass (see model.Params)
+class _SweepFields(NamedTuple):
     name: str
     quantity: str
     axis: str
     lo: float
     hi: float
     n_points: int
-    m_list: Tuple[int, ...] = (0,)
-    fixed: Tuple[Tuple[str, float], ...] = ()
+    m_list: Tuple[int, ...]
+    fixed: Tuple[Tuple[str, float], ...]
 
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}; choose from {AXES}")
-        if self.n_points < 2:
+
+class SweepSpec(_SweepFields):
+    """One linear sweep of a named quantity along one parameter axis, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, quantity: str, axis: str, lo: float, hi: float, n_points: int,
+                m_list: Tuple[int, ...] = (0,),
+                fixed: Tuple[Tuple[str, float], ...] = ()) -> "SweepSpec":
+        if quantity not in QUANTITIES:
+            raise ValueError(f"unknown quantity {quantity!r}")
+        if axis not in AXES:
+            raise ValueError(f"unknown axis {axis!r}; choose from {AXES}")
+        if n_points < 2:
             raise ValueError("n_points must be >= 2")
-        if not self.m_list:
+        if not m_list:
             raise ValueError("m_list must not be empty")
-        for key, _ in self.fixed:
+        for key, _ in fixed:
             if key not in _FIXED_KEYS:
                 raise ValueError(f"unknown parameter override {key!r}")
         # an infinite end or a span that overflows puts NaNs on the grid
-        if not math.isfinite(self.hi - self.lo):
-            raise ValueError(f"sweep span from lo = {self.lo} to hi = {self.hi} is not finite")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"sweep span from lo = {lo} to hi = {hi} is not finite")
+        self = tuple.__new__(cls, (name, quantity, axis, lo, hi, n_points, m_list, fixed))
         # every grid point at every m through Params validation, so a sweep that parses runs
-        for m in self.m_list:
+        for m in m_list:
             for x in self.grid():
                 self.params_at(x, m)
+        return self
 
     def params_at(self, x: float, m: int) -> Params:
         kw = dict(self.fixed)
@@ -111,6 +117,9 @@ class SweepSpec:
 
 
 def parse_config(text: str) -> List[SweepSpec]:
+    # imported here: only `su11 sweep` reads a config file
+    import configparser
+
     cp = configparser.ConfigParser()
     cp.optionxform = str  # parameter names are case-sensitive (T1, T2)
     try:
@@ -212,19 +221,22 @@ def to_csv(table: Table) -> str:
 # -- figure-data jobs -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FigureJob:
+class _FigureJobFields(NamedTuple):
     figure_id: str
 
-    def __post_init__(self):
-        if self.figure_id not in FIGURES:
-            raise ValueError(
-                f"unknown figure {self.figure_id!r}; choose from {sorted(FIGURES)}"
-            )
+
+class FigureJob(_FigureJobFields):
+    """One figure job of `FIGURES`, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, figure_id: str) -> "FigureJob":
+        if figure_id not in FIGURES:
+            raise ValueError(f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}")
+        return tuple.__new__(cls, (figure_id,))
 
 
-@dataclass(frozen=True)
-class _FigureDef:
+class _FigureDef(NamedTuple):
     axis: str
     grid: Tuple[float, float, int]
     m_list: Tuple[int, ...]

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from su11.qfi import cq_alpha, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: str
     description: str
     passed: bool
@@ -392,6 +390,5 @@ def run_verify() -> List[CriterionResult]:
     for criterion in CRITERIA + FINDINGS:
         start = time.perf_counter()
         result = criterion()
-        result.seconds = time.perf_counter() - start
-        results.append(result)
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return results

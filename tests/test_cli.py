@@ -24,7 +24,7 @@ from su11.sweeps import (
     run_sweep,
     to_csv,
 )
-from su11.verify import CriterionResult
+from su11.verify import CriterionResult, run_verify
 from references import mp_ideal_qfi, serialize_config
 
 EXAMPLE_CONFIG = """\
@@ -451,6 +451,26 @@ class TestMain:
             g, _, value, _ = line.split(",")
             f = QUANTITIES["qfi_lossy"](Params(g=float(g)))
             assert float(value) == pytest.approx(1.0 / math.sqrt(2.0 * f), rel=1e-12)
+
+    @pytest.mark.parametrize("passed, finding, seconds, line", [
+        (True, False, 0.0, "PASS  C1  a criterion  [3 points] (0.0s)"),
+        (False, False, 12.34, "FAIL  C1  a criterion  [3 points] (12.3s)"),
+        (True, True, 0.06, "FINDING  C1  a criterion  [3 points] (0.1s)"),
+        (False, True, 0.0, "FAIL  C1  a criterion  [3 points] (0.0s)"),
+    ])
+    def test_verdict_line(self, passed, finding, seconds, line):
+        result = CriterionResult("C1", "a criterion", passed, "3 points", seconds, finding=finding)
+        assert result.line() == line
+
+    def test_verify_fills_in_each_criterions_time(self, monkeypatch):
+        criterion = CriterionResult("C1", "a criterion", True, "3 points")
+        finding = CriterionResult("F1", "a finding", True, "", finding=True)
+        monkeypatch.setattr("su11.verify.CRITERIA", [lambda: criterion])
+        monkeypatch.setattr("su11.verify.FINDINGS", [lambda: finding])
+        results = run_verify()
+        assert [(r.cid, r.passed, r.details, r.finding) for r in results] == [
+            ("C1", True, "3 points", False), ("F1", True, "", True)]
+        assert all(r.seconds > 0.0 for r in results)
 
     @pytest.mark.parametrize(
         "criterion_passes, finding_reproduces, code",

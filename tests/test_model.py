@@ -1,8 +1,10 @@
 """Tests for the parameter set and kernel coefficients."""
 
 import cmath
+import copy
 import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,34 +20,69 @@ LIMITS = importlib.import_module("su11.limits")
 SENSITIVITY = importlib.import_module("su11.sensitivity")
 
 
+OUT_OF_RANGE = [
+    {"g": -0.1},
+    {"beta": -1.0},
+    {"m": -1},
+    {"m": 16},
+    {"m": 1.5},
+    {"T1": 1.2},
+    {"T2": -0.1},
+    {"eta": 0.0},
+    {"eta": 1.1},
+    {"nu": 0},
+    {"phi": float("nan")},
+]
+
+
 class TestParams:
     def test_defaults_valid(self):
         p = Params()
-        assert p.g == 1.0 and p.nu == 1
+        assert (p.g, p.beta, p.phi, p.m, p.T1, p.T2, p.eta, p.nu) == (1.0, 1.0, 0.4, 0, 1.0, 1.0, 1.0, 1)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"g": -0.1},
-            {"beta": -1.0},
-            {"m": -1},
-            {"m": 16},
-            {"m": 1.5},
-            {"T1": 1.2},
-            {"T2": -0.1},
-            {"eta": 0.0},
-            {"eta": 1.1},
-            {"nu": 0},
-            {"phi": float("nan")},
-        ],
-    )
+    def test_positional_and_keyword_construction_agree(self):
+        assert Params(0.5, 2.0, 0.3, 2, 0.8, 0.9, 0.7, 3) == Params(
+            g=0.5, beta=2.0, phi=0.3, m=2, T1=0.8, T2=0.9, eta=0.7, nu=3)
+        assert Params(0.5, 2.0) == Params(beta=2.0, g=0.5)
+
+    @pytest.mark.parametrize("kw", OUT_OF_RANGE)
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
             Params(**kw)
 
+    @pytest.mark.parametrize("kw", OUT_OF_RANGE)
+    def test_replace_validates(self, kw):
+        with pytest.raises(ValueError):
+            Params().replace(**kw)
+
+    def test_replace_refuses_an_unknown_field(self):
+        with pytest.raises(TypeError):
+            Params().replace(gain=1.0)
+
     def test_replace(self):
         p = Params().replace(m=2, T1=0.8)
         assert p.m == 2 and p.T1 == 0.8 and p.g == 1.0
+        assert type(p) is Params
+
+    @pytest.mark.parametrize("attr", ["g", "m", "gain"])
+    def test_refuses_attribute_assignment(self, attr):
+        p = Params()
+        with pytest.raises(AttributeError):
+            setattr(p, attr, 2)
+        assert p == Params()
+
+    def test_equal_fields_are_equal_with_equal_hashes(self):
+        a, b = Params(g=0.5, m=3, T1=0.8), Params(T1=0.8, m=3, g=0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != a.replace(T1=0.9)
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, round_trip):
+        p = Params(g=0.5, beta=2.0, phi=-0.3, m=15, T1=0.0, T2=0.9, eta=0.7, nu=4)
+        q = round_trip(p)
+        assert q == p and type(q) is Params and hash(q) == hash(p)
 
 
 class TestKernels:

@@ -5,7 +5,9 @@ hypothesis, pytest, pytest-benchmark) and the test helpers stay out of it, so
 an installed su11 never needs them and no cross-check leaks into production.
 Importing the package and its CLI loads no numpy, and neither does any
 closed form but `qfi_lossy`: numpy, the series engine, the oracle and
-`verify` load on first use.
+`verify` load on first use.  The records are NamedTuples, so no module
+imports `dataclasses` (and with it `inspect`), and only `su11 sweep` loads
+`configparser`.
 The power-series engine `su11.series` holds only the QFI's X-family
 polynomials in production: only `model` imports it, so replacing it touches
 no other module.  No module imports an underscore name of another: what one
@@ -31,6 +33,8 @@ SERIES_IMPORTERS = {"model.py"}
 FOCK_IMPORTS = {"errors", "model"}
 # numpy and the modules that need it, loaded on first use only
 LAZY_MODULES = ("numpy", "su11.series", "su11.fock", "su11.verify")
+# standard-library modules that no analytic path loads
+UNLOADED_STDLIB = ("dataclasses", "inspect", "configparser")
 # in a fresh interpreter: every numpy-free calculator once and two analytic
 # figure jobs, then qfi_lossy; prints which of argv's modules each left loaded
 COLD_START = """
@@ -193,12 +197,29 @@ def test_the_oracle_import_rule_sees_every_form(source, module):
     assert [name for _, name in su11_modules(ast.parse(source))] == [module]
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [f"{path.name}:{line}" for line, name in imported_modules(tree) if name == "dataclasses"]
+    assert not bad, "; ".join(bad)
+
+
+@pytest.mark.parametrize("source", [
+    "import dataclasses", "import dataclasses as dc", "import os, dataclasses",
+    "from dataclasses import dataclass", "from dataclasses import dataclass as record, replace",
+    "def f():\n    from dataclasses import replace", "class A:\n    import dataclasses",
+])
+def test_the_dataclasses_rule_sees_every_import_form(source):
+    assert "dataclasses" in [name for _, name in imported_modules(ast.parse(source))]
+
+
 def test_the_closed_forms_load_no_numpy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", COLD_START, *LAZY_MODULES],
+    run = subprocess.run([sys.executable, "-c", COLD_START, *LAZY_MODULES, *UNLOADED_STDLIB],
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     closed_forms, lossy_qfi = run.stdout.split("\n")[:2]
     assert closed_forms == ""
-    # the series engine of qfi_lossy still loads numpy, so the probe sees an import
-    assert lossy_qfi.split() == ["numpy", "su11.series"]
+    # the series engine of qfi_lossy still loads numpy, so the probe sees an import;
+    # what numpy itself loads of the standard library is numpy's affair
+    assert [name for name in lossy_qfi.split() if name in LAZY_MODULES] == ["numpy", "su11.series"]
