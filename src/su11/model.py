@@ -26,17 +26,17 @@ inner products mix derivative insertions over X1.  Over
 the scaled variables T = X1 t, S = X1* s its norm generating function
 exp(B(X1)) = exp(TS + beta (T + S)) is free of X1, so each extraction is a
 sum of explicit ratios of positive sums in beta (:meth:`KernelSet.probe_norm`)
-against the coefficients of `su11.series` polynomials in the (2, 2) box of
-:attr:`KernelSet.caps` (:meth:`KernelSet.x_polys`), and X1 enters only
-through |X1|^2 and the derivative weight kappa.  Those two methods import
-numpy and `su11.series` when called, so every other quantity runs on `math`
-alone and importing the package loads neither.
+against the coefficients of `su11.series` polynomials in a (2, 2) box
+(:meth:`KernelSet.x_polys`), and X1 enters only through |X1|^2, the u of
+:meth:`KernelSet.thermal` at (eta, 1), and the derivative weight kappa.
+Those two methods import numpy and `su11.series` when called, so every
+other quantity runs on `math` alone and importing the package loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, NamedTuple, Sequence, Tuple, Type
 
 from su11.errors import NumericalError, Su11Error, finite, normalizer
@@ -120,15 +120,12 @@ class KernelSet:
     and ``ch2`` = cosh^2 g.  A gain whose sinh(2g) overflows raises
     NumericalError here.
 
-    :meth:`probe_thermal`, :meth:`probe_norm` and :meth:`x_polys` give the
-    extended system's loss-equivalent probe over its kernel X1 for the lossy
-    QFI; the ideal QFI reads only :meth:`moments` and the weight at X1 for
-    eta = 1, the lossless probe, whose |X1|^2 is :meth:`thermal`'s u at unit
-    transmittances.  They read X1 through :func:`kernel_modulus` alone.
+    :meth:`probe_norm` and :meth:`x_polys` give the extended system's
+    loss-equivalent probe over its kernel X1 for the lossy QFI, whose weight
+    is tested at |X1|^2 = :meth:`thermal`'s u at (eta, 1); the ideal QFI reads
+    only :meth:`moments` and the weight at eta = 1, the lossless probe.  They
+    read X1 through :func:`kernel_modulus` alone.
     """
-
-    # every X-family product has degree at most 2 in each scaled variable
-    caps = (2, 2)
 
     def __init__(self, p: Params):
         self.p = p
@@ -172,10 +169,6 @@ class KernelSet:
 
     # -- extended-system probe at transmissivity eta ---------------------------
 
-    def probe_thermal(self) -> float:
-        """|X1|^2 = ((1/2) sinh 2g)^2 |D|^2 (:attr:`_kappa`), formed as :meth:`thermal` forms u."""
-        return kernel_modulus(self.p.eta, self.p.phi, self._half_sh2g)[2]
-
     def probe_norm(self) -> np.ndarray:
         """r: the ratios that extract a polynomial against the probe's exp(B(X1)) at (m, m).
 
@@ -183,7 +176,7 @@ class KernelSet:
         exp(TS + beta (T + S)), whose T^p S^q coefficient is the positive sum
         s(p, q) = sum_j beta^(p+q-2j) / (j! (p-j)! (q-j)!).  So the normalizer
         G = m!^2 |X1|^2m s(m, m) is the subtraction weight m! u^m L_m at
-        u = |X1|^2 (:meth:`log_weight`, :meth:`probe_thermal`), and a
+        u = |X1|^2 (:meth:`log_weight`, :meth:`thermal` at (eta, 1)), and a
         polynomial over (T, S) extracts at (m, m) as G sum_ab q_ab r[a, b], with
         r[a, b] = s(m - a, m - b) / s(m, m) for a, b <= min(m, 2).
 
@@ -215,19 +208,6 @@ class KernelSet:
             r[a, b] = r[b, a] = (num ** (b - a) * den ** (a + b) * acc * d_mm) / (s_mm * divisor)
         return r
 
-    @cached_property
-    def _kappa(self) -> complex:
-        """kappa = i (X1* - (1/2) sinh 2g) / X1* = -i sqrt(eta) e^{i phi} / D, D = 1 - sqrt(eta) e^{i phi}.
-
-        D = X1* / ((1/2) sinh 2g); 1 - sqrt(eta), 1 - cos phi and |D|^2 come
-        from :func:`kernel_modulus`.
-        """
-        root = math.sqrt(self.p.eta)
-        delta, vers, dd = kernel_modulus(self.p.eta, self.p.phi, 1.0)
-        # on a fringe (D = 0) kappa is infinite; only m = 0 gets past the
-        # weight test there, and its (0, 0) extractions read no term kappa scales
-        return root * complex(math.sin(self.p.phi), vers - delta) / dd if dd else 0j
-
     def x_polys(self) -> Dict[str, MultiSeries]:
         """The X2, X3, X4, X6 polynomial factors over the scaled variables (T, S) of :meth:`probe_norm`.
 
@@ -236,18 +216,25 @@ class KernelSet:
         X6 = Y(X1) = (beta + T)(beta + S).  Over (t, s) the derivative factors
         carry X1* - (1/2) sinh 2g and its negated conjugate; each power of
         X1 they carry cancels against the scaling, which leaves
-        :attr:`_kappa`: X2 = kappa S (beta + T), X3 = conj(X2 with T, S
-        swapped), X4 = -|kappa|^2 TS.
+        kappa = i (X1* - (1/2) sinh 2g) / X1* = -i sqrt(eta) e^{i phi} / D, with
+        D = X1* / ((1/2) sinh 2g) = 1 - sqrt(eta) e^{i phi}: X2 = kappa S (beta + T),
+        X3 = conj(X2 with T, S swapped), X4 = -|kappa|^2 TS.  1 - sqrt(eta),
+        1 - cos phi and |D|^2 come from :func:`kernel_modulus`.  Every product
+        of these has degree at most 2 in each scaled variable.
         """
         from su11.series import MultiSeries
 
-        b = self.p.beta
-        kappa = self._kappa
+        b, eta, phi = self.p.beta, self.p.eta, self.p.phi
+        delta, vers, dd = kernel_modulus(eta, phi, 1.0)
+        # on a fringe (D = 0) kappa is infinite; only m = 0 gets past the
+        # weight test there, and its (0, 0) extractions read no term kappa scales
+        kappa = math.sqrt(eta) * complex(math.sin(phi), vers - delta) / dd if dd else 0j
         kbar = kappa.conjugate()
-        x2 = MultiSeries.from_terms(self.caps, [((0, 1), kappa * b), ((1, 1), kappa)])
-        x3 = MultiSeries.from_terms(self.caps, [((1, 0), kbar * b), ((1, 1), kbar)])
-        x4 = MultiSeries.from_terms(self.caps, [((1, 1), -(kappa * kbar).real)])
-        x6 = MultiSeries.from_terms(self.caps, [((0, 0), b * b), ((1, 0), b), ((0, 1), b), ((1, 1), 1.0)])
+        box = (2, 2)
+        x2 = MultiSeries.from_terms(box, [((0, 1), kappa * b), ((1, 1), kappa)])
+        x3 = MultiSeries.from_terms(box, [((1, 0), kbar * b), ((1, 1), kbar)])
+        x4 = MultiSeries.from_terms(box, [((1, 1), -(kappa * kbar).real)])
+        x6 = MultiSeries.from_terms(box, [((0, 0), b * b), ((1, 0), b), ((0, 1), b), ((1, 1), 1.0)])
         return {"X2": x2, "X3": x3, "X4": x4, "X6": x6}
 
 

@@ -93,7 +93,7 @@ def _loss_inner_products(p: Params) -> Dict[str, complex]:
     with np.errstate(over="ignore", invalid="ignore"):
         ks = kernels(p)
         r = ks.probe_norm()
-        ks.log_weight(ks.probe_thermal(), NormalizationError)
+        ks.log_weight(ks.thermal(p.eta, 1.0)[0], NormalizationError)
         k = len(r)
 
         def ext(q) -> complex:
@@ -134,46 +134,12 @@ def cq_alpha(p: Params, alpha: float) -> float:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     ks = kernels(p)
-    ks.log_weight(ks.probe_thermal(), NormalizationError)
+    ks.log_weight(ks.thermal(p.eta, 1.0)[0], NormalizationError)
     n, var = ks.moments(ks.sh2)
     # u = 1 - (1 + alpha)(1 - eta) = eta - alpha (1 - eta) in exact dyadic ratios, rounded once
     (e, e_den), (a, a_den), a1 = p.eta.as_integer_ratio(), alpha.as_integer_ratio(), 1.0 + alpha
     u = (e * a_den - a * (e_den - e)) / (e_den * a_den)
     return positive(4.0 * (u * u * var + a1 * a1 * p.eta * (1.0 - p.eta) * n), "C_Q")
-
-
-def _minimum(p: Params) -> QfiReport:
-    """Analytic alpha-minimum of C_Q, its placement and the probe's inner products.
-
-    A vanishing probe weight or minimization denominator (no photons in
-    mode a) is a NormalizationError.  Next to
-    a dark fringe at eta -> 1 the inner products grow like 1/|X1|^2 and
-    cancel; a result whose estimated roundoff exceeds ROUNDOFF_REL_TOL is a
-    NumericalError.
-    """
-    d = _loss_inner_products(p)
-    eta = p.eta
-    tt, n_mean, var = d["tt"], d["n_mean"], d["var"]
-    w_im = d["n_bra"].imag
-    y_im = d["t_bra"].imag
-    s = w_im - n_mean * y_im
-    denom = (1.0 - eta) * var + eta * n_mean
-    first = 4.0 * (tt - abs(d["t_bra"]) ** 2)
-    if denom <= 0.0:
-        if var < 0.0:  # Var(n) >= 0: its cancelling terms left roundoff, not an empty mode
-            raise NumericalError(f"Var(n) = {var} is roundoff")
-        raise NormalizationError(f"degenerate minimization denominator {denom} (no photons in mode a?)")
-    f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
-    positive(f, "QFI")
-    # the magnitudes of the terms summed into F, into Var(n) and into s
-    s_abs = abs(w_im) + abs(n_mean * y_im)
-    var_abs = abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
-    scale = abs(tt) + abs(d["t_bra"]) ** 2 + (
-        eta * abs(n_mean) * (var_abs + 2.0 * s_abs)
-        + (1.0 - eta) * s_abs * s_abs) / denom
-    roundoff(f, scale, "QFI")
-    alpha_star = (var - s) / denom - 1.0
-    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=d)
 
 
 def qfi_ideal(p: Params) -> QfiReport:
@@ -200,7 +166,33 @@ def qfi_ideal(p: Params) -> QfiReport:
 def qfi_lossy(p: Params) -> QfiReport:
     """QFI bound under mode-a internal loss of transmissivity p.eta.
 
-    Returns the analytic alpha-minimum of C_Q and its minimizing placement;
-    ``terms`` holds the loss-equivalent probe's inner products.
+    The analytic alpha-minimum F_L of C_Q and its minimizing placement;
+    ``terms`` holds the loss-equivalent probe's inner products.  A vanishing
+    probe weight or minimization denominator (no photons in mode a) is a
+    NormalizationError.  Next to a dark fringe at eta -> 1 the inner products
+    grow like 1/|X1|^2 and cancel; a result whose estimated roundoff exceeds
+    ROUNDOFF_REL_TOL is a NumericalError.
     """
-    return _minimum(p)
+    d = _loss_inner_products(p)
+    eta = p.eta
+    tt, n_mean, var = d["tt"], d["n_mean"], d["var"]
+    w_im = d["n_bra"].imag
+    y_im = d["t_bra"].imag
+    s = w_im - n_mean * y_im
+    denom = (1.0 - eta) * var + eta * n_mean
+    first = 4.0 * (tt - abs(d["t_bra"]) ** 2)
+    if denom <= 0.0:
+        if var < 0.0:  # Var(n) >= 0: its cancelling terms left roundoff, not an empty mode
+            raise NumericalError(f"Var(n) = {var} is roundoff")
+        raise NormalizationError(f"degenerate minimization denominator {denom} (no photons in mode a?)")
+    f = first + 4.0 * (eta * n_mean * (var - 2.0 * s) - (1.0 - eta) * s * s) / denom
+    positive(f, "QFI")
+    # the magnitudes of the terms summed into F, into Var(n) and into s
+    s_abs = abs(w_im) + abs(n_mean * y_im)
+    var_abs = abs(var - n_mean + n_mean * n_mean) + abs(n_mean) + n_mean * n_mean
+    scale = abs(tt) + abs(d["t_bra"]) ** 2 + (
+        eta * abs(n_mean) * (var_abs + 2.0 * s_abs)
+        + (1.0 - eta) * s_abs * s_abs) / denom
+    roundoff(f, scale, "QFI")
+    alpha_star = (var - s) / denom - 1.0
+    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=d)

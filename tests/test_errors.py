@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from su11.errors import (ROUNDOFF_REL_TOL, STATIONARY_REL_TOL, NumericalError,
-                         StationaryPointError, positive, roundoff, stationary)
+                         StationaryPointError, positive, real_part, roundoff, stationary)
 
 
 class TestStationary:
@@ -48,3 +48,15 @@ class TestRoundoff:
 
     def test_returns_x_just_below_it(self):
         assert roundoff(1.0, self.AT_TOL * (1.0 - 1e-9), "test") == 1.0
+
+
+class TestRealPart:
+    def test_refuses_an_imaginary_part_above_the_tolerance(self):
+        with pytest.raises(NumericalError, match="x should be real"):
+            real_part(1e-3 + 1e-9j, "x")
+
+    def test_a_larger_scale_tolerates_it(self):
+        assert real_part(1e-3 + 1e-9j, "x", 100.0) == 1e-3
+
+    def test_returns_the_real_part_of_a_roundoff_residue(self):
+        assert real_part(1 + 1e-12j, "x") == 1.0

@@ -11,7 +11,7 @@ import pytest
 
 from references import bilinear_exponent, dual_kernel, probe_kernel
 from su11.errors import DarkFringeError
-from su11.model import Params, _laguerre, _laguerre_coefficients, kernels
+from su11.model import KernelSet, Params, _laguerre, _laguerre_coefficients, kernels
 from su11.qfi import qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 
@@ -128,19 +128,7 @@ class TestKernels:
         assert ks.thermal(1.0, ks.p.T2) == (0.0, 0.0)
         assert ks.thermal(1.0, 1.0) == (0.0, 0.0)
         assert probe_kernel(ks.p).val == 0.0
-        assert ks.probe_thermal() == 0.0
-
-    def test_w1_is_the_probe_thermal_number_at_unit_transmissivity_bit_for_bit(self):
-        # thermal and probe_thermal read one modulus rule, so at T1 = eta and unit
-        # T2 they are the same float; their accuracy is held to mpmath in test_accuracy
-        rng = np.random.default_rng(20)
-        for i in range(1000):
-            near = i % 2 == 0  # half next to a fringe
-            t = 1.0 - 10.0 ** rng.uniform(-15.0, -2.0) if near else rng.uniform(1e-3, 1.0)
-            sign = rng.choice([-1.0, 1.0])
-            phi = sign * 10.0 ** rng.uniform(-15.0, -1.0) if near else rng.uniform(-7.0, 7.0)
-            p = Params(g=float(rng.uniform(0.0, 4.0)), phi=float(phi), T1=float(t), eta=float(t))
-            assert kernels(p).thermal(p.T1, 1.0)[0] == kernels(p).probe_thermal(), p
+        assert ks.thermal(ks.p.eta, 1.0)[0] == 0.0
 
     def test_overflowing_gain_next_to_the_fringe(self):
         # S^2 overflows at g = 300: on the fringe u and u' are 0, not inf * 0 = nan, and
@@ -148,12 +136,12 @@ class TestKernels:
         s = 0.5 * math.sinh(600.0)
         ks = kernels(Params(g=300.0, phi=0.0, T1=1.0))
         assert ks.thermal(1.0, 1.0) == (0.0, 0.0)
-        assert ks.probe_thermal() == 0.0
+        assert ks.thermal(ks.p.eta, 1.0)[0] == 0.0
         ks = kernels(Params(g=300.0, phi=1e-300, T1=1.0))
         u, du = ks.thermal(1.0, 1.0)
         assert u == pytest.approx((s * 1e-300) ** 2, rel=1e-15)
         assert du == pytest.approx(2.0 * s * (s * 1e-300), rel=1e-15)
-        assert ks.probe_thermal() == u
+        assert ks.thermal(ks.p.eta, 1.0)[0] == u
 
     def test_dphi_channels_match_finite_differences(self):
         h = 1e-6
@@ -179,14 +167,17 @@ class TestKernels:
             built.append(kernels(p))
             return built[-1]
 
+        def forbidden(self):
+            raise AssertionError("a one-kernel quantity built the probe's X polynomials")
+
         monkeypatch.setattr(SENSITIVITY, "kernels", spy)
         monkeypatch.setattr(LIMITS, "kernels", spy)
+        monkeypatch.setattr(KernelSet, "x_polys", forbidden)
         p = Params(g=1.0, beta=1.0, phi=0.4, m=2, T1=0.8, T2=0.9, eta=0.7)
         sensitivity_ideal(p)
         sensitivity_lossy(p)
         LIMITS.limits(p)
         assert len(built) == 3
-        assert all("_kappa" not in vars(ks) for ks in built)
 
 
 class TestExponentA:
@@ -220,7 +211,7 @@ class TestExponentA:
         assert np.array_equal(output.val, probe.val)
         assert np.array_equal(output.dph, probe.dph)
         ks = kernels(p)
-        norm = math.exp(ks.log_weight(ks.probe_thermal(), DarkFringeError))
+        norm = math.exp(ks.log_weight(ks.thermal(p.eta, 1.0)[0], DarkFringeError))
         assert norm == pytest.approx(probe.exp().extract((p.m, p.m)).val.real, rel=1e-13)
         assert norm == pytest.approx(math.exp(ks.log_weight(ks.thermal(p.T1, p.T2)[0], DarkFringeError)), rel=1e-13)
 

@@ -151,7 +151,6 @@ class TestIdealQfi:
         def forbidden(*args):
             raise AssertionError("qfi_ideal minimized C_Q's inner products")
 
-        monkeypatch.setattr(qfi, "_minimum", forbidden)
         monkeypatch.setattr(qfi, "_loss_inner_products", forbidden)
         r = qfi_ideal(Params(g=1.0, beta=1.0, phi=0.4, m=3))
         assert r.alpha_star is None
@@ -171,7 +170,7 @@ class TestIdealPaths:
     def old_qfi_ideal(p: Params) -> QfiReport:
         # the eta = 1 copy's probe weight, moments and checks, as qfi_ideal read them
         ks = kernels(p.replace(eta=1.0))
-        ks.log_weight(ks.probe_thermal(), DarkFringeError)
+        ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError)
         n_mean, var = ks.moments(ks.sh2)
         finite(var, "Var(n)")
         if n_mean == 0.0:
@@ -324,7 +323,7 @@ def mp_qfi_lossy(mpmath, p: Params) -> float:
 
     Every extraction is sum_ab q_ab c(m - a, m - b) / c(m, m), with c the
     t^i s^j coefficient of exp(B(X1)) summed term by term; the minimum over
-    the Kraus placement is `qfi._minimum`'s formula.
+    the Kraus placement is `qfi_lossy`'s formula.
     """
     with mpmath.workdps(50):
         g, beta, phi, eta = (mpmath.mpf(v) for v in (p.g, p.beta, p.phi, p.eta))
