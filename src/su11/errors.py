@@ -48,6 +48,7 @@ class NumericalError(Su11Error, ArithmeticError):
 
 # a normalizer extraction below this magnitude is treated as exactly zero
 DARK_FRINGE_FLOOR = 1e-300
+_LOG_DARK_FRINGE_FLOOR = math.log(DARK_FRINGE_FLOOR)
 # relative imaginary residue tolerated on a quantity that must be real
 IMAG_TOL = 1e-10
 # estimated relative roundoff above which a calculator result is a NumericalError
@@ -56,10 +57,10 @@ ROUNDOFF_REL_TOL = 1e-9
 STATIONARY_REL_TOL = 1e-12
 
 
-def normalizer(log_z: float, error: Type[Su11Error], message: str) -> float:
-    """``log_z`` itself; the log of a normalizer under DARK_FRINGE_FLOOR raises ``error(message)``."""
-    if log_z < math.log(DARK_FRINGE_FLOOR):
-        raise error(message)
+def normalizer(log_z: float, error: Type[Su11Error], m: int) -> float:
+    """``log_z`` itself; the log of an m-subtraction weight under DARK_FRINGE_FLOOR raises ``error``."""
+    if log_z < _LOG_DARK_FRINGE_FLOOR:
+        raise error(f"subtraction weight vanished at m={m} (dark fringe)")
     return log_z
 
 

@@ -12,7 +12,7 @@ inserts T sh^2 (1 + Y(v1)) and mode b inserts sh^2 + ch^2 Y(v1), so
 Here v1 = (1/2) sinh 2g (1 - sqrt(T) e^{-i phi}).  exp(B(v1)) generates a
 displaced thermal state, and d_t d_s exp(B) = |v1|^2 (1 + Y(v1)) exp(B), so
 <Y(v1)> = c1 - 1 whatever phi is (`su11.model`); the thermal number |v1|^2,
-`KernelSet.thermal` at unit T2, enters only through the dark-fringe test of
+`su11.model.thermal` at unit T2, enters only through the dark-fringe test of
 the subtraction weight.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from su11.errors import DarkFringeError, finite, positive
-from su11.model import Params, kernels
+from su11.model import Params, kernels, log_weight, thermal
 
 
 class LimitsReport(NamedTuple):
@@ -32,13 +32,13 @@ class LimitsReport(NamedTuple):
 
 def internal_photon_number(p: Params) -> float:
     """<n_a + n_b> of the internal state, with m-photon subtraction folded in."""
-    ks = kernels(p)
-    ks.log_weight(ks.thermal(p.T1, 1.0)[0], DarkFringeError)
-    n_t = (ks.ch2 + p.T1 * ks.sh2) * ks.laguerre[1] + (1.0 + p.T1) * ks.sh2
-    return finite(n_t, "internal photon number")
+    half_sh2g, sh2, ch2, laguerre, log_norm = kernels(p)
+    t1 = p.T1
+    log_weight(log_norm, thermal(half_sh2g, t1, 1.0, p.phi)[0], p.m, DarkFringeError)
+    return finite((ch2 + t1 * sh2) * laguerre[1] + (1.0 + t1) * sh2, "internal photon number")
 
 
 def limits(p: Params) -> LimitsReport:
     """SQL = N_T^(-1/2) and HL = N_T^(-1)."""
     n_t = positive(internal_photon_number(p), "internal photon number")
-    return LimitsReport(n_t=n_t, sql=n_t**-0.5, hl=1.0 / n_t)
+    return LimitsReport(n_t, n_t**-0.5, 1.0 / n_t)

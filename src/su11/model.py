@@ -14,21 +14,23 @@ variables (t, s), which carry the subtraction order,
 for a phase-dependent kernel w = S (1 - sqrt(T) e^{-i phi}).  exp(B(w))
 generates a displaced thermal state of thermal number u = |w|^2, and its
 (n, n) extraction is n! u^n L_n(-beta^2), with L_n(-x) = sum_j C(n, j) x^j / j!.
-So the subtraction weight m! u^m L_m (:meth:`KernelSet.log_weight`) and the
+So the subtraction weight m! u^m L_m (:func:`log_weight`) and the
 photon number's mean c1 u and variance (D_m / L_m^2) u^2 + c1 u
-(:meth:`KernelSet.moments`) are Laguerre values times powers of u.  The output
+(:func:`moments`) are Laguerre values times powers of u.  The output
 moments (S = (1/2) sinh 2g sqrt(T2), T = T1) and the internal photon number
 (S = (1/2) sinh 2g, T = T1) read them at u = |w|^2, so phi enters only through
-u and its explicit derivative u' (:meth:`KernelSet.thermal`).  The QFI's probe
+u and its explicit derivative u' (:func:`thermal`).  The QFI's probe
 over the kernel X1 (T = eta) has its weight at u = |X1|^2 and its moments at
-u = sinh^2 g, which is all the ideal QFI 4 Var(n) reads.  The lossy QFI's
-inner products mix derivative insertions over X1.  Over
+u = sinh^2 g, which is all the ideal QFI 4 Var(n) reads.  Each of these
+closed forms reads the constants of its configuration once, as the plain
+tuple :func:`kernels` returns, and runs one straight line through these three
+rules.  The lossy QFI's inner products mix derivative insertions over X1.  Over
 the scaled variables T = X1 t, S = X1* s its norm generating function
 exp(B(X1)) = exp(TS + beta (T + S)) is free of X1, so each extraction is a
 sum of explicit ratios of positive sums in beta (:meth:`KernelSet.probe_norm`)
 against the coefficients of `su11.series` polynomials in a (2, 2) box
 (:meth:`KernelSet.x_polys`), and X1 enters only through |X1|^2, the u of
-:meth:`KernelSet.thermal` at (eta, 1), and the derivative weight kappa.
+:func:`thermal` at (eta, 1), and the derivative weight kappa.
 Those two methods import numpy and `su11.series` when called, so every
 other quantity runs on `math` alone and importing the package loads neither.
 """
@@ -106,68 +108,70 @@ class Params(_ParamFields):
         return type(self)(**dict(zip(self._fields, self), **kw))
 
 
+Kernels = Tuple[float, float, float, Tuple[float, float, float], float]
+
+
+def kernels(p: Params) -> Kernels:
+    """The constants every closed form reads of ``p``, as a plain tuple: (1/2) sinh 2g, sinh^2 g and
+    cosh^2 g (:func:`_gain`, which raises NumericalError where sinh 2g overflows), the Laguerre
+    values (L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2) and log(m! L_m) (:func:`_laguerre`)."""
+    return _gain(p.g) + _laguerre(p.beta, p.m)
+
+
+@lru_cache(maxsize=256)
+def _gain(g: float) -> Tuple[float, float, float]:
+    """((1/2) sinh 2g, sinh^2 g, cosh^2 g), for :func:`kernels`.
+
+    A figure column along beta, T, phi or eta keeps one g, so the last 256 gains are kept.
+    """
+    try:
+        half_sh2g = 0.5 * finite(math.sinh(2.0 * g), "sinh(2g)")
+    except OverflowError:
+        raise NumericalError(f"sinh(2g) overflows at g = {g}") from None
+    # sinh^2 g and cosh^2 g are at most sinh(2g) / 2 + 1, so neither overflows
+    return half_sh2g, math.sinh(g) ** 2, math.cosh(g) ** 2
+
+
+def thermal(half_sh2g: float, t1: float, t2: float, phi: float) -> Tuple[float, float]:
+    """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(t1) e^{-i phi}).
+
+    S = (1/2) sinh 2g sqrt(t2); u = |S (1 - sqrt(t1) e^{i phi})|^2 (:func:`kernel_modulus`) and
+    u' = S (S 2 sqrt(t1) sin phi), so an overflowing S^2 meets a zero factor as 0, not inf * 0.
+    """
+    s = half_sh2g * math.sqrt(t2)
+    return kernel_modulus(t1, phi, s)[2], s * (s * (2.0 * math.sqrt(t1) * math.sin(phi)))
+
+
+def log_weight(log_norm: float, u: float, m: int, vanished: Type[Su11Error]) -> float:
+    """log(m! u^m L_m) = log(m! L_m) + m log u, the weight of m subtractions at thermal number u.
+
+    Taken in logs, so it never over- or underflows; a weight under
+    DARK_FRINGE_FLOOR raises ``vanished`` (:func:`su11.errors.normalizer`).
+    """
+    if m:
+        log_norm += m * math.log(u) if u > 0.0 else -math.inf
+    return normalizer(log_norm, vanished, m)
+
+
+def moments(laguerre: Tuple[float, float, float], u: float) -> Tuple[float, float]:
+    """(<N>, Var N) = (c1 u, (D_m / L_m^2) u^2 + c1 u) after m subtractions at thermal number u.
+
+    Each is a sum of non-negative terms; either may overflow to inf.
+    """
+    _, y, spread = laguerre
+    mean = (1.0 + y) * u
+    return mean, spread * u * u + mean
+
+
 class KernelSet:
-    """Thermal numbers, Laguerre values and the QFI sums of one configuration.
+    """The extended system's loss-equivalent probe over its kernel X1, for the lossy QFI.
 
-    :meth:`thermal` gives the thermal number u = |w|^2 and its d/dphi for the
-    one-kernel quantities; :meth:`log_weight` tests the subtraction weight
-    at u for a dark fringe, and :meth:`moments` turns u into the photon
-    number's mean and variance.  ``laguerre`` holds
-    (L_m, c1 - 1, D_m / L_m^2) at L_n = L_n(-beta^2), each summed from
-    non-negative terms once per (beta, m) (:func:`_laguerre`), with
-    c1 = (m + 1) L_(m+1) / L_m and
-    D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.  ``sh2`` = sinh^2 g
-    and ``ch2`` = cosh^2 g.  A gain whose sinh(2g) overflows raises
-    NumericalError here.
-
-    :meth:`probe_norm` and :meth:`x_polys` give the extended system's
-    loss-equivalent probe over its kernel X1 for the lossy QFI, whose weight
-    is tested at |X1|^2 = :meth:`thermal`'s u at (eta, 1); the ideal QFI reads
-    only :meth:`moments` and the weight at eta = 1, the lossless probe.  They
-    read X1 through :func:`kernel_modulus` alone.
+    :meth:`probe_norm` and :meth:`x_polys` read X1 through :func:`kernel_modulus`
+    alone; the probe's weight is tested at |X1|^2 = :func:`thermal`'s u at (eta, 1).
     """
 
     def __init__(self, p: Params):
         self.p = p
-        try:
-            sh2g = finite(math.sinh(2.0 * p.g), "sinh(2g)")
-        except OverflowError:
-            raise NumericalError(f"sinh(2g) overflows at g = {p.g}") from None
-        # sinh^2 g and cosh^2 g are at most sinh(2g) / 2 + 1, so neither overflows
-        self.sh2 = math.sinh(p.g) ** 2
-        self.ch2 = math.cosh(p.g) ** 2
-        self._half_sh2g = 0.5 * sh2g
-        self.laguerre, self._log_norm = _laguerre(p.beta, p.m)
-
-    def thermal(self, t1: float, t2: float) -> Tuple[float, float]:
-        """(u, u') = (|w|^2, d|w|^2/dphi) for the kernel w = S (1 - sqrt(t1) e^{-i phi}).
-
-        S = (1/2) sinh 2g sqrt(t2); u = |S (1 - sqrt(t1) e^{i phi})|^2 (:func:`kernel_modulus`) and
-        u' = S (S 2 sqrt(t1) sin phi), so an overflowing S^2 meets a zero factor as 0, not inf * 0.
-        """
-        s, phi = self._half_sh2g * math.sqrt(t2), self.p.phi
-        return kernel_modulus(t1, phi, s)[2], s * (s * (2.0 * math.sqrt(t1) * math.sin(phi)))
-
-    def log_weight(self, u: float, vanished: Type[Su11Error]) -> float:
-        """log(m! u^m L_m), the weight of m subtractions at thermal number u.
-
-        Taken in logs, so it never over- or underflows; a weight under
-        DARK_FRINGE_FLOOR raises ``vanished``.
-        """
-        m = self.p.m
-        log_w = self._log_norm + _log_power(u, m)
-        return normalizer(log_w, vanished, f"subtraction weight vanished at m={m} (dark fringe)")
-
-    def moments(self, u: float) -> Tuple[float, float]:
-        """(<N>, Var N) = (c1 u, (D_m / L_m^2) u^2 + c1 u) after m subtractions at thermal number u.
-
-        Each is a sum of non-negative terms; either may overflow to inf.
-        """
-        _, y, spread = self.laguerre
-        mean = (1.0 + y) * u
-        return mean, spread * u * u + mean
-
-    # -- extended-system probe at transmissivity eta ---------------------------
 
     def probe_norm(self) -> np.ndarray:
         """r: the ratios that extract a polynomial against the probe's exp(B(X1)) at (m, m).
@@ -176,7 +180,7 @@ class KernelSet:
         exp(TS + beta (T + S)), whose T^p S^q coefficient is the positive sum
         s(p, q) = sum_j beta^(p+q-2j) / (j! (p-j)! (q-j)!).  So the normalizer
         G = m!^2 |X1|^2m s(m, m) is the subtraction weight m! u^m L_m at
-        u = |X1|^2 (:meth:`log_weight`, :meth:`thermal` at (eta, 1)), and a
+        u = |X1|^2 (:func:`log_weight`, :func:`thermal` at (eta, 1)), and a
         polynomial over (T, S) extracts at (m, m) as G sum_ab q_ab r[a, b], with
         r[a, b] = s(m - a, m - b) / s(m, m) for a, b <= min(m, 2).
 
@@ -240,8 +244,9 @@ class KernelSet:
 
 @lru_cache(maxsize=256)
 def _laguerre(beta: float, m: int) -> Tuple[Tuple[float, float, float], float]:
-    """((L_m, c1 - 1, D_m / L_m^2), log(m! L_m)) at L_n = L_n(-beta^2), for :class:`KernelSet`.
+    """((L_m, c1 - 1, D_m / L_m^2), log(m! L_m)) at L_n = L_n(-beta^2), for :func:`kernels`.
 
+    c1 = (m + 1) L_(m+1) / L_m and D_m = (m + 1)(m + 2) L_(m+2) L_m - (m + 1)^2 L_(m+1)^2.
     Each is a sum of the non-negative terms of :func:`_laguerre_coefficients`.  A figure column
     along g, T or phi keeps one (beta, m), so the last 256 pairs are kept.
     """
@@ -255,16 +260,20 @@ def _laguerre_coefficients(m: int) -> Tuple[Tuple[float, ...], ...]:
     """Coefficients in x, highest first, of L_m(-x), (m + 1) L_(m+1)(-x) - L_m(-x) and D_m(x).
 
     The degree-j coefficient of a product is exact: j! [x^j] L_a L_b =
-    sum_i C(j, i) C(a, i) C(b, j - i).  All are non-negative, and D_m's
-    x^(2m+2) terms cancel.  About a third of a millisecond at m = 15.
+    sum_i C(j, i) C(a, i) C(b, j - i), over the nonzero terms, read off the
+    Pascal rows up to 2m + 2.  All are non-negative, and D_m's x^(2m+2) terms cancel.
     """
+    rows = [[1]]
+    for _ in range(2 * m + 2):
+        rows.append([1] + [a + b for a, b in zip(rows[-1], rows[-1][1:])] + [1])
 
     def product(a: int, b: int) -> list:
-        return [sum(math.comb(j, i) * math.comb(a, i) * math.comb(b, j - i) for i in range(j + 1))
+        ra, rb = rows[a], rows[b]
+        return [sum(rows[j][i] * ra[i] * rb[j - i] for i in range(max(0, j - b), min(j, a) + 1))
                 for j in range(a + b + 1)]
 
-    l_m = [math.comb(m, j) for j in range(m + 1)]
-    y = [(m + 1) * math.comb(m + 1, j) - math.comb(m, j) for j in range(m + 2)]
+    l_m = rows[m]
+    y = [(m + 1) * a - b for a, b in zip(rows[m + 1], l_m + [0])]
     d = [(m + 1) * (m + 2) * a - (m + 1) ** 2 * b
          for a, b in zip(product(m + 2, m), product(m + 1, m + 1))]
     return tuple(tuple(n / math.factorial(j) for j, n in reversed(list(enumerate(c))))
@@ -296,13 +305,6 @@ def kernel_modulus(t: float, phi: float, scale: float) -> Tuple[float, float, fl
     return delta, 2.0 * half * half, a * a + 2.0 * root * (2.0 * b * b)
 
 
-def _log_power(u: float, m: int) -> float:
-    """log(u^m), -inf at u = 0 < m and 0 at m = 0."""
-    if m == 0:
-        return 0.0
-    return m * math.log(u) if u > 0.0 else -math.inf
-
-
 def _positive_sum(coeffs: Sequence[float], x: float) -> float:
     """The polynomial with coefficients ``coeffs``, highest first, at x, by Horner's rule."""
     acc = 0.0
@@ -310,7 +312,3 @@ def _positive_sum(coeffs: Sequence[float], x: float) -> float:
         acc = acc * x + c
     return acc
 
-
-def kernels(p: Params) -> KernelSet:
-    """Evaluate every kernel coefficient of the configuration ``p``."""
-    return KernelSet(p)

@@ -18,7 +18,7 @@ products: its cross terms vanish identically, which leaves
     C_Q = 4 [(1 - (1 + alpha)(1 - eta))^2 V + (1 + alpha)^2 eta (1 - eta) n]
 
 with the probe's photon-number mean n = c1 sinh^2 g and variance
-V = (D_m / L_m^2) sinh^4 g + n (`su11.model.KernelSet.moments` at
+V = (D_m / L_m^2) sinh^4 g + n (`su11.model.moments` at
 u = sinh^2 g), so phi enters only through the probe's weight.  At eta = 1
 the environment decouples, C_Q = 4 V at every placement, and that is the
 QFI of the lossless interferometer with m-photon output subtraction, which
@@ -41,7 +41,7 @@ from typing import Dict, NamedTuple, Optional
 
 from su11.errors import (DarkFringeError, NormalizationError, NumericalError, StationaryPointError,
                          finite, positive, real_part, roundoff)
-from su11.model import Params, kernels
+from su11.model import KernelSet, Params, kernels, log_weight, moments, thermal
 
 
 class QfiReport(NamedTuple):
@@ -91,16 +91,16 @@ def _loss_inner_products(p: Params) -> Dict[str, complex]:
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        ks = kernels(p)
+        half_sh2g, sh2, _, _, log_norm = kernels(p)
+        ks = KernelSet(p)
         r = ks.probe_norm()
-        ks.log_weight(ks.thermal(p.eta, 1.0)[0], NormalizationError)
+        log_weight(log_norm, thermal(half_sh2g, p.eta, 1.0, p.phi)[0], p.m, NormalizationError)
         k = len(r)
 
         def ext(q) -> complex:
             return complex((q.val[:k, :k] * r).sum())
 
         xs = ks.x_polys()
-        sh2 = ks.sh2
         x2, x3, x4, x6 = xs["X2"], xs["X3"], xs["X4"], xs["X6"]
         x6p1 = x6 + 1.0
         x6p2 = x6 + 2.0
@@ -133,9 +133,9 @@ def cq_alpha(p: Params, alpha: float) -> float:
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    ks = kernels(p)
-    ks.log_weight(ks.thermal(p.eta, 1.0)[0], NormalizationError)
-    n, var = ks.moments(ks.sh2)
+    half_sh2g, sh2, _, laguerre, log_norm = kernels(p)
+    log_weight(log_norm, thermal(half_sh2g, p.eta, 1.0, p.phi)[0], p.m, NormalizationError)
+    n, var = moments(laguerre, sh2)
     # u = 1 - (1 + alpha)(1 - eta) = eta - alpha (1 - eta) in exact dyadic ratios, rounded once
     (e, e_den), (a, a_den), a1 = p.eta.as_integer_ratio(), alpha.as_integer_ratio(), 1.0 + alpha
     u = (e * a_den - a * (e_den - e)) / (e_den * a_den)
@@ -147,20 +147,20 @@ def qfi_ideal(p: Params) -> QfiReport:
 
     F = 4 V, C_Q at eta = 1, where it does not depend on the Kraus
     placement: four times the probe's photon-number variance, read with its
-    mean from `KernelSet.moments` at u = sinh^2 g.  A vanishing probe weight
+    mean from `su11.model.moments` at u = sinh^2 g.  A vanishing probe weight
     is a DarkFringeError, a variance that overflows a NumericalError, and a
     probe with no photons a StationaryPointError.  ``terms`` holds the mean
     and the variance.
     """
-    ks = kernels(p)
+    half_sh2g, sh2, _, laguerre, log_norm = kernels(p)
     # |X1|^2 at eta = 1 is the lossless kernel's thermal number
-    ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError)
-    n_mean, var = ks.moments(ks.sh2)
+    log_weight(log_norm, thermal(half_sh2g, 1.0, 1.0, p.phi)[0], p.m, DarkFringeError)
+    n_mean, var = moments(laguerre, sh2)
     finite(var, "Var(n)")
     if n_mean == 0.0:
         raise StationaryPointError("the probe holds no photons in mode a: F = 0")
     f = positive(4.0 * var, "QFI")
-    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=None, terms={"n_mean": n_mean, "var": var})
+    return QfiReport(f, qcrb(f, p.nu), None, {"n_mean": n_mean, "var": var})
 
 
 def qfi_lossy(p: Params) -> QfiReport:
@@ -195,4 +195,4 @@ def qfi_lossy(p: Params) -> QfiReport:
         + (1.0 - eta) * s_abs * s_abs) / denom
     roundoff(f, scale, "QFI")
     alpha_star = (var - s) / denom - 1.0
-    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=alpha_star, terms=d)
+    return QfiReport(f, qcrb(f, p.nu), alpha_star, d)

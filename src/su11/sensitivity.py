@@ -3,14 +3,16 @@
 Output mode a is a displaced thermal state of thermal number
 u = |w3|^2, w3 = (1/2) sinh 2g sqrt(T2) (1 - sqrt(T1) e^{-i phi}).
 After m subtractions, <N> = c1 u and d<N>/dphi = c1 u', with u and u' in
-explicit real arithmetic (`su11.model.KernelSet.thermal`; `su11.verify`
-checks u' against central differences of <N>), and Var(N) = S u^2 + c1 u
-with S = D_m / L_m^2 is a sum of non-negative terms (<N> and Var(N):
-`su11.model.KernelSet.moments`).
+explicit real arithmetic (`su11.model.thermal`; `su11.verify` checks u'
+against central differences of <N>), and Var(N) = S u^2 + c1 u with
+S = D_m / L_m^2 is a sum of non-negative terms (<N> and Var(N):
+`su11.model.moments`).
 Error propagation gives  delta^2 phi = Var(N) / |d<N>/dphi|^2.
 
-The ideal variant is the lossy one with unit transmittances passed to
-`KernelSet.thermal`, so the no-loss reduction is bit-for-bit.
+Both variants, and each candidate of the optimum, run one body over the
+configuration's constants (`su11.model.kernels`) with phi and the transmittances
+passed in; the ideal variant passes unit transmittances, so the no-loss
+reduction is bit-for-bit.
 
 The optimum over phi is exact.  With c = cos phi, u = K v, v = a - b c, a = 1 + T1,
 b = 2 sqrt(T1) and K = (1/4) sinh^2 2g T2, delta^2 phi = N(c) / (c1^2 b^2 (1 - c^2)),
@@ -28,7 +30,7 @@ import math
 from typing import NamedTuple, Tuple
 
 from su11.errors import DarkFringeError, NumericalError, Su11Error, finite, stationary
-from su11.model import Params, kernel_modulus, kernels
+from su11.model import Kernels, Params, kernel_modulus, kernels, log_weight, moments, thermal
 
 
 class SensitivityReport(NamedTuple):
@@ -40,47 +42,43 @@ class SensitivityReport(NamedTuple):
     d_mean_dphi: float
 
 
-def _error_propagation(p: Params, t1: float, t2: float) -> SensitivityReport:
-    ks = kernels(p)
-    u, du = ks.thermal(t1, t2)
-    ks.log_weight(u, DarkFringeError)
-    mean, var = ks.moments(u)
+def _error_propagation(k: Kernels, m: int, phi: float, t1: float, t2: float) -> SensitivityReport:
+    half_sh2g, _, _, laguerre, log_norm = k
+    u, du = thermal(half_sh2g, t1, t2, phi)
+    log_weight(log_norm, u, m, DarkFringeError)
+    mean, var = moments(laguerre, u)
     finite(mean, "<N>")
-    dmean = finite((1.0 + ks.laguerre[1]) * du, "d<N>/dphi")
+    dmean = finite((1.0 + laguerre[1]) * du, "d<N>/dphi")
     finite(var, "Var(N)")
     stationary(dmean, mean, "closed form")
-    return SensitivityReport(
-        delta_phi=math.sqrt(var) / abs(dmean),
-        mean_n=mean,
-        var_n=var,
-        d_mean_dphi=dmean,
-    )
+    return SensitivityReport(math.sqrt(var) / abs(dmean), mean, var, dmean)
 
 
 def sensitivity_ideal(p: Params) -> SensitivityReport:
     """Error-propagation sensitivity of the lossless interferometer."""
-    return _error_propagation(p, 1.0, 1.0)
+    return _error_propagation(kernels(p), p.m, p.phi, 1.0, 1.0)
 
 
 def sensitivity_lossy(p: Params) -> SensitivityReport:
     """Sensitivity with internal (T1) and external (T2) photon loss."""
-    return _error_propagation(p, p.T1, p.T2)
+    return _error_propagation(kernels(p), p.m, p.phi, p.T1, p.T2)
 
 
 def optimal_phase(p: Params, interval: Tuple[float, float]) -> Tuple[float, float]:
     """(phi*, delta_phi*) minimizing delta_phi over phi in ``interval`` at p's g, beta, m, T1, T2.
 
     Candidates: the endpoints and +-acos c*, each moved into the interval by one 2 pi k; a fringe
-    carries the limit 1 / (sinh 2g sqrt(T2 c1)), sensitivity_lossy evaluates the others, skipping
-    one that raises a typed error.  The least value wins, on a tie the smaller phase; if none
-    succeeds, the last error propagates.  A non-finite or reversed interval is a ValueError.
+    carries the limit 1 / (sinh 2g sqrt(T2 c1)), sensitivity_lossy's body evaluates the others at
+    p's constants, skipping one that raises a typed error.  The least value wins, on a tie the
+    smaller phase; if none succeeds, the last error propagates.  A non-finite or reversed interval
+    is a ValueError.
     """
     lo, hi = interval
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"interval must be finite with lo <= hi, got {interval}")
     ks = kernels(p)
-    _, y, spread = ks.laguerre
-    c1, k = 1.0 + y, ks.sh2 * (ks.ch2 * p.T2)  # sinh^2 g cosh^2 g = (1/4) sinh^2 2g
+    _, sh2, ch2, (_, y, spread), _ = ks
+    c1, k = 1.0 + y, sh2 * (ch2 * p.T2)  # sinh^2 g cosh^2 g = (1/4) sinh^2 2g
     a, b, d = 1.0 + p.T1, 2.0 * math.sqrt(p.T1), kernel_modulus(p.T1, 0.0, 1.0)[2]
     big_p = spread * k * (a * a + b * b) + a * c1
     e = d * (spread * k * d + c1) / big_p
@@ -98,7 +96,7 @@ def optimal_phase(p: Params, interval: Tuple[float, float]) -> Tuple[float, floa
     last_error: Su11Error | None = None
     for phi in dict.fromkeys([lo, hi] + stationary):
         try:
-            candidates.append((sensitivity_lossy(p.replace(phi=phi)).delta_phi, phi))
+            candidates.append((_error_propagation(ks, p.m, phi, p.T1, p.T2).delta_phi, phi))
         except Su11Error as err:
             last_error = err
     if not candidates:

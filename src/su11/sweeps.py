@@ -4,7 +4,7 @@ Sweep configuration lives in flat ``key = value`` INI sections, one section
 per sweep.  Sweeps and figures build their tables through one grid builder,
 `_table`: it lists every cell in task order (m, then axis value, then
 column) and hands them to `evaluate_grid` at once, which evaluates them in
-process, one after another.  A closed-form point takes about 3 us
+process, one after another.  A closed-form point takes about 2 us
 (sensitivity, qfi_ideal, limits) to about 0.3 ms (qfi_lossy), so there is
 no worker pool and no parallelism setting.
 

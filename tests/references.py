@@ -29,7 +29,13 @@ positive sums; ``mp_ideal_qfi``, ``mp_cq_alpha``, ``mp_delta_phi``,
 forms at 60 digits or more, at the exact doubles they are given, from
 Laguerre sums built term by term and from the complex kernel itself, where
 ``su11.model`` sums double Horner polynomials, takes their ratios once and
-forms the kernel modulus from its cancellation-free terms.
+forms the kernel modulus from its cancellation-free terms.  ``KernelSetRoute``
+and the calculators over it (``route_sensitivity_ideal`` and the rest) keep the
+per-cell object route that the straight-line closed forms of ``su11`` replaced:
+an object per configuration whose methods give the thermal number, the
+weight test and the moments, over Laguerre values summed afresh from
+``laguerre_coefficients_comb``, the coefficients built from ``math.comb``
+where ``su11.model`` reads Pascal rows.
 """
 
 from __future__ import annotations
@@ -41,7 +47,12 @@ from typing import Sequence
 
 import numpy as np
 
-from su11.model import Params
+from su11.errors import (DARK_FRINGE_FLOOR, DarkFringeError, NormalizationError, NumericalError,
+                         StationaryPointError, finite, positive, stationary)
+from su11.limits import LimitsReport
+from su11.model import Params, kernel_modulus
+from su11.qfi import QfiReport, qcrb
+from su11.sensitivity import SensitivityReport
 from su11.series import CDual, MultiSeries
 from su11.sweeps import SweepSpec, format_float
 
@@ -251,7 +262,7 @@ def dual_kernel(p: Params, t2: float) -> CDual:
 
     The output kernel w3 at t2 = T2 and the internal kernel v1 at t2 = 1.  1 - sqrt(T1) e^{-i phi}
     cancels next to a fringe (sqrt(T1) cos phi -> 1), where ``su11.model.kernel_modulus`` does
-    not, so its |w|^2 is close to ``KernelSet.thermal``'s only away from one.
+    not, so its |w|^2 is close to ``su11.model.thermal``'s only away from one.
     """
     scale = 0.5 * math.sinh(2.0 * p.g) * math.sqrt(t2)
     e_m = cmath.exp(-1j * p.phi)
@@ -437,3 +448,116 @@ def mp_internal_photon_number(mpmath, p: Params) -> float:
         g, t1 = mpmath.mpf(p.g), mpmath.mpf(p.T1)
         sh2, ch2 = mpmath.sinh(g) ** 2, mpmath.cosh(g) ** 2
         return float((ch2 + t1 * sh2) * y + (1 + t1) * sh2)
+
+
+# -- the per-cell object route of the one-kernel closed forms ------------------
+
+
+def laguerre_coefficients_comb(m: int):
+    """Coefficients in x, highest first, of L_m(-x), (m + 1) L_(m+1)(-x) - L_m(-x) and D_m(x),
+    with three ``math.comb`` calls per term of each product: j! [x^j] L_a L_b =
+    sum_i C(j, i) C(a, i) C(b, j - i)."""
+
+    def product(a: int, b: int) -> list:
+        return [sum(math.comb(j, i) * math.comb(a, i) * math.comb(b, j - i) for i in range(j + 1))
+                for j in range(a + b + 1)]
+
+    l_m = [math.comb(m, j) for j in range(m + 1)]
+    y = [(m + 1) * math.comb(m + 1, j) - math.comb(m, j) for j in range(m + 2)]
+    d = [(m + 1) * (m + 2) * a - (m + 1) ** 2 * b
+         for a, b in zip(product(m + 2, m), product(m + 1, m + 1))]
+    return tuple(tuple(n / math.factorial(j) for j, n in reversed(list(enumerate(c))))
+                 for c in (l_m, y, d[:-1]))
+
+
+class KernelSetRoute:
+    """Thermal numbers and Laguerre values of one configuration, with the rules as methods."""
+
+    def __init__(self, p: Params):
+        self.p = p
+        try:
+            sh2g = finite(math.sinh(2.0 * p.g), "sinh(2g)")
+        except OverflowError:
+            raise NumericalError(f"sinh(2g) overflows at g = {p.g}") from None
+        self.sh2 = math.sinh(p.g) ** 2
+        self.ch2 = math.cosh(p.g) ** 2
+        self._half_sh2g = 0.5 * sh2g
+        x, sums = p.beta * p.beta, []
+        for coeffs in laguerre_coefficients_comb(p.m):
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * x + c
+            sums.append(acc)
+        l_m, y, d = sums
+        self.laguerre = (l_m, y / l_m, d / l_m / l_m)
+        self._log_norm = math.log(math.factorial(p.m) * l_m)
+
+    def thermal(self, t1: float, t2: float):
+        s, phi = self._half_sh2g * math.sqrt(t2), self.p.phi
+        return kernel_modulus(t1, phi, s)[2], s * (s * (2.0 * math.sqrt(t1) * math.sin(phi)))
+
+    def log_weight(self, u: float, vanished):
+        m = self.p.m
+        log_w = self._log_norm + ((m * math.log(u) if u > 0.0 else -math.inf) if m else 0.0)
+        if log_w < math.log(DARK_FRINGE_FLOOR):
+            raise vanished(f"subtraction weight vanished at m={m} (dark fringe)")
+        return log_w
+
+    def moments(self, u: float):
+        _, y, spread = self.laguerre
+        mean = (1.0 + y) * u
+        return mean, spread * u * u + mean
+
+
+def _route_error_propagation(p: Params, t1: float, t2: float):
+    ks = KernelSetRoute(p)
+    u, du = ks.thermal(t1, t2)
+    ks.log_weight(u, DarkFringeError)
+    mean, var = ks.moments(u)
+    finite(mean, "<N>")
+    dmean = finite((1.0 + ks.laguerre[1]) * du, "d<N>/dphi")
+    finite(var, "Var(N)")
+    stationary(dmean, mean, "closed form")
+    return SensitivityReport(delta_phi=math.sqrt(var) / abs(dmean), mean_n=mean, var_n=var, d_mean_dphi=dmean)
+
+
+def route_sensitivity_ideal(p: Params):
+    return _route_error_propagation(p, 1.0, 1.0)
+
+
+def route_sensitivity_lossy(p: Params):
+    return _route_error_propagation(p, p.T1, p.T2)
+
+
+def route_internal_photon_number(p: Params) -> float:
+    ks = KernelSetRoute(p)
+    ks.log_weight(ks.thermal(p.T1, 1.0)[0], DarkFringeError)
+    n_t = (ks.ch2 + p.T1 * ks.sh2) * ks.laguerre[1] + (1.0 + p.T1) * ks.sh2
+    return finite(n_t, "internal photon number")
+
+
+def route_limits(p: Params):
+    n_t = positive(route_internal_photon_number(p), "internal photon number")
+    return LimitsReport(n_t=n_t, sql=n_t**-0.5, hl=1.0 / n_t)
+
+
+def route_qfi_ideal(p: Params):
+    ks = KernelSetRoute(p)
+    ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError)
+    n_mean, var = ks.moments(ks.sh2)
+    finite(var, "Var(n)")
+    if n_mean == 0.0:
+        raise StationaryPointError("the probe holds no photons in mode a: F = 0")
+    f = positive(4.0 * var, "QFI")
+    return QfiReport(f=f, qcrb=qcrb(f, p.nu), alpha_star=None, terms={"n_mean": n_mean, "var": var})
+
+
+def route_cq_alpha(p: Params, alpha: float) -> float:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    ks = KernelSetRoute(p)
+    ks.log_weight(ks.thermal(p.eta, 1.0)[0], NormalizationError)
+    n, var = ks.moments(ks.sh2)
+    (e, e_den), (a, a_den), a1 = p.eta.as_integer_ratio(), alpha.as_integer_ratio(), 1.0 + alpha
+    u = (e * a_den - a * (e_den - e)) / (e_den * a_den)
+    return positive(4.0 * (u * u * var + a1 * a1 * p.eta * (1.0 - p.eta) * n), "C_Q")

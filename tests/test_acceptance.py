@@ -74,14 +74,13 @@ def test_mutation_flipped_thermal_slope_is_caught(monkeypatch):
     # sanity check that the derivative criterion has teeth: a sign error in
     # u' = d|w3|^2/dphi flips d<N>/dphi against its finite differences
     import su11.model as model
+    import su11.sensitivity as sensitivity
 
-    original = model.KernelSet.thermal
-
-    def flipped(self, t1, t2):
-        u, du = original(self, t1, t2)
+    def flipped(half_sh2g, t1, t2, phi):
+        u, du = model.thermal(half_sh2g, t1, t2, phi)
         return u, -du
 
-    monkeypatch.setattr(model.KernelSet, "thermal", flipped)
+    monkeypatch.setattr(sensitivity, "thermal", flipped)
     result = verify.criterion_9_numerical_hygiene()
     assert not result.passed
     assert "worst rel err 2.00e+00" in result.details

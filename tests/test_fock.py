@@ -27,7 +27,7 @@ from su11.fock import (
     subtracted_moments,
     thinning,
 )
-from su11.model import Params, kernels
+from su11.model import Params, kernels, log_weight, thermal
 from references import (apply_loss_branchwise, apply_tms_series, band_data, cq_branchwise, grid_data,
                         tms_basis_dense)
 
@@ -744,8 +744,8 @@ class TestSubtraction:
         # the subtraction weight m! u^m L_m, the 2m-fold extraction of exp(A1)
         p = Params(g=1.0, beta=1.0, phi=0.4, m=m)
         ens = output_ensemble(p, 70)
-        ks = kernels(p)
-        gm = math.exp(ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError))
+        half_sh2g, _, _, _, log_norm = kernels(p)
+        gm = math.exp(log_weight(log_norm, thermal(half_sh2g, 1.0, 1.0, p.phi)[0], m, DarkFringeError))
         assert lowered(ens, m).trace() == pytest.approx(gm, rel=1e-8)
 
     @pytest.mark.parametrize("m", range(5))
@@ -786,7 +786,7 @@ class TestMoments:
         p = Params(g=1.0, beta=1.0, phi=0.4)
         ens = output_ensemble(p, 70)
         mean, _ = moments(ens, "a")
-        u, _ = kernels(p).thermal(1.0, 1.0)  # |w1|^2 of the lossless kernel
+        u, _ = thermal(kernels(p)[0], 1.0, 1.0, p.phi)  # |w1|^2 of the lossless kernel
         assert mean == pytest.approx(u * 2.0, rel=1e-9)
 
     def test_full_pipeline_moments_match_error_propagation_report(self):

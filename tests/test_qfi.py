@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from references import engine_loss_inner_products, laguerre_coefficient, mp_ideal_qfi
+from references import KernelSetRoute, engine_loss_inner_products, laguerre_coefficient, mp_ideal_qfi
 from su11 import qfi
 from su11.errors import (ROUNDOFF_REL_TOL, DarkFringeError, NormalizationError, NumericalError,
                          StationaryPointError, Su11Error, ZeroProbabilityError, finite, positive)
 from su11.fock import numeric_cq, numeric_qfi_pure
-from su11.model import Params, kernels
+from su11.model import Params
 from su11.qfi import QfiReport, cq_alpha, qcrb, qfi_ideal, qfi_lossy
 from su11.sensitivity import sensitivity_ideal, sensitivity_lossy
 from su11.verify import alpha_scan
@@ -169,7 +169,7 @@ class TestIdealPaths:
     @staticmethod
     def old_qfi_ideal(p: Params) -> QfiReport:
         # the eta = 1 copy's probe weight, moments and checks, as qfi_ideal read them
-        ks = kernels(p.replace(eta=1.0))
+        ks = KernelSetRoute(p.replace(eta=1.0))
         ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError)
         n_mean, var = ks.moments(ks.sh2)
         finite(var, "Var(n)")

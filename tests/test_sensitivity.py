@@ -9,7 +9,7 @@ import pytest
 from su11.errors import DarkFringeError, NumericalError, StationaryPointError, Su11Error
 from su11.fock import numeric_moments_multi
 from su11.limits import internal_photon_number
-from su11.model import Params, kernels
+from su11.model import Params, kernels, log_weight, thermal
 from su11.sensitivity import optimal_phase, sensitivity_ideal, sensitivity_lossy
 from su11.verify import d_mean_dphi_fd
 from references import engine_photon_number, engine_sensitivity, laguerre_coefficient
@@ -146,8 +146,9 @@ class TestAgainstReferences:
             )
             got = sensitivity_lossy(p)
             engine = engine_sensitivity(p)
-            ks = kernels(p)
-            weight = math.exp(ks.log_weight(ks.thermal(p.T1, p.T2)[0], DarkFringeError))
+            half_sh2g, _, _, _, log_norm = kernels(p)
+            u = thermal(half_sh2g, p.T1, p.T2, p.phi)[0]
+            weight = math.exp(log_weight(log_norm, u, p.m, DarkFringeError))
             assert weight == pytest.approx(engine.pop("weight"), rel=1e-12), p
             for name, want in engine.items():
                 assert getattr(got, name) == pytest.approx(want, rel=1e-12), (name, p)
@@ -168,7 +169,7 @@ class TestAgainstReferences:
                 T1=float(rng.uniform(0.5, 1.0)),
                 T2=float(rng.uniform(0.5, 1.0)),
             )
-            u, du = kernels(p).thermal(p.T1, p.T2)
+            u, du = thermal(kernels(p)[0], p.T1, p.T2, p.phi)
             want = mp_delta_phi(mpmath, u, du, p.beta, p.m)
             worst = max(worst, abs(sensitivity_lossy(p).delta_phi / want - 1.0))
         assert worst < 1e-14
@@ -182,12 +183,13 @@ class TestAgainstReferences:
             want, u = mp_lossless_delta_phi(mpmath, g, phi, m)
             with mpmath.workdps(60):
                 weight = mpmath.factorial(m) ** 2 * laguerre_coefficient(u, mpmath.sqrt(u), mpmath.sqrt(u), m, m)
-                log_weight = float(mpmath.log(weight))
+                want_log = float(mpmath.log(weight))
             p = Params(g=g, beta=1.0, phi=phi, m=m)
             assert sensitivity_lossy(p).delta_phi == pytest.approx(want, rel=1e-12), g
             # the weight, in logs past a double's range: a log gap of 1e-12 is rel 1e-12
-            ks = kernels(p)
-            assert ks.log_weight(ks.thermal(1.0, 1.0)[0], DarkFringeError) == pytest.approx(log_weight, abs=1e-12), g
+            half_sh2g, _, _, _, log_norm = kernels(p)
+            got = log_weight(log_norm, thermal(half_sh2g, 1.0, 1.0, phi)[0], m, DarkFringeError)
+            assert got == pytest.approx(want_log, abs=1e-12), g
 
     def test_refused_only_where_the_variance_overflows(self):
         # <N^2> = Var(N) + <N>^2 overflows first, from g = 89.635 at m = 0 and
@@ -311,6 +313,45 @@ class TestOptimalPhase:
             assert delta_star <= min(scan) * (1.0 + 1e-12)
             assert min(scan) <= delta_star * (1.0 + 1e-4)
             assert sensitivity_lossy(p.replace(phi=phi_star)).delta_phi == delta_star
+
+    def test_candidates_copy_no_params(self, monkeypatch):
+        # each candidate runs sensitivity_lossy's body at p's constants with its phi passed in,
+        # so the result is sensitivity_lossy's at a copy of p bit for bit, and no worse at the ends
+        rng = np.random.default_rng(38)
+        cases = []
+        for _ in range(300):
+            p = Params(g=float(10.0 ** rng.uniform(-2.0, 1.5)), beta=float(rng.uniform(0.0, 3.0)),
+                       m=int(rng.integers(0, 16)), T1=float(rng.uniform(0.0, 0.999)),
+                       T2=float(rng.uniform(0.0, 1.0)))
+            lo = float(rng.uniform(-7.0, 7.0))
+            cases.append((p, (lo, lo + float(rng.choice([0.0, rng.uniform(0.0, 8.0)])))))
+
+        def forbidden(self, **kw):
+            raise AssertionError("optimal_phase copied its Params")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Params, "replace", forbidden)
+            got = []
+            for p, interval in cases:
+                try:
+                    got.append(optimal_phase(p, interval))
+                except Su11Error as err:
+                    got.append(type(err))
+
+        def delta_at(p, phi):
+            try:
+                return sensitivity_lossy(p.replace(phi=phi)).delta_phi
+            except Su11Error:
+                return math.inf
+
+        assert sum(isinstance(r, tuple) for r in got) > 200
+        for (p, (lo, hi)), result in zip(cases, got):
+            if isinstance(result, tuple):
+                phi_star, delta_star = result
+                assert delta_star.hex() == sensitivity_lossy(p.replace(phi=phi_star)).delta_phi.hex(), p
+                assert delta_star <= min(delta_at(p, lo), delta_at(p, hi)), p
+            else:
+                assert delta_at(p, lo) == delta_at(p, hi) == math.inf, p
 
 
 class TestLossPlacementAtOptimum:
