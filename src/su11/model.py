@@ -306,9 +306,10 @@ def kernel_modulus(t: float, phi: float, scale: float) -> Tuple[float, float, fl
 
 
 def _positive_sum(coeffs: Sequence[float], x: float) -> float:
-    """The polynomial with coefficients ``coeffs``, highest first, at x, by Horner's rule."""
-    acc = 0.0
-    for c in coeffs:
+    """The polynomial ``coeffs``, highest first, at x by Horner's rule: x = inf gives inf, not 0 * inf."""
+    terms = iter(coeffs)
+    acc = next(terms)
+    for c in terms:
         acc = acc * x + c
     return acc
 

@@ -5,8 +5,9 @@ per sweep.  Sweeps and figures build their tables through one grid builder,
 `_table`: it lists every cell in task order (m, then axis value, then
 column) and hands them to `evaluate_grid` at once, which evaluates them in
 process, one after another.  A closed-form point takes about 2 us
-(sensitivity, qfi_ideal, limits) to about 0.3 ms (qfi_lossy), so there is
-no worker pool and no parallelism setting.
+(sensitivity, qfi_ideal, limits, and qcrb at eta = 1) to about 0.3 ms
+(qfi_lossy, and qcrb below eta = 1), so there is no worker pool and no
+parallelism setting.
 
 The figure table `FIGURES` is data: each job has an axis label, a grid
 ``(lo, hi, n)``, its m values and its columns.  A column (`_col`) is a
@@ -45,8 +46,8 @@ QUANTITIES: Dict[str, Callable[[Params], float]] = {
     "delta_phi_lossy": lambda p: sensitivity_lossy(p).delta_phi,
     "qfi_ideal": lambda p: qfi_ideal(p).f,
     "qfi_lossy": lambda p: qfi_lossy(p).f,
-    # the ideal QFI is the lossy bound at eta = 1, so one rule covers both figure families
-    "qcrb": lambda p: qfi_lossy(p).qcrb,
+    # eta = 1 reads the closed-form 4 Var(n); qfi_lossy keeps its own eta = 1 route for verify's C3
+    "qcrb": lambda p: (qfi_ideal if p.eta == 1.0 else qfi_lossy)(p).qcrb,
     "sql": lambda p: limits(p).sql,
     "hl": lambda p: limits(p).hl,
     "n_t": lambda p: limits(p).n_t,

@@ -484,8 +484,9 @@ class KernelSetRoute:
         self._half_sh2g = 0.5 * sh2g
         x, sums = p.beta * p.beta, []
         for coeffs in laguerre_coefficients_comb(p.m):
-            acc = 0.0
-            for c in coeffs:
+            # Horner's rule from the leading coefficient, so x = inf gives inf, not 0 * inf = nan
+            acc = coeffs[0]
+            for c in coeffs[1:]:
                 acc = acc * x + c
             sums.append(acc)
         l_m, y, d = sums

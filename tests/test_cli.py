@@ -12,13 +12,16 @@ import pytest
 
 from su11.cli import main
 from su11.model import Params
-from su11.qfi import cq_alpha
+from su11.errors import Su11Error
+from su11.qfi import cq_alpha, qfi_ideal, qfi_lossy
 from su11.sweeps import (
     FIGURES,
     QUANTITIES,
     FigureJob,
     SweepSpec,
+    _error_code,
     _eval_task,
+    format_float,
     parse_config,
     run_figure,
     run_sweep,
@@ -148,9 +151,15 @@ class TestRunSweep:
     def test_overflow_and_roundoff_cells_carry_numerical_code(self, quantity, params):
         # the qfi_ideal cells were refused like the others until qfi_ideal became
         # 4 Var(n), which neither cancels near a fringe nor forms sinh^6 g: they
-        # now hold that value, the same as C_Q at eta = 1 and 60-digit 4 Var(n)
+        # now hold that value, the same as C_Q at eta = 1 and 60-digit 4 Var(n).
+        # The qcrb cell at eta = 1 reads qfi_ideal as well, so it holds 1 / sqrt(4 Var(n))
         p = Params(**params)
         value, code = _eval_task((quantity, p))
+        if quantity == "qcrb":
+            assert code == "" and float(value) == qfi_ideal(p).qcrb
+            mpmath = pytest.importorskip("mpmath")
+            assert float(value) == pytest.approx(1.0 / math.sqrt(mp_ideal_qfi(mpmath, p)), rel=1e-12)
+            return
         if quantity != "qfi_ideal":
             assert (value, code) == ("", "Numerical")
             return
@@ -158,6 +167,40 @@ class TestRunSweep:
         assert float(value) == pytest.approx(cq_alpha(p.replace(eta=1.0), 0.0), rel=1e-14)
         mpmath = pytest.importorskip("mpmath")
         assert float(value) == pytest.approx(mp_ideal_qfi(mpmath, p), rel=1e-12)
+
+    def test_qcrb_reads_qfi_ideal_at_eta_one_and_qfi_lossy_below(self):
+        # seeded points over the whole Params domain: eta = 1 on half of them, a quarter next
+        # to a fringe, beta = 0 and 1e92, m = 15 and nu > 1 among them.  Each qcrb cell is the
+        # routed calculator's value or error code, and on both halves some cells tell it apart
+        def cell(calculator, p):
+            try:
+                return format_float(calculator(p).qcrb), ""
+            except Su11Error as err:
+                return "", _error_code(err)
+
+        rng = np.random.default_rng(39)
+        told_apart = {True: 0, False: 0}
+        for i in range(80):
+            lossless = i % 2 == 0
+            if i % 4 < 2:
+                fringe = 2.0 * math.pi * rng.integers(-1, 2)
+                phi = fringe + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -1.0)
+            else:
+                phi = rng.uniform(-10.0, 10.0)
+            p = Params(
+                g=float(10.0 ** rng.uniform(-3.0, 1.3)),
+                beta=float(rng.choice([0.0, 1e92, 10.0 ** rng.uniform(-3.0, 2.0)])),
+                phi=float(phi),
+                m=15 if i % 5 == 0 else int(rng.integers(0, 16)),
+                T1=float(rng.uniform(0.0, 1.0)),
+                T2=float(rng.uniform(0.0, 1.0)),
+                eta=1.0 if lossless else float(1.0 - rng.uniform(0.0, 1.0)),
+                nu=int(rng.integers(1, 10**6)),
+            )
+            routed, other = (qfi_ideal, qfi_lossy) if p.eta == 1.0 else (qfi_lossy, qfi_ideal)
+            assert _eval_task(("qcrb", p)) == cell(routed, p), p
+            told_apart[lossless] += cell(other, p) != cell(routed, p)
+        assert told_apart[True] and told_apart[False], told_apart
 
     @pytest.mark.parametrize(
         "quantity", ["delta_phi_lossy", "n_t", "sql", "qfi_ideal"],

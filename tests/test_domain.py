@@ -1,14 +1,17 @@
 """Every calculator cell is a finite value or a typed error over the whole Params domain."""
 
 import math
+import re
 
 import pytest
 
+from references import mp_internal_photon_number
 from su11 import fock
 from su11.errors import NumericalError, Su11Error
+from su11.limits import internal_photon_number, limits
 from su11.model import Params
-from su11.qfi import cq_alpha, qfi_ideal
-from su11.sensitivity import optimal_phase
+from su11.qfi import cq_alpha, qfi_ideal, qfi_lossy
+from su11.sensitivity import optimal_phase, sensitivity_ideal, sensitivity_lossy
 from su11.sweeps import _eval_task
 
 CALCULATORS = ("delta_phi_lossy", "qfi_ideal", "qfi_lossy", "n_t")
@@ -41,6 +44,40 @@ def test_overflowing_edges_are_values_or_numerical(p, quantity):
     else:
         assert code in ("", "Numerical")
     assert_finite_or_coded(value, code)
+
+
+OVERFLOWING_BETA_CALLS = {
+    "sensitivity_ideal": sensitivity_ideal,
+    "sensitivity_lossy": sensitivity_lossy,
+    "qfi_ideal": qfi_ideal,
+    "qfi_lossy": qfi_lossy,
+    "limits": limits,
+    "internal_photon_number": internal_photon_number,
+    "optimal_phase": lambda p: optimal_phase(p, (0.0, 3.1)),
+    "cq_alpha": lambda p: cq_alpha(p, -0.5),
+}
+
+
+@pytest.mark.parametrize("calculator", OVERFLOWING_BETA_CALLS)
+@pytest.mark.parametrize("m", [0, 1, 15])
+@pytest.mark.parametrize("beta", [1e200, math.inf])
+def test_overflowing_beta_squared_names_the_overflow(beta, m, calculator):
+    # beta^2 overflows to inf: the Laguerre sums are inf, not 0 * inf = nan, so at m = 0
+    # (L_0 = 1, every other sum inf) the cheap calculators report an inf; past m = 0
+    # c1 = inf / inf is nan, and qfi_lossy's series engine forms its own nan
+    p = Params(beta=beta, m=m, T1=0.8, T2=0.9, eta=0.7)
+    with pytest.raises(NumericalError) as err:
+        OVERFLOWING_BETA_CALLS[calculator](p)
+    if m == 0 and calculator in ("sensitivity_lossy", "qfi_ideal", "limits", "cq_alpha"):
+        assert re.search(r"\binf\b", str(err.value)) and "nan" not in str(err.value), err.value
+
+
+def test_overflowing_laguerre_spread_leaves_the_photon_number_a_value():
+    # at beta = 1e60, m = 1 D_m overflows while N_T = (cosh^2 g + T1 sinh^2 g)(c1 - 1) + ... does not
+    p = Params(beta=1e60, m=1, T1=0.8)
+    n_t = limits(p).n_t
+    mpmath = pytest.importorskip("mpmath")
+    assert n_t == pytest.approx(mp_internal_photon_number(mpmath, p), rel=1e-12)
 
 
 ORACLE_ENTRY_POINTS = {

@@ -391,7 +391,7 @@ class TestStraightLine:
                 eta=float(rng.choice([1.0, 1.0 - 10.0 ** rng.uniform(-15.0, -2.0), rng.uniform(0.01, 1.0)])),
                 nu=int(rng.integers(1, 5))))
         # g = -0.0 after 0.0 reads the cached gain of 0.0; sinh 2g overflows from g = 355.4;
-        # beta = inf leaves nan Laguerre sums
+        # beta = inf leaves infinite Laguerre sums, and nan ratios of them past m = 0
         points += [Params(g=g, beta=beta, phi=phi, m=m, T1=0.8, T2=0.9, eta=0.8)
                    for g in (0.0, -0.0, 1.0, 300.0, 356.0) for beta in (0.0, 1.0, 1e92, math.inf)
                    for phi in (0.0, 0.4) for m in (0, 1, 15)]

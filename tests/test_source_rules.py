@@ -35,7 +35,7 @@ FOCK_IMPORTS = {"errors", "model"}
 LAZY_MODULES = ("numpy", "su11.series", "su11.fock", "su11.verify")
 # standard-library modules that no analytic path loads
 UNLOADED_STDLIB = ("dataclasses", "inspect", "configparser")
-# in a fresh interpreter: every numpy-free calculator once and two analytic
+# in a fresh interpreter: every numpy-free calculator once and four analytic
 # figure jobs, then qfi_lossy; prints which of argv's modules each left loaded
 COLD_START = """
 import sys
@@ -56,7 +56,7 @@ qfi_ideal(p)
 cq_alpha(p, -0.5)
 limits(p)
 internal_photon_number(p)
-for fid in ("fig5", "fig12"):
+for fid in ("fig5", "fig12", "fig8a", "fig8b"):
     run_figure(FigureJob(fid))
 loaded()
 qfi_lossy(p)
